@@ -65,9 +65,23 @@ class _Context:
         self.resolved[key] = _jsonable(value)
         return value
 
+    def get_as(self, key, default, cast):
+        """The value cast to a number; ``default`` only when neither flag nor config sets it.
+
+        Zero is a value like any other: the operation that receives it decides
+        whether it is in range.
+        """
+        value = self.get(key, default)
+        if value is None:
+            return default
+        try:
+            return cast(value)
+        except (TypeError, ValueError):
+            raise InputError(f"{key}: expected {cast.__name__}, got {value!r}") from None
+
     @property
     def rng_seed(self) -> int:
-        return int(self.get("rng_seed", 0) or 0)
+        return self.get_as("rng_seed", 0, int)
 
     @property
     def reproducible(self) -> bool:
@@ -75,7 +89,10 @@ class _Context:
 
     @property
     def threads(self) -> int:
-        return int(self.get("threads", 1) or 1)
+        threads = self.get_as("threads", 1, int)
+        if threads < 1:
+            raise InputError(f"threads must be at least 1, got {threads}")
+        return threads
 
     def out_dir(self) -> Path:
         out = self.get("out")
@@ -112,6 +129,13 @@ class _Context:
         return meta
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _jsonable(value):
     if isinstance(value, Path):
         return str(value)
@@ -145,7 +169,7 @@ def _build_parser() -> _Parser:
         p.add_argument("--config", help="JSON config file; flags override its values")
         p.add_argument("--out", help="output directory")
         p.add_argument("--rng-seed", dest="rng_seed", type=int, help="seed for all randomness")
-        p.add_argument("--threads", type=int, help="worker cap for parallel sections")
+        p.add_argument("--threads", type=_positive_int, help="worker cap for parallel sections")
         p.add_argument(
             "--reproducible", action="store_const", const=True,
             help="omit timestamps so reruns are byte-identical",
@@ -384,7 +408,7 @@ def _json_num(value):
 def _cmd_expand(ctx) -> int:
     models = _load_models(ctx)
     lexicon = _load_lexicon(ctx)
-    k = int(ctx.get("k", 50) or 50)
+    k = ctx.get_as("k", 50, int)
     fold = not bool(ctx.get("no_fold_case", False))
     out = ctx.out_dir()
     for model in models:
@@ -582,7 +606,7 @@ def _cmd_rates(ctx) -> int:
 def _cmd_find(ctx) -> int:
     corpus = _load(ctx)
     cues = _patterns_arg(ctx.get("cues"), "cues")
-    limit = int(ctx.get("limit", 10) or 10)
+    limit = ctx.get_as("limit", 10, int)
     matches = corpus_mod.find_sentences(corpus, cues, limit)
     out = ctx.out_dir()
     _write_tsv(
@@ -647,7 +671,7 @@ def _load_graph(ctx):
 
 def _cmd_cluster(ctx) -> int:
     g, _, ranks = _load_graph(ctx)
-    resolution = float(ctx.get("resolution", 1.0) or 1.0)
+    resolution = ctx.get_as("resolution", 1.0, float)
     partition = graph_mod.louvain(g, resolution=resolution, rng_seed=ctx.rng_seed)
     q = graph_mod.modularity(g, partition)
     out = ctx.out_dir()
@@ -676,7 +700,7 @@ def _cmd_cluster(ctx) -> int:
 
 def _cmd_rank(ctx) -> int:
     g, partition, _ = _load_graph(ctx)
-    damping = float(ctx.get("damping", 0.85) or 0.85)
+    damping = ctx.get_as("damping", 0.85, float)
     ranks = graph_mod.pagerank(g, damping=damping)
     out = ctx.out_dir()
     graph_mod.export_node_tsv(
@@ -748,8 +772,8 @@ def _cmd_dataset(ctx) -> int:
     annotations = classify.load_annotations(_require(ctx, "annotations", "annotations CSV"))
     accepted = [a.word for a in annotations if a.judge1 == "pos" and a.judge2 == "pos"]
     rejected = [a.word for a in annotations if a.judge1 == "neg" and a.judge2 == "neg"]
-    n_unrelated = int(ctx.get("n_unrelated", 100) or 100)
-    max_sim = float(ctx.get("max_sim", 0.2) or 0.2)
+    n_unrelated = ctx.get_as("n_unrelated", 100, int)
+    max_sim = ctx.get_as("max_sim", 0.2, float)
     exclude = [a.word for a in annotations]
     unrelated = classify.sample_unrelated(
         models[0], lexicon, n=n_unrelated, max_sim=max_sim, rng_seed=ctx.rng_seed,
@@ -824,7 +848,7 @@ def _cmd_train(ctx) -> int:
         else:
             spec_parts.append(chunk)
     specs = [classify.parse_classifier_spec(s) for s in spec_parts]
-    k = int(ctx.get("folds", 10) or 10)
+    k = ctx.get_as("folds", 10, int)
     folds = classify.kfold(dataset, k=k, rng_seed=ctx.rng_seed)
     reports = [classify.train_eval(dataset, spec, folds, rng_seed=ctx.rng_seed) for spec in specs]
     out = ctx.out_dir()
@@ -878,7 +902,7 @@ def _cmd_train(ctx) -> int:
 
 def _cmd_pca(ctx) -> int:
     matrix = reduce_mod.load_score_matrix(_require(ctx, "matrix", "score matrix TSV"))
-    n_components = int(ctx.get("components", 7) or 7)
+    n_components = ctx.get_as("components", 7, int)
     standardize = not bool(ctx.get("no_standardize", False))
     result = reduce_mod.pca(matrix, n_components=n_components, standardize=standardize)
     out = ctx.out_dir()
@@ -892,7 +916,7 @@ def _cmd_pca(ctx) -> int:
         ),
         ctx,
     )
-    top = int(ctx.get("top", 10) or 10)
+    top = ctx.get_as("top", 10, int)
     rows = []
     for j in range(n_components):
         for rank, (word, loading) in enumerate(result.top_words(j, top), 1):
@@ -918,9 +942,9 @@ def _cmd_mds(ctx) -> int:
     matrix = reduce_mod.load_score_matrix(_require(ctx, "matrix", "score matrix TSV"))
     result = reduce_mod.mds(
         matrix,
-        p=float(ctx.get("p", 2.0) or 2.0),
-        dims=int(ctx.get("dims", 2) or 2),
-        max_iter=int(ctx.get("max_iter", 500) or 500),
+        p=ctx.get_as("p", 2.0, float),
+        dims=ctx.get_as("dims", 2, int),
+        max_iter=ctx.get_as("max_iter", 500, int),
     )
     out = ctx.out_dir()
     dim_names = [f"dim{i + 1}" for i in range(result.coordinates.shape[1])]
@@ -951,7 +975,7 @@ def _cmd_pipeline(ctx) -> int:
     if len(models) < 2:
         raise InputError("pipeline needs at least two models to intersect")
     lexicon = _load_lexicon(ctx)
-    k = int(ctx.get("k", 50) or 50)
+    k = ctx.get_as("k", 50, int)
     fold = not bool(ctx.get("no_fold_case", False))
     out = ctx.out_dir()
     all_pairs = []

@@ -2,6 +2,12 @@
 
 A corpus is immutable once built: analytics are pure functions over it and
 always produce deterministically ordered rows.
+
+``match``/``count_matches`` define what a pattern matches.  The analytics
+answer their queries from a ``MatchIndex``, an inverted file over the folded
+tokens that a corpus or collection builds on its first query and keeps: it
+costs about 4 bytes per token, and a query then costs in proportion to the
+pattern's postings instead of to the corpus.
 """
 
 from __future__ import annotations
@@ -10,8 +16,14 @@ import json
 import math
 import random
 import string
+from bisect import bisect_left
+from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import chain
 from pathlib import Path
+
+import numpy as np
 
 from .errors import InputError
 
@@ -101,6 +113,13 @@ class SentenceCorpus:
     @property
     def n_tokens(self) -> int:
         return sum(len(s.tokens) for s in self.sentences())
+
+    @cached_property
+    def index(self) -> MatchIndex:
+        """Sentence-level index; a sentence's group is its document's position."""
+        sizes = [len(d.sentences) for d in self.documents]
+        groups = np.repeat(np.arange(len(sizes), dtype=np.int32), sizes)
+        return MatchIndex(list(self.sentences()), groups)
 
 
 def segment(text: str, abbreviations: tuple[str, ...] = DEFAULT_ABBREVIATIONS) -> list[str]:
@@ -209,10 +228,16 @@ def load_corpus(path: str | Path, **kwargs) -> SentenceCorpus:
     return load_jsonl(path, **kwargs)
 
 
+def _folded(sentence) -> tuple[str, ...]:
+    if isinstance(sentence, (Sentence, CollectionItem)):
+        return sentence.folded
+    return tuple(t.lower() for t in sentence)
+
+
 def match(pattern, sentence) -> bool:
-    """Does the sentence (folded token sequence) match the pattern?"""
+    """Does the sentence (Sentence, CollectionItem or token sequence) match the pattern?"""
     pattern = as_pattern(pattern)
-    tokens = sentence.folded if isinstance(sentence, Sentence) else tuple(t.lower() for t in sentence)
+    tokens = _folded(sentence)
     if pattern.kind == "literal":
         target = pattern.surface.lower()
         return any(t == target for t in tokens)
@@ -227,7 +252,7 @@ def match(pattern, sentence) -> bool:
 def count_matches(pattern, sentence) -> int:
     """Number of pattern occurrences in the sentence (token-level count)."""
     pattern = as_pattern(pattern)
-    tokens = sentence.folded if isinstance(sentence, Sentence) else tuple(t.lower() for t in sentence)
+    tokens = _folded(sentence)
     if pattern.kind == "literal":
         target = pattern.surface.lower()
         return sum(1 for t in tokens if t == target)
@@ -239,6 +264,79 @@ def count_matches(pattern, sentence) -> int:
     return sum(1 for i in range(len(tokens) - span + 1) if tokens[i : i + span] == phrase)
 
 
+class MatchIndex:
+    """Inverted file over "units": sentences or collection items, by their folded tokens.
+
+    The folded vocabulary is sorted, so a token's id is its rank and a prefix
+    wildcard covers one contiguous id range.  ``postings`` holds one int32 unit
+    id per token occurrence, grouped by token id and ascending within a token,
+    and ``offsets[t]:offsets[t + 1]`` is token ``t``'s slice.  ``groups``, when
+    given, maps each unit to a group (its document, for sentences).
+    """
+
+    def __init__(self, units, groups=None):
+        self.units = units
+        self.groups = groups
+        n = len(units)
+        ids = Counter(chain.from_iterable(u.folded for u in units))
+        self.vocab = sorted(ids)
+        sizes = np.fromiter((ids[t] for t in self.vocab), np.int64, len(self.vocab))
+        self.n_tokens = int(sizes.sum())
+        self.offsets = np.concatenate(([0], np.cumsum(sizes)))
+        for i, t in enumerate(self.vocab):  # the counts are spent: token -> id from here on
+            ids[t] = i
+        # One in-place sort of (token id, unit id) keys lays out every token's
+        # postings, units ascending; the keys then become the postings.
+        dtype = np.int32 if len(self.vocab) * n < 2**31 else np.int64
+        keys = np.fromiter(
+            (ids[t] * n + i for i, u in enumerate(units) for t in u.folded), dtype, self.n_tokens
+        )
+        keys.sort()
+        np.remainder(keys, max(n, 1), out=keys)
+        self.postings = keys.astype(np.int32, copy=False)
+        self._cache: dict[MatchPattern, tuple[np.ndarray, np.ndarray]] = {}
+
+    def _token_ids(self, pattern: MatchPattern) -> tuple[int, int]:
+        """The [lo, hi) range of vocabulary ids a literal or wildcard pattern matches."""
+        if pattern.kind == "literal":
+            target = pattern.surface.lower()
+            lo = bisect_left(self.vocab, target)
+            return lo, lo + (lo < len(self.vocab) and self.vocab[lo] == target)
+        stem = pattern.stem
+        lo = hi = bisect_left(self.vocab, stem)
+        while hi < len(self.vocab) and self.vocab[hi].startswith(stem):
+            hi += 1
+        return lo, hi
+
+    def _resolve(self, pattern: MatchPattern) -> tuple[np.ndarray, np.ndarray]:
+        if pattern.kind != "phrase":
+            lo, hi = self._token_ids(pattern)
+            return np.unique(self.postings[self.offsets[lo] : self.offsets[hi]], return_counts=True)
+        # units holding every phrase token, then count in-order occurrences
+        postings = [self.lookup(MatchPattern(t, "literal"))[0] for t in set(pattern.phrase_tokens)]
+        ids = postings[0] if postings else np.arange(len(self.units), dtype=np.int32)
+        for other in postings[1:]:
+            ids = np.intersect1d(ids, other, assume_unique=True)
+        counts = np.fromiter(
+            (count_matches(pattern, self.units[u]) for u in ids.tolist()), np.int64, len(ids)
+        )
+        return ids[counts > 0], counts[counts > 0]
+
+    def lookup(self, pattern) -> tuple[np.ndarray, np.ndarray]:
+        """Ascending ids of the units the pattern matches, and its occurrence count in each."""
+        pattern = as_pattern(pattern)
+        if pattern not in self._cache:
+            self._cache[pattern] = self._resolve(pattern)
+        return self._cache[pattern]
+
+    def matches_any(self, patterns) -> np.ndarray:
+        """Boolean mask over units: does the unit match at least one of the patterns?"""
+        hit = np.zeros(len(self.units), dtype=bool)
+        for p in patterns:
+            hit[self.lookup(p)[0]] = True
+        return hit
+
+
 @dataclass
 class SplitResult:
     """S+ / S- partition of a corpus by indicator patterns."""
@@ -247,6 +345,11 @@ class SplitResult:
     s_minus: list[Sentence]
     indicators: tuple[MatchPattern, ...]
     capped: bool = False
+
+    @cached_property
+    def index(self) -> MatchIndex:
+        """Index over ``s_plus + s_minus``: ids below ``len(s_plus)`` are S+ sentences."""
+        return MatchIndex(self.s_plus + self.s_minus)
 
 
 def split_corpus(
@@ -264,8 +367,8 @@ def split_corpus(
     if not patterns:
         raise InputError("indicator list is empty")
     s_plus, s_minus = [], []
-    for sent in corpus.sentences():
-        (s_plus if any(match(p, sent) for p in patterns) else s_minus).append(sent)
+    for sent, hit in zip(corpus.sentences(), corpus.index.matches_any(patterns).tolist()):
+        (s_plus if hit else s_minus).append(sent)
     capped = False
     if balance and s_plus and s_minus and len(s_plus) != len(s_minus):
         target = min(len(s_plus), len(s_minus))
@@ -304,8 +407,9 @@ def ratio_table(words, split: SplitResult) -> list[RatioRow]:
     rows = []
     for w in words:
         p = as_pattern(w)
-        np_ = sum(1 for s in split.s_plus if match(p, s))
-        nm = sum(1 for s in split.s_minus if match(p, s))
+        ids = split.index.lookup(p)[0]
+        np_ = int(np.searchsorted(ids, n_p))
+        nm = len(ids) - np_
         ratio = math.inf if nm == 0 else (np_ / n_p) / (nm / n_m)
         rows.append(RatioRow(p.surface, np_, 100.0 * np_ / n_p, nm, 100.0 * nm / n_m, ratio))
     rows.sort(key=lambda r: (-r.ratio, r.word))
@@ -324,6 +428,11 @@ class DocumentCollection:
 
     group_id: str
     items: tuple[CollectionItem, ...]
+
+    @cached_property
+    def index(self) -> MatchIndex:
+        """Document-level index: a phrase may span a sentence boundary."""
+        return MatchIndex(self.items)
 
 
 def build_collection(group_id: str, docs) -> DocumentCollection:
@@ -364,7 +473,7 @@ def load_collections(manifest_path: str | Path) -> list[DocumentCollection]:
 
 
 def _doc_hits(collection: DocumentCollection, pattern: MatchPattern) -> int:
-    return sum(1 for item in collection.items if match(pattern, item.folded))
+    return len(collection.index.lookup(pattern)[0])
 
 
 def relative_scores(
@@ -399,9 +508,7 @@ def uncertainty_rate(groups, query=DEFAULT_CONSENSUS_QUERY) -> list[RateRow]:
     for group in groups:
         if not group.items:
             raise InputError(f"group {group.group_id!r} is empty")
-        matched = sum(
-            1 for item in group.items if any(match(p, item.folded) for p in patterns)
-        )
+        matched = int(group.index.matches_any(patterns).sum())
         rows.append(RateRow(group.group_id, matched, len(group.items), matched / len(group.items)))
     rows.sort(key=lambda r: (-r.rate, r.group))
     return rows
@@ -415,6 +522,12 @@ class SentenceMatch:
     matched: tuple[str, ...]
 
 
+def _distinct(ids: np.ndarray) -> np.ndarray:
+    """Sorted distinct ids; plain ``np.unique`` would import ``numpy.ma`` for this."""
+    ids = np.sort(ids)
+    return ids[np.diff(ids, prepend=-1) != 0]  # ids are non-negative
+
+
 def find_sentences(corpus: SentenceCorpus, cues, limit: int) -> list[SentenceMatch]:
     """Sentences matching the cue patterns, at most ``limit`` rows per cue.
 
@@ -423,17 +536,36 @@ def find_sentences(corpus: SentenceCorpus, cues, limit: int) -> list[SentenceMat
     if limit < 1:
         raise InputError("limit must be positive")
     patterns = [as_pattern(c) for c in cues]
+    if not patterns:
+        return []
+    index = corpus.index
+    docs = corpus.documents
+    doc_rank = np.empty(len(docs), dtype=np.int64)
+    doc_rank[sorted(range(len(docs)), key=lambda d: docs[d].doc_id)] = np.arange(len(docs))
+
+    def in_scan_order(ids):
+        return ids[np.lexsort((ids, doc_rank[index.groups[ids]]))]
+
+    hits = [index.lookup(p)[0] for p in patterns]
+    # Each kept row spends one unit of every cue surface it hits, so a surface
+    # spends its budget on its first ``limit`` hits: rows can only come from those.
+    by_surface: dict[str, list[np.ndarray]] = {}
+    for p, ids in zip(patterns, hits):
+        by_surface.setdefault(p.surface, []).append(ids)
+    firsts = [in_scan_order(_distinct(np.concatenate(g)))[:limit] for g in by_surface.values()]
+    candidates = in_scan_order(_distinct(np.concatenate(firsts)))
+    member = np.array([np.isin(candidates, ids) for ids in hits]).T
     remaining = {p.surface: limit for p in patterns}
     out = []
-    ordered = sorted(corpus.documents, key=lambda d: d.doc_id)
-    for sent in (s for doc in ordered for s in doc.sentences):
-        hits = [p for p in patterns if match(p, sent)]
-        if not hits or not any(remaining[p.surface] > 0 for p in hits):
+    for row, unit in zip(member, candidates.tolist()):
+        matched = [patterns[j] for j in np.flatnonzero(row).tolist()]
+        if not any(remaining[p.surface] > 0 for p in matched):
             continue
-        for p in hits:
+        for p in matched:
             if remaining[p.surface] > 0:
                 remaining[p.surface] -= 1
+        sent = index.units[unit]
         out.append(
-            SentenceMatch(sent.doc_id, sent.index, sent.text, tuple(p.surface for p in hits))
+            SentenceMatch(sent.doc_id, sent.index, sent.text, tuple(p.surface for p in matched))
         )
     return out

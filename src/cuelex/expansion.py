@@ -14,7 +14,9 @@ from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
 
-from .corpus import MatchPattern, SentenceCorpus, as_pattern, count_matches, match, parse_pattern
+import numpy as np
+
+from .corpus import MatchPattern, SentenceCorpus, as_pattern, parse_pattern
 from .embeddings import EmbeddingModel
 from .errors import InputError
 
@@ -279,17 +281,13 @@ def pmi(corpus: SentenceCorpus, x, y) -> float:
     n = corpus.n_sentences
     if n == 0:
         raise InputError("pmi over an empty corpus")
-    n_x = n_y = n_xy = 0
-    for sent in corpus.sentences():
-        mx = match(px, sent)
-        my = match(py, sent)
-        n_x += mx
-        n_y += my
-        n_xy += mx and my
+    ids_x, ids_y = corpus.index.lookup(px)[0], corpus.index.lookup(py)[0]
+    n_x, n_y = len(ids_x), len(ids_y)
     if n_x == 0:
         raise InputError(f"insufficient evidence: pattern {px.surface!r} matches no sentence")
     if n_y == 0:
         raise InputError(f"insufficient evidence: pattern {py.surface!r} matches no sentence")
+    n_xy = len(np.intersect1d(ids_x, ids_y, assume_unique=True))
     if n_xy == 0:
         return NEG_INF
     return math.log((n_xy / n_x) / (n_y / n))
@@ -298,19 +296,13 @@ def pmi(corpus: SentenceCorpus, x, y) -> float:
 def tfidf(corpus: SentenceCorpus, word) -> float:
     """(cf / T) * ln(N_docs / df) with token-level cf and document-level df."""
     p = as_pattern(word)
-    cf = 0
-    df = 0
-    total_tokens = 0
-    for doc in corpus.documents:
-        doc_cf = 0
-        for sent in doc.sentences:
-            doc_cf += count_matches(p, sent)
-            total_tokens += len(sent.tokens)
-        cf += doc_cf
-        df += doc_cf > 0
-    if df == 0:
+    index = corpus.index
+    ids, counts = index.lookup(p)
+    if len(ids) == 0:
         raise InputError(f"word absent from corpus: {p.surface!r}")
-    return (cf / total_tokens) * math.log(len(corpus.documents) / df)
+    cf = int(counts.sum())
+    df = 1 + np.count_nonzero(np.diff(index.groups[ids]))  # groups ascend with ids
+    return (cf / index.n_tokens) * math.log(len(corpus.documents) / df)
 
 
 def score_candidates(

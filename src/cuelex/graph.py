@@ -318,7 +318,7 @@ def pagerank(
     src = np.array([a[0] for a in arcs], dtype=np.int64)
     dst = np.array([a[1] for a in arcs], dtype=np.int64)
     wgt = np.array([a[2] for a in arcs], dtype=np.float64)
-    trans = np.divide(wgt, out_weight[src], where=out_weight[src] > 0)
+    trans = np.divide(wgt, out_weight[src], out=np.zeros_like(wgt), where=out_weight[src] > 0)
 
     p = np.full(n, 1.0 / n)
     for _ in range(max_iter):

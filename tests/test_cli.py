@@ -455,3 +455,64 @@ def test_pca_and_mds_commands(workspace):
     summary = json.loads((mdir / "mds_summary.json").read_text())
     trace = summary["stress_trace"]
     assert all(b <= a + 1e-12 for a, b in zip(trace, trace[1:]))
+
+
+# --- zero-valued flags -----------------------------------------------------------
+
+
+def test_find_limit_zero_is_rejected(workspace, capsys):
+    code = run(
+        "find", "--corpus", str(workspace / "corpus.jsonl"),
+        "--cues", "inconclusive", "--limit", "0", "--out", str(workspace / "fi0"),
+    )
+    assert code == 1
+    assert "limit" in capsys.readouterr().err
+
+
+def test_pipeline_k_zero_is_rejected(workspace, capsys):
+    args = pipeline_args(workspace, workspace / "k0")
+    args[args.index("--k") + 1] = "0"
+    assert run(*args) == 1
+    assert "k must be positive" in capsys.readouterr().err
+
+
+def test_threads_zero_is_rejected(workspace, capsys):
+    assert run(*pipeline_args(workspace, workspace / "t0"), "--threads", "0") == 1
+    assert "threads" in capsys.readouterr().err
+    # also where the command runs single-threaded, and from a config file
+    corpus = str(workspace / "corpus.jsonl")
+    assert run("split", "--corpus", corpus, "--threads", "0", "--out", str(workspace / "s0")) == 1
+    config = workspace / "threads0.json"
+    config.write_text(json.dumps({"threads": 0}))
+    assert run(*pipeline_args(workspace, workspace / "t1"), "--config", str(config)) == 1
+    assert "threads" in capsys.readouterr().err
+
+
+def test_config_zero_is_not_replaced_by_default(workspace, capsys):
+    config = workspace / "limit0.json"
+    config.write_text(json.dumps({"limit": 0}))
+    code = run(
+        "find", "--corpus", str(workspace / "corpus.jsonl"), "--cues", "inconclusive",
+        "--config", str(config), "--out", str(workspace / "fc0"),
+    )
+    assert code == 1
+    assert "limit" in capsys.readouterr().err
+
+
+def test_rank_damping_zero_is_used(workspace):
+    pairs = graph_inputs(workspace)
+    gdir = workspace / "g0"
+    assert run(
+        "graph", "--pairs", pairs[0], "--pairs", pairs[1],
+        "--seeds", str(workspace / "seeds.txt"), "--out", str(gdir), "--reproducible",
+    ) == 0
+    rdir = workspace / "r0"
+    assert run(
+        "rank", "--nodes", str(gdir / "nodes.tsv"), "--edges", str(gdir / "edges.tsv"),
+        "--damping", "0", "--out", str(rdir), "--reproducible",
+    ) == 0
+    lines = (rdir / "nodes_ranked.tsv").read_text().splitlines()
+    rows = [r for r in lines if r and not r.startswith("#")]
+    ranks = [float(r.split("\t")[4]) for r in rows[1:]]
+    # no damping: every node gets only the uniform teleport share
+    assert ranks == pytest.approx([1 / len(ranks)] * len(ranks))

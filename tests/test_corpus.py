@@ -3,11 +3,23 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from corpus_strategies import corpora, make_corpus, outcome, patterns
 
 from cuelex.corpus import (
     DEFAULT_CONSENSUS_QUERY,
+    CollectionItem,
+    MatchIndex,
+    RatioRow,
+    RateRow,
+    SentenceMatch,
+    SplitResult,
+    as_pattern,
     build_collection,
     build_corpus,
+    collection_from_corpus,
     count_matches,
     find_sentences,
     load_collections,
@@ -432,3 +444,180 @@ def test_find_sentences_limit_per_cue():
     corpus = corpus_from([f"An unproven claim number {i}." for i in range(10)])
     rows = find_sentences(corpus, ["unproven"], limit=3)
     assert len(rows) == 3
+
+
+# --- index-backed analytics vs. plain match() rescans -------------------------
+#
+# The reference functions below are the straightforward scans the analytics
+# were first written as: every sentence or document, every pattern, match().
+
+
+def rescan_split(corpus, indicators, balance=False, rng_seed=0):
+    patterns = tuple(as_pattern(p) for p in indicators)
+    if not patterns:
+        raise InputError("indicator list is empty")
+    s_plus, s_minus = [], []
+    for sent in corpus.sentences():
+        (s_plus if any(match(p, sent) for p in patterns) else s_minus).append(sent)
+    capped = False
+    if balance and s_plus and s_minus and len(s_plus) != len(s_minus):
+        target = min(len(s_plus), len(s_minus))
+        big = s_plus if len(s_plus) > len(s_minus) else s_minus
+        keep_idx = list(range(len(big)))
+        random.Random(rng_seed).shuffle(keep_idx)
+        sampled = [big[i] for i in sorted(keep_idx[:target])]
+        if big is s_plus:
+            s_plus = sampled
+        else:
+            s_minus = sampled
+        capped = True
+    return SplitResult(s_plus, s_minus, patterns, capped)
+
+
+def rescan_ratio_table(words, split):
+    if not split.s_plus or not split.s_minus:
+        raise InputError("ratio_table needs non-empty S+ and S-")
+    n_p, n_m = len(split.s_plus), len(split.s_minus)
+    rows = []
+    for w in words:
+        p = as_pattern(w)
+        np_ = sum(1 for s in split.s_plus if match(p, s))
+        nm = sum(1 for s in split.s_minus if match(p, s))
+        ratio = math.inf if nm == 0 else (np_ / n_p) / (nm / n_m)
+        rows.append(RatioRow(p.surface, np_, 100.0 * np_ / n_p, nm, 100.0 * nm / n_m, ratio))
+    rows.sort(key=lambda r: (-r.ratio, r.word))
+    return rows
+
+
+def rescan_doc_hits(collection, pattern):
+    return sum(1 for item in collection.items if match(pattern, item.folded))
+
+
+def rescan_relative_scores(collection, words, baseline="knowledge"):
+    base = as_pattern(baseline)
+    base_hits = rescan_doc_hits(collection, base)
+    if base_hits == 0:
+        raise InputError(
+            f"baseline {base.surface!r} matches no document in group {collection.group_id!r}"
+        )
+    return {
+        as_pattern(w).surface: rescan_doc_hits(collection, as_pattern(w)) / base_hits
+        for w in words
+    }
+
+
+def rescan_uncertainty_rate(groups, query):
+    patterns = tuple(as_pattern(p) for p in query)
+    rows = []
+    for group in groups:
+        if not group.items:
+            raise InputError(f"group {group.group_id!r} is empty")
+        matched = sum(1 for item in group.items if any(match(p, item.folded) for p in patterns))
+        rows.append(RateRow(group.group_id, matched, len(group.items), matched / len(group.items)))
+    rows.sort(key=lambda r: (-r.rate, r.group))
+    return rows
+
+
+def rescan_find(corpus, cues, limit):
+    if limit < 1:
+        raise InputError("limit must be positive")
+    patterns = [as_pattern(c) for c in cues]
+    remaining = {p.surface: limit for p in patterns}
+    out = []
+    for doc in sorted(corpus.documents, key=lambda d: d.doc_id):
+        for sent in doc.sentences:
+            hits = [p for p in patterns if match(p, sent)]
+            if not hits or not any(remaining[p.surface] > 0 for p in hits):
+                continue
+            for p in hits:
+                if remaining[p.surface] > 0:
+                    remaining[p.surface] -= 1
+            matched = tuple(p.surface for p in hits)
+            out.append(SentenceMatch(sent.doc_id, sent.index, sent.text, matched))
+    return out
+
+
+DIFF = settings(max_examples=150, deadline=None)
+pattern_lists = st.lists(patterns, max_size=5)
+
+
+@DIFF
+@given(corpora(), pattern_lists, st.booleans(), st.integers(0, 3))
+def test_split_matches_rescan(corpus, indicators, balance, seed):
+    assert outcome(split_corpus, corpus, indicators, balance, seed) == outcome(
+        rescan_split, corpus, indicators, balance, seed
+    )
+
+
+@DIFF
+@given(corpora(), st.lists(patterns, min_size=1, max_size=3), pattern_lists, st.booleans())
+def test_ratio_table_matches_rescan(corpus, indicators, words, balance):
+    split = split_corpus(corpus, indicators, balance=balance)
+    assert outcome(ratio_table, words, split) == outcome(rescan_ratio_table, words, split)
+
+
+@DIFF
+@given(corpora(), pattern_lists, patterns)
+def test_relative_scores_match_rescan(corpus, words, baseline):
+    coll = collection_from_corpus("g", corpus)
+    assert outcome(relative_scores, coll, words, baseline) == outcome(
+        rescan_relative_scores, coll, words, baseline
+    )
+
+
+@DIFF
+@given(st.lists(corpora(max_docs=4), max_size=4), pattern_lists)
+def test_uncertainty_rate_matches_rescan(corpora_, query):
+    groups = [collection_from_corpus(f"g{i}", c) for i, c in enumerate(corpora_)]
+    assert outcome(uncertainty_rate, groups, query) == outcome(
+        rescan_uncertainty_rate, groups, query
+    )
+
+
+@DIFF
+@given(corpora(), st.lists(patterns, max_size=6), st.integers(0, 4))
+def test_find_sentences_matches_rescan(corpus, cues, limit):
+    cues = cues + cues[:1]  # a repeated cue shares its surface's budget
+    assert outcome(find_sentences, corpus, cues, limit) == outcome(rescan_find, corpus, cues, limit)
+
+
+def test_overlapping_phrase_and_sentence_boundary():
+    # "very very" occurs twice in "very very very"; "very knowledge" only
+    # across the sentence boundary, so it hits the document, not a sentence
+    corpus = make_corpus([("d", [["Very", "very", "VERY"], ["knowledge", "ought", "to"]])])
+    ids, counts = corpus.index.lookup("very very")
+    assert ids.tolist() == [0] and counts.tolist() == [2]
+    assert split_corpus(corpus, ["very knowledge"]).s_plus == []
+    coll = collection_from_corpus("g", corpus)
+    assert relative_scores(coll, ["very knowledge"]) == {"very knowledge": 1.0}
+
+
+def test_wildcard_reaches_tokens_above_the_bmp():
+    astral = "\U0001d6fc"
+    corpus = make_corpus([("d", [["unc" + astral], ["uncx"], ["un"]])])
+    assert corpus.index.lookup("unc*")[0].tolist() == [0, 1]
+    assert corpus.index.lookup("unc" + astral + "*")[0].tolist() == [0]
+
+
+def test_find_limit_runs_out_part_way():
+    corpus = make_corpus(
+        [("b", [["unc"], ["unc", "very"]]), ("a", [["very"], ["unc", "very"], ["very"]])]
+    )
+    rows = find_sentences(corpus, ["unc", "very"], limit=2)
+    assert [(r.doc_id, r.index, r.matched) for r in rows] == [
+        ("a", 0, ("very",)),
+        ("a", 1, ("unc", "very")),
+        ("b", 0, ("unc",)),
+    ]
+    assert rows == rescan_find(corpus, ["unc", "very"], 2)
+
+
+def test_index_keys_wider_than_int32():
+    # 50,000 units over 50,001 tokens: (token id, unit id) keys overflow int32
+    items = tuple(CollectionItem(f"d{i}", (f"w{i}", "x")) for i in range(50_000))
+    index = MatchIndex(items)
+    assert len(index.vocab) * len(items) >= 2**31
+    assert index.postings.dtype == "int32"
+    assert index.lookup("w49999")[0].tolist() == [49_999]
+    assert index.lookup("x")[0].tolist() == list(range(50_000))
+    assert index.lookup("w4999*")[0].tolist() == [4999, *range(49_990, 50_000)]

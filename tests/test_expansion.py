@@ -3,11 +3,13 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from conftest import make_model
+from corpus_strategies import corpora, make_corpus, outcome, patterns
 from w2v_writer import write_binary
 
-from cuelex.corpus import build_corpus
+from cuelex.corpus import as_pattern, build_corpus, count_matches, match
 from cuelex.embeddings import load_model
 from cuelex.errors import InputError
 from cuelex.expansion import (
@@ -307,6 +309,59 @@ def test_tfidf_absent_word_errors():
     corpus = corpus_of("something present")
     with pytest.raises(InputError, match="absent"):
         tfidf(corpus, "missing")
+
+
+# The plain scans PMI and TF-IDF were first written as: every sentence, match()
+# and count_matches(), no index.
+
+
+def rescan_pmi(corpus, x, y):
+    px, py = as_pattern(x), as_pattern(y)
+    n = corpus.n_sentences
+    if n == 0:
+        raise InputError("pmi over an empty corpus")
+    n_x = n_y = n_xy = 0
+    for sent in corpus.sentences():
+        mx, my = match(px, sent), match(py, sent)
+        n_x += mx
+        n_y += my
+        n_xy += mx and my
+    if n_x == 0:
+        raise InputError(f"insufficient evidence: pattern {px.surface!r} matches no sentence")
+    if n_y == 0:
+        raise InputError(f"insufficient evidence: pattern {py.surface!r} matches no sentence")
+    if n_xy == 0:
+        return NEG_INF
+    return math.log((n_xy / n_x) / (n_y / n))
+
+
+def rescan_tfidf(corpus, word):
+    p = as_pattern(word)
+    cf = df = total_tokens = 0
+    for doc in corpus.documents:
+        doc_cf = 0
+        for sent in doc.sentences:
+            doc_cf += count_matches(p, sent)
+            total_tokens += len(sent.tokens)
+        cf += doc_cf
+        df += doc_cf > 0
+    if df == 0:
+        raise InputError(f"word absent from corpus: {p.surface!r}")
+    return (cf / total_tokens) * math.log(len(corpus.documents) / df)
+
+
+@settings(max_examples=150, deadline=None)
+@given(corpora(), patterns, patterns)
+def test_pmi_and_tfidf_match_rescan(corpus, x, y):
+    assert outcome(pmi, corpus, x, y) == outcome(rescan_pmi, corpus, x, y)
+    assert outcome(tfidf, corpus, y) == outcome(rescan_tfidf, corpus, y)
+
+
+def test_tfidf_counts_overlaps_and_empty_documents():
+    # "very very" occurs twice in one sentence; the empty document still counts in N_docs
+    corpus = make_corpus([("a", [["very", "very", "very"]]), ("b", [["ought"]]), ("c", [])])
+    assert tfidf(corpus, "very very") == (2 / 4) * math.log(3 / 1)
+    assert tfidf(corpus, "very very") == rescan_tfidf(corpus, "very very")
 
 
 # --- score_candidates --------------------------------------------------------
