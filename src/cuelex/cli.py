@@ -11,15 +11,16 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import math
 import sys
 import traceback
+from dataclasses import asdict
 from datetime import datetime, timezone
 from pathlib import Path
 
 import numpy as np
 
-from . import __version__, classify, corpus as corpus_mod, expansion, graph as graph_mod, reduce as reduce_mod
+from . import __version__, classify, corpus as corpus_mod, expansion, graph as graph_mod, tables
+from . import reduce as reduce_mod
 from .errors import CuelexError, InputError
 
 
@@ -79,9 +80,17 @@ class _Context:
         except (TypeError, ValueError):
             raise InputError(f"{key}: expected {cast.__name__}, got {value!r}") from None
 
+    def get_list(self, key) -> list:
+        """A repeatable flag's values; a config file may give one string instead of a list."""
+        value = self.get(key) or []
+        return [value] if isinstance(value, str) else value
+
     @property
     def rng_seed(self) -> int:
-        return self.get_as("rng_seed", 0, int)
+        seed = self.get_as("rng_seed", 0, int)
+        if seed < 0:
+            raise InputError(f"rng_seed must be non-negative, got {seed}")
+        return seed
 
     @property
     def reproducible(self) -> bool:
@@ -110,12 +119,14 @@ class _Context:
         return hashlib.sha256(blob).hexdigest()[:12]
 
     def header_lines(self) -> list[str]:
+        """``meta()`` as the metadata lines above a TSV header."""
+        meta = self.meta()
         lines = [
-            f"cuelex {__version__}",
-            f"config: {self.digest()}  rng_seed: {self.rng_seed}",
+            f"cuelex {meta['version']}",
+            f"config: {meta['config_digest']}  rng_seed: {meta['rng_seed']}",
         ]
-        if not self.reproducible:
-            lines.append(f"generated: {datetime.now(timezone.utc).isoformat()}")
+        if "generated" in meta:
+            lines.append(f"generated: {meta['generated']}")
         return lines
 
     def meta(self) -> dict:
@@ -147,14 +158,7 @@ def _jsonable(value):
 def _load_config(path):
     if not path:
         return {}
-    path = Path(path)
-    if not path.is_file():
-        raise InputError(f"config file not found: {path}")
-    with open(path, encoding="utf-8") as fh:
-        try:
-            config = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise InputError(f"{path}: invalid JSON ({exc})") from None
+    config = tables.read_json(path, "config")
     if not isinstance(config, dict):
         raise InputError(f"{path}: config must be a JSON object")
     return config
@@ -295,17 +299,12 @@ def _model_flags(p):
 def _load_models(ctx) -> list:
     from .embeddings import load_model
 
-    specs = ctx.get("model") or []
-    if isinstance(specs, str):
-        specs = [specs]
+    specs = ctx.get_list("model")
     if not specs:
         raise InputError("at least one --model name=path is required")
-    formats = ctx.get("model_format") or []
-    if isinstance(formats, str):
-        formats = [formats]
     default_format = "binary"
     per_name: dict[str, str] = {}
-    for f in formats:
+    for f in ctx.get_list("model_format"):
         if "=" in f:
             name, fmt = f.split("=", 1)
             per_name[name] = fmt
@@ -366,110 +365,79 @@ def _load(ctx, key="corpus"):
 # output helpers
 
 
-def _write_tsv(path, header, rows, ctx):
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for line in ctx.header_lines():
-            fh.write(f"# {line}\n")
-        fh.write("\t".join(header) + "\n")
-        for row in rows:
-            fh.write("\t".join(str(c) for c in row) + "\n")
+def _write_tsv(ctx, name, header, rows) -> None:
+    tables.write_tsv(ctx.out_dir() / name, header, rows, ctx.header_lines())
 
 
-def _write_json(path, payload: dict, ctx):
-    doc = {"meta": ctx.meta()}
-    doc.update(payload)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+def _write_json(ctx, name, payload: dict) -> None:
+    tables.write_json(ctx.out_dir() / name, {"meta": ctx.meta(), **payload})
 
 
-def _fmt(value, decimals=6):
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        if math.isinf(value):
-            return "inf" if value > 0 else "-inf"
-        return f"{value:.{decimals}f}"
-    return str(value)
-
-
-def _json_num(value):
-    if value is None or not isinstance(value, float):
-        return value
-    if math.isinf(value):
-        return "inf" if value > 0 else "-inf"
-    return value
+def _emit(ctx, stem, columns, rows, decimals=6, **extra) -> None:
+    """``stem.tsv`` and its JSON twin ``stem.json`` from the same row dicts."""
+    cells = ([tables.cell(row[c], decimals) for c in columns] for row in rows)
+    _write_tsv(ctx, f"{stem}.tsv", columns, cells)
+    json_rows = [{c: tables.json_value(row[c]) for c in columns} for row in rows]
+    _write_json(ctx, f"{stem}.json", {"rows": json_rows, **extra})
 
 
 # ---------------------------------------------------------------------------
 # subcommands
 
 
-def _cmd_expand(ctx) -> int:
-    models = _load_models(ctx)
-    lexicon = _load_lexicon(ctx)
+def _expand_each(ctx, models, lexicon):
+    """Yield (model, expansion result) per model after writing its pairs and skipped forms."""
     k = ctx.get_as("k", 50, int)
     fold = not bool(ctx.get("no_fold_case", False))
     out = ctx.out_dir()
     for model in models:
         result = expansion.expand(model, lexicon, k=k, fold_case=fold, threads=ctx.threads)
         expansion.write_pairs(out / f"pairs_{model.name}.tsv", result.pairs, ctx.header_lines())
-        _write_tsv(
-            out / f"skipped_{model.name}.tsv",
-            ("seed", "model_form"),
-            result.skipped,
-            ctx,
-        )
+        _write_tsv(ctx, f"skipped_{model.name}.tsv", ("seed", "model_form"), result.skipped)
+        yield model, result
+
+
+def _common_candidates(pair_lists, lexicon):
+    """Candidates retrieved by every pair list, with provenance from all of them."""
+    common = set.intersection(*(expansion.distinct_candidates(pairs) for pairs in pair_lists))
+    all_pairs = [p for pairs in pair_lists for p in pairs]
+    return expansion.intersect(common, common, lexicon, pairs=all_pairs)
+
+
+def _cmd_expand(ctx) -> int:
+    models = _load_models(ctx)
+    for model, result in _expand_each(ctx, models, _load_lexicon(ctx)):
         print(f"{model.name}: {len(result.pairs)} pairs, {len(result.skipped)} seed forms skipped")
     return 0
 
 
 def _cmd_intersect(ctx) -> int:
-    paths = ctx.get("pairs") or []
-    if isinstance(paths, str):
-        paths = [paths]
+    paths = ctx.get_list("pairs")
     if len(paths) < 2:
         raise InputError("intersect needs at least two --pairs files")
     lexicon = _load_lexicon(ctx)
-    all_pairs = []
-    sets = []
-    for path in paths:
-        pairs = expansion.read_pairs(path)
-        sets.append(expansion.distinct_candidates(pairs))
-        all_pairs.extend(pairs)
-    common = set.intersection(*sets)
-    cset = expansion.intersect(common, common, lexicon, pairs=all_pairs)
+    cset = _common_candidates([expansion.read_pairs(path) for path in paths], lexicon)
     _write_candidates(ctx, cset)
     print(f"{len(cset)} candidates common to {len(paths)} models")
     return 0
 
 
 def _write_candidates(ctx, cset) -> None:
-    out = ctx.out_dir()
-    expansion.write_candidate_set(out / "candidates.json", cset, meta=ctx.meta())
-    rows = []
-    for c in cset.candidates:
-        model_summary = ";".join(
-            f"{name}:{prov.similarity:.6f}" for name, prov in sorted(c.models.items())
+    expansion.write_candidate_set(ctx.out_dir() / "candidates.json", cset, meta=ctx.meta())
+    rows = (
+        (
+            c.word,
+            ";".join(f"{name}:{prov.similarity:.6f}" for name, prov in sorted(c.models.items())),
+            ";".join(sorted({s for prov in c.models.values() for s in prov.seeds})),
+            tables.cell(c.pmi),
+            tables.cell(c.tfidf),
+            c.status,
+            int(c.no_evidence),
         )
-        seeds = ";".join(sorted({s for prov in c.models.values() for s in prov.seeds}))
-        rows.append(
-            (
-                c.word,
-                model_summary,
-                seeds,
-                _fmt(c.pmi),
-                _fmt(c.tfidf),
-                c.status,
-                int(c.no_evidence),
-            )
-        )
-    _write_tsv(
-        out / "candidates.tsv",
-        ("word", "model_similarities", "seeds", "pmi", "tfidf", "status", "no_evidence"),
-        rows,
-        ctx,
+        for c in cset.candidates
     )
+    columns = ("word", "model_similarities", "seeds", "pmi", "tfidf", "status", "no_evidence")
+    _write_tsv(ctx, "candidates.tsv", columns, rows)
 
 
 def _cmd_score(ctx) -> int:
@@ -495,23 +463,18 @@ def _split_from_ctx(ctx, corpus):
 def _cmd_split(ctx) -> int:
     corpus = _load(ctx)
     split = _split_from_ctx(ctx, corpus)
-    out = ctx.out_dir()
     for name, sentences in (("s_plus", split.s_plus), ("s_minus", split.s_minus)):
-        _write_tsv(
-            out / f"{name}.tsv",
-            ("doc_id", "index", "sentence"),
-            ((s.doc_id, s.index, s.text) for s in sentences),
-            ctx,
-        )
+        rows = ((s.doc_id, s.index, s.text) for s in sentences)
+        _write_tsv(ctx, f"{name}.tsv", ("doc_id", "index", "sentence"), rows)
     _write_json(
-        out / "split_summary.json",
+        ctx,
+        "split_summary.json",
         {
             "n_plus": len(split.s_plus),
             "n_minus": len(split.s_minus),
             "capped": split.capped,
             "indicators": [p.surface for p in split.indicators],
         },
-        ctx,
     )
     print(f"S+ {len(split.s_plus)} sentences, S- {len(split.s_minus)} sentences")
     return 0
@@ -521,34 +484,9 @@ def _cmd_ratios(ctx) -> int:
     corpus = _load(ctx)
     split = _split_from_ctx(ctx, corpus)
     words = _patterns_arg(ctx.get("words"), "words")
-    rows = corpus_mod.ratio_table(words, split)
-    out = ctx.out_dir()
-    _write_tsv(
-        out / "ratios.tsv",
-        ("word", "n_plus", "pct_plus", "n_minus", "pct_minus", "ratio"),
-        (
-            (r.word, r.n_plus, f"{r.pct_plus:.3f}", r.n_minus, f"{r.pct_minus:.3f}", _fmt(r.ratio, 3))
-            for r in rows
-        ),
-        ctx,
-    )
-    _write_json(
-        out / "ratios.json",
-        {
-            "rows": [
-                {
-                    "word": r.word,
-                    "n_plus": r.n_plus,
-                    "pct_plus": r.pct_plus,
-                    "n_minus": r.n_minus,
-                    "pct_minus": r.pct_minus,
-                    "ratio": _json_num(r.ratio),
-                }
-                for r in rows
-            ]
-        },
-        ctx,
-    )
+    rows = [asdict(r) for r in corpus_mod.ratio_table(words, split)]
+    columns = ("word", "n_plus", "pct_plus", "n_minus", "pct_minus", "ratio")
+    _emit(ctx, "ratios", columns, rows, 3)
     return 0
 
 
@@ -559,18 +497,9 @@ def _cmd_relscore(ctx) -> int:
     words = _patterns_arg(ctx.get("words"), "words")
     baseline = ctx.get("baseline") or "knowledge"
     scores = corpus_mod.relative_scores(collection, words, baseline)
-    out = ctx.out_dir()
-    _write_tsv(
-        out / "relscore.tsv",
-        ("word", "score"),
-        ((w, _fmt(s, 4)) for w, s in scores.items()),
-        ctx,
-    )
-    _write_json(
-        out / "relscore.json",
-        {"group": group, "baseline": baseline, "scores": scores},
-        ctx,
-    )
+    rows = ((w, tables.cell(s, 4)) for w, s in scores.items())
+    _write_tsv(ctx, "relscore.tsv", ("word", "score"), rows)
+    _write_json(ctx, "relscore.json", {"group": group, "baseline": baseline, "scores": scores})
     return 0
 
 
@@ -580,24 +509,8 @@ def _cmd_rates(ctx) -> int:
         ctx.get("query") or ",".join(corpus_mod.DEFAULT_CONSENSUS_QUERY), "query"
     )
     rows = corpus_mod.uncertainty_rate(groups, query)
-    out = ctx.out_dir()
-    _write_tsv(
-        out / "rates.tsv",
-        ("group", "matched", "total", "rate"),
-        ((r.group, r.matched, r.total, _fmt(r.rate)) for r in rows),
-        ctx,
-    )
-    _write_json(
-        out / "rates.json",
-        {
-            "query": query,
-            "rows": [
-                {"group": r.group, "matched": r.matched, "total": r.total, "rate": r.rate}
-                for r in rows
-            ],
-        },
-        ctx,
-    )
+    columns = ("group", "matched", "total", "rate")
+    _emit(ctx, "rates", columns, [asdict(r) for r in rows], query=query)
     for r in rows:
         print(f"{r.group}\t{r.matched}/{r.total}\t{100.0 * r.rate:.1f}%")
     return 0
@@ -608,23 +521,11 @@ def _cmd_find(ctx) -> int:
     cues = _patterns_arg(ctx.get("cues"), "cues")
     limit = ctx.get_as("limit", 10, int)
     matches = corpus_mod.find_sentences(corpus, cues, limit)
-    out = ctx.out_dir()
-    _write_tsv(
-        out / "sentences.tsv",
-        ("doc_id", "index", "matched", "sentence"),
-        ((m.doc_id, m.index, ";".join(m.matched), m.text) for m in matches),
-        ctx,
-    )
-    _write_json(
-        out / "sentences.json",
-        {
-            "rows": [
-                {"doc_id": m.doc_id, "index": m.index, "matched": list(m.matched), "sentence": m.text}
-                for m in matches
-            ]
-        },
-        ctx,
-    )
+    rows = [
+        {"doc_id": m.doc_id, "index": m.index, "matched": m.matched, "sentence": m.text}
+        for m in matches
+    ]
+    _emit(ctx, "sentences", ("doc_id", "index", "matched", "sentence"), rows)
     print(f"{len(matches)} sentences matched")
     return 0
 
@@ -642,14 +543,10 @@ def _statuses_from_annotations(path) -> dict[str, str]:
 
 
 def _cmd_graph(ctx) -> int:
-    paths = ctx.get("pairs") or []
-    if isinstance(paths, str):
-        paths = [paths]
+    paths = ctx.get_list("pairs")
     if not paths:
         raise InputError("graph needs at least one --pairs file")
-    pairs = []
-    for path in paths:
-        pairs.extend(expansion.read_pairs(path))
+    pairs = [p for path in paths for p in expansion.read_pairs(path)]
     lexicon = _load_lexicon(ctx)
     statuses = {}
     ann_path = ctx.get("statuses")
@@ -680,19 +577,19 @@ def _cmd_cluster(ctx) -> int:
     )
     comp = graph_mod.composition(g, partition)
     _write_tsv(
-        out / "composition.tsv",
+        ctx,
+        "composition.tsv",
         ("community", "n_seed", "n_accepted", "n_rejected", "n_unrated"),
         ((r.community, r.n_seed, r.n_accepted, r.n_rejected, r.n_unrated) for r in comp),
-        ctx,
     )
     _write_json(
-        out / "cluster_summary.json",
+        ctx,
+        "cluster_summary.json",
         {
             "modularity": q,
             "n_communities": partition.n_communities(),
             "modularity_trace": partition.modularity_trace,
         },
-        ctx,
     )
     print(f"{partition.n_communities()} communities, modularity {q:.4f}")
     return 0
@@ -729,41 +626,36 @@ def _cmd_agree(ctx) -> int:
     print(f"kappa\t{report.kappa:.4f}")
     print(f"band\t{report.band}")
     if ctx.get("out"):
-        out = ctx.out_dir()
+        counts = {"pp": report.n_pp, "pn": report.n_pn, "np": report.n_np, "nn": report.n_nn}
         _write_tsv(
-            out / "agreement.tsv",
-            ("n", "pp", "pn", "np", "nn", "percent_agreement", "kappa", "band"),
+            ctx,
+            "agreement.tsv",
+            ("n", *counts, "percent_agreement", "kappa", "band"),
             [
                 (
                     report.total,
-                    report.n_pp,
-                    report.n_pn,
-                    report.n_np,
-                    report.n_nn,
+                    *counts.values(),
                     f"{report.percent_agreement:.6f}",
                     f"{report.kappa:.6f}",
                     report.band,
                 )
             ],
-            ctx,
         )
         _write_json(
-            out / "agreement.json",
+            ctx,
+            "agreement.json",
             {
                 "n": report.total,
-                "counts": {
-                    "pp": report.n_pp,
-                    "pn": report.n_pn,
-                    "np": report.n_np,
-                    "nn": report.n_nn,
-                },
+                "counts": counts,
                 "percent_agreement": report.percent_agreement,
                 "kappa": report.kappa,
                 "band": report.band,
             },
-            ctx,
         )
     return 0
+
+
+DATASET_COLUMNS = ("word", "label", "oov_flags")
 
 
 def _cmd_dataset(ctx) -> int:
@@ -787,17 +679,14 @@ def _cmd_dataset(ctx) -> int:
     out = ctx.out_dir()
     features = np.vstack([ex.features for ex in build.examples]).astype(np.float32)
     np.save(out / "dataset_features.npy", features)
-    _write_tsv(
-        out / "dataset.tsv",
-        ("word", "label", "oov_flags"),
-        (
-            (ex.word, ex.label, "".join("1" if f else "0" for f in ex.oov_flags))
-            for ex in build.examples
-        ),
-        ctx,
+    rows = (
+        (ex.word, ex.label, "".join("1" if f else "0" for f in ex.oov_flags))
+        for ex in build.examples
     )
+    _write_tsv(ctx, "dataset.tsv", DATASET_COLUMNS, rows)
     _write_json(
-        out / "dataset_summary.json",
+        ctx,
+        "dataset_summary.json",
         {
             "n_examples": len(build.examples),
             "n_positive": sum(ex.label for ex in build.examples),
@@ -806,7 +695,6 @@ def _cmd_dataset(ctx) -> int:
             "excluded_oov": build.excluded,
             "n_unrelated": len(unrelated),
         },
-        ctx,
     )
     print(f"{len(build.examples)} examples, feature length {features.shape[1]}")
     return 0
@@ -818,20 +706,17 @@ def _load_dataset(ctx):
     if not features_path.is_file():
         raise InputError(f"missing feature matrix next to dataset: {features_path}")
     features = np.load(features_path)
-    rows = []
-    with open(path, encoding="utf-8") as fh:
-        lines = [ln.rstrip("\n") for ln in fh if ln.strip() and not ln.startswith("#")]
-    if not lines or lines[0].split("\t") != ["word", "label", "oov_flags"]:
-        raise InputError(f"{path}: expected dataset header word/label/oov_flags")
-    for line in lines[1:]:
-        word, label, flags = line.split("\t")
-        rows.append((word, int(label), tuple(c == "1" for c in flags)))
+    _, rows = tables.read_tsv(path, DATASET_COLUMNS, "dataset")
     if len(rows) != len(features):
         raise InputError("dataset row count does not match the feature matrix")
-    return [
-        classify.LabeledExample(word, features[i], label, flags)
-        for i, (word, label, flags) in enumerate(rows)
-    ]
+    examples = []
+    for vector, (lineno, (word, label, flags)) in zip(features, rows):
+        if label not in ("0", "1"):
+            raise InputError(f"{path}:{lineno}: label must be 0 or 1, got {label!r}")
+        examples.append(
+            classify.LabeledExample(word, vector, int(label), tuple(c == "1" for c in flags))
+        )
+    return examples
 
 
 def _cmd_train(ctx) -> int:
@@ -851,17 +736,14 @@ def _cmd_train(ctx) -> int:
     k = ctx.get_as("folds", 10, int)
     folds = classify.kfold(dataset, k=k, rng_seed=ctx.rng_seed)
     reports = [classify.train_eval(dataset, spec, folds, rng_seed=ctx.rng_seed) for spec in specs]
-    out = ctx.out_dir()
     _write_tsv(
-        out / "eval.tsv",
+        ctx,
+        "eval.tsv",
         ("classifier", "accuracy", "precision", "recall", "f1", "tp", "fp", "fn", "tn", "fold_digest"),
         (
             (
                 r.classifier,
-                f"{r.accuracy:.4f}",
-                f"{r.precision:.4f}",
-                f"{r.recall:.4f}",
-                f"{r.f1:.4f}",
+                *(f"{v:.4f}" for v in (r.accuracy, r.precision, r.recall, r.f1)),
                 r.tp,
                 r.fp,
                 r.fn,
@@ -870,10 +752,10 @@ def _cmd_train(ctx) -> int:
             )
             for r in reports
         ),
-        ctx,
     )
     _write_json(
-        out / "eval.json",
+        ctx,
+        "eval.json",
         {
             "folds": k,
             "reports": [
@@ -890,7 +772,6 @@ def _cmd_train(ctx) -> int:
                 for r in reports
             ],
         },
-        ctx,
     )
     for r in reports:
         print(
@@ -905,25 +786,25 @@ def _cmd_pca(ctx) -> int:
     n_components = ctx.get_as("components", 7, int)
     standardize = not bool(ctx.get("no_standardize", False))
     result = reduce_mod.pca(matrix, n_components=n_components, standardize=standardize)
-    out = ctx.out_dir()
     comp_names = [f"F{i + 1}" for i in range(n_components)]
     _write_tsv(
-        out / "pca_loadings.tsv",
+        ctx,
+        "pca_loadings.tsv",
         ("word", *comp_names),
         (
             (label, *(f"{v:.6f}" for v in row))
             for label, row in zip(result.row_labels, result.loadings)
         ),
-        ctx,
     )
     top = ctx.get_as("top", 10, int)
     rows = []
     for j in range(n_components):
         for rank, (word, loading) in enumerate(result.top_words(j, top), 1):
             rows.append((comp_names[j], rank, word, f"{loading:.6f}"))
-    _write_tsv(out / "pca_top_words.tsv", ("component", "rank", "word", "loading"), rows, ctx)
+    _write_tsv(ctx, "pca_top_words.tsv", ("component", "rank", "word", "loading"), rows)
     _write_json(
-        out / "pca_summary.json",
+        ctx,
+        "pca_summary.json",
         {
             "explained_variance_ratio": result.explained_variance_ratio.tolist(),
             "singular_values": result.singular_values.tolist(),
@@ -931,7 +812,6 @@ def _cmd_pca(ctx) -> int:
             "dropped_columns": result.dropped_columns,
             "standardized": standardize,
         },
-        ctx,
     )
     ratios = ", ".join(f"{r:.4f}" for r in result.explained_variance_ratio)
     print(f"explained variance ratios: {ratios}")
@@ -946,25 +826,24 @@ def _cmd_mds(ctx) -> int:
         dims=ctx.get_as("dims", 2, int),
         max_iter=ctx.get_as("max_iter", 500, int),
     )
-    out = ctx.out_dir()
     dim_names = [f"dim{i + 1}" for i in range(result.coordinates.shape[1])]
     _write_tsv(
-        out / "mds_coordinates.tsv",
+        ctx,
+        "mds_coordinates.tsv",
         ("item", *dim_names),
         (
             (label, *(f"{v:.8f}" for v in row))
             for label, row in zip(result.item_labels, result.coordinates)
         ),
-        ctx,
     )
     _write_json(
-        out / "mds_summary.json",
+        ctx,
+        "mds_summary.json",
         {
             "stress": result.stress,
             "iterations": result.iterations,
             "stress_trace": result.stress_trace,
         },
-        ctx,
     )
     print(f"stress {result.stress:.6g} after {result.iterations} iterations")
     return 0
@@ -975,29 +854,17 @@ def _cmd_pipeline(ctx) -> int:
     if len(models) < 2:
         raise InputError("pipeline needs at least two models to intersect")
     lexicon = _load_lexicon(ctx)
-    k = ctx.get_as("k", 50, int)
-    fold = not bool(ctx.get("no_fold_case", False))
-    out = ctx.out_dir()
-    all_pairs = []
-    sets = []
-    for model in models:
-        result = expansion.expand(model, lexicon, k=k, fold_case=fold, threads=ctx.threads)
-        expansion.write_pairs(out / f"pairs_{model.name}.tsv", result.pairs, ctx.header_lines())
-        _write_tsv(
-            out / f"skipped_{model.name}.tsv", ("seed", "model_form"), result.skipped, ctx
-        )
-        sets.append(expansion.distinct_candidates(result.pairs))
-        all_pairs.extend(result.pairs)
-        print(f"{model.name}: {len(result.pairs)} pairs, {len(sets[-1])} distinct candidates")
-    common = set.intersection(*sets)
-    cset = expansion.intersect(common, common, lexicon, pairs=all_pairs)
+    pair_lists = []
+    for model, result in _expand_each(ctx, models, lexicon):
+        pair_lists.append(result.pairs)
+        n_distinct = len(expansion.distinct_candidates(result.pairs))
+        print(f"{model.name}: {len(result.pairs)} pairs, {n_distinct} distinct candidates")
+    cset = _common_candidates(pair_lists, lexicon)
     corpus_path = ctx.get("corpus")
     if corpus_path:
-        cset = expansion.score_candidates(
-            cset, corpus_mod.load_corpus(corpus_path), lexicon
-        )
+        cset = expansion.score_candidates(cset, corpus_mod.load_corpus(corpus_path), lexicon)
     _write_candidates(ctx, cset)
-    print(f"{len(cset)} candidates ready for review in {out / 'candidates.json'}")
+    print(f"{len(cset)} candidates ready for review in {ctx.out_dir() / 'candidates.json'}")
     return 0
 
 

@@ -25,6 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import tables
 from .errors import InputError
 
 DEFAULT_ABBREVIATIONS = ("e.g.", "i.e.", "et al.", "Fig.", "vs.")
@@ -452,17 +453,10 @@ def collection_from_corpus(group_id: str, corpus: SentenceCorpus) -> DocumentCol
 
 def load_collections(manifest_path: str | Path) -> list[DocumentCollection]:
     """Collections from a JSON manifest mapping group_id -> corpus path."""
-    manifest_path = Path(manifest_path)
-    if not manifest_path.is_file():
-        raise InputError(f"collection manifest not found: {manifest_path}")
-    with open(manifest_path, encoding="utf-8") as fh:
-        try:
-            mapping = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise InputError(f"{manifest_path}: invalid JSON ({exc})") from None
+    mapping = tables.read_json(manifest_path, "collection manifest")
     if not isinstance(mapping, dict) or not mapping:
         raise InputError(f"{manifest_path}: manifest must map group ids to corpus paths")
-    base = manifest_path.parent
+    base = Path(manifest_path).parent
     out = []
     for group_id in sorted(mapping):
         p = Path(mapping[group_id])

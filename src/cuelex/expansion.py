@@ -7,7 +7,6 @@ Scores are ranking metadata only; they never remove a candidate.
 
 from __future__ import annotations
 
-import json
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -16,6 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import tables
 from .corpus import MatchPattern, SentenceCorpus, as_pattern, parse_pattern
 from .embeddings import EmbeddingModel
 from .errors import InputError
@@ -351,51 +351,16 @@ def score_candidates(
 
 def write_pairs(path: str | Path, pairs, header_lines=()) -> None:
     """Pairs as TSV with a fixed header; similarity printed with 6 decimals."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for line in header_lines:
-            fh.write(f"# {line}\n")
-        fh.write("\t".join(PAIRS_HEADER) + "\n")
-        for p in pairs:
-            fh.write(f"{p.seed}\t{p.candidate}\t{p.similarity:.6f}\t{p.model_name}\n")
+    rows = ((p.seed, p.candidate, f"{p.similarity:.6f}", p.model_name) for p in pairs)
+    tables.write_tsv(path, PAIRS_HEADER, rows, header_lines)
 
 
 def read_pairs(path: str | Path) -> list[CandidatePair]:
-    path = Path(path)
-    if not path.is_file():
-        raise InputError(f"pairs file not found: {path}")
-    pairs = []
-    with open(path, encoding="utf-8") as fh:
-        rows = [ln.rstrip("\n") for ln in fh if ln.strip() and not ln.startswith("#")]
-    if not rows:
-        raise InputError(f"pairs file has no rows: {path}")
-    if tuple(rows[0].split("\t")) != PAIRS_HEADER:
-        raise InputError(f"pairs file missing header {PAIRS_HEADER}: {path}")
-    for lineno, row in enumerate(rows[1:], 2):
-        fields = row.split("\t")
-        if len(fields) != 4:
-            raise InputError(f"{path}:{lineno}: expected 4 fields")
-        try:
-            sim = float(fields[2])
-        except ValueError:
-            raise InputError(f"{path}:{lineno}: bad similarity {fields[2]!r}") from None
-        pairs.append(CandidatePair(fields[0], fields[1], sim, fields[3]))
-    return pairs
-
-
-def _score_to_json(value: float | None):
-    if value is None:
-        return None
-    if value == NEG_INF:
-        return "-inf"
-    return value
-
-
-def _score_from_json(value):
-    if value is None:
-        return None
-    if value == "-inf":
-        return NEG_INF
-    return float(value)
+    _, rows = tables.read_tsv(path, PAIRS_HEADER, "pairs")
+    return [
+        CandidatePair(seed, cand, tables.number(float, sim, "similarity", path, n), model)
+        for n, (seed, cand, sim, model) in rows
+    ]
 
 
 def write_candidate_set(path: str | Path, cset: CandidateSet, meta: dict | None = None) -> None:
@@ -408,7 +373,7 @@ def write_candidate_set(path: str | Path, cset: CandidateSet, meta: dict | None 
                     name: {"similarity": prov.similarity, "seeds": list(prov.seeds)}
                     for name, prov in sorted(c.models.items())
                 },
-                "pmi": _score_to_json(c.pmi),
+                "pmi": tables.json_value(c.pmi),
                 "tfidf": c.tfidf,
                 "status": c.status,
                 "no_evidence": c.no_evidence,
@@ -416,20 +381,11 @@ def write_candidate_set(path: str | Path, cset: CandidateSet, meta: dict | None 
             for c in cset.candidates
         ],
     }
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    tables.write_json(path, doc)
 
 
 def read_candidate_set(path: str | Path) -> CandidateSet:
-    path = Path(path)
-    if not path.is_file():
-        raise InputError(f"candidate file not found: {path}")
-    with open(path, encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise InputError(f"{path}: invalid JSON ({exc})") from None
+    doc = tables.read_json(path, "candidate")
     cands = []
     for obj in doc.get("candidates", []):
         models = {
@@ -440,7 +396,7 @@ def read_candidate_set(path: str | Path) -> CandidateSet:
             Candidate(
                 word=obj["word"],
                 models=models,
-                pmi=_score_from_json(obj.get("pmi")),
+                pmi=None if obj.get("pmi") is None else float(obj["pmi"]),  # float("-inf") is -inf
                 tfidf=obj.get("tfidf"),
                 status=obj.get("status", "unrated"),
                 no_evidence=bool(obj.get("no_evidence", False)),

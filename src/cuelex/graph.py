@@ -11,10 +11,10 @@ from __future__ import annotations
 import random
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
+from . import tables
 from .errors import CuelexError, InputError
 
 NODE_TSV_HEADER = ("word", "seed", "status", "community", "pagerank")
@@ -384,23 +384,17 @@ def composition(graph: CueGraph, partition: Partition) -> list[CompositionRow]:
 
 
 def export_node_tsv(path, graph, partition=None, ranks=None, header_lines=()):
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for line in header_lines:
-            fh.write(f"# {line}\n")
-        fh.write("\t".join(NODE_TSV_HEADER) + "\n")
-        for word, node in graph.nodes.items():
-            com = "" if partition is None else str(partition[word])
-            pr = "" if ranks is None else f"{ranks[word]:.12g}"
-            fh.write(f"{word}\t{int(node.is_seed)}\t{node.status}\t{com}\t{pr}\n")
+    rows = (
+        (word, int(node.is_seed), node.status, "" if partition is None else partition[word],
+         "" if ranks is None else f"{ranks[word]:.12g}")
+        for word, node in graph.nodes.items()
+    )
+    tables.write_tsv(path, NODE_TSV_HEADER, rows, header_lines)
 
 
 def export_edge_tsv(path, graph, header_lines=()):
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for line in header_lines:
-            fh.write(f"# {line}\n")
-        fh.write("\t".join(EDGE_TSV_HEADER) + "\n")
-        for (u, v), w in graph.edges.items():
-            fh.write(f"{u}\t{v}\t{w:.6f}\n")
+    rows = ((u, v, f"{w:.6f}") for (u, v), w in graph.edges.items())
+    tables.write_tsv(path, EDGE_TSV_HEADER, rows, header_lines)
 
 
 def load_graph_tsv(node_path, edge_path):
@@ -408,36 +402,19 @@ def load_graph_tsv(node_path, edge_path):
     graph = CueGraph()
     communities: dict[str, int] = {}
     ranks: dict[str, float] = {}
-    rows = _read_tsv(node_path, NODE_TSV_HEADER)
-    for fields in rows:
-        word, seed, status, com, pr = fields
+    _, nodes = tables.read_tsv(node_path, NODE_TSV_HEADER, "node")
+    for n, (word, seed, status, com, pr) in nodes:
         graph.add_node(word, is_seed=seed == "1", status=status)
         if com:
-            communities[word] = int(com)
+            communities[word] = tables.number(int, com, "community", node_path, n)
         if pr:
-            ranks[word] = float(pr)
-    for fields in _read_tsv(edge_path, EDGE_TSV_HEADER):
-        graph.add_edge(fields[0], fields[1], float(fields[2]))
+            ranks[word] = tables.number(float, pr, "pagerank", node_path, n)
+    _, edges = tables.read_tsv(edge_path, EDGE_TSV_HEADER, "edge")
+    for n, (u, v, w) in edges:
+        graph.add_edge(u, v, tables.number(float, w, "weight", edge_path, n))
     partition = Partition(communities) if len(communities) == len(graph.nodes) else None
     rank_vec = PageRankVector(ranks) if len(ranks) == len(graph.nodes) else None
     return graph, partition, rank_vec
-
-
-def _read_tsv(path, expected_header):
-    path = Path(path)
-    if not path.is_file():
-        raise InputError(f"file not found: {path}")
-    with open(path, encoding="utf-8") as fh:
-        rows = [ln.rstrip("\n") for ln in fh if ln.strip() and not ln.startswith("#")]
-    if not rows or tuple(rows[0].split("\t")) != tuple(expected_header):
-        raise InputError(f"{path}: expected header {expected_header}")
-    out = []
-    for lineno, row in enumerate(rows[1:], 2):
-        fields = row.split("\t")
-        if len(fields) != len(expected_header):
-            raise InputError(f"{path}:{lineno}: expected {len(expected_header)} fields")
-        out.append(fields)
-    return out
 
 
 def export_gexf(path, graph, partition=None, ranks=None, meta_lines=()):

@@ -14,6 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import tables
 from .errors import CuelexError, InputError
 
 
@@ -43,36 +44,20 @@ class ScoreMatrix:
 
 def load_score_matrix(path: str | Path) -> ScoreMatrix:
     """TSV with a header row of collection names and a first column of words."""
-    path = Path(path)
-    if not path.is_file():
-        raise InputError(f"score matrix file not found: {path}")
-    with open(path, encoding="utf-8") as fh:
-        rows = [ln.rstrip("\n") for ln in fh if ln.strip() and not ln.startswith("#")]
-    if len(rows) < 2:
+    header, rows = tables.read_tsv(path, what="score matrix")
+    if not rows:
         raise InputError(f"score matrix needs a header and at least one row: {path}")
-    header = rows[0].split("\t")
-    col_labels = header[1:]
-    row_labels = []
-    values = []
-    for lineno, row in enumerate(rows[1:], 2):
-        fields = row.split("\t")
-        if len(fields) != len(header):
-            raise InputError(f"{path}:{lineno}: expected {len(header)} fields")
-        row_labels.append(fields[0])
-        try:
-            values.append([float(x) for x in fields[1:]])
-        except ValueError:
-            raise InputError(f"{path}:{lineno}: non-numeric score") from None
-    return ScoreMatrix(row_labels, col_labels, np.array(values))
+    values = [
+        [tables.number(float, x, "score", path, n) for x in fields[1:]] for n, fields in rows
+    ]
+    return ScoreMatrix([fields[0] for _, fields in rows], list(header[1:]), np.array(values))
 
 
 def write_score_matrix(path: str | Path, matrix: ScoreMatrix, header_lines=()) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for line in header_lines:
-            fh.write(f"# {line}\n")
-        fh.write("word\t" + "\t".join(matrix.col_labels) + "\n")
-        for label, row in zip(matrix.row_labels, matrix.values):
-            fh.write(label + "\t" + "\t".join(f"{v:.12g}" for v in row) + "\n")
+    rows = (
+        (label, *(f"{v:.12g}" for v in row)) for label, row in zip(matrix.row_labels, matrix.values)
+    )
+    tables.write_tsv(path, ("word", *matrix.col_labels), rows, header_lines)
 
 
 @dataclass

@@ -516,3 +516,72 @@ def test_rank_damping_zero_is_used(workspace):
     ranks = [float(r.split("\t")[4]) for r in rows[1:]]
     # no damping: every node gets only the uniform teleport share
     assert ranks == pytest.approx([1 / len(ranks)] * len(ranks))
+
+
+# --- table rows and seeds -------------------------------------------------------
+
+
+def build_dataset(workspace, words, out):
+    """dataset over models that know ``words``; annotations accept the first and reject the last."""
+    shared = ["seeda", "seedb", *words]
+    make_model_file(workspace / "h1.bin", seed=31, shared=shared)
+    make_model_file(workspace / "h2.bin", seed=32, shared=shared)
+    labels = workspace / "hash_labels.csv"
+    rows = [f"{w},pos,pos" for w in words[:-1]] + [f"{words[-1]},neg,neg"]
+    labels.write_text("word,judge1,judge2\n" + "\n".join(rows) + "\n")
+    return run(
+        "dataset", "--model", f"h1={workspace / 'h1.bin'}", "--model", f"h2={workspace / 'h2.bin'}",
+        "--annotations", str(labels), "--seeds", str(workspace / "seeds.txt"),
+        "--n-unrelated", "4", "--max-sim", "0.95", "--out", str(out), "--reproducible",
+    )
+
+
+def train_args(dataset, out, *extra):
+    return [
+        "train", "--dataset", str(dataset), "--classifiers", "knn:k=1", "--folds", "2",
+        "--out", str(out), "--reproducible", *extra,
+    ]
+
+
+def test_dataset_then_train_keeps_words_that_start_with_hash(workspace):
+    ddir = workspace / "hash_ds"
+    assert build_dataset(workspace, ["##th", "canda", "candc"], ddir) == 0
+    assert "##th\t1\t" in (ddir / "dataset.tsv").read_text()
+    assert run(*train_args(ddir / "dataset.tsv", workspace / "hash_tr")) == 0
+
+
+@pytest.mark.parametrize("bad_row", ["canda\t1", "canda\tyes\t00"])
+def test_malformed_dataset_row_is_an_input_error_at_its_line(workspace, capsys, bad_row):
+    ddir = workspace / "bad_ds"
+    assert build_dataset(workspace, ["canda", "candb", "candc"], ddir) == 0
+    path = ddir / "dataset.tsv"
+    lines = path.read_text().splitlines()
+    row = next(i for i, ln in enumerate(lines) if ln.startswith("canda\t"))
+    lines[row] = bad_row
+    path.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert run(*train_args(path, workspace / "bad_tr")) == 1
+    assert f"dataset.tsv:{row + 1}:" in capsys.readouterr().err
+
+
+def test_negative_rng_seed_is_rejected(workspace, capsys):
+    ddir = workspace / "seed_ds"
+    assert build_dataset(workspace, ["canda", "candb", "candc"], ddir) == 0
+    dataset = ddir / "dataset.tsv"
+    capsys.readouterr()
+    args = train_args(dataset, workspace / "neg_tr", "--classifiers", "mlp:epochs=2")
+    assert run(*args, "--rng-seed", "-1") == 1
+    assert "rng_seed" in capsys.readouterr().err
+    assert run(*args, "--rng-seed", "0") == 0
+
+    pairs = graph_inputs(workspace)
+    gdir = workspace / "seed_g"
+    assert run(
+        "graph", "--pairs", pairs[0], "--pairs", pairs[1],
+        "--seeds", str(workspace / "seeds.txt"), "--out", str(gdir),
+    ) == 0
+    graph = ("--nodes", str(gdir / "nodes.tsv"), "--edges", str(gdir / "edges.tsv"))
+    capsys.readouterr()
+    assert run("cluster", *graph, "--out", str(workspace / "neg_c"), "--rng-seed", "-1") == 1
+    assert "rng_seed" in capsys.readouterr().err
+    assert run("cluster", *graph, "--out", str(workspace / "zero_c"), "--rng-seed", "0") == 0

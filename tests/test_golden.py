@@ -2,9 +2,8 @@
 
 All 18 subcommands run in-process on one small fixed workspace with
 ``--reproducible --rng-seed 3``.  The sha256 of every file they write and of
-every stdout is compared with digests captured before the table writers and
-readers were merged into ``cuelex.tables``; a refactor of the output code
-must leave all of them unchanged.
+every stdout is compared with recorded digests, so a change to the output
+code must leave every byte of every artifact unchanged.
 
 The workspace is addressed by relative paths from inside it, because the
 config digest in every artifact header hashes the paths as given.
