@@ -132,8 +132,7 @@ def sample_unrelated(
         raise InputError("n must be non-negative")
     if n == 0:
         return []
-    units = model.units
-    seed_units = []
+    seed_rows = []
     for entry in lexicon.entries:
         for form in entry.model_forms:
             form = form.replace(" ", "_")
@@ -142,10 +141,10 @@ def sample_unrelated(
             except InputError:
                 continue
             if model.usable(model.vocab[idx]):
-                seed_units.append(units[idx])
-    if not seed_units:
+                seed_rows.append(idx)
+    if not seed_rows:
         raise InputError(f"no seed form is present in model {model.name!r}")
-    seed_matrix = np.vstack(seed_units)
+    seed_matrix = model.unit_rows(seed_rows)
 
     blocked = {w.lower() for w in exclude} | lexicon.folded_words()
     indices = list(range(len(model)))
@@ -155,7 +154,7 @@ def sample_unrelated(
     chunk = 2048
     for start in range(0, len(indices), chunk):
         block = indices[start : start + chunk]
-        sims = seed_matrix @ units[block].T
+        sims = seed_matrix @ model.unit_rows(block).T
         max_sims = sims.max(axis=0)
         for pos, idx in enumerate(block):
             token = model.vocab[idx]

@@ -173,7 +173,7 @@ def _build_parser() -> _Parser:
         p.add_argument("--config", help="JSON config file; flags override its values")
         p.add_argument("--out", help="output directory")
         p.add_argument("--rng-seed", dest="rng_seed", type=int, help="seed for all randomness")
-        p.add_argument("--threads", type=_positive_int, help="worker cap for parallel sections")
+        p.add_argument("--threads", type=_positive_int, help="accepted for compatibility; no effect")
         p.add_argument(
             "--reproducible", action="store_const", const=True,
             help="omit timestamps so reruns are byte-identical",
@@ -338,7 +338,7 @@ def _patterns_arg(value, what: str) -> list[str]:
             raise InputError(f"{what} file not found: {path}")
         out = []
         for line in path.read_text(encoding="utf-8").splitlines():
-            line = line.split("#", 1)[0].strip()
+            line = expansion.COMMENT.sub("", line).strip()
             if line:
                 out.append(line)
         if not out:
@@ -390,8 +390,9 @@ def _expand_each(ctx, models, lexicon):
     k = ctx.get_as("k", 50, int)
     fold = not bool(ctx.get("no_fold_case", False))
     out = ctx.out_dir()
+    _ = ctx.threads  # validated and in the config digest, though search runs in one thread
     for model in models:
-        result = expansion.expand(model, lexicon, k=k, fold_case=fold, threads=ctx.threads)
+        result = expansion.expand(model, lexicon, k=k, fold_case=fold)
         expansion.write_pairs(out / f"pairs_{model.name}.tsv", result.pairs, ctx.header_lines())
         _write_tsv(ctx, f"skipped_{model.name}.tsv", ("seed", "model_form"), result.skipped)
         yield model, result

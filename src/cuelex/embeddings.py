@@ -1,10 +1,13 @@
 """Word-embedding models: word2vec file loading and exact cosine similarity queries.
 
-Models are immutable after loading and safe to share across worker threads.
-All similarity math runs on float64 unit vectors computed once at load, so
-cosine(a, b) == cosine(b, a) bit-for-bit and rankings are reproducible.
-Nearest-neighbor search is an exhaustive scan by contract; large models are
-meant to be loaded through ``vocab_filter``.
+Models are immutable after loading and safe to share across threads.  A model
+holds its float32 vectors exactly as stored plus float64 norms.  Similarities
+are float64 dot products of float64 unit rows rebuilt on demand
+(``unit_rows``), so cosine(a, b) == cosine(b, a) bit-for-bit and rankings are
+reproducible.  Nearest-neighbor search is exact: a float32 GEMM over blocks of
+vocabulary rows screens every row, a proven rounding bound widens the cut, and
+only the rows that can still rank in the top k are rescored in float64
+(``top_k_batch``).  Large models can be loaded through ``vocab_filter``.
 """
 
 from __future__ import annotations
@@ -20,6 +23,29 @@ from .errors import InputError
 
 # Vectors shorter than this are unusable for cosine similarity.
 MIN_USABLE_NORM = 1e-12
+# Vocabulary rows per block of the screen and of the norm computation.
+BLOCK_ROWS = 2048
+# The binary loader releases the file pages it has read every this many bytes,
+# so a load never holds the whole file besides the matrix.
+RELEASE_BYTES = 1 << 22
+_DROP_PAGES = getattr(mmap, "MADV_DONTNEED", None)
+
+
+def screen_slack(dim: int) -> float:
+    """Bound on |float32 screen score - reported float64 similarity| at dimension ``dim``.
+
+    The screen is fl32(fl32(v . q) * fl32(2^64 / |v|)) with q the query's unit
+    row times 2^-64 in float32, a scale at which no float32 vector overflows.
+    The dot product errs by at most gamma_d |v| |q| in any summation order,
+    gamma_d = d u / (1 - d u), u = 2^-24; rounding q and the scale to float32
+    adds ``eps`` each, the product u, and underflow d 2^-85 / MIN_USABLE_NORM.
+    The reported value is within 4 (d + 3) 2^-53 of the exact cosine.
+    """
+    u, u64 = 2.0**-24, 2.0**-53
+    gamma = dim * u / (1 - dim * u)
+    eps = u + (dim + 4) * u64
+    err = eps + gamma * (1 + eps) + dim * 2.0**-85 / MIN_USABLE_NORM
+    return err + (1 + err) * (eps + u + eps * u) + 4 * (dim + 3) * u64
 
 
 @dataclass(frozen=True)
@@ -49,27 +75,30 @@ class EmbeddingModel:
             raise InputError("empty vocabulary")
         if vectors.shape[1] < 1:
             raise InputError("vector dimension must be positive")
-        if not np.isfinite(vectors).all():
-            bad = int(np.argwhere(~np.isfinite(vectors).all(axis=1))[0][0])
+        self.vectors = np.ascontiguousarray(vectors, dtype=np.float32)
+        # Squares of float32 values cannot overflow float64, so a row holds a
+        # non-finite value exactly when its norm is not finite.
+        self.norms = np.empty(len(vocab))
+        for lo in range(0, len(vocab), BLOCK_ROWS):
+            v64 = self.vectors[lo : lo + BLOCK_ROWS].astype(np.float64)
+            self.norms[lo : lo + BLOCK_ROWS] = np.sqrt(np.einsum("ij,ij->i", v64, v64))
+        if not np.isfinite(self.norms).all():
+            bad = int(np.flatnonzero(~np.isfinite(self.norms))[0])
             raise InputError(f"non-finite value in vector for token {vocab[bad]!r}")
-        if len(set(vocab)) != len(vocab):
+        self._index = dict(zip(vocab, range(len(vocab))))
+        if len(self._index) != len(vocab):
             raise InputError("duplicate tokens in vocabulary")
 
         self.name = name
         self.vocab = list(vocab)
-        self.vectors = np.ascontiguousarray(vectors, dtype=np.float32)
         self.dim = int(vectors.shape[1])
         # header-declared token count of the source file, when one was parsed
         # (differs from len(vocab) under vocab_filter or duplicate dropping)
         self.declared_vocab_size: int | None = None
 
-        v64 = self.vectors.astype(np.float64)
-        self.norms = np.sqrt(np.einsum("ij,ij->i", v64, v64))
         self._usable = self.norms >= MIN_USABLE_NORM
-        self._units = np.zeros_like(v64)
-        np.divide(v64, self.norms[:, None], out=self._units, where=self._usable[:, None])
-
-        self._index = {tok: i for i, tok in enumerate(self.vocab)}
+        self._scale = np.zeros(len(vocab), dtype=np.float32)  # see screen_slack
+        np.divide(2.0**64, self.norms, out=self._scale, where=self._usable, casting="same_kind")
         self._fold_index: dict[str, list[int]] = {}
         for i, tok in enumerate(self.vocab):
             self._fold_index.setdefault(tok.lower(), []).append(i)
@@ -98,12 +127,13 @@ class EmbeddingModel:
         """Stored float32 vector for ``token`` (a copy)."""
         return self.vectors[self.lookup(token, fold_case)].copy()
 
-    @property
-    def units(self) -> np.ndarray:
-        """Float64 unit-vector matrix (read-only view); unusable rows are zero."""
-        view = self._units.view()
-        view.flags.writeable = False
-        return view
+    def unit_rows(self, rows) -> np.ndarray:
+        """Float64 unit vectors of ``rows`` (indices or a slice); unusable rows are zero."""
+        unusable = ~self._usable[rows]
+        units = self.vectors[rows].astype(np.float64)
+        units /= np.where(unusable, 1.0, self.norms[rows])[:, None]
+        units[unusable] = 0.0
+        return units
 
     def cosine(self, w1: str, w2: str, fold_case: bool = True) -> float:
         """Exact cosine of the two stored vectors."""
@@ -112,76 +142,117 @@ class EmbeddingModel:
         for tok, idx in ((w1, i), (w2, j)):
             if not self._usable[idx]:
                 raise InputError(f"token {tok!r} has near-zero norm and is unusable")
-        return float(np.dot(self._units[i], self._units[j]))
+        a, b = self.unit_rows([i, j])
+        return float(np.dot(a, b))
 
     def top_k(self, query: str, k: int, fold_case: bool = True) -> list[NeighborResult]:
-        """The ``k`` nearest tokens to ``query`` by cosine, exhaustively scanned.
+        """The ``k`` nearest tokens to ``query`` by cosine over the whole vocabulary.
 
         Sorted by similarity descending, ties broken by token ascending.  The
         query itself is excluded; with ``fold_case`` its case variants are
         excluded too and the result is deduplicated by lowercase key, keeping
         the maximum-similarity variant.
         """
+        return self.top_k_batch([query], k, fold_case)[0]
+
+    def top_k_batch(
+        self, queries: list[str], k: int, fold_case: bool = True
+    ) -> list[list[NeighborResult]]:
+        """``[self.top_k(q, k, fold_case) for q in queries]``, screened together.
+
+        The screen yields rows that hold each query's exact top m in
+        descending screen score.  Once a prefix of its top m covers k keys
+        (lowercase tokens with ``fold_case``, else rows), a row that scores
+        over 2 ``screen_slack`` below the prefix's end ranks below all of the
+        prefix, so only the rows above that cut are rescored in float64 and
+        ranked.  Otherwise m doubles, up to the number of usable rows.
+        """
         if k < 0:
             raise InputError("k must be non-negative")
-        qi = self.lookup(query, fold_case)
-        if not self._usable[qi]:
-            raise InputError(f"token {query!r} has near-zero norm and is unusable")
-        if k == 0:
-            return []
-
-        sims = self._units @ self._units[qi]
-        eligible = self._usable.copy()
-        if fold_case:
-            for i in self._fold_index.get(self.vocab[qi].lower(), ()):
-                eligible[i] = False
-        else:
-            eligible[qi] = False
-        sims[~eligible] = -np.inf
-        n_eligible = int(eligible.sum())
-        if n_eligible == 0:
-            return []
-
-        if not fold_case:
-            ranked = self._select(sims, min(k, n_eligible))
-            return [
-                NeighborResult(query, self.vocab[i], float(np.dot(self._units[i], self._units[qi])))
-                for i in ranked[:k]
-            ]
-
-        # Folded retrieval: widen the raw cut until k distinct lowercase keys
-        # are covered.  Unexamined tokens rank strictly below the cut, so the
-        # prefix is final once k keys are seen.
-        m = min(max(4 * k, 64), n_eligible)
-        while True:
-            ranked = self._select(sims, m)
-            out: list[NeighborResult] = []
-            seen: set[str] = set()
-            for i in ranked:
-                key = self.vocab[i].lower()
-                if key in seen:
+        rows = [self.lookup(q, fold_case) for q in queries]
+        for query, qi in zip(queries, rows):
+            if not self._usable[qi]:
+                raise InputError(f"token {query!r} has near-zero norm and is unusable")
+        results: list[list[NeighborResult]] = [[] for _ in queries]
+        slack2 = 2 * screen_slack(self.dim)
+        n_usable = int(self._usable.sum())
+        m = min(max(4 * k, 64) if fold_case else k, n_usable)
+        pending = list(range(len(queries))) if k else []
+        fold = self._fold_index
+        while pending:
+            qrows = [rows[j] for j in pending]
+            excluded = [fold[self.vocab[i].lower()] if fold_case else [i] for i in qrows]
+            units = self.unit_rows(qrows)
+            widen = []
+            survivors = self._screen(units, excluded, m, slack2)
+            for j, uq, ex, (cand, score) in zip(pending, units, excluded, survivors):
+                firsts = self._first_of_keys(cand[:m].tolist(), k, fold_case)
+                if len(firsts) < k and m < n_usable - self._usable[ex].sum():
+                    widen.append(j)
                     continue
-                seen.add(key)
-                out.append(
-                    NeighborResult(query, self.vocab[i], float(np.dot(self._units[i], self._units[qi])))
-                )
-                if len(out) == k:
-                    return out
-            if m >= n_eligible:
-                return out
-            m = min(m * 2, n_eligible)
+                cut = score[firsts[-1]] - slack2 if len(firsts) == k else -np.inf
+                rerank = cand[score >= cut].tolist()
+                sims = [-float(np.dot(u, uq)) for u in self.unit_rows(rerank)]
+                ranked = sorted(zip(sims, [self.vocab[i] for i in rerank], rerank))
+                firsts = self._first_of_keys([i for _, _, i in ranked], k, fold_case)
+                results[j] = [NeighborResult(queries[j], ranked[p][1], -ranked[p][0])
+                              for p in firsts]
+            pending, m = widen, min(2 * m, n_usable)
+        return results
 
-    def _select(self, sims: np.ndarray, m: int) -> list[int]:
-        """Indices of the top ``m`` finite sims sorted by (sim desc, token asc)."""
-        finite = np.flatnonzero(sims > -np.inf)
-        if m >= finite.size:
-            cand = finite
-        else:
-            part = finite[np.argpartition(-sims[finite], m - 1)[:m]]
-            thresh = sims[part].min()
-            cand = finite[sims[finite] >= thresh]
-        order = sorted(cand.tolist(), key=lambda i: (-sims[i], self.vocab[i]))
-        return order[:m]
+    def _first_of_keys(self, rows: list[int], k: int, fold_case: bool) -> list[int]:
+        """Positions of the first row of each key in ``rows``, up to k keys."""
+        seen, firsts = set(), []
+        for pos, i in enumerate(rows):
+            key = self.vocab[i].lower() if fold_case else i
+            if key not in seen:
+                seen.add(key)
+                firsts.append(pos)
+                if len(firsts) == k:
+                    break
+        return firsts
+
+    def _screen(self, units, excluded, m: int, slack2: float) -> list:
+        """Per query (a row of ``units``): rows holding its exact top ``m``, and their scores.
+
+        One float32 GEMM per row block scores it against every query, with
+        -inf for the query's ``excluded`` rows and for unusable rows.  A row
+        survives when its score is within ``slack2`` (2 ``screen_slack``) of
+        the query's m-th best score, so that its similarity can reach the
+        m-th best one.  Rows come in descending score; scores are float64.
+        """
+        q32 = (units * 2.0**-64).astype(np.float32)
+        ex_rows = np.array([i for ex in excluded for i in ex], dtype=np.int64)
+        ex_cols = np.repeat(np.arange(len(units)), [len(ex) for ex in excluded])
+
+        def cut(best):  # every real score is >= -1 - slack, so -2 keeps -inf out
+            return np.maximum(best.astype(np.float64) - slack2, -2.0)
+
+        n = len(self.vocab)
+        best = np.full((len(units), m), -np.inf, dtype=np.float32)
+        tiles, found = [], []
+        for lo in range(0, n, BLOCK_ROWS):
+            hi = min(lo + BLOCK_ROWS, n)
+            s = self.vectors[lo:hi] @ q32.T
+            s *= self._scale[lo:hi, None]
+            s[~self._usable[lo:hi]] = -np.inf
+            s = np.ascontiguousarray(s.T)  # one row per query
+            hit = (ex_rows >= lo) & (ex_rows < hi)
+            s[ex_cols[hit], ex_rows[hit] - lo] = -np.inf
+            # Merge tiles into the running top m once they hold m columns, so
+            # a large m costs O(n) selection work per query, not O(n m / block).
+            tiles.append(s)
+            if len(tiles) * BLOCK_ROWS >= m or hi == n:
+                best = np.partition(np.concatenate([best, *tiles], axis=1), -m, axis=1)[:, -m:]
+                tiles = []
+            q, r = np.divmod(np.flatnonzero(s >= cut(best[:, :1])), hi - lo)
+            found.append((q, r + lo, s[q, r]))
+        q, r, score = (np.concatenate(x) for x in zip(*found))
+        keep = score >= cut(best[:, 0])[q]
+        q, r, score = q[keep], r[keep], score[keep].astype(np.float64)
+        order = np.lexsort((-score, q))  # by query, then descending score
+        splits = np.searchsorted(q[order], np.arange(1, len(units)))
+        return list(zip(np.split(r[order], splits), np.split(score[order], splits)))
 
 
 def load_model(
@@ -251,29 +322,33 @@ def _read_binary(path: Path, keep) -> tuple[list[str], np.ndarray, int]:
                 raise InputError(f"malformed header (non-positive sizes): {path}")
 
             vocab: list[str] = []
-            matrix = np.empty((vocab_size, dim), dtype=np.float32)
-            stored = 0
-            pos = nl + 1
-            size = len(mm)
+            matrix = np.empty((vocab_size, dim), dtype="<f4")
+            out = memoryview(matrix).cast("B")
             payload = 4 * dim
+            pos, size, released = nl + 1, len(mm), 0
             for _ in range(vocab_size):
                 while pos < size and mm[pos] == 0x0A:
                     pos += 1
                 sp = mm.find(b" ", pos)
                 if sp < 0:
                     raise InputError(f"truncated token record at byte {pos}: {path}")
-                token = mm[pos:sp].decode("utf-8", errors="replace")
+                try:
+                    token = mm[pos:sp].decode("utf-8")
+                except UnicodeDecodeError:
+                    raise InputError(f"invalid UTF-8 in token at byte {pos}: {path}") from None
                 if not token:
                     raise InputError(f"empty token at byte {pos}: {path}")
-                vec_start = sp + 1
-                if vec_start + payload > size:
+                pos = sp + 1 + payload
+                if pos > size:
                     raise InputError(f"truncated vector payload for token {token!r}: {path}")
                 if keep(token):
-                    matrix[stored] = np.frombuffer(mm, dtype="<f4", count=dim, offset=vec_start)
+                    out[len(vocab) * payload : (len(vocab) + 1) * payload] = mm[sp + 1 : pos]
                     vocab.append(token)
-                    stored += 1
-                pos = vec_start + payload
-            return vocab, matrix[:stored], vocab_size
+                if _DROP_PAGES is not None and pos - released > RELEASE_BYTES:
+                    upto = pos - pos % mmap.PAGESIZE  # the page cache keeps them
+                    mm.madvise(_DROP_PAGES, released, upto - released)
+                    released = upto
+            return vocab, matrix[: len(vocab)], vocab_size
         finally:
             mm.close()
 
@@ -318,7 +393,7 @@ def _append_text_row(parts: list[str], path: Path, vocab, rows, keep) -> None:
     if not keep(token):
         return
     try:
-        row = np.array([float(x) for x in parts[1:]], dtype=np.float32)
+        row = np.array(parts[1:], dtype=np.float64).astype(np.float32)
     except ValueError:
         raise InputError(f"malformed vector value for token {token!r}: {path}") from None
     if not np.isfinite(row).all():

@@ -8,7 +8,7 @@ Scores are ranking metadata only; they never remove a candidate.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
+import re
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
@@ -23,6 +23,10 @@ from .errors import InputError
 PAIRS_HEADER = ("seed", "candidate", "similarity", "model")
 
 STATUSES = ("unrated", "accepted", "rejected")
+
+# A comment, in seed files and word lists: "#" at the start of the line or
+# after whitespace, followed by whitespace or the line end ("##th" is a word).
+COMMENT = re.compile(r"(?:^|(?<=\s))#(?=\s|$).*", re.DOTALL)
 
 
 @dataclass(frozen=True)
@@ -90,12 +94,12 @@ def _default_forms(pattern: MatchPattern) -> tuple[str, ...]:
 def parse_seed_lexicon(lines, origin: str = "<memory>") -> SeedLexicon:
     """Parse lexicon lines: ``surface[<TAB>source_tag[<TAB>form,form,...]]``.
 
-    '#' starts a comment; a trailing '*' marks a prefix wildcard; embedded
+    '#' starts a ``COMMENT``; a trailing '*' marks a prefix wildcard; embedded
     spaces mark a phrase.  Wildcard entries must carry explicit model forms.
     """
     entries = []
     for lineno, raw in enumerate(lines, 1):
-        line = raw.split("#", 1)[0].rstrip()
+        line = COMMENT.sub("", raw).rstrip()
         if not line.strip():
             continue
         fields = line.split("\t")
@@ -160,7 +164,6 @@ def expand(
     lexicon: SeedLexicon,
     k: int = 50,
     fold_case: bool = True,
-    threads: int = 1,
 ) -> ExpansionResult:
     """Retrieve each seed's top-k neighbors from one model.
 
@@ -172,32 +175,21 @@ def expand(
         raise InputError("k must be positive")
     seed_words = lexicon.folded_words()
 
-    jobs = []
+    found, skipped = [], []
     for entry in lexicon.entries:
         for form in entry.model_forms:
-            jobs.append((entry.surface, form.replace(" ", "_")))
-
-    def query(job):
-        surface, form = job
-        try:
-            model.lookup(form, fold_case=fold_case)
-        except InputError:
-            return surface, form, None
-        return surface, form, model.top_k(form, k, fold_case=fold_case)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(query, jobs))
-    else:
-        results = [query(j) for j in jobs]
+            form = form.replace(" ", "_")
+            try:
+                model.lookup(form, fold_case=fold_case)
+            except InputError:
+                skipped.append((entry.surface, form))
+                continue
+            found.append((entry.surface, form))
+    neighbors = model.top_k_batch([form for _, form in found], k, fold_case)
 
     pairs = []
-    skipped = []
-    for surface, form, neighbors in results:  # merge preserves seed order
-        if neighbors is None:
-            skipped.append((surface, form))
-            continue
-        for nb in neighbors:
+    for (surface, _), results in zip(found, neighbors):
+        for nb in results:
             cand = nb.neighbor.lower()
             if cand in seed_words:
                 continue

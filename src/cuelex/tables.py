@@ -4,8 +4,9 @@ A TSV table is zero or more ``# `` metadata lines, one header row, then one
 row of tab-separated fields per record.  ``#`` marks metadata only above the
 header: below it every line is a row, whatever its first character
 (GoogleNews spells digits as ``#``, so ``##th`` is a word).  Blank lines are
-skipped anywhere.  JSON documents are written with sorted keys and two-space
-indentation.  Infinite floats are spelled ``inf``/``-inf`` in both.
+skipped anywhere.  A tab, CR or LF inside a field is written as one space.
+JSON documents are written with sorted keys and two-space indentation.
+Infinite floats are spelled ``inf``/``-inf`` in both.
 """
 
 from __future__ import annotations
@@ -15,6 +16,8 @@ import math
 from pathlib import Path
 
 from .errors import InputError
+
+_SEPARATORS = str.maketrans("\t\r\n", "   ")
 
 
 def cell(value, decimals: int = 6) -> str:
@@ -40,13 +43,13 @@ def json_value(value):
 
 
 def write_tsv(path, header, rows, comments=()) -> None:
-    """Metadata lines, the header, then one line per row; each cell is written as ``str(cell)``."""
+    """Metadata lines, the header, then one line per row of ``str(cell)`` fields."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         for line in comments:
             fh.write(f"# {line}\n")
         fh.write("\t".join(header) + "\n")
         for row in rows:
-            fh.write("\t".join(map(str, row)) + "\n")
+            fh.write("\t".join(str(c).translate(_SEPARATORS) for c in row) + "\n")
 
 
 def write_json(path, doc: dict) -> None:

@@ -488,6 +488,18 @@ def test_threads_zero_is_rejected(workspace, capsys):
     assert "threads" in capsys.readouterr().err
 
 
+def test_threads_does_not_change_results(workspace):
+    from cuelex import tables
+
+    outs = [workspace / f"th{t}" for t in (1, 4)]
+    for out, t in zip(outs, ("1", "4")):
+        assert run(*pipeline_args(workspace, out), "--threads", t) == 0
+    names = sorted(p.name for p in outs[0].glob("*.tsv"))
+    assert names and names == sorted(p.name for p in outs[1].glob("*.tsv"))
+    for name in names:  # the config digest above the header records the flag
+        assert tables.read_tsv(outs[0] / name)[1] == tables.read_tsv(outs[1] / name)[1]
+
+
 def test_config_zero_is_not_replaced_by_default(workspace, capsys):
     config = workspace / "limit0.json"
     config.write_text(json.dumps({"limit": 0}))
@@ -585,3 +597,26 @@ def test_negative_rng_seed_is_rejected(workspace, capsys):
     assert run("cluster", *graph, "--out", str(workspace / "neg_c"), "--rng-seed", "-1") == 1
     assert "rng_seed" in capsys.readouterr().err
     assert run("cluster", *graph, "--out", str(workspace / "zero_c"), "--rng-seed", "0") == 0
+
+
+def test_sentences_with_tabs_and_line_breaks_stay_one_tsv_row(tmp_path):
+    from cuelex import tables
+
+    corpus = tmp_path / "c.jsonl"
+    text = "Results were\tinconclusive\rhere. Other text."
+    corpus.write_text(json.dumps({"id": "d1", "text": text}) + "\n")
+    runs = (("find", "--cues", "sentences"), ("split", "--indicators", "s_plus"))
+    for command, flag, stem in runs:
+        out = tmp_path / command
+        assert run(command, "--corpus", str(corpus), flag, "inconclusive", "--out", str(out)) == 0
+        _, rows = tables.read_tsv(out / f"{stem}.tsv")
+        assert rows[0][1][-1] == "Results were inconclusive here."
+    # the JSON twin keeps the raw text
+    rows = json.loads((tmp_path / "find" / "sentences.json").read_text())["rows"]
+    assert rows[0]["sentence"] == "Results were\tinconclusive\rhere."
+
+
+def test_word_files_keep_words_that_start_with_hash(tmp_path):
+    words = tmp_path / "w.txt"
+    words.write_text("# cue words\n##th\nknowledge  # trailing note\nc#\n#\n")
+    assert cli._patterns_arg(f"@{words}", "words") == ["##th", "knowledge", "c#"]

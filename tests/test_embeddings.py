@@ -1,15 +1,20 @@
 import os
 import random
 import struct
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import make_model, random_tokens
 from w2v_writer import write_binary, write_text
 
-from cuelex.embeddings import EmbeddingModel, load_model
+from cuelex import embeddings
+from cuelex.embeddings import EmbeddingModel, load_model, screen_slack
 from cuelex.errors import InputError
+from cuelex.expansion import expand, parse_seed_lexicon
 
 
 def brute_force_ranking(model, query, fold_case):
@@ -148,6 +153,49 @@ def test_duplicate_tokens_kept_first_with_warning(tmp_path):
     assert model.vectors[0].tolist() == [1.0, 0.0]
 
 
+def test_invalid_utf8_tokens_are_an_error_at_their_offset(tmp_path):
+    # two distinct undecodable tokens used to both become U+FFFD, and the
+    # second was then dropped as a duplicate
+    path = tmp_path / "bad.bin"
+    write_binary(path, ["ok", b"\xff", b"\xfe"], np.eye(3, 2, dtype=np.float32))
+    with pytest.raises(InputError, match=r"invalid UTF-8 in token at byte 16"):
+        load_model(path, "binary")
+
+
+def _float_text(x: float, style: int) -> str:
+    return (repr(x), f"{x:.3e}", f"{x:g}", f"{x:.9f}", str(int(x)))[style]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(
+        st.lists(
+            st.tuples(st.floats(-3e38, 3e38, allow_nan=False), st.integers(0, 4)),
+            min_size=3, max_size=3,
+        ),
+        min_size=1, max_size=6,
+    ),
+    st.booleans(),
+)
+def test_text_rows_parse_like_float_by_float(tmp_path_factory, rows, header):
+    texts = [[_float_text(x, style) for x, style in row] for row in rows]
+    path = tmp_path_factory.mktemp("txt") / "m.txt"
+    lines = [f"w{i} " + " ".join(row) for i, row in enumerate(texts)]
+    path.write_text(("%d 3\n" % len(rows) if header else "") + "\n".join(lines) + "\n")
+    want = np.array([[float(t) for t in row] for row in texts], dtype=np.float32)
+    assert load_model(path, "text").vectors.tobytes() == want.tobytes()
+
+
+def test_text_value_errors(tmp_path):
+    path = tmp_path / "m.txt"
+    for value, message in (("1.5x", "malformed vector value for token 'b'"),
+                           ("nan", "non-finite value in vector for token 'b'"),
+                           ("-inf", "non-finite value in vector for token 'b'")):
+        path.write_text(f"2 2\na 1 2\nb 3 {value}\n")
+        with pytest.raises(InputError, match=message):
+            load_model(path, "text")
+
+
 def test_load_idempotent(tmp_path):
     m1 = make_model(tmp_path, seed=5)
     m2 = make_model(tmp_path, seed=5)
@@ -276,6 +324,134 @@ def test_concurrent_top_k_reads(tmp_path):
         concurrent = list(pool.map(lambda q: (q, model.top_k(q, 12)), queries * 4))
     for q, result in concurrent:
         assert result == serial[q]
+
+
+# --- the batched kernel: float32 screen, float64 rerank -------------------------
+
+
+def assert_ranks_like_oracle(model, query, k, fold_case, got):
+    """``got`` is an oracle top-k up to similarities within 1e-12 of each other."""
+    full = brute_force_ranking(model, query, fold_case)
+    key = (lambda t: t.lower()) if fold_case else (lambda t: t)
+    assert len(got) == min(k, len(full))
+    assert len({key(r.neighbor) for r in got}) == len(got)
+    for r, (_, sim) in zip(got, full):
+        assert r.similarity == pytest.approx(sim, abs=1e-12)
+        assert key(r.neighbor) in {key(t) for t, s in full if abs(s - sim) <= 1e-12}
+        # the reported value is the float64 dot product of the two unit rows
+        assert r.similarity == model.cosine(query, r.neighbor, fold_case=False)
+
+
+def case_variants(word, n):
+    """The first ``n`` case variants of ``word``, one per bit mask of upper-case letters."""
+    return [
+        "".join(c.upper() if mask >> i & 1 else c for i, c in enumerate(word)) for mask in range(n)
+    ]
+
+
+@st.composite
+def kernel_cases(draw):
+    """Models that stress the screen's cut, and queries against them.
+
+    Rows: exact duplicates, rows one float32 ulp apart, zero rows, rows near
+    the unusable norm, rows of any float32 magnitude, and a run of up to 130
+    case variants of one key around one row (which makes a folded query
+    widen its cut).
+    """
+    dim = draw(st.integers(1, 6))
+    value = st.floats(-4, 4, width=32)
+    rows = [np.array(r, dtype=np.float32) for r in draw(
+        st.lists(st.lists(value, min_size=dim, max_size=dim), min_size=1, max_size=25))]
+    kinds = st.sampled_from(["dup", "ulp", "zero", "tiny", "huge", "max"])
+    sources = st.integers(0, len(rows) - 1)
+    for kind, source in draw(st.lists(st.tuples(kinds, sources), max_size=15)):
+        v = rows[source].copy()
+        if kind == "ulp":
+            c = draw(st.integers(0, dim - 1))
+            v[c] = np.nextafter(v[c], np.float32(np.inf))
+        scale = {"zero": 0.0, "tiny": 2.0**-40, "huge": 2.0**100}.get(kind, 1.0)
+        rows.append(np.sign(v) * np.float32(3e38) if kind == "max" else v * np.float32(scale))
+    tokens = [f"t{i}" for i in range(len(rows))]
+    queries = draw(st.lists(st.sampled_from(tokens), min_size=1, max_size=4))
+    run = draw(st.integers(0, 130))
+    if run:
+        center = draw(st.integers(0, len(rows) - 1))
+        jitter = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).integers(-2, 3, (run, dim))
+        rows += list(rows[center] + np.float32(1e-3) * jitter.astype(np.float32))
+        tokens += case_variants("abcdefgh", run)
+        queries.append(tokens[center])
+    model = EmbeddingModel("h", tokens, np.vstack(rows))
+    queries = [q for q in queries if model.usable(q)]
+    k = draw(st.sampled_from([0, 1, 2, 3, 5, len(tokens) - 1, len(tokens) + 3]))
+    return model, queries, k, draw(st.booleans())
+
+
+@settings(max_examples=200, deadline=None)
+@given(kernel_cases(), st.sampled_from([1, 3, 16, 2048]))
+def test_batch_kernel_matches_brute_force(case, block_rows):
+    model, queries, k, fold_case = case
+    with mock.patch.object(embeddings, "BLOCK_ROWS", block_rows):
+        got = model.top_k_batch(queries, k, fold_case)
+        assert got == [model.top_k(q, k, fold_case) for q in queries]
+    for query, result in zip(queries, got):
+        assert_ranks_like_oracle(model, query, k, fold_case, result)
+
+
+def test_folded_cut_widens_past_a_run_of_case_variants():
+    variants = case_variants("abcdefg", 100)
+    tokens = ["q", "x", "y", *variants]
+    vecs = [[1.0, 0.0], [0.8, 0.6], [0.6, 0.8]] + [[1.0, 0.001 * i] for i in range(1, 101)]
+    model = EmbeddingModel("run", tokens, np.array(vecs, dtype=np.float32))
+    screen = EmbeddingModel._screen
+    with mock.patch.object(EmbeddingModel, "_screen", autospec=True, side_effect=screen) as spy:
+        got = model.top_k("q", 3)
+    assert spy.call_count == 2  # cut 64 covers one key, cut 128 covers three
+    assert [r.neighbor for r in got] == ["abcdefg", "x", "y"]
+    assert_ranks_like_oracle(model, "q", 3, True, got)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.sampled_from([1, 2, 7, 64, 300, 1000]),
+    st.integers(0, 2**32 - 1),
+    st.sampled_from([2.0**-40, 1e-3, 1.0, 2.0**60, 2.0**120]),
+    st.booleans(),
+)
+def test_screen_scores_stay_within_the_slack(dim, seed, magnitude, positive):
+    # positive rows make long same-sign sums, where float32 rounding piles up
+    rng = np.random.default_rng(seed)
+    values = rng.random((200, dim)) if positive else rng.standard_normal((200, dim))
+    vectors = (values * magnitude).astype(np.float32)
+    vectors[1] = vectors[0] + rng.integers(0, 2, dim).astype(np.float32) * np.spacing(vectors[0])
+    model = EmbeddingModel("s", [f"t{i}" for i in range(200)], vectors)
+    q32 = (model.unit_rows([0]) * 2.0**-64).astype(np.float32)
+    screen = (model.vectors @ q32.T)[:, 0] * model._scale
+    exact = np.array([np.dot(u, model.unit_rows([0])[0]) for u in model.unit_rows(slice(None))])
+    usable = model.norms >= embeddings.MIN_USABLE_NORM
+    assert np.all(np.abs(screen - exact)[usable] <= screen_slack(dim))
+
+
+@pytest.mark.parametrize("fold_case", [False, True])
+def test_cut_size_is_capped_at_the_usable_rows(tmp_path, fold_case):
+    # k far past the vocabulary must not size the running top list by k
+    model = make_model(tmp_path, seed=9, n=40, dim=5, duplicates=4)
+    queries = model.vocab[:3]
+    screen = EmbeddingModel._screen
+    with mock.patch.object(EmbeddingModel, "_screen", autospec=True, side_effect=screen) as spy:
+        got = model.top_k_batch(queries, 10**5, fold_case)
+    assert all(call.args[3] <= len(model) for call in spy.call_args_list)
+    for query, result in zip(queries, got):
+        assert_ranks_like_oracle(model, query, 10**5, fold_case, result)
+
+
+def test_expand_is_the_same_for_any_block_size(tmp_path):
+    model = make_model(tmp_path, seed=8, n=300, dim=12, duplicates=10)
+    lexicon = parse_seed_lexicon([t.lower() for t in model.vocab[:12]] + ["absentword"])
+    runs = [expand(model, lexicon, k=7)]
+    with mock.patch.object(embeddings, "BLOCK_ROWS", 16):
+        runs.append(expand(model, lexicon, k=7))
+    assert runs[0].pairs == runs[1].pairs
+    assert runs[0].skipped == runs[1].skipped == [("absentword", "absentword")]
 
 
 # --- public reference models (manual downloads; run when the env vars point at them)

