@@ -11,13 +11,20 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import sys
 import traceback
 from dataclasses import asdict
 from datetime import datetime, timezone
 from pathlib import Path
 
-import numpy as np
+# Every command is one short process, so OpenBLAS runs in one thread unless the
+# user sets OPENBLAS_NUM_THREADS: a second thread adds tens of milliseconds to
+# the numpy import, and a GEMM split across two threads stalls for as long as
+# the second core is busy elsewhere.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
+import numpy as np  # noqa: E402  (after the BLAS default above)
 
 from . import __version__, classify, corpus as corpus_mod, expansion, graph as graph_mod, tables
 from . import reduce as reduce_mod

@@ -1,5 +1,8 @@
 import json
+import os
 import random
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -499,6 +502,30 @@ def test_threads_does_not_change_results(workspace):
     for name in names:  # the config digest above the header records the flag
         assert tables.read_tsv(outs[0] / name)[1] == tables.read_tsv(outs[1] / name)[1]
 
+
+
+BLAS_PROBE = """
+import ctypes, os
+import cuelex.cli
+from numpy._core import _multiarray_umath
+lib = ctypes.CDLL(_multiarray_umath.__file__)
+get = getattr(lib, "scipy_openblas_get_num_threads64_", None) or getattr(lib, "openblas_get_num_threads", None)
+print(os.environ["OPENBLAS_NUM_THREADS"], get() if get else "unknown")
+"""
+
+
+@pytest.mark.parametrize("given", [None, "2"])
+def test_command_process_runs_blas_in_one_thread_unless_told(given):
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    if given:
+        env["OPENBLAS_NUM_THREADS"] = given
+    proc = subprocess.run([sys.executable, "-c", BLAS_PROBE], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    setting, threads = proc.stdout.split()
+    if given:
+        assert setting == given
+    else:  # set before numpy loads OpenBLAS, so the library really runs one thread
+        assert setting == "1" and threads in ("1", "unknown")
 
 def test_config_zero_is_not_replaced_by_default(workspace, capsys):
     config = workspace / "limit0.json"
