@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import random
@@ -94,6 +95,43 @@ def test_missing_model_file(workspace, capsys):
     )
     assert code == 1
     assert "missing.bin" in capsys.readouterr().err
+
+
+# --- option strings ----------------------------------------------------------------
+
+COMMON_OPTIONS = ("--config", "--out", "--rng-seed", "--threads", "--reproducible", "-h", "--help")
+MODEL_OPTIONS = ("--model", "--model-format")
+COMMAND_OPTIONS = {
+    "expand": (*MODEL_OPTIONS, "--seeds", "--k", "--no-fold-case"),
+    "intersect": ("--pairs", "--seeds"),
+    "score": ("--candidates", "--corpus", "--seeds"),
+    "split": ("--corpus", "--indicators", "--balance"),
+    "ratios": ("--corpus", "--indicators", "--words"),
+    "relscore": ("--collection", "--group", "--words", "--baseline"),
+    "rates": ("--groups", "--query"),
+    "find": ("--corpus", "--cues", "--limit"),
+    "graph": ("--pairs", "--seeds", "--statuses"),
+    "cluster": ("--nodes", "--edges", "--resolution"),
+    "rank": ("--nodes", "--edges", "--damping"),
+    "export": ("--nodes", "--edges"),
+    "agree": ("--annotations",),
+    "dataset": (*MODEL_OPTIONS, "--annotations", "--seeds", "--include-seeds", "--n-unrelated",
+                "--max-sim"),
+    "train": ("--dataset", "--classifiers", "--folds"),
+    "pca": ("--matrix", "--components", "--no-standardize", "--top"),
+    "mds": ("--matrix", "--p", "--dims", "--max-iter"),
+    "pipeline": (*MODEL_OPTIONS, "--seeds", "--k", "--no-fold-case", "--corpus"),
+}
+
+
+def test_every_subcommand_keeps_its_option_strings():
+    parser = cli._build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    got = {
+        name: sorted(s for action in p._actions for s in action.option_strings)
+        for name, p in sub.choices.items()
+    }
+    assert got == {name: sorted((*COMMON_OPTIONS, *opts)) for name, opts in COMMAND_OPTIONS.items()}
 
 
 # --- agree -----------------------------------------------------------------------

@@ -1,9 +1,13 @@
 """Golden artifacts: every subcommand's --out files and stdout, byte for byte.
 
 All 18 subcommands run in-process on one small fixed workspace with
-``--reproducible --rng-seed 3``.  The sha256 of every file they write and of
-every stdout is compared with recorded digests, so a change to the output
-code must leave every byte of every artifact unchanged.
+``--reproducible --rng-seed 3``.  Two things are pinned separately:
+
+* the sha256 of every file they write and of every stdout, with the 12-hex
+  config digest masked, so a change to the output code must leave every
+  other byte of every artifact unchanged;
+* the config digest each artifact carries, so a change to what the digest
+  hashes shows up on its own.
 
 The workspace is addressed by relative paths from inside it, because the
 config digest in every artifact header hashes the paths as given.
@@ -13,11 +17,16 @@ Digests captured on CPython 3.11.7 with numpy 2.4.6.  The float outputs of
 linear algebra, so another numpy or BLAS build may legitimately change them.
 """
 
+import contextlib
 import hashlib
+import io
 import json
+import os
 import random
+import re
 
 import numpy as np
+import pytest
 
 from w2v_writer import write_binary
 
@@ -134,93 +143,170 @@ COMMANDS = [
 ]
 
 
+# "config: <digest>" above a TSV header and in GEXF, "config_digest" in JSON meta
+DIGEST = re.compile(rb'(config: |"config_digest": ")([0-9a-f]{12})')
+
+
 def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def run_all(root, capsys) -> dict[str, str]:
-    """Run every command in order; digest of each artifact and each stdout."""
-    digests = {}
+def run_all(root) -> tuple[dict[str, str], dict[str, set[str]]]:
+    """Run every command in order.
+
+    Returns the masked sha256 of each artifact and each stdout, and the set of
+    config digests found in each artifact that carries one.
+    """
+    masked, configs = {}, {}
     for command, *args in COMMANDS:
-        code = cli.main([command, *args, "--out", command, "--reproducible", "--rng-seed", "3"])
-        captured = capsys.readouterr()
-        assert code == 0, (command, captured.err)
-        digests[f"{command}/<stdout>"] = _sha(captured.out.encode())
-        for f in sorted((root / command).iterdir()):
-            digests[f"{command}/{f.name}"] = _sha(f.read_bytes())
-    return digests
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main([command, *args, "--out", command, "--reproducible", "--rng-seed", "3"])
+        assert code == 0, (command, err.getvalue())
+        outputs = {"<stdout>": out.getvalue().encode()}
+        outputs.update((f.name, f.read_bytes()) for f in sorted((root / command).iterdir()))
+        for name, data in outputs.items():
+            key = f"{command}/{name}"
+            masked[key] = _sha(DIGEST.sub(rb"\1<digest>", data))
+            found = {m.group(2).decode() for m in DIGEST.finditer(data)}
+            if found:
+                configs[key] = found
+    return masked, configs
 
 
 EXPECTED = {
     "expand/<stdout>": "0f4f55333233684563f4bbcea6bb3a79f76db8c8ccabd05c5f39e82e529307d5",
-    "expand/pairs_m1.tsv": "9950d0c276915acaa53864d6666b3a2728a56fc050e85907dd5c7cc1f30c730e",
-    "expand/pairs_m2.tsv": "1edbd4f5ee0a7feb1eea41c2970bcd364bcddca5cbebe9d62bf0723e1edda5f9",
-    "expand/skipped_m1.tsv": "9273d529c11ea0b81c830b7eb29c97a3265c17979d05e58e9ddba6f4596ab223",
-    "expand/skipped_m2.tsv": "9273d529c11ea0b81c830b7eb29c97a3265c17979d05e58e9ddba6f4596ab223",
+    "expand/pairs_m1.tsv": "60a048152425743d502b4c63280a7d715e40e6c16c18e41360e6777e338e1484",
+    "expand/pairs_m2.tsv": "bbe9312be6afe3aa38e269d00559e741b44c465cec20fad6b971630c7fd26df7",
+    "expand/skipped_m1.tsv": "ec9456834e976112251af9c29dcd511adbd228b9d123bf029315398d47524ada",
+    "expand/skipped_m2.tsv": "ec9456834e976112251af9c29dcd511adbd228b9d123bf029315398d47524ada",
     "intersect/<stdout>": "6e9ff2b4a0378cb9aee02f38afc76196610e11be51c14d472b6e0548376259fc",
-    "intersect/candidates.json": "5b5baf7531e45c342061525e46a879e82a56a38c6fb0eb59ae74dea60ecfd2c9",
-    "intersect/candidates.tsv": "16105a864209e6adb7169d7abd8b8df42e384d751897962522aa9abab3adfe49",
+    "intersect/candidates.json": "9c50848cefd92c07200ba14cc9a045ebd832297858c0acb912b7e5fd2937d20a",
+    "intersect/candidates.tsv": "1a9d674f48fe133f0423f5fe1e2775c38539e7d643988742908ee737097ee9ee",
     "score/<stdout>": "695d0ad5b1fd9da7a981f34ce5f7e3bcdc7f3fcfae3f9a6e8824587cee049f6d",
-    "score/candidates.json": "d52e73ad00c710e6613c200fe7e5c179057b02ea7238e88b861c9d1931ff65fb",
-    "score/candidates.tsv": "61e9461bc123ab3621e84f9f7400e32a1c51ed30ace6a9efe017e138c393f681",
+    "score/candidates.json": "94b769066e251e4438e5545ba797d97a4bb01df40fb7e67de8d2d476afef1b89",
+    "score/candidates.tsv": "979f60aa2d0b5d37c25eec44199541f2ff8dc13a5e80841740f873ba482dc84a",
     "split/<stdout>": "040a2c70a18a5d4b3cc58114447d29cfbc139a586eaf5ea132fca703c1d9113c",
-    "split/s_minus.tsv": "24fde75f6e2c3d1c4d7ecbd83ae60c77eedf0c9955de3bd28a461dcf4c663062",
-    "split/s_plus.tsv": "f78739c4dfa27eec2853f937369bfb712e8720fa195076ab7c0cef9df2221542",
-    "split/split_summary.json": "547ea8bf921cf9586e21d38bd241f85758fd9f7b3fd3796a63abd80f0034b396",
+    "split/s_minus.tsv": "c93d12885c599f5d9f77bb711f77637c86575018dff8da83f9894aa054be8c90",
+    "split/s_plus.tsv": "1a53eb4597db206499d3a2cdc2ddfabb74ff05039a99c86d838a3a00c6dc59a0",
+    "split/split_summary.json": "ca7a39e9c4d5c8db7a5e1cddf3ebc0a2e36a0a8cc73b6753cd1e758c26b37c89",
     "ratios/<stdout>": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
-    "ratios/ratios.json": "e76d00fcb16aaeca8e96806fc772652741c42fdd06de956a00f296c68871a3e0",
-    "ratios/ratios.tsv": "193802050c90887440679aebb7f35d7d45b4a10418cc698eea0bae3dac66db39",
+    "ratios/ratios.json": "5aa16d65bc59d9449eed8483e00af596b5504ebd968770fd8f83cfb08d1ebf4f",
+    "ratios/ratios.tsv": "85945d0bfa33e4182fb0343ba8a69e88532bffe3da438a12035e8a040bc4f38f",
     "relscore/<stdout>": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
-    "relscore/relscore.json": "46585bb147082f99663aed05d5ce37c71dc3a9a0e3eb9fc6ccbf98dec873e8d6",
-    "relscore/relscore.tsv": "340c27371bf1588f45052cfaea2feeb01b526845f2107db684b62cca486cbb1e",
+    "relscore/relscore.json": "bbebe55ba979ea37e36de03382174e14f54fbec92c8679dfe6a7afa5df703ac8",
+    "relscore/relscore.tsv": "45ceadbd05dff1ca362e5d2f358039d9d07611576d4fef7ac79b2e93d5caf5da",
     "rates/<stdout>": "1d85422672583eae8ca36d84132a35b342e9c0f3db19e3074cbffa74f1ffaf54",
-    "rates/rates.json": "c69bf6c81d4af0be7616bfc7388ac1fc402b98c509a8d354ebd81b5fc2e890f1",
-    "rates/rates.tsv": "79579861bceffe4c5a7f107f8af042b66a0bd5508c162c15899f9552c81fa965",
+    "rates/rates.json": "cec8e8f25dd948e7b318726093368eb091699e49946658df659741809da93b02",
+    "rates/rates.tsv": "3367e3c6df394504dabe5ec9d0b9ca3641f79a300847f14cb641379c88215564",
     "find/<stdout>": "e0909c2d2f304d9d4dfc660b3d825e75c6f350b72dc78d0bcc2b5f45ad012f30",
-    "find/sentences.json": "1872b14c9c300790f1dfd78ccf4676c41aefaa23175449e67ec9716eb22098d1",
-    "find/sentences.tsv": "822a742462f361042ea1fb298ab721ce476c9c5b0ee9751f379cb7e96cbad815",
+    "find/sentences.json": "921c746b540cf3c1f0e0a0d9ecd12df9da530f3942d6261c2ed3db2611c3dda1",
+    "find/sentences.tsv": "0d73869ceb10a4c3c65a578422a92519d2aedc7e0441ce8aa2442b4ea89ecc6d",
     "graph/<stdout>": "427e8601e3ebdb352b91f417c0b165e5baedfd7bb6b47894ef3b1a74883b8463",
-    "graph/edges.tsv": "1d169a87a3b2c6ed2847dfcd93ab473af2f0cac507ddffbd239d7af9c7b2d7e2",
-    "graph/nodes.tsv": "caf4eb0b37b81feb7e645f96c6f9a5b13964ceed2be650eacfc11681bff45699",
+    "graph/edges.tsv": "8b2be9aeb0dca5c27823364e4b5be180af77b4912f851a4780a0e5bcb7b47aa1",
+    "graph/nodes.tsv": "a3785f7753a54604c71fbe25185916a44a1833412af00cc0712ca12924eaac84",
     "cluster/<stdout>": "5bc9d12d2d1ecc417c87034a68e17a4fdce45715c5e88d5ac21326f236959d77",
-    "cluster/cluster_summary.json": "31713aace8334ffb82b9eddee552e27ecef62d366d2718c913163b476a6ed23e",
-    "cluster/composition.tsv": "174f27547121e66e7edd058124928e4f556a947b59941d100afb1a95d1384906",
-    "cluster/nodes_clustered.tsv": "bb555b81ee858aa4c5e7610b24ec639397b859bd206f79d3ad9bc4909c00dd68",
+    "cluster/cluster_summary.json": "9dc1b35c53ae1eec64ff51624193492dc09ebff0b6fe12226729e10ec14877e1",
+    "cluster/composition.tsv": "8231b6db5270e657dd3457de396b2203f5230f91335fdb5ba691d6fae3a41254",
+    "cluster/nodes_clustered.tsv": "14a1aaf04eb96ce8edcff71ed2db2b14a4828d98ae22e085f07d4800b219577d",
     "rank/<stdout>": "44a49b688db4af176e255c26130830e20bfac34505656e866edc5c6566dd6980",
-    "rank/nodes_ranked.tsv": "ad9c3528d28aed418ec8ca034b33c12e4fcb4a08a527c920747e6b75fd470a99",
+    "rank/nodes_ranked.tsv": "75647df3c7da0b8fa68f23f129bb4db6f9ccc442fdeeb0a75fa458bbd1e75df2",
     "export/<stdout>": "0cf73126d2cb064a2367b345270d7a506718cc8657d3f16830c82c8d48ca6f1d",
-    "export/graph.gexf": "dda254c31432d84a72c6a35299169e05932c9cfcadf110962973f237f0584fe2",
+    "export/graph.gexf": "d25263ad68c10e93c46d115f23acf9e1cb85bd324610e472323780dae00e3e1b",
     "agree/<stdout>": "f7d8759f51e36bf776cb5a90724e6fd96f5f486d3884afa0d6cbfe0232df7dcd",
-    "agree/agreement.json": "cf0fc4dd4612aa336b96cad92dd2a2633603285b58823369ff074762182b28c0",
-    "agree/agreement.tsv": "e8f76cfb583ddaf56c14ba408d209f8999708221e41e87bf6eadeebe48ae1948",
+    "agree/agreement.json": "c882a051db344decaa44783744b3e4839a755b2b2dc5b6dfc326ba905b9f3c36",
+    "agree/agreement.tsv": "b2cd416e3abacf50adfbef38a5e43e08262c7c795cd06a5654b990076333ca79",
     "dataset/<stdout>": "910368d9a19191c384d78d816d883641205e2615e0c4750eedda0528117bddd2",
-    "dataset/dataset.tsv": "7c6540190a777727214e40cee9469d1b94172de385abea85c723030f2db4ccfb",
+    "dataset/dataset.tsv": "4153a9ef38a7d1b4cf611befb32c74d001e6b2b218a8f781288ec8e41c225498",
     "dataset/dataset_features.npy": "483e82698f5407b139139df3bf4bedea63eaa2cc350b9438d35a5fd2339dff7a",
-    "dataset/dataset_summary.json": "324ad89490ba4a49830673232e989a6bef6d69b1ed2d3a79adf597f6ddbfa0a5",
+    "dataset/dataset_summary.json": "83fcd3868d6c3f8e8cd71f04d75b1acbd349acda2720842a75ac974bd34f86e0",
     "train/<stdout>": "76bcbdbecae5b7a3639ea4559178cbd31ffc5aec7e4001932e8e1d193934ebdc",
-    "train/eval.json": "1aea6b6f2811fd40d73c6bcad51cbafcc20846e14aad6c9c9c4552b993376d65",
-    "train/eval.tsv": "7003fae96181fc7a4d41a08e9f4d806f745b17518acbe285edd9336092ca7950",
+    "train/eval.json": "21594e2b560232709dc5e816af61a0d0f9d6bc506a4977f136731da8040cb5a4",
+    "train/eval.tsv": "4dcb7b4a1f1ed141b5bfe1311b31976f3b763169667d91021ab61d63433db963",
     "pca/<stdout>": "6464f85471dbe170833aa4e3cb568ccdd3ad3146e3baae5902701ff2a280ef4c",
-    "pca/pca_loadings.tsv": "998efec1448cf70bbaf87821917ebde9ebcf83f0aebf45d99d6dad3a2addcfa5",
-    "pca/pca_summary.json": "be6468875b83f675359c6b0afa1bd760ba0921570585ab48a81e6c54256e2023",
-    "pca/pca_top_words.tsv": "05c91690a26ad3207c024ccf3ce34ac1ce3493dfdfd7f7a0b082d652ec6cc65e",
+    "pca/pca_loadings.tsv": "a04c3a9efbf3ad8690bdd37717194f89ce45afe6fd9a7f16e9f6c662e0cae88f",
+    "pca/pca_summary.json": "7bfe495b8198b629e5239d9b7f9672baa385c6b743e0f01a35eb03adf1738ba6",
+    "pca/pca_top_words.tsv": "ba717254d80f3c55f2481846c5fbae86b995590d5da36e03a0a45bd3916fb9c3",
     "mds/<stdout>": "07718ab3de4eea9f1f5a2d8ca06cdae93d71cfbee6d2f8115e1279fbf6ac1eb3",
-    "mds/mds_coordinates.tsv": "b328556efbd17dbd92357e753bcd5330b1a1f49be1402f19cedcedbc6224c726",
-    "mds/mds_summary.json": "0afda654d16ce28242ae76019f6d63703b765e5846b55669b11c2ef59d02ba50",
+    "mds/mds_coordinates.tsv": "87bb3252d0278e25203c5b01966081a72f6b56e8b795150f54e66cb9b5e35c72",
+    "mds/mds_summary.json": "2036bbca79f6be0b2fee01e5547a4590f3c875b84a67d788e9bee86459eb7da7",
     "pipeline/<stdout>": "f7cf8047c4448a9edd1e787c665438fe6da5c50e6d53b0eebf589c66b51c083f",
-    "pipeline/candidates.json": "f0b2f8975622c24eb89b78b34471a5b63098e527e0aec7dcfc9c2c9fd9e8e50e",
-    "pipeline/candidates.tsv": "d73cca63e996456031f3707cf07adb050f60cd2c9e1594bd41dffc2ba434aa08",
-    "pipeline/pairs_m1.tsv": "eb92bbb842c9f84674217e0f37d5dfe0978effee32547c8ad7f3554217d11fe2",
-    "pipeline/pairs_m2.tsv": "62dccab25e2c66872e4613487bf21b0be3a5ec73c60a0284aa01241745e5bd6e",
-    "pipeline/skipped_m1.tsv": "96584f2e2784c8e90b735c17fcae8028947c341d0197762da15cd46c4d14bafa",
-    "pipeline/skipped_m2.tsv": "96584f2e2784c8e90b735c17fcae8028947c341d0197762da15cd46c4d14bafa",
+    "pipeline/candidates.json": "dee039c9559213e2b24e33fe9cfaabe29bbd30637dd9629a0aeb7d23ac27cb79",
+    "pipeline/candidates.tsv": "979f60aa2d0b5d37c25eec44199541f2ff8dc13a5e80841740f873ba482dc84a",
+    "pipeline/pairs_m1.tsv": "60a048152425743d502b4c63280a7d715e40e6c16c18e41360e6777e338e1484",
+    "pipeline/pairs_m2.tsv": "bbe9312be6afe3aa38e269d00559e741b44c465cec20fad6b971630c7fd26df7",
+    "pipeline/skipped_m1.tsv": "ec9456834e976112251af9c29dcd511adbd228b9d123bf029315398d47524ada",
+    "pipeline/skipped_m2.tsv": "ec9456834e976112251af9c29dcd511adbd228b9d123bf029315398d47524ada",
+}
+
+CONFIG_DIGESTS = {
+    "expand/pairs_m1.tsv": "10b4865e8507",
+    "expand/pairs_m2.tsv": "a7b6e41a6f98",
+    "expand/skipped_m1.tsv": "a7b6e41a6f98",
+    "expand/skipped_m2.tsv": "a7b6e41a6f98",
+    "intersect/candidates.json": "c0a297cdf5c7",
+    "intersect/candidates.tsv": "2e4e8885c5c9",
+    "score/candidates.json": "db187eac7e67",
+    "score/candidates.tsv": "0320aa41ec34",
+    "split/s_minus.tsv": "a5865cb540b9",
+    "split/s_plus.tsv": "4ee8aefef44c",
+    "split/split_summary.json": "a5865cb540b9",
+    "ratios/ratios.json": "9e22900b7b22",
+    "ratios/ratios.tsv": "89b9504d1333",
+    "relscore/relscore.json": "82b76cbbe1e2",
+    "relscore/relscore.tsv": "0dfb6fe8b79a",
+    "rates/rates.json": "f0b3d9bb8bea",
+    "rates/rates.tsv": "4017cc7d19a6",
+    "find/sentences.json": "b31605f39d75",
+    "find/sentences.tsv": "a376f0698c41",
+    "graph/edges.tsv": "b102fa3ac9d9",
+    "graph/nodes.tsv": "8d57c60af53b",
+    "cluster/cluster_summary.json": "f1da15365f95",
+    "cluster/composition.tsv": "f1da15365f95",
+    "cluster/nodes_clustered.tsv": "9b7e228573a1",
+    "rank/nodes_ranked.tsv": "e7689996deaf",
+    "export/graph.gexf": "772a11000017",
+    "agree/agreement.json": "8cd17afee0bd",
+    "agree/agreement.tsv": "79d3d314c73d",
+    "dataset/dataset.tsv": "40945c63cccf",
+    "dataset/dataset_summary.json": "ebfebfe0e264",
+    "train/eval.json": "e8942cc834a7",
+    "train/eval.tsv": "3fe3ca6b12d6",
+    "pca/pca_loadings.tsv": "e88b1468cefc",
+    "pca/pca_summary.json": "399ec4bd6c37",
+    "pca/pca_top_words.tsv": "399ec4bd6c37",
+    "mds/mds_coordinates.tsv": "61439f12a71d",
+    "mds/mds_summary.json": "1355d35323ef",
+    "pipeline/candidates.json": "348b8ebaa360",
+    "pipeline/candidates.tsv": "348b8ebaa360",
+    "pipeline/pairs_m1.tsv": "48cb1d695ab0",
+    "pipeline/pairs_m2.tsv": "9522b3ce1042",
+    "pipeline/skipped_m1.tsv": "9522b3ce1042",
+    "pipeline/skipped_m2.tsv": "9522b3ce1042",
 }
 
 
-def test_every_artifact_matches_golden_digest(tmp_path, monkeypatch, capsys):
-    monkeypatch.chdir(tmp_path)
-    make_workspace(tmp_path)
-    digests = run_all(tmp_path, capsys)
-    assert sorted(digests) == sorted(EXPECTED)
-    changed = [name for name in EXPECTED if digests[name] != EXPECTED[name]]
+@pytest.fixture(scope="module")
+def golden_run(tmp_path_factory):
+    root = tmp_path_factory.mktemp("golden")
+    cwd = os.getcwd()
+    os.chdir(root)
+    try:
+        make_workspace(root)
+        return run_all(root)
+    finally:
+        os.chdir(cwd)
+
+
+def test_every_artifact_matches_golden_digest(golden_run):
+    masked, _ = golden_run
+    assert sorted(masked) == sorted(EXPECTED)
+    changed = [name for name in EXPECTED if masked[name] != EXPECTED[name]]
     assert not changed, f"artifacts differ from the golden digests: {changed}"
+
+
+def test_every_artifact_carries_its_recorded_config_digest(golden_run):
+    _, configs = golden_run
+    assert {name: sorted(found) for name, found in configs.items()} == {
+        name: [digest] for name, digest in CONFIG_DIGESTS.items()
+    }
