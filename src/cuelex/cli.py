@@ -17,6 +17,7 @@ import traceback
 from dataclasses import asdict
 from datetime import datetime, timezone
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 # Every command is one short process, so OpenBLAS runs in one thread unless the
 # user sets OPENBLAS_NUM_THREADS: a second thread adds tens of milliseconds to
@@ -49,81 +50,108 @@ def main(argv=None) -> int:
 
 
 def _run(argv) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     if args.command is None:
         raise InputError("missing subcommand (see --help)")
-    config = _load_config(args.config)
-    ctx = _Context(args, config)
+    ctx = _Context(args, _load_config(args.config))
     return _DISPATCH[args.command](ctx)
 
 
+class _Flag(NamedTuple):
+    """One setting: the ``--flag`` of every command that declares it, and its config-file key."""
+
+    type: type  # str, int, float, bool (a switch) or list (a repeatable flag)
+    default: object = None
+    help: str = ""
+    minimum: int | None = None
+
+
+FLAGS = {
+    "config": _Flag(str, None, "JSON config file; flags override its values"),
+    "out": _Flag(str, None, "output directory"),
+    "rng_seed": _Flag(int, 0, "seed for all randomness", 0),
+    "threads": _Flag(int, 1, "accepted for compatibility; no effect", 1),
+    "reproducible": _Flag(bool, False, "omit timestamps so reruns are byte-identical"),
+    "model": _Flag(list, [], 'embedding model as "name=path"'),
+    "model_format": _Flag(list, [], '"binary" (the default), "text", or "name=format" per model'),
+    "seeds": _Flag(str, None, "seed lexicon file (default: bundled list)"),
+    "k": _Flag(int, 50, "neighbors per seed", 1),
+    "no_fold_case": _Flag(bool, False, "keep case variants apart in retrieval"),
+    "corpus": _Flag(str, None, "corpus (JSON-lines file or directory of .txt)"),
+    "pairs": _Flag(list, [], "pairs TSV"),
+    "candidates": _Flag(str, None, "candidate JSON file"),
+    "indicators": _Flag(
+        list, list(corpus_mod.DEFAULT_CONSENSUS_QUERY), "comma-separated patterns or @file"
+    ),
+    "balance": _Flag(bool, False, "down-sample the larger of S+ / S- to the smaller's size"),
+    "words": _Flag(list, [], "words or patterns (comma-separated or @file)"),
+    "collection": _Flag(str, None, "corpus path treated as one collection"),
+    "group": _Flag(str, None, "collection name (default: path stem)"),
+    "baseline": _Flag(str, "knowledge", "baseline word"),
+    "groups": _Flag(str, None, "JSON manifest mapping group id to corpus path"),
+    "query": _Flag(list, list(corpus_mod.DEFAULT_CONSENSUS_QUERY), "query patterns"),
+    "cues": _Flag(list, [], "cue patterns (comma-separated or @file)"),
+    "limit": _Flag(int, 10, "max sentences per cue", 1),
+    "statuses": _Flag(str, None, "annotations CSV used to mark accepted/rejected"),
+    "nodes": _Flag(str, None, "node TSV"),
+    "edges": _Flag(str, None, "edge TSV"),
+    "resolution": _Flag(float, 1.0, "modularity resolution"),
+    "damping": _Flag(float, 0.85, "PageRank damping factor"),
+    "annotations": _Flag(str, None, "CSV with header word,judge1,judge2"),
+    "include_seeds": _Flag(bool, False, "add the seed words as positive examples"),
+    "n_unrelated": _Flag(int, 100, "unrelated words sampled as negatives", 0),
+    "max_sim": _Flag(float, 0.2, "max similarity of an unrelated word to any seed"),
+    "dataset": _Flag(str, None, "dataset TSV written by the dataset subcommand"),
+    "classifiers": _Flag(str, "knn:k=3,gaussian_nb,logistic_sgd,mlp", "classifier specs"),
+    "folds": _Flag(int, 10, "cross-validation folds", 2),
+    "matrix": _Flag(str, None, "score matrix TSV"),
+    "components": _Flag(int, 7, "principal components", 1),
+    "no_standardize": _Flag(bool, False, "keep the columns' own scales"),
+    "top": _Flag(int, 10, "words per component in the report", 0),
+    "p": _Flag(float, 2.0, "Minkowski exponent"),
+    "dims": _Flag(int, 2, "output dimensions", 1),
+    "max_iter": _Flag(int, 500, "SMACOF iterations", 0),
+}
+_COMMON = ("config", "out", "rng_seed", "threads", "reproducible")
+_BOUNDS = {0: "non-negative", 1: "positive"}  # how a minimum reads in an error
+# keys left out of the config digest: identical runs into different output
+# directories must produce byte-identical artifacts
+_NOT_DIGESTED = ("config", "out")
+
+
 class _Context:
-    """Resolved configuration: CLI flags override config-file values."""
+    """One run's configuration, resolved in full before any input is read.
+
+    Every key of the command becomes an attribute: a flag wins over the config
+    file, which wins over the default in ``FLAGS``.  Each value is cast, then
+    checked against its minimum, and every required key must be set.  The
+    config digest hashes the command and every effective value but ``out`` and
+    ``config``, so every artifact of one run carries the same digest.
+    """
 
     def __init__(self, args, config):
-        self.args = args
-        self.config = config
-        self.resolved: dict = {"command": args.command}
-
-    def get(self, key, default=None):
-        value = getattr(self.args, key, None)
-        if value is None:
-            value = self.config.get(key, default)
-        self.resolved[key] = _jsonable(value)
-        return value
-
-    def get_as(self, key, default, cast):
-        """The value cast to a number; ``default`` only when neither flag nor config sets it.
-
-        Zero is a value like any other: the operation that receives it decides
-        whether it is in range.
-        """
-        value = self.get(key, default)
-        if value is None:
-            return default
-        try:
-            return cast(value)
-        except (TypeError, ValueError):
-            raise InputError(f"{key}: expected {cast.__name__}, got {value!r}") from None
-
-    def get_list(self, key) -> list:
-        """A repeatable flag's values; a config file may give one string instead of a list."""
-        value = self.get(key) or []
-        return [value] if isinstance(value, str) else value
-
-    @property
-    def rng_seed(self) -> int:
-        seed = self.get_as("rng_seed", 0, int)
-        if seed < 0:
-            raise InputError(f"rng_seed must be non-negative, got {seed}")
-        return seed
-
-    @property
-    def reproducible(self) -> bool:
-        return bool(self.get("reproducible", False))
-
-    @property
-    def threads(self) -> int:
-        threads = self.get_as("threads", 1, int)
-        if threads < 1:
-            raise InputError(f"threads must be at least 1, got {threads}")
-        return threads
+        command = _COMMANDS[args.command]
+        values = {"command": args.command}
+        for key in (*_COMMON, *command.keys.split()):
+            flag = FLAGS[key]
+            value = getattr(args, key)
+            value = _cast(key, flag.type, config.get(key, flag.default) if value is None else value)
+            if flag.minimum is not None and value < flag.minimum:
+                bound = _BOUNDS.get(flag.minimum, f"at least {flag.minimum}")
+                raise InputError(f"{key} must be {bound}, got {value}")
+            values[key] = value
+        for key in command.required.split():
+            if values[key] in (None, "", []):
+                raise InputError(f"--{key.replace('_', '-')} is required: {FLAGS[key].help}")
+        self.__dict__.update(values)
+        digested = {k: v for k, v in values.items() if k not in _NOT_DIGESTED}
+        blob = json.dumps(digested, sort_keys=True).encode()
+        self.digest = hashlib.sha256(blob).hexdigest()[:12]
 
     def out_dir(self) -> Path:
-        out = self.get("out")
-        if not out:
-            raise InputError("--out directory is required for this subcommand")
-        path = Path(out)
+        path = Path(self.out)
         path.mkdir(parents=True, exist_ok=True)
         return path
-
-    def digest(self) -> str:
-        # the output directory is not an input: identical runs into different
-        # directories must produce byte-identical artifacts
-        resolved = {k: v for k, v in self.resolved.items() if k != "out"}
-        blob = json.dumps(resolved, sort_keys=True).encode()
-        return hashlib.sha256(blob).hexdigest()[:12]
 
     def header_lines(self) -> list[str]:
         """``meta()`` as the metadata lines above a TSV header."""
@@ -137,29 +165,27 @@ class _Context:
         return lines
 
     def meta(self) -> dict:
-        meta = {
-            "version": __version__,
-            "config_digest": self.digest(),
-            "rng_seed": self.rng_seed,
-        }
+        meta = {"version": __version__, "config_digest": self.digest, "rng_seed": self.rng_seed}
         if not self.reproducible:
             meta["generated"] = datetime.now(timezone.utc).isoformat()
         return meta
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
-
-
-def _jsonable(value):
-    if isinstance(value, Path):
-        return str(value)
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    return value
+def _cast(key, kind, value):
+    """``value`` as ``kind``; a config file may give one string for a repeatable flag."""
+    if value is None or kind is bool:
+        return value if value is None else bool(value)
+    if kind is list and isinstance(value, str):
+        return [value]
+    if kind in (str, list):
+        if isinstance(value, kind) and all(isinstance(v, str) for v in value):
+            return value
+    else:
+        try:
+            return kind(value)
+        except (TypeError, ValueError):
+            pass
+    raise InputError(f"{key}: expected {kind.__name__}, got {value!r}")
 
 
 def _load_config(path):
@@ -168,6 +194,9 @@ def _load_config(path):
     config = tables.read_json(path, "config")
     if not isinstance(config, dict):
         raise InputError(f"{path}: config must be a JSON object")
+    unknown = sorted(set(config) - set(FLAGS))
+    if unknown:
+        raise InputError(f"{path}: unknown config key {', '.join(map(repr, unknown))}")
     return config
 
 
@@ -175,128 +204,19 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="cuelex", description=__doc__)
     parser.add_argument("--version", action="version", version=f"cuelex {__version__}")
     sub = parser.add_subparsers(dest="command")
-
-    def common(p):
-        p.add_argument("--config", help="JSON config file; flags override its values")
-        p.add_argument("--out", help="output directory")
-        p.add_argument("--rng-seed", dest="rng_seed", type=int, help="seed for all randomness")
-        p.add_argument("--threads", type=_positive_int, help="accepted for compatibility; no effect")
-        p.add_argument(
-            "--reproducible", action="store_const", const=True,
-            help="omit timestamps so reruns are byte-identical",
-        )
-
-    def add(name, help_text):
-        p = sub.add_parser(name, help=help_text)
-        common(p)
-        return p
-
-    p = add("expand", "retrieve top-k neighbors of every seed from each model")
-    _model_flags(p)
-    p.add_argument("--seeds", help="seed lexicon file (default: bundled list)")
-    p.add_argument("--k", type=int, help="neighbors per seed (default 50)")
-    p.add_argument("--no-fold-case", dest="no_fold_case", action="store_const", const=True)
-
-    p = add("intersect", "keep candidates retrieved by every pairs file")
-    p.add_argument("--pairs", action="append", help="pairs TSV (repeat, two or more)")
-    p.add_argument("--seeds", help="seed lexicon file (default: bundled list)")
-
-    p = add("score", "attach PMI and TF-IDF metadata to candidates")
-    p.add_argument("--candidates", help="candidate JSON file")
-    p.add_argument("--corpus", help="corpus (JSON-lines file or directory of .txt)")
-    p.add_argument("--seeds", help="seed lexicon file (default: bundled list)")
-
-    p = add("split", "partition corpus sentences into S+ / S- by indicators")
-    p.add_argument("--corpus", help="corpus path")
-    p.add_argument("--indicators", help="comma-separated patterns or @file")
-    p.add_argument("--balance", action="store_const", const=True)
-
-    p = add("ratios", "per-word S+ vs S- frequency table")
-    p.add_argument("--corpus", help="corpus path")
-    p.add_argument("--indicators", help="comma-separated patterns or @file")
-    p.add_argument("--words", help="words to tabulate (comma-separated or @file)")
-
-    p = add("relscore", "document-hit scores relative to a baseline word")
-    p.add_argument("--collection", help="corpus path treated as one collection")
-    p.add_argument("--group", help="collection name (default: path stem)")
-    p.add_argument("--words", help="words to score (comma-separated or @file)")
-    p.add_argument("--baseline", help='baseline word (default "knowledge")')
-
-    p = add("rates", "per-group fraction of items matching the query")
-    p.add_argument("--groups", help="JSON manifest mapping group id to corpus path")
-    p.add_argument("--query", help="query patterns (default: consensus-failure five)")
-
-    p = add("find", "retrieve sentences containing cue words")
-    p.add_argument("--corpus", help="corpus path")
-    p.add_argument("--cues", help="cue patterns (comma-separated or @file)")
-    p.add_argument("--limit", type=int, help="max sentences per cue (default 10)")
-
-    p = add("graph", "build the cue similarity network from pairs files")
-    p.add_argument("--pairs", action="append", help="pairs TSV (repeatable)")
-    p.add_argument("--seeds", help="seed lexicon file (default: bundled list)")
-    p.add_argument("--statuses", help="annotations CSV used to mark accepted/rejected")
-
-    p = add("cluster", "Louvain-cluster a graph read from node/edge TSVs")
-    p.add_argument("--nodes", help="node TSV")
-    p.add_argument("--edges", help="edge TSV")
-    p.add_argument("--resolution", type=float, help="modularity resolution (default 1.0)")
-
-    p = add("rank", "PageRank scores for a graph read from node/edge TSVs")
-    p.add_argument("--nodes", help="node TSV")
-    p.add_argument("--edges", help="edge TSV")
-    p.add_argument("--damping", type=float, help="damping factor (default 0.85)")
-
-    p = add("export", "write GEXF from node/edge TSVs")
-    p.add_argument("--nodes", help="node TSV")
-    p.add_argument("--edges", help="edge TSV")
-
-    p = add("agree", "two-judge agreement statistics from an annotations CSV")
-    p.add_argument("--annotations", help="CSV with header word,judge1,judge2")
-
-    p = add("dataset", "build a labeled training set from annotations and models")
-    _model_flags(p)
-    p.add_argument("--annotations", help="CSV with header word,judge1,judge2")
-    p.add_argument("--seeds", help="seed lexicon file (default: bundled list)")
-    p.add_argument("--include-seeds", dest="include_seeds", action="store_const", const=True)
-    p.add_argument("--n-unrelated", dest="n_unrelated", type=int, help="default 100")
-    p.add_argument("--max-sim", dest="max_sim", type=float, help="default 0.2")
-
-    p = add("train", "cross-validate classifiers on a built dataset")
-    p.add_argument("--dataset", help="dataset TSV written by the dataset subcommand")
-    p.add_argument("--classifiers", help='e.g. "knn:k=3,gaussian_nb,logistic_sgd,mlp"')
-    p.add_argument("--folds", type=int, help="default 10")
-
-    p = add("pca", "principal components of a word-by-collection score matrix")
-    p.add_argument("--matrix", help="score matrix TSV")
-    p.add_argument("--components", type=int, help="default 7")
-    p.add_argument("--no-standardize", dest="no_standardize", action="store_const", const=True)
-    p.add_argument("--top", type=int, help="words per component in the report (default 10)")
-
-    p = add("mds", "metric MDS of the collections in a score matrix")
-    p.add_argument("--matrix", help="score matrix TSV")
-    p.add_argument("--p", type=float, help="Minkowski exponent (default 2)")
-    p.add_argument("--dims", type=int, help="default 2")
-    p.add_argument("--max-iter", dest="max_iter", type=int, help="default 500")
-
-    p = add("pipeline", "expand -> intersect -> score, emitting the review file")
-    _model_flags(p)
-    p.add_argument("--seeds", help="seed lexicon file (default: bundled list)")
-    p.add_argument("--k", type=int, help="neighbors per seed (default 50)")
-    p.add_argument("--no-fold-case", dest="no_fold_case", action="store_const", const=True)
-    p.add_argument("--corpus", help="optional scoring corpus")
-
+    for name, command in _COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
+        for key in (*_COMMON, *command.keys.split()):
+            flag = FLAGS[key]
+            help_text = flag.help + (" (repeatable)" if flag.type is list else "")
+            if flag.type is not bool and flag.default not in (None, []):
+                shown = ",".join(flag.default) if flag.type is list else flag.default
+                help_text += f" (default {shown})"
+            kwargs = {"action": "store_const", "const": True} if flag.type is bool else {}
+            if flag.type is list:
+                kwargs["action"] = "append"
+            p.add_argument(f"--{key.replace('_', '-')}", dest=key, help=help_text, **kwargs)
     return parser
-
-
-def _model_flags(p):
-    p.add_argument(
-        "--model", action="append",
-        help='embedding model as "name=path" (repeatable)',
-    )
-    p.add_argument(
-        "--model-format", dest="model_format", action="append",
-        help='"binary", "text", or "name=format" per model (default binary)',
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -306,66 +226,41 @@ def _model_flags(p):
 def _load_models(ctx) -> list:
     from .embeddings import load_model
 
-    specs = ctx.get_list("model")
-    if not specs:
-        raise InputError("at least one --model name=path is required")
-    default_format = "binary"
-    per_name: dict[str, str] = {}
-    for f in ctx.get_list("model_format"):
-        if "=" in f:
-            name, fmt = f.split("=", 1)
-            per_name[name] = fmt
-        else:
-            default_format = f
+    # a bare format applies to every model without a "name=format" of its own
+    formats = dict(f.split("=", 1) if "=" in f else ("", f) for f in ctx.model_format)
     models = []
-    for spec in specs:
+    for spec in ctx.model:
         if "=" not in spec:
             raise InputError(f'--model must look like "name=path", got {spec!r}')
         name, path = spec.split("=", 1)
-        models.append(load_model(path, per_name.get(name, default_format), name=name))
+        models.append(load_model(path, formats.get(name, formats.get("", "binary")), name=name))
     return models
 
 
 def _load_lexicon(ctx):
-    path = ctx.get("seeds")
-    if path:
-        return expansion.load_seed_lexicon(path)
+    if ctx.seeds:
+        return expansion.load_seed_lexicon(ctx.seeds)
     return expansion.default_seed_lexicon()
 
 
 def _patterns_arg(value, what: str) -> list[str]:
-    if not value:
-        raise InputError(f"missing {what}")
-    if isinstance(value, (list, tuple)):
-        return [str(v) for v in value]
-    value = str(value)
-    if value.startswith("@"):
-        path = Path(value[1:])
+    """Patterns from comma-separated lists and ``@file`` word lists (one pattern a line)."""
+    out = []
+    for chunk in [value] if isinstance(value, str) else value:
+        if not chunk.startswith("@"):
+            out += [w.strip() for w in chunk.split(",") if w.strip()]
+            continue
+        path = Path(chunk[1:])
         if not path.is_file():
             raise InputError(f"{what} file not found: {path}")
-        out = []
-        for line in path.read_text(encoding="utf-8").splitlines():
-            line = expansion.COMMENT.sub("", line).strip()
-            if line:
-                out.append(line)
-        if not out:
+        lines = path.read_text(encoding="utf-8").splitlines()
+        patterns = [p for p in (expansion.COMMENT.sub("", ln).strip() for ln in lines) if p]
+        if not patterns:
             raise InputError(f"{what} file is empty: {path}")
-        return out
-    out = [w.strip() for w in value.split(",") if w.strip()]
+        out += patterns
     if not out:
         raise InputError(f"empty {what}")
     return out
-
-
-def _require(ctx, key, what):
-    value = ctx.get(key)
-    if not value:
-        raise InputError(f"--{key.replace('_', '-')} is required: {what}")
-    return value
-
-
-def _load(ctx, key="corpus"):
-    return corpus_mod.load_corpus(_require(ctx, key, "corpus path"))
 
 
 # ---------------------------------------------------------------------------
@@ -394,12 +289,9 @@ def _emit(ctx, stem, columns, rows, decimals=6, **extra) -> None:
 
 def _expand_each(ctx, models, lexicon):
     """Yield (model, expansion result) per model after writing its pairs and skipped forms."""
-    k = ctx.get_as("k", 50, int)
-    fold = not bool(ctx.get("no_fold_case", False))
     out = ctx.out_dir()
-    _ = ctx.threads  # validated and in the config digest, though search runs in one thread
     for model in models:
-        result = expansion.expand(model, lexicon, k=k, fold_case=fold)
+        result = expansion.expand(model, lexicon, k=ctx.k, fold_case=not ctx.no_fold_case)
         expansion.write_pairs(out / f"pairs_{model.name}.tsv", result.pairs, ctx.header_lines())
         _write_tsv(ctx, f"skipped_{model.name}.tsv", ("seed", "model_form"), result.skipped)
         yield model, result
@@ -420,13 +312,12 @@ def _cmd_expand(ctx) -> int:
 
 
 def _cmd_intersect(ctx) -> int:
-    paths = ctx.get_list("pairs")
-    if len(paths) < 2:
+    if len(ctx.pairs) < 2:
         raise InputError("intersect needs at least two --pairs files")
     lexicon = _load_lexicon(ctx)
-    cset = _common_candidates([expansion.read_pairs(path) for path in paths], lexicon)
+    cset = _common_candidates([expansion.read_pairs(path) for path in ctx.pairs], lexicon)
     _write_candidates(ctx, cset)
-    print(f"{len(cset)} candidates common to {len(paths)} models")
+    print(f"{len(cset)} candidates common to {len(ctx.pairs)} models")
     return 0
 
 
@@ -449,8 +340,8 @@ def _write_candidates(ctx, cset) -> None:
 
 
 def _cmd_score(ctx) -> int:
-    cset = expansion.read_candidate_set(_require(ctx, "candidates", "candidate JSON"))
-    corpus = _load(ctx)
+    cset = expansion.read_candidate_set(ctx.candidates)
+    corpus = corpus_mod.load_corpus(ctx.corpus)
     lexicon = _load_lexicon(ctx)
     scored = expansion.score_candidates(cset, corpus, lexicon)
     _write_candidates(ctx, scored)
@@ -460,17 +351,12 @@ def _cmd_score(ctx) -> int:
 
 
 def _split_from_ctx(ctx, corpus):
-    indicators = _patterns_arg(
-        ctx.get("indicators") or ",".join(corpus_mod.DEFAULT_CONSENSUS_QUERY), "indicators"
-    )
-    return corpus_mod.split_corpus(
-        corpus, indicators, balance=bool(ctx.get("balance", False)), rng_seed=ctx.rng_seed
-    )
+    indicators = _patterns_arg(ctx.indicators, "indicators")
+    return corpus_mod.split_corpus(corpus, indicators, balance=ctx.balance, rng_seed=ctx.rng_seed)
 
 
 def _cmd_split(ctx) -> int:
-    corpus = _load(ctx)
-    split = _split_from_ctx(ctx, corpus)
+    split = _split_from_ctx(ctx, corpus_mod.load_corpus(ctx.corpus))
     for name, sentences in (("s_plus", split.s_plus), ("s_minus", split.s_minus)):
         rows = ((s.doc_id, s.index, s.text) for s in sentences)
         _write_tsv(ctx, f"{name}.tsv", ("doc_id", "index", "sentence"), rows)
@@ -489,9 +375,8 @@ def _cmd_split(ctx) -> int:
 
 
 def _cmd_ratios(ctx) -> int:
-    corpus = _load(ctx)
-    split = _split_from_ctx(ctx, corpus)
-    words = _patterns_arg(ctx.get("words"), "words")
+    split = _split_from_ctx(ctx, corpus_mod.load_corpus(ctx.corpus))
+    words = _patterns_arg(ctx.words, "words")
     rows = [asdict(r) for r in corpus_mod.ratio_table(words, split)]
     columns = ("word", "n_plus", "pct_plus", "n_minus", "pct_minus", "ratio")
     _emit(ctx, "ratios", columns, rows, 3)
@@ -499,23 +384,19 @@ def _cmd_ratios(ctx) -> int:
 
 
 def _cmd_relscore(ctx) -> int:
-    path = _require(ctx, "collection", "corpus path")
-    group = ctx.get("group") or Path(path).stem
-    collection = corpus_mod.collection_from_corpus(group, corpus_mod.load_corpus(path))
-    words = _patterns_arg(ctx.get("words"), "words")
-    baseline = ctx.get("baseline") or "knowledge"
-    scores = corpus_mod.relative_scores(collection, words, baseline)
+    group = ctx.group or Path(ctx.collection).stem
+    collection = corpus_mod.collection_from_corpus(group, corpus_mod.load_corpus(ctx.collection))
+    words = _patterns_arg(ctx.words, "words")
+    scores = corpus_mod.relative_scores(collection, words, ctx.baseline)
     rows = ((w, tables.cell(s, 4)) for w, s in scores.items())
     _write_tsv(ctx, "relscore.tsv", ("word", "score"), rows)
-    _write_json(ctx, "relscore.json", {"group": group, "baseline": baseline, "scores": scores})
+    _write_json(ctx, "relscore.json", {"group": group, "baseline": ctx.baseline, "scores": scores})
     return 0
 
 
 def _cmd_rates(ctx) -> int:
-    groups = corpus_mod.load_collections(_require(ctx, "groups", "group manifest"))
-    query = _patterns_arg(
-        ctx.get("query") or ",".join(corpus_mod.DEFAULT_CONSENSUS_QUERY), "query"
-    )
+    groups = corpus_mod.load_collections(ctx.groups)
+    query = _patterns_arg(ctx.query, "query")
     rows = corpus_mod.uncertainty_rate(groups, query)
     columns = ("group", "matched", "total", "rate")
     _emit(ctx, "rates", columns, [asdict(r) for r in rows], query=query)
@@ -525,10 +406,8 @@ def _cmd_rates(ctx) -> int:
 
 
 def _cmd_find(ctx) -> int:
-    corpus = _load(ctx)
-    cues = _patterns_arg(ctx.get("cues"), "cues")
-    limit = ctx.get_as("limit", 10, int)
-    matches = corpus_mod.find_sentences(corpus, cues, limit)
+    corpus = corpus_mod.load_corpus(ctx.corpus)
+    matches = corpus_mod.find_sentences(corpus, _patterns_arg(ctx.cues, "cues"), ctx.limit)
     rows = [
         {"doc_id": m.doc_id, "index": m.index, "matched": m.matched, "sentence": m.text}
         for m in matches
@@ -551,15 +430,9 @@ def _statuses_from_annotations(path) -> dict[str, str]:
 
 
 def _cmd_graph(ctx) -> int:
-    paths = ctx.get_list("pairs")
-    if not paths:
-        raise InputError("graph needs at least one --pairs file")
-    pairs = [p for path in paths for p in expansion.read_pairs(path)]
+    pairs = [p for path in ctx.pairs for p in expansion.read_pairs(path)]
     lexicon = _load_lexicon(ctx)
-    statuses = {}
-    ann_path = ctx.get("statuses")
-    if ann_path:
-        statuses = _statuses_from_annotations(ann_path)
+    statuses = _statuses_from_annotations(ctx.statuses) if ctx.statuses else {}
     g = graph_mod.build(pairs, lexicon, statuses)
     out = ctx.out_dir()
     graph_mod.export_node_tsv(out / "nodes.tsv", g, header_lines=ctx.header_lines())
@@ -568,16 +441,9 @@ def _cmd_graph(ctx) -> int:
     return 0
 
 
-def _load_graph(ctx):
-    nodes = _require(ctx, "nodes", "node TSV")
-    edges = _require(ctx, "edges", "edge TSV")
-    return graph_mod.load_graph_tsv(nodes, edges)
-
-
 def _cmd_cluster(ctx) -> int:
-    g, _, ranks = _load_graph(ctx)
-    resolution = ctx.get_as("resolution", 1.0, float)
-    partition = graph_mod.louvain(g, resolution=resolution, rng_seed=ctx.rng_seed)
+    g, _, ranks = graph_mod.load_graph_tsv(ctx.nodes, ctx.edges)
+    partition = graph_mod.louvain(g, resolution=ctx.resolution, rng_seed=ctx.rng_seed)
     q = graph_mod.modularity(g, partition)
     out = ctx.out_dir()
     graph_mod.export_node_tsv(
@@ -604,9 +470,8 @@ def _cmd_cluster(ctx) -> int:
 
 
 def _cmd_rank(ctx) -> int:
-    g, partition, _ = _load_graph(ctx)
-    damping = ctx.get_as("damping", 0.85, float)
-    ranks = graph_mod.pagerank(g, damping=damping)
+    g, partition, _ = graph_mod.load_graph_tsv(ctx.nodes, ctx.edges)
+    ranks = graph_mod.pagerank(g, damping=ctx.damping)
     out = ctx.out_dir()
     graph_mod.export_node_tsv(
         out / "nodes_ranked.tsv", g, partition, ranks, header_lines=ctx.header_lines()
@@ -618,7 +483,7 @@ def _cmd_rank(ctx) -> int:
 
 
 def _cmd_export(ctx) -> int:
-    g, partition, ranks = _load_graph(ctx)
+    g, partition, ranks = graph_mod.load_graph_tsv(ctx.nodes, ctx.edges)
     out = ctx.out_dir()
     graph_mod.export_gexf(out / "graph.gexf", g, partition, ranks, meta_lines=ctx.header_lines())
     print(f"wrote {out / 'graph.gexf'}")
@@ -626,14 +491,13 @@ def _cmd_export(ctx) -> int:
 
 
 def _cmd_agree(ctx) -> int:
-    annotations = classify.load_annotations(_require(ctx, "annotations", "annotations CSV"))
-    report = classify.agreement(annotations)
+    report = classify.agreement(classify.load_annotations(ctx.annotations))
     print(f"n\t{report.total}")
     print(f"counts\tpp={report.n_pp} pn={report.n_pn} np={report.n_np} nn={report.n_nn}")
     print(f"percent_agreement\t{report.percent_agreement:.4f}")
     print(f"kappa\t{report.kappa:.4f}")
     print(f"band\t{report.band}")
-    if ctx.get("out"):
+    if ctx.out:
         counts = {"pp": report.n_pp, "pn": report.n_pn, "np": report.n_np, "nn": report.n_nn}
         _write_tsv(
             ctx,
@@ -669,20 +533,16 @@ DATASET_COLUMNS = ("word", "label", "oov_flags")
 def _cmd_dataset(ctx) -> int:
     models = _load_models(ctx)
     lexicon = _load_lexicon(ctx)
-    annotations = classify.load_annotations(_require(ctx, "annotations", "annotations CSV"))
+    annotations = classify.load_annotations(ctx.annotations)
     accepted = [a.word for a in annotations if a.judge1 == "pos" and a.judge2 == "pos"]
     rejected = [a.word for a in annotations if a.judge1 == "neg" and a.judge2 == "neg"]
-    n_unrelated = ctx.get_as("n_unrelated", 100, int)
-    max_sim = ctx.get_as("max_sim", 0.2, float)
-    exclude = [a.word for a in annotations]
     unrelated = classify.sample_unrelated(
-        models[0], lexicon, n=n_unrelated, max_sim=max_sim, rng_seed=ctx.rng_seed,
-        exclude=exclude,
+        models[0], lexicon, n=ctx.n_unrelated, max_sim=ctx.max_sim, rng_seed=ctx.rng_seed,
+        exclude=[a.word for a in annotations],
     )
-    seeds = sorted(lexicon.folded_words()) if ctx.get("include_seeds") else ()
+    seeds = sorted(lexicon.folded_words()) if ctx.include_seeds else ()
     build = classify.build_dataset(
-        accepted, rejected, unrelated, models,
-        seeds=seeds, include_seeds=bool(ctx.get("include_seeds", False)),
+        accepted, rejected, unrelated, models, seeds=seeds, include_seeds=ctx.include_seeds
     )
     out = ctx.out_dir()
     features = np.vstack([ex.features for ex in build.examples]).astype(np.float32)
@@ -709,7 +569,7 @@ def _cmd_dataset(ctx) -> int:
 
 
 def _load_dataset(ctx):
-    path = Path(_require(ctx, "dataset", "dataset TSV"))
+    path = Path(ctx.dataset)
     features_path = path.parent / "dataset_features.npy"
     if not features_path.is_file():
         raise InputError(f"missing feature matrix next to dataset: {features_path}")
@@ -729,9 +589,8 @@ def _load_dataset(ctx):
 
 def _cmd_train(ctx) -> int:
     dataset = _load_dataset(ctx)
-    spec_text = ctx.get("classifiers") or "knn:k=3,gaussian_nb,logistic_sgd,mlp"
     spec_parts: list[str] = []
-    for chunk in str(spec_text).split(","):
+    for chunk in ctx.classifiers.split(","):
         chunk = chunk.strip()
         if not chunk:
             continue
@@ -741,8 +600,7 @@ def _cmd_train(ctx) -> int:
         else:
             spec_parts.append(chunk)
     specs = [classify.parse_classifier_spec(s) for s in spec_parts]
-    k = ctx.get_as("folds", 10, int)
-    folds = classify.kfold(dataset, k=k, rng_seed=ctx.rng_seed)
+    folds = classify.kfold(dataset, k=ctx.folds, rng_seed=ctx.rng_seed)
     reports = [classify.train_eval(dataset, spec, folds, rng_seed=ctx.rng_seed) for spec in specs]
     _write_tsv(
         ctx,
@@ -765,7 +623,7 @@ def _cmd_train(ctx) -> int:
         ctx,
         "eval.json",
         {
-            "folds": k,
+            "folds": ctx.folds,
             "reports": [
                 {
                     "classifier": r.classifier,
@@ -790,11 +648,10 @@ def _cmd_train(ctx) -> int:
 
 
 def _cmd_pca(ctx) -> int:
-    matrix = reduce_mod.load_score_matrix(_require(ctx, "matrix", "score matrix TSV"))
-    n_components = ctx.get_as("components", 7, int)
-    standardize = not bool(ctx.get("no_standardize", False))
-    result = reduce_mod.pca(matrix, n_components=n_components, standardize=standardize)
-    comp_names = [f"F{i + 1}" for i in range(n_components)]
+    matrix = reduce_mod.load_score_matrix(ctx.matrix)
+    standardize = not ctx.no_standardize
+    result = reduce_mod.pca(matrix, n_components=ctx.components, standardize=standardize)
+    comp_names = [f"F{i + 1}" for i in range(ctx.components)]
     _write_tsv(
         ctx,
         "pca_loadings.tsv",
@@ -804,11 +661,10 @@ def _cmd_pca(ctx) -> int:
             for label, row in zip(result.row_labels, result.loadings)
         ),
     )
-    top = ctx.get_as("top", 10, int)
     rows = []
-    for j in range(n_components):
-        for rank, (word, loading) in enumerate(result.top_words(j, top), 1):
-            rows.append((comp_names[j], rank, word, f"{loading:.6f}"))
+    for j, name in enumerate(comp_names):
+        for rank, (word, loading) in enumerate(result.top_words(j, ctx.top), 1):
+            rows.append((name, rank, word, f"{loading:.6f}"))
     _write_tsv(ctx, "pca_top_words.tsv", ("component", "rank", "word", "loading"), rows)
     _write_json(
         ctx,
@@ -827,13 +683,8 @@ def _cmd_pca(ctx) -> int:
 
 
 def _cmd_mds(ctx) -> int:
-    matrix = reduce_mod.load_score_matrix(_require(ctx, "matrix", "score matrix TSV"))
-    result = reduce_mod.mds(
-        matrix,
-        p=ctx.get_as("p", 2.0, float),
-        dims=ctx.get_as("dims", 2, int),
-        max_iter=ctx.get_as("max_iter", 500, int),
-    )
+    matrix = reduce_mod.load_score_matrix(ctx.matrix)
+    result = reduce_mod.mds(matrix, p=ctx.p, dims=ctx.dims, max_iter=ctx.max_iter)
     dim_names = [f"dim{i + 1}" for i in range(result.coordinates.shape[1])]
     _write_tsv(
         ctx,
@@ -858,9 +709,9 @@ def _cmd_mds(ctx) -> int:
 
 
 def _cmd_pipeline(ctx) -> int:
-    models = _load_models(ctx)
-    if len(models) < 2:
+    if len(ctx.model) < 2:
         raise InputError("pipeline needs at least two models to intersect")
+    models = _load_models(ctx)
     lexicon = _load_lexicon(ctx)
     pair_lists = []
     for model, result in _expand_each(ctx, models, lexicon):
@@ -868,34 +719,61 @@ def _cmd_pipeline(ctx) -> int:
         n_distinct = len(expansion.distinct_candidates(result.pairs))
         print(f"{model.name}: {len(result.pairs)} pairs, {n_distinct} distinct candidates")
     cset = _common_candidates(pair_lists, lexicon)
-    corpus_path = ctx.get("corpus")
-    if corpus_path:
-        cset = expansion.score_candidates(cset, corpus_mod.load_corpus(corpus_path), lexicon)
+    if ctx.corpus:
+        cset = expansion.score_candidates(cset, corpus_mod.load_corpus(ctx.corpus), lexicon)
     _write_candidates(ctx, cset)
     print(f"{len(cset)} candidates ready for review in {ctx.out_dir() / 'candidates.json'}")
     return 0
 
 
-_DISPATCH = {
-    "expand": _cmd_expand,
-    "intersect": _cmd_intersect,
-    "score": _cmd_score,
-    "split": _cmd_split,
-    "ratios": _cmd_ratios,
-    "relscore": _cmd_relscore,
-    "rates": _cmd_rates,
-    "find": _cmd_find,
-    "graph": _cmd_graph,
-    "cluster": _cmd_cluster,
-    "rank": _cmd_rank,
-    "export": _cmd_export,
-    "agree": _cmd_agree,
-    "dataset": _cmd_dataset,
-    "train": _cmd_train,
-    "pca": _cmd_pca,
-    "mds": _cmd_mds,
-    "pipeline": _cmd_pipeline,
+class _Command(NamedTuple):
+    help: str
+    keys: str  # the command's own flags, beside the ``_COMMON`` ones
+    required: str
+    run: Callable[[_Context], int]
+
+
+_MODELS = "model model_format"
+_COMMANDS = {
+    "expand": _Command("retrieve top-k neighbors of every seed from each model",
+                       f"{_MODELS} seeds k no_fold_case", "model out", _cmd_expand),
+    "intersect": _Command("keep candidates retrieved by every pairs file",
+                          "pairs seeds", "pairs out", _cmd_intersect),
+    "score": _Command("attach PMI and TF-IDF metadata to candidates",
+                      "candidates corpus seeds", "candidates corpus out", _cmd_score),
+    "split": _Command("partition corpus sentences into S+ / S- by indicators",
+                      "corpus indicators balance", "corpus out", _cmd_split),
+    "ratios": _Command("per-word S+ vs S- frequency table",
+                       "corpus indicators balance words", "corpus words out", _cmd_ratios),
+    "relscore": _Command("document-hit scores relative to a baseline word",
+                         "collection group words baseline", "collection words out", _cmd_relscore),
+    "rates": _Command("per-group fraction of items matching the query",
+                      "groups query", "groups out", _cmd_rates),
+    "find": _Command("retrieve sentences containing cue words",
+                     "corpus cues limit", "corpus cues out", _cmd_find),
+    "graph": _Command("build the cue similarity network from pairs files",
+                      "pairs seeds statuses", "pairs out", _cmd_graph),
+    "cluster": _Command("Louvain-cluster a graph read from node/edge TSVs",
+                        "nodes edges resolution", "nodes edges out", _cmd_cluster),
+    "rank": _Command("PageRank scores for a graph read from node/edge TSVs",
+                     "nodes edges damping", "nodes edges out", _cmd_rank),
+    "export": _Command("write GEXF from node/edge TSVs",
+                       "nodes edges", "nodes edges out", _cmd_export),
+    "agree": _Command("two-judge agreement statistics from an annotations CSV",
+                      "annotations", "annotations", _cmd_agree),
+    "dataset": _Command("build a labeled training set from annotations and models",
+                        f"{_MODELS} annotations seeds include_seeds n_unrelated max_sim",
+                        "model annotations out", _cmd_dataset),
+    "train": _Command("cross-validate classifiers on a built dataset",
+                      "dataset classifiers folds", "dataset classifiers out", _cmd_train),
+    "pca": _Command("principal components of a word-by-collection score matrix",
+                    "matrix components no_standardize top", "matrix out", _cmd_pca),
+    "mds": _Command("metric MDS of the collections in a score matrix",
+                    "matrix p dims max_iter", "matrix out", _cmd_mds),
+    "pipeline": _Command("expand -> intersect -> score, emitting the review file",
+                         f"{_MODELS} seeds k no_fold_case corpus", "model out", _cmd_pipeline),
 }
+_DISPATCH = {name: command.run for name, command in _COMMANDS.items()}
 
 
 if __name__ == "__main__":

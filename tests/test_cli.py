@@ -106,7 +106,7 @@ COMMAND_OPTIONS = {
     "intersect": ("--pairs", "--seeds"),
     "score": ("--candidates", "--corpus", "--seeds"),
     "split": ("--corpus", "--indicators", "--balance"),
-    "ratios": ("--corpus", "--indicators", "--words"),
+    "ratios": ("--corpus", "--indicators", "--balance", "--words"),  # --balance added
     "relscore": ("--collection", "--group", "--words", "--baseline"),
     "rates": ("--groups", "--query"),
     "find": ("--corpus", "--cues", "--limit"),
@@ -564,6 +564,69 @@ def test_command_process_runs_blas_in_one_thread_unless_told(given):
         assert setting == given
     else:  # set before numpy loads OpenBLAS, so the library really runs one thread
         assert setting == "1" and threads in ("1", "unknown")
+
+MISSING_MODELS = ("--model", "a=missing.bin", "--model", "b=missing.bin")
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("pipeline", "--k", "0", *MISSING_MODELS), "k must be positive"),
+        (("find", "--limit", "0", "--corpus", "missing.jsonl", "--cues", "x"), "limit must be positive"),
+        (("dataset", "--n-unrelated", "-1", *MISSING_MODELS, "--annotations", "missing.csv"),
+         "n_unrelated must be non-negative"),
+        (("train", "--folds", "1", "--dataset", "missing.tsv"), "folds must be at least 2"),
+        (("expand", "--threads", "0", *MISSING_MODELS), "threads must be positive"),
+        (("cluster", "--rng-seed", "-1", "--nodes", "missing.tsv", "--edges", "missing.tsv"),
+         "rng_seed must be non-negative"),
+        (("pca", "--matrix", "missing.tsv", "--components", "x"), "components: expected int"),
+    ],
+)
+def test_settings_are_checked_before_any_input_is_read(tmp_path, monkeypatch, capsys, argv, message):
+    monkeypatch.chdir(tmp_path)
+    assert run(*argv, "--out", "o") == 1
+    err = capsys.readouterr().err
+    assert message in err and "not found" not in err
+    assert not (tmp_path / "o").exists()
+
+
+def test_missing_out_is_reported_before_any_input_is_read(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert run("split", "--corpus", "missing.jsonl") == 1
+    assert "--out is required" in capsys.readouterr().err
+
+
+def test_unknown_config_key_is_an_input_error(workspace, capsys):
+    find = ("find", "--corpus", str(workspace / "corpus.jsonl"), "--cues", "inconclusive")
+    config = workspace / "typo.json"
+    config.write_text(json.dumps({"limt": 0}))
+    assert run(*find, "--config", str(config), "--out", str(workspace / "typo")) == 1
+    assert "'limt'" in capsys.readouterr().err
+    # a key of another subcommand is allowed: one config file serves a whole pipeline
+    config.write_text(json.dumps({"k": 5, "limit": 2, "model": ["m1=m1.bin"]}))
+    assert run(*find, "--config", str(config), "--out", str(workspace / "shared")) == 0
+
+
+def test_config_digest_hashes_effective_values(workspace):
+    find = ("find", "--corpus", str(workspace / "corpus.jsonl"), "--cues", "inconclusive")
+    config = workspace / "limit10.json"
+    config.write_text(json.dumps({"limit": 10}))
+    runs = {
+        "default": (),
+        "flag": ("--limit", "10"),
+        "config": ("--config", str(config)),
+        "flag_over_config": ("--config", str(config), "--limit", "9"),
+    }
+    outputs = {}
+    for name, extra in runs.items():
+        out = workspace / f"digest_{name}"
+        assert run(*find, *extra, "--out", str(out), "--reproducible") == 0
+        outputs[name] = (out / "sentences.tsv").read_bytes()
+    # the same effective limit gives the same bytes, config digest included,
+    # wherever the value came from; another limit gives another digest
+    assert outputs["default"] == outputs["flag"] == outputs["config"]
+    assert outputs["flag_over_config"] != outputs["default"]
+
 
 def test_config_zero_is_not_replaced_by_default(workspace, capsys):
     config = workspace / "limit0.json"

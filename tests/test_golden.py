@@ -239,51 +239,34 @@ EXPECTED = {
     "pipeline/skipped_m2.tsv": "ec9456834e976112251af9c29dcd511adbd228b9d123bf029315398d47524ada",
 }
 
+# every artifact of one run carries its command's one config digest
 CONFIG_DIGESTS = {
-    "expand/pairs_m1.tsv": "10b4865e8507",
-    "expand/pairs_m2.tsv": "a7b6e41a6f98",
-    "expand/skipped_m1.tsv": "a7b6e41a6f98",
-    "expand/skipped_m2.tsv": "a7b6e41a6f98",
-    "intersect/candidates.json": "c0a297cdf5c7",
-    "intersect/candidates.tsv": "2e4e8885c5c9",
-    "score/candidates.json": "db187eac7e67",
-    "score/candidates.tsv": "0320aa41ec34",
-    "split/s_minus.tsv": "a5865cb540b9",
-    "split/s_plus.tsv": "4ee8aefef44c",
-    "split/split_summary.json": "a5865cb540b9",
-    "ratios/ratios.json": "9e22900b7b22",
-    "ratios/ratios.tsv": "89b9504d1333",
-    "relscore/relscore.json": "82b76cbbe1e2",
-    "relscore/relscore.tsv": "0dfb6fe8b79a",
-    "rates/rates.json": "f0b3d9bb8bea",
-    "rates/rates.tsv": "4017cc7d19a6",
-    "find/sentences.json": "b31605f39d75",
-    "find/sentences.tsv": "a376f0698c41",
-    "graph/edges.tsv": "b102fa3ac9d9",
-    "graph/nodes.tsv": "8d57c60af53b",
-    "cluster/cluster_summary.json": "f1da15365f95",
-    "cluster/composition.tsv": "f1da15365f95",
-    "cluster/nodes_clustered.tsv": "9b7e228573a1",
-    "rank/nodes_ranked.tsv": "e7689996deaf",
-    "export/graph.gexf": "772a11000017",
-    "agree/agreement.json": "8cd17afee0bd",
-    "agree/agreement.tsv": "79d3d314c73d",
-    "dataset/dataset.tsv": "40945c63cccf",
-    "dataset/dataset_summary.json": "ebfebfe0e264",
-    "train/eval.json": "e8942cc834a7",
-    "train/eval.tsv": "3fe3ca6b12d6",
-    "pca/pca_loadings.tsv": "e88b1468cefc",
-    "pca/pca_summary.json": "399ec4bd6c37",
-    "pca/pca_top_words.tsv": "399ec4bd6c37",
-    "mds/mds_coordinates.tsv": "61439f12a71d",
-    "mds/mds_summary.json": "1355d35323ef",
-    "pipeline/candidates.json": "348b8ebaa360",
-    "pipeline/candidates.tsv": "348b8ebaa360",
-    "pipeline/pairs_m1.tsv": "48cb1d695ab0",
-    "pipeline/pairs_m2.tsv": "9522b3ce1042",
-    "pipeline/skipped_m1.tsv": "9522b3ce1042",
-    "pipeline/skipped_m2.tsv": "9522b3ce1042",
+    "expand": "df1b7f0a9b83",
+    "intersect": "2daf576af485",
+    "score": "8e393df5574d",
+    "split": "184f4c674464",
+    "ratios": "dba9c033c1be",
+    "relscore": "ceb429d13d59",
+    "rates": "528f6f65d8e7",
+    "find": "4e60551578a1",
+    "graph": "ac19fd16010a",
+    "cluster": "4e137a6f2955",
+    "rank": "82095e2b176a",
+    "export": "701e4b1921d4",
+    "agree": "559f69c93b51",
+    "dataset": "16d6d39b10a4",
+    "train": "dc92896b39a1",
+    "pca": "60c2dc044315",
+    "mds": "4cbade08abba",
+    "pipeline": "50a35b118cd7",
 }
+
+
+def _digests_by_command(configs) -> dict[str, set[str]]:
+    by_command: dict[str, set[str]] = {}
+    for name, found in configs.items():
+        by_command.setdefault(name.split("/")[0], set()).update(found)
+    return by_command
 
 
 @pytest.fixture(scope="module")
@@ -307,6 +290,11 @@ def test_every_artifact_matches_golden_digest(golden_run):
 
 def test_every_artifact_carries_its_recorded_config_digest(golden_run):
     _, configs = golden_run
-    assert {name: sorted(found) for name, found in configs.items()} == {
-        name: [digest] for name, digest in CONFIG_DIGESTS.items()
-    }
+    expected = {command: {digest} for command, digest in CONFIG_DIGESTS.items()}
+    assert _digests_by_command(configs) == expected
+
+
+def test_every_artifact_of_a_command_carries_one_config_digest(golden_run):
+    _, configs = golden_run
+    drifting = {c: sorted(d) for c, d in _digests_by_command(configs).items() if len(d) > 1}
+    assert not drifting, f"commands whose artifacts carry different config digests: {drifting}"
