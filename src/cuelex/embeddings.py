@@ -305,6 +305,8 @@ def load_model(
 
 
 def _read_binary(path: Path, keep) -> tuple[list[str], np.ndarray, int]:
+    if path.stat().st_size == 0:
+        raise InputError(f"empty model file: {path}")
     with open(path, "rb") as fh:
         mm = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
         try:
@@ -320,6 +322,12 @@ def _read_binary(path: Path, keep) -> tuple[list[str], np.ndarray, int]:
                 raise InputError(f"malformed header {mm[:nl]!r}: {path}") from None
             if vocab_size < 1 or dim < 1:
                 raise InputError(f"malformed header (non-positive sizes): {path}")
+            # the smallest record is a one-byte token, a space and the payload
+            if vocab_size * (4 * dim + 2) > len(mm) - nl - 1:
+                raise InputError(
+                    f"header declares {vocab_size} records of dimension {dim}, "
+                    f"more than the {len(mm) - nl - 1} bytes after it hold: {path}"
+                )
 
             vocab: list[str] = []
             matrix = np.empty((vocab_size, dim), dtype="<f4")
@@ -348,6 +356,10 @@ def _read_binary(path: Path, keep) -> tuple[list[str], np.ndarray, int]:
                     upto = pos - pos % mmap.PAGESIZE  # the page cache keeps them
                     mm.madvise(_DROP_PAGES, released, upto - released)
                     released = upto
+            while pos < size and mm[pos] == 0x0A:
+                pos += 1
+            if pos < size:
+                raise InputError(f"data after the last declared record at byte {pos}: {path}")
             return vocab, matrix[: len(vocab)], vocab_size
         finally:
             mm.close()
@@ -358,27 +370,32 @@ def _read_text(path: Path, keep) -> tuple[list[str], np.ndarray, int | None]:
     rows: list[np.ndarray] = []
     dim: int | None = None
     declared: int | None = None
-    with open(path, encoding="utf-8") as fh:
-        first = fh.readline()
-        if not first:
-            raise InputError(f"empty model file: {path}")
-        parts = first.rstrip("\n").split(" ")
-        header_like = len(parts) == 2 and all(p.isdigit() for p in parts)
-        if header_like:
-            declared = int(parts[0])
-            dim = int(parts[1])
-            if declared < 1 or dim < 1:
-                raise InputError(f"malformed header {first!r}: {path}")
-        else:
-            _append_text_row(parts, path, vocab, rows, keep)
-            dim = len(parts) - 1
-        for line in fh:
-            parts = line.rstrip("\n").split(" ")
-            if parts == [""]:
-                continue
-            if dim is not None and len(parts) != dim + 1:
-                raise InputError(f"truncated vector payload for token {parts[0]!r}: {path}")
-            _append_text_row(parts, path, vocab, rows, keep)
+    records = 0
+    try:
+        with open(path, encoding="utf-8") as fh:
+            first = fh.readline()
+            if not first:
+                raise InputError(f"empty model file: {path}")
+            parts = first.rstrip("\n").split(" ")
+            if len(parts) == 2 and all(p.isdecimal() for p in parts):
+                declared, dim = int(parts[0]), int(parts[1])
+                if declared < 1 or dim < 1:
+                    raise InputError(f"malformed header {first!r}: {path}")
+            else:
+                _append_text_row(parts, path, vocab, rows, keep)
+                dim, records = len(parts) - 1, 1
+            for line in fh:
+                parts = line.rstrip("\n").split(" ")
+                if parts == [""]:
+                    continue
+                if len(parts) != dim + 1:
+                    raise InputError(f"truncated vector payload for token {parts[0]!r}: {path}")
+                _append_text_row(parts, path, vocab, rows, keep)
+                records += 1
+    except UnicodeDecodeError:
+        raise InputError(f"invalid UTF-8 in text model: {path}") from None
+    if declared is not None and records != declared:
+        raise InputError(f"header declares {declared} records, the file holds {records}: {path}")
     if not rows:
         return [], np.empty((0, dim or 0), dtype=np.float32), declared
     return vocab, np.vstack(rows), declared

@@ -162,6 +162,129 @@ def test_invalid_utf8_tokens_are_an_error_at_their_offset(tmp_path):
         load_model(path, "binary")
 
 
+def test_empty_binary_model_is_an_input_error(tmp_path):
+    path = tmp_path / "empty.bin"
+    path.write_bytes(b"")
+    with pytest.raises(InputError, match="empty model file: .*empty.bin"):
+        load_model(path, "binary")
+
+
+def test_header_larger_than_the_file_is_refused_before_allocating(tmp_path):
+    path = tmp_path / "huge.bin"
+    path.write_bytes(b"1000000000000 300\n" + b"a " + bytes(1200))
+    with pytest.raises(InputError, match=r"header declares 1000000000000 records .*huge.bin"):
+        load_model(path, "binary")
+
+
+def test_binary_data_after_the_declared_records_is_refused(tmp_path):
+    path = tmp_path / "extra.bin"
+    write_binary(path, ["a", "b"], np.eye(2, dtype=np.float32))
+    path.write_bytes(path.read_bytes().replace(b"2 2\n", b"1 2\n", 1))
+    with pytest.raises(InputError, match="data after the last declared record at byte 15"):
+        load_model(path, "binary")
+
+
+def test_text_model_cut_inside_a_character_is_an_input_error(tmp_path):
+    path = tmp_path / "cut.txt"
+    write_text(path, ["a", "b\u00e9"], np.eye(2, dtype=np.float32))
+    data = path.read_bytes()
+    path.write_bytes(data[: data.index("\u00e9".encode()) + 1])
+    with pytest.raises(InputError, match="invalid UTF-8 in text model: .*cut.txt"):
+        load_model(path, "text")
+
+
+def test_text_header_declaring_more_records_than_the_file_holds(tmp_path):
+    path = tmp_path / "short.txt"
+    path.write_text("5 3\na 1 2 3\n\n")
+    with pytest.raises(InputError, match="header declares 5 records, the file holds 1: .*short.txt"):
+        load_model(path, "text")
+    # lines parsed count, not rows kept by the vocabulary filter
+    path.write_text("2 3\na 1 2 3\nb 4 5 6\n")
+    assert load_model(path, "text", vocab_filter={"b"}).vocab == ["b"]
+
+
+# --- loader fuzzing: every damaged file is an InputError or loads exactly -------------
+
+W2V_TOKENS = st.lists(
+    st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters=" \n\r"),
+            min_size=1, max_size=4),
+    min_size=1, max_size=4, unique=True,
+)
+
+
+@st.composite
+def w2v_models(draw):
+    tokens = draw(W2V_TOKENS)
+    dim = draw(st.integers(1, 3))
+    row = st.lists(st.floats(-(2.0**100), 2.0**100, width=32), min_size=dim, max_size=dim)
+    rows = draw(st.lists(row, min_size=len(tokens), max_size=len(tokens)))
+    return tokens, np.array(rows, dtype=np.float32)
+
+
+def _load_or_refuse(path, fmt):
+    """The loaded model, or None for an InputError; anything else propagates."""
+    try:
+        return load_model(path, fmt)
+    except InputError:
+        return None
+
+
+@settings(max_examples=30, deadline=None)
+@given(w2v_models(), st.integers(0, 2))
+def test_binary_file_cut_at_every_offset(tmp_path_factory, model, newlines):
+    tokens, vectors = model
+    path = tmp_path_factory.mktemp("cut") / "m.bin"
+    write_binary(path, tokens, vectors, record_newlines=newlines)
+    data = path.read_bytes()
+    for cut in range(len(data) + 1):
+        path.write_bytes(data[:cut])
+        loaded = _load_or_refuse(path, "binary")
+        assert loaded is not None or cut < len(data)
+        if loaded is not None:
+            assert loaded.vocab == tokens
+            assert loaded.vectors.tobytes() == vectors.tobytes()
+
+
+@settings(max_examples=30, deadline=None)
+@given(w2v_models(), st.sampled_from(["\n", "\n\n"]))
+def test_text_file_cut_at_every_offset(tmp_path_factory, model, line_end):
+    # a cut inside the last value can leave a shorter number, so only the
+    # tokens are compared for a cut file; the whole file loads bit for bit
+    tokens, vectors = model
+    path = tmp_path_factory.mktemp("cut") / "m.txt"
+    write_text(path, tokens, vectors, line_end=line_end)
+    data = path.read_bytes()
+    for cut in range(len(data) + 1):
+        path.write_bytes(data[:cut])
+        loaded = _load_or_refuse(path, "text")
+        assert loaded is not None or cut < len(data)
+        if loaded is not None:
+            assert loaded.vocab == tokens
+    assert loaded.vectors.tobytes() == vectors.tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(w2v_models(), st.sampled_from(["binary", "text"]), st.integers(-2, 2), st.integers(-1, 1))
+def test_header_that_disagrees_with_the_records_is_refused(
+    tmp_path_factory, model, fmt, count_delta, dim_delta
+):
+    # a binary record has no delimiter after its payload, so a wrong dimension
+    # can happen to parse; only the record count is varied there
+    tokens, vectors = model
+    if fmt == "binary":
+        dim_delta = 0
+    path = tmp_path_factory.mktemp("hdr") / "m"
+    (write_binary if fmt == "binary" else write_text)(path, tokens, vectors)
+    data = path.read_bytes()
+    header = f"{len(tokens) + count_delta} {vectors.shape[1] + dim_delta}\n".encode()
+    path.write_bytes(header + data[data.index(b"\n") + 1 :])
+    loaded = _load_or_refuse(path, fmt)
+    if count_delta or dim_delta:
+        assert loaded is None
+    else:
+        assert loaded.vocab == tokens and loaded.vectors.tobytes() == vectors.tobytes()
+
+
 def _float_text(x: float, style: int) -> str:
     return (repr(x), f"{x:.3e}", f"{x:g}", f"{x:.9f}", str(int(x)))[style]
 
