@@ -387,6 +387,17 @@ class GaussianNbClassifier:
         return np.argmax(scores, axis=1)
 
 
+def _minibatches(X: np.ndarray, y: np.ndarray, epochs: int, batch: int, rng_seed: int):
+    """Every epoch's minibatches (rows, labels), each epoch in a new seeded shuffle order."""
+    rng = random.Random(rng_seed)
+    idx = list(range(len(X)))
+    for _ in range(epochs):
+        rng.shuffle(idx)
+        for start in range(0, len(idx), batch):
+            sel = idx[start : start + batch]
+            yield X[sel], y[sel]
+
+
 class LogisticSgdClassifier:
     """Logistic regression trained with seeded minibatch SGD."""
 
@@ -398,19 +409,12 @@ class LogisticSgdClassifier:
 
     def fit(self, X: np.ndarray, y: np.ndarray):
         X = np.asarray(X, dtype=np.float64)
-        rng = random.Random(self.rng_seed)
-        n, d = X.shape
-        self._w = np.zeros(d)
+        self._w = np.zeros(X.shape[1])
         self._b = 0.0
-        idx = list(range(n))
-        for _ in range(self.epochs):
-            rng.shuffle(idx)
-            for start in range(0, n, self.batch):
-                sel = idx[start : start + self.batch]
-                Xb, yb = X[sel], y[sel]
-                err = _sigmoid(Xb @ self._w + self._b) - yb
-                self._w -= self.lr * (Xb.T @ err) / len(sel)
-                self._b -= self.lr * err.mean()
+        for Xb, yb in _minibatches(X, y, self.epochs, self.batch, self.rng_seed):
+            err = _sigmoid(Xb @ self._w + self._b) - yb
+            self._w -= self.lr * (Xb.T @ err) / len(Xb)
+            self._b -= self.lr * err.mean()
         return self
 
     def predict(self, X: np.ndarray) -> np.ndarray:
@@ -437,31 +441,24 @@ class MlpClassifier:
 
     def fit(self, X: np.ndarray, y: np.ndarray):
         X = np.asarray(X, dtype=np.float64)
-        n, d = X.shape
-        h = self.hidden_width
+        d, h = X.shape[1], self.hidden_width
         nprng = np.random.default_rng(self.rng_seed)
         self._W1 = nprng.normal(0.0, 1.0 / np.sqrt(d), size=(d, h))
         self._b1 = np.zeros(h)
         self._w2 = nprng.normal(0.0, 1.0 / np.sqrt(h), size=h)
         self._b2 = 0.0
-        rng = random.Random(self.rng_seed)
-        idx = list(range(n))
-        for _ in range(self.epochs):
-            rng.shuffle(idx)
-            for start in range(0, n, self.batch):
-                sel = idx[start : start + self.batch]
-                Xb, yb = X[sel], y[sel]
-                hidden = np.tanh(Xb @ self._W1 + self._b1)
-                err = _sigmoid(hidden @ self._w2 + self._b2) - yb
-                grad_w2 = hidden.T @ err / len(sel)
-                grad_b2 = err.mean()
-                back = np.outer(err, self._w2) * (1.0 - hidden**2)
-                grad_W1 = Xb.T @ back / len(sel)
-                grad_b1 = back.mean(axis=0)
-                self._w2 -= self.lr * grad_w2
-                self._b2 -= self.lr * grad_b2
-                self._W1 -= self.lr * grad_W1
-                self._b1 -= self.lr * grad_b1
+        for Xb, yb in _minibatches(X, y, self.epochs, self.batch, self.rng_seed):
+            hidden = np.tanh(Xb @ self._W1 + self._b1)
+            err = _sigmoid(hidden @ self._w2 + self._b2) - yb
+            grad_w2 = hidden.T @ err / len(Xb)
+            grad_b2 = err.mean()
+            back = np.outer(err, self._w2) * (1.0 - hidden**2)
+            grad_W1 = Xb.T @ back / len(Xb)
+            grad_b1 = back.mean(axis=0)
+            self._w2 -= self.lr * grad_w2
+            self._b2 -= self.lr * grad_b2
+            self._W1 -= self.lr * grad_W1
+            self._b1 -= self.lr * grad_b1
         return self
 
     def predict(self, X: np.ndarray) -> np.ndarray:
