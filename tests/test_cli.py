@@ -572,7 +572,8 @@ MISSING_MODELS = ("--model", "a=missing.bin", "--model", "b=missing.bin")
     "argv, message",
     [
         (("pipeline", "--k", "0", *MISSING_MODELS), "k must be positive"),
-        (("find", "--limit", "0", "--corpus", "missing.jsonl", "--cues", "x"), "limit must be positive"),
+        (("find", "--limit", "0", "--corpus", "missing.jsonl", "--cues", "x"),
+         "limit must be positive"),
         (("dataset", "--n-unrelated", "-1", *MISSING_MODELS, "--annotations", "missing.csv"),
          "n_unrelated must be non-negative"),
         (("train", "--folds", "1", "--dataset", "missing.tsv"), "folds must be at least 2"),
@@ -582,7 +583,9 @@ MISSING_MODELS = ("--model", "a=missing.bin", "--model", "b=missing.bin")
         (("pca", "--matrix", "missing.tsv", "--components", "x"), "components: expected int"),
     ],
 )
-def test_settings_are_checked_before_any_input_is_read(tmp_path, monkeypatch, capsys, argv, message):
+def test_settings_are_checked_before_any_input_is_read(
+    tmp_path, monkeypatch, capsys, argv, message
+):
     monkeypatch.chdir(tmp_path)
     assert run(*argv, "--out", "o") == 1
     err = capsys.readouterr().err

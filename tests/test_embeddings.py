@@ -196,7 +196,7 @@ def test_text_model_cut_inside_a_character_is_an_input_error(tmp_path):
 def test_text_header_declaring_more_records_than_the_file_holds(tmp_path):
     path = tmp_path / "short.txt"
     path.write_text("5 3\na 1 2 3\n\n")
-    with pytest.raises(InputError, match="header declares 5 records, the file holds 1: .*short.txt"):
+    with pytest.raises(InputError, match="declares 5 records, the file holds 1: .*short.txt"):
         load_model(path, "text")
     # lines parsed count, not rows kept by the vocabulary filter
     path.write_text("2 3\na 1 2 3\nb 4 5 6\n")

@@ -411,3 +411,52 @@ def test_gexf_pagerank_attribute_sums_to_one(tmp_path):
     assert any(label.endswith(" - 0 - ?") for label in labels)
     edges = tree.findall(".//g:edge", ns)
     assert {e.get("weight") for e in edges} == {"0.900000", "0.400000"}
+
+
+# --- networkx as an independent oracle (test-only; skipped when it is absent) --------
+
+
+def random_weighted_graph(seed, n_isolated=2):
+    rng = random.Random(seed)
+    words = [f"w{i}" for i in range(rng.randint(3, 12))]
+    edges = [
+        (u, v, rng.choice([1.0, rng.uniform(0.01, 1.0)]))
+        for u, v in itertools.combinations(words, 2)
+        if rng.random() < 0.35
+    ]
+    edges = edges or [(words[0], words[1], 0.5)]
+    isolated = [f"iso{i}" for i in range(n_isolated)]
+    return graph_from_edges(edges, extra_nodes=words + isolated), rng
+
+
+def to_networkx(nx, g):
+    G = nx.Graph()
+    G.add_nodes_from(g.nodes)
+    G.add_weighted_edges_from((u, v, w) for (u, v), w in g.edges.items())
+    return G
+
+
+@pytest.mark.parametrize("seed", range(12))
+@pytest.mark.parametrize("damping", [0.0, 0.5, 0.85])
+def test_pagerank_matches_networkx_with_isolated_nodes(seed, damping):
+    nx = pytest.importorskip("networkx")
+    g, _ = random_weighted_graph(seed)
+    G = to_networkx(nx, g)
+    want = nx.pagerank(G, alpha=damping, weight="weight", tol=1e-13, max_iter=10_000)
+    got = pagerank(g, damping=damping, tol=1e-13)
+    assert set(got.scores) == set(want)
+    for node, score in want.items():
+        assert got[node] == pytest.approx(score, abs=1e-9)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_modularity_matches_networkx_on_random_partitions(seed):
+    nx = pytest.importorskip("networkx")
+    g, rng = random_weighted_graph(seed)
+    G = to_networkx(nx, g)
+    for _ in range(5):
+        k = rng.randint(1, g.n_nodes)
+        partition = Partition({w: rng.randrange(k) for w in g.nodes})
+        communities = [set(members) for members in partition.groups().values()]
+        want = nx.community.modularity(G, communities, weight="weight")
+        assert modularity(g, partition) == pytest.approx(want, abs=1e-12)

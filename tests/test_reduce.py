@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -272,3 +273,29 @@ def test_mds_errors():
     same = np.ones((3, 4))
     with pytest.raises(InputError, match="zero"):
         mds(matrix_of(same))
+
+
+# --- scipy as an independent oracle (test-only; skipped when it is absent) ------------
+
+
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0, 10.0])
+def test_minkowski_matches_scipy(p):
+    distance = pytest.importorskip("scipy.spatial.distance")
+    rng = np.random.default_rng(int(10 * p))
+    profiles = np.abs(rng.normal(size=(6, 9))) * rng.choice([1e-3, 1.0, 1e3], size=(6, 1))
+    want = distance.cdist(profiles, profiles, "minkowski", p=p)
+    for i, j in itertools.product(range(len(profiles)), repeat=2):
+        got = minkowski(profiles[i], profiles[j], p)
+        assert got == pytest.approx(distance.minkowski(profiles[i], profiles[j], p), rel=1e-12)
+        assert got == pytest.approx(want[i, j], rel=1e-12, abs=1e-300)
+
+
+@pytest.mark.parametrize("p", [1.0, 2.0, 3.5])
+def test_mds_stress_matches_scipy_distances(p):
+    distance = pytest.importorskip("scipy.spatial.distance")
+    rng = np.random.default_rng(int(7 * p))
+    values = np.abs(rng.normal(size=(5, 6)))
+    result = mds(matrix_of(values), p=p, dims=2)
+    delta = distance.pdist(values.T, "minkowski", p=p)
+    fitted = distance.pdist(result.coordinates, "euclidean")
+    assert result.stress == pytest.approx(((fitted - delta) ** 2).sum(), rel=1e-9)
