@@ -201,6 +201,10 @@ def test_text_header_declaring_more_records_than_the_file_holds(tmp_path):
     # lines parsed count, not rows kept by the vocabulary filter
     path.write_text("2 3\na 1 2 3\nb 4 5 6\n")
     assert load_model(path, "text", vocab_filter={"b"}).vocab == ["b"]
+    # a superscript digit is a digit to str.isdigit but not to int()
+    path.write_text("\u00b2 3\na 1 2 3\n")
+    with pytest.raises(InputError, match="truncated vector payload for token 'a'"):
+        load_model(path, "text")
 
 
 # --- loader fuzzing: every damaged file is an InputError or loads exactly -------------
