@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import importlib.util
 import json
 import os
 import sys
@@ -27,9 +28,31 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import numpy as np  # noqa: E402  (after the BLAS default above)
 
-from . import __version__, classify, corpus as corpus_mod, expansion, graph as graph_mod, tables
-from . import reduce as reduce_mod
+from . import __version__, corpus as corpus_mod, tables
 from .errors import CuelexError, InputError
+
+
+def _lazy(name: str):
+    """Module ``cuelex.<name>``, registered at once but executed on its first attribute access.
+
+    So a command runs the imports of only the modules it uses.  The module is
+    in ``sys.modules`` as soon as this one is imported, for code that looks it
+    up there (the benchmark's tracer wraps every module's functions that way).
+    """
+    full = f"{__package__}.{name}"
+    if full in sys.modules:
+        return sys.modules[full]
+    spec = importlib.util.find_spec(full)
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[full] = module
+    spec.loader.exec_module(module)
+    setattr(sys.modules[__package__], name, module)
+    return module
+
+
+embeddings, expansion, classify = _lazy("embeddings"), _lazy("expansion"), _lazy("classify")
+graph_mod, reduce_mod = _lazy("graph"), _lazy("reduce")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -64,6 +87,8 @@ class _Flag(NamedTuple):
     default: object = None
     help: str = ""
     minimum: int | None = None
+    below: float | None = None  # an exclusive upper bound
+    choices: tuple[str, ...] = ()  # allowed values of a list flag's items, after any "name="
 
 
 FLAGS = {
@@ -73,7 +98,10 @@ FLAGS = {
     "threads": _Flag(int, 1, "accepted for compatibility; no effect", 1),
     "reproducible": _Flag(bool, False, "omit timestamps so reruns are byte-identical"),
     "model": _Flag(list, [], 'embedding model as "name=path"'),
-    "model_format": _Flag(list, [], '"binary" (the default), "text", or "name=format" per model'),
+    "model_format": _Flag(
+        list, [], '"binary" (the default), "text", or "name=format" per model',
+        choices=("binary", "text"),
+    ),
     "seeds": _Flag(str, None, "seed lexicon file (default: bundled list)"),
     "k": _Flag(int, 50, "neighbors per seed", 1),
     "no_fold_case": _Flag(bool, False, "keep case variants apart in retrieval"),
@@ -96,7 +124,7 @@ FLAGS = {
     "nodes": _Flag(str, None, "node TSV"),
     "edges": _Flag(str, None, "edge TSV"),
     "resolution": _Flag(float, 1.0, "modularity resolution"),
-    "damping": _Flag(float, 0.85, "PageRank damping factor"),
+    "damping": _Flag(float, 0.85, "PageRank damping factor", 0, 1),
     "annotations": _Flag(str, None, "CSV with header word,judge1,judge2"),
     "include_seeds": _Flag(bool, False, "add the seed words as positive examples"),
     "n_unrelated": _Flag(int, 100, "unrelated words sampled as negatives", 0),
@@ -124,7 +152,7 @@ class _Context:
 
     Every key of the command becomes an attribute: a flag wins over the config
     file, which wins over the default in ``FLAGS``.  Each value is cast, then
-    checked against its minimum, and every required key must be set.  The
+    checked against its range and choices, and every required key must be set.  The
     config digest hashes the command and every effective value but ``out`` and
     ``config``, so every artifact of one run carries the same digest.
     """
@@ -136,9 +164,7 @@ class _Context:
             flag = FLAGS[key]
             value = getattr(args, key)
             value = _cast(key, flag.type, config.get(key, flag.default) if value is None else value)
-            if flag.minimum is not None and value < flag.minimum:
-                bound = _BOUNDS.get(flag.minimum, f"at least {flag.minimum}")
-                raise InputError(f"{key} must be {bound}, got {value}")
+            _check(key, flag, value)
             values[key] = value
         for key in command.required.split():
             if values[key] in (None, "", []):
@@ -188,6 +214,17 @@ def _cast(key, kind, value):
     raise InputError(f"{key}: expected {kind.__name__}, got {value!r}")
 
 
+def _check(key, flag, value) -> None:
+    low, high = flag.minimum, flag.below
+    if (low is not None and not value >= low) or (high is not None and not value < high):
+        bound = f"in [{low}, {high})" if high is not None else _BOUNDS.get(low, f"at least {low}")
+        raise InputError(f"{key} must be {bound}, got {value}")
+    for item in value if flag.choices else ():
+        choice = item.split("=", 1)[-1]
+        if choice not in flag.choices:
+            raise InputError(f"{key} must be one of {', '.join(flag.choices)}, got {choice!r}")
+
+
 def _load_config(path):
     if not path:
         return {}
@@ -224,17 +261,16 @@ def _build_parser() -> _Parser:
 
 
 def _load_models(ctx) -> list:
-    from .embeddings import load_model
-
     # a bare format applies to every model without a "name=format" of its own
     formats = dict(f.split("=", 1) if "=" in f else ("", f) for f in ctx.model_format)
-    models = []
-    for spec in ctx.model:
+    for spec in ctx.model:  # every spec is checked before the first model is read
         if "=" not in spec:
             raise InputError(f'--model must look like "name=path", got {spec!r}')
-        name, path = spec.split("=", 1)
-        models.append(load_model(path, formats.get(name, formats.get("", "binary")), name=name))
-    return models
+    specs = (spec.split("=", 1) for spec in ctx.model)
+    return [
+        embeddings.load_model(path, formats.get(name, formats.get("", "binary")), name=name)
+        for name, path in specs
+    ]
 
 
 def _load_lexicon(ctx):
@@ -254,7 +290,7 @@ def _patterns_arg(value, what: str) -> list[str]:
         if not path.is_file():
             raise InputError(f"{what} file not found: {path}")
         lines = path.read_text(encoding="utf-8").splitlines()
-        patterns = [p for p in (expansion.COMMENT.sub("", ln).strip() for ln in lines) if p]
+        patterns = [p for p in (tables.COMMENT.sub("", ln).strip() for ln in lines) if p]
         if not patterns:
             raise InputError(f"{what} file is empty: {path}")
         out += patterns
@@ -358,7 +394,7 @@ def _split_from_ctx(ctx, corpus):
 def _cmd_split(ctx) -> int:
     split = _split_from_ctx(ctx, corpus_mod.load_corpus(ctx.corpus))
     for name, sentences in (("s_plus", split.s_plus), ("s_minus", split.s_minus)):
-        rows = ((s.doc_id, s.index, s.text) for s in sentences)
+        rows = sentences.corpus.rows(sentences.ids)
         _write_tsv(ctx, f"{name}.tsv", ("doc_id", "index", "sentence"), rows)
     _write_json(
         ctx,
@@ -418,15 +454,11 @@ def _cmd_find(ctx) -> int:
 
 
 def _statuses_from_annotations(path) -> dict[str, str]:
-    statuses = {}
-    for a in classify.load_annotations(path):
-        if a.judge1 == "pos" and a.judge2 == "pos":
-            statuses[a.word.lower()] = "accepted"
-        elif a.judge1 == "neg" and a.judge2 == "neg":
-            statuses[a.word.lower()] = "rejected"
-        else:
-            statuses[a.word.lower()] = "unrated"
-    return statuses
+    agreed = {("pos", "pos"): "accepted", ("neg", "neg"): "rejected"}
+    return {
+        a.word.lower(): agreed.get((a.judge1, a.judge2), "unrated")
+        for a in classify.load_annotations(path)
+    }
 
 
 def _cmd_graph(ctx) -> int:
@@ -661,10 +693,11 @@ def _cmd_pca(ctx) -> int:
             for label, row in zip(result.row_labels, result.loadings)
         ),
     )
-    rows = []
-    for j, name in enumerate(comp_names):
-        for rank, (word, loading) in enumerate(result.top_words(j, ctx.top), 1):
-            rows.append((name, rank, word, f"{loading:.6f}"))
+    rows = (
+        (name, rank, word, f"{loading:.6f}")
+        for j, name in enumerate(comp_names)
+        for rank, (word, loading) in enumerate(result.top_words(j, ctx.top), 1)
+    )
     _write_tsv(ctx, "pca_top_words.tsv", ("component", "rank", "word", "loading"), rows)
     _write_json(
         ctx,

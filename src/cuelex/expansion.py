@@ -8,7 +8,6 @@ Scores are ranking metadata only; they never remove a candidate.
 from __future__ import annotations
 
 import math
-import re
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
@@ -16,17 +15,15 @@ from pathlib import Path
 import numpy as np
 
 from . import tables
-from .corpus import MatchPattern, SentenceCorpus, as_pattern, parse_pattern
+from .corpus import SentenceCorpus
 from .embeddings import EmbeddingModel
 from .errors import InputError
+from .patterns import MatchPattern, as_pattern, parse_pattern
+from .tables import COMMENT
 
 PAIRS_HEADER = ("seed", "candidate", "similarity", "model")
 
 STATUSES = ("unrated", "accepted", "rejected")
-
-# A comment, in seed files and word lists: "#" at the start of the line or
-# after whitespace, followed by whitespace or the line end ("##th" is a word).
-COMMENT = re.compile(r"(?:^|(?<=\s))#(?=\s|$).*", re.DOTALL)
 
 
 @dataclass(frozen=True)
@@ -69,11 +66,7 @@ class SeedLexicon:
 
     def folded_words(self) -> set[str]:
         """Lowercased surfaces and model forms, used to exclude seed self-hits."""
-        out = set()
-        for e in self.entries:
-            out.add(e.surface.lower())
-            out.update(f.lower() for f in e.model_forms)
-        return out
+        return {w.lower() for e in self.entries for w in (e.surface, *e.model_forms)}
 
     def entry_for(self, surface: str) -> SeedEntry:
         key = surface.lower()
@@ -187,13 +180,12 @@ def expand(
             found.append((entry.surface, form))
     neighbors = model.top_k_batch([form for _, form in found], k, fold_case)
 
-    pairs = []
-    for (surface, _), results in zip(found, neighbors):
-        for nb in results:
-            cand = nb.neighbor.lower()
-            if cand in seed_words:
-                continue
-            pairs.append(CandidatePair(surface, cand, nb.similarity, model.name))
+    pairs = [
+        CandidatePair(surface, nb.neighbor.lower(), nb.similarity, model.name)
+        for (surface, _), results in zip(found, neighbors)
+        for nb in results
+        if nb.neighbor.lower() not in seed_words
+    ]
     pairs.sort(key=lambda p: (p.seed, -p.similarity, p.candidate))
     return ExpansionResult(pairs, skipped)
 
@@ -294,7 +286,7 @@ def tfidf(corpus: SentenceCorpus, word) -> float:
         raise InputError(f"word absent from corpus: {p.surface!r}")
     cf = int(counts.sum())
     df = 1 + np.count_nonzero(np.diff(index.groups[ids]))  # groups ascend with ids
-    return (cf / index.n_tokens) * math.log(len(corpus.documents) / df)
+    return (cf / index.n_tokens) * math.log(corpus.n_documents / df)
 
 
 def score_candidates(
@@ -378,20 +370,17 @@ def write_candidate_set(path: str | Path, cset: CandidateSet, meta: dict | None 
 
 def read_candidate_set(path: str | Path) -> CandidateSet:
     doc = tables.read_json(path, "candidate")
-    cands = []
-    for obj in doc.get("candidates", []):
-        models = {
-            name: ModelProvenance(float(m["similarity"]), tuple(m["seeds"]))
-            for name, m in obj.get("models", {}).items()
-        }
-        cands.append(
-            Candidate(
-                word=obj["word"],
-                models=models,
-                pmi=None if obj.get("pmi") is None else float(obj["pmi"]),  # float("-inf") is -inf
-                tfidf=obj.get("tfidf"),
-                status=obj.get("status", "unrated"),
-                no_evidence=bool(obj.get("no_evidence", False)),
-            )
+    return CandidateSet([
+        Candidate(
+            word=obj["word"],
+            models={
+                name: ModelProvenance(float(m["similarity"]), tuple(m["seeds"]))
+                for name, m in obj.get("models", {}).items()
+            },
+            pmi=None if obj.get("pmi") is None else float(obj["pmi"]),  # float("-inf") is -inf
+            tfidf=obj.get("tfidf"),
+            status=obj.get("status", "unrated"),
+            no_evidence=bool(obj.get("no_evidence", False)),
         )
-    return CandidateSet(cands)
+        for obj in doc.get("candidates", [])
+    ])

@@ -13,11 +13,16 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from pathlib import Path
 
 from .errors import InputError
 
 _SEPARATORS = str.maketrans("\t\r\n", "   ")
+
+# A comment, in seed files and word lists: "#" at the start of the line or
+# after whitespace, followed by whitespace or the line end ("##th" is a word).
+COMMENT = re.compile(r"(?:^|(?<=\s))#(?=\s|$).*", re.DOTALL)
 
 
 def cell(value, decimals: int = 6) -> str:

@@ -751,3 +751,46 @@ def test_word_files_keep_words_that_start_with_hash(tmp_path):
     words = tmp_path / "w.txt"
     words.write_text("# cue words\n##th\nknowledge  # trailing note\nc#\n#\n")
     assert cli._patterns_arg(f"@{words}", "words") == ["##th", "knowledge", "c#"]
+
+
+def test_rank_damping_range_is_checked_before_any_input_is_read(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    argv = ("rank", "--damping", "1", "--nodes", "missing.tsv", "--edges", "missing.tsv")
+    assert run(*argv, "--out", "o") == 1
+    err = capsys.readouterr().err
+    assert "damping must be in [0, 1), got 1.0" in err and "not found" not in err
+    assert not (tmp_path / "o").exists()
+
+
+def test_model_format_is_checked_before_any_model_is_read(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert run("expand", *MISSING_MODELS, "--model-format", "b=txt", "--out", "o") == 1
+    err = capsys.readouterr().err
+    assert "model_format must be one of binary, text, got 'txt'" in err and "not found" not in err
+    assert not (tmp_path / "o").exists()
+
+
+def test_every_model_spec_is_checked_before_any_model_is_read(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert run("expand", "--model", "a=missing.bin", "--model", "b.bin", "--out", "o") == 1
+    err = capsys.readouterr().err
+    assert "--model must look like \"name=path\", got 'b.bin'" in err and "not found" not in err
+
+
+LAZY_PROBE = """
+import sys, types
+from cuelex import cli
+code = cli.main(sys.argv[1:])
+names = ("classify", "graph", "reduce", "embeddings", "expansion")
+loaded = [n for n in names if type(sys.modules.get("cuelex." + n)) is types.ModuleType]
+graph = sys.modules["cuelex.graph"]
+print(code, ",".join(loaded) or "-", callable(graph.louvain), type(graph) is types.ModuleType)
+"""
+
+
+def test_corpus_command_runs_no_other_module(workspace):
+    argv = ("split", "--corpus", str(workspace / "corpus.jsonl"), "--out", str(workspace / "lazy"))
+    proc = subprocess.run([sys.executable, "-c", LAZY_PROBE, *argv], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    # none of the five was executed, yet each is registered and loads on first use
+    assert proc.stdout.splitlines()[-1] == "0 - True True"

@@ -4,6 +4,8 @@ import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cuelex.errors import CuelexError, InputError
 from cuelex.expansion import CandidatePair, parse_seed_lexicon
@@ -460,3 +462,25 @@ def test_modularity_matches_networkx_on_random_partitions(seed):
         communities = [set(members) for members in partition.groups().values()]
         want = nx.community.modularity(G, communities, weight="weight")
         assert modularity(g, partition) == pytest.approx(want, abs=1e-12)
+
+
+@st.composite
+def weighted_graphs(draw):
+    n = draw(st.integers(2, 16))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    chosen = draw(st.lists(st.sampled_from(pairs), min_size=1, unique=True))
+    weights = st.one_of(st.just(1.0), st.floats(0.01, 1.0))
+    edges = [(f"w{u}", f"w{v}", draw(weights)) for u, v in chosen]
+    return graph_from_edges(edges, extra_nodes=[f"w{i}" for i in range(n)])
+
+
+@settings(max_examples=200, deadline=None)
+@given(weighted_graphs(), st.integers(0, 3), st.sampled_from([0.5, 1.0, 2.0]))
+def test_louvain_communities_induce_connected_subgraphs(g, rng_seed, resolution):
+    # Louvain can leave a community internally disconnected (Traag, Waltman &
+    # van Eck, arXiv 1810.08473); this checks that ours does not on small graphs
+    nx = pytest.importorskip("networkx")
+    partition = louvain(g, resolution=resolution, rng_seed=rng_seed)
+    G = to_networkx(nx, g)
+    for members in partition.groups().values():
+        assert nx.is_connected(G.subgraph(members)), sorted(members)
