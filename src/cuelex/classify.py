@@ -136,12 +136,8 @@ def sample_unrelated(
     for entry in lexicon.entries:
         for form in entry.model_forms:
             form = form.replace(" ", "_")
-            try:
-                idx = model.lookup(form)
-            except InputError:
-                continue
-            if model.usable(model.vocab[idx]):
-                seed_rows.append(idx)
+            if model.usable(form, fold_case=True):
+                seed_rows.append(model.lookup(form))
     if not seed_rows:
         raise InputError(f"no seed form is present in model {model.name!r}")
     seed_matrix = model.unit_rows(seed_rows)

@@ -8,6 +8,12 @@ reproducible.  Nearest-neighbor search is exact: a float32 GEMM over blocks of
 vocabulary rows screens every row, a proven rounding bound widens the cut, and
 only the rows that can still rank in the top k are rescored in float64
 (``top_k_batch``).  Large models can be loaded through ``vocab_filter``.
+
+Tokens are found through a fold index: an int32 key id per row (case variants
+share their lowercase form's id), the rows grouped by key in file order with
+int64 offsets, and one dict from lowercase form to key id, whose keys are the
+vocabulary's own strings where a token is already lowercase.  It is the only
+dict: an exact lookup scans its key's rows, and retrieval compares key ids.
 """
 
 from __future__ import annotations
@@ -63,7 +69,8 @@ class EmbeddingModel:
     Attributes:
         name: model identifier (defaults to the file stem).
         dim: vector dimensionality.
-        vocab: tokens in file order.
+        vocab: tokens in file order; the model takes ownership of the list it is
+            given, which must not change afterwards.
         vectors: vocab_size x dim float32 matrix, exactly as stored on disk.
         norms: per-token Euclidean norms (float64).
     """
@@ -85,12 +92,9 @@ class EmbeddingModel:
         if not np.isfinite(self.norms).all():
             bad = int(np.flatnonzero(~np.isfinite(self.norms))[0])
             raise InputError(f"non-finite value in vector for token {vocab[bad]!r}")
-        self._index = dict(zip(vocab, range(len(vocab))))
-        if len(self._index) != len(vocab):
-            raise InputError("duplicate tokens in vocabulary")
 
         self.name = name
-        self.vocab = list(vocab)
+        self.vocab = vocab
         self.dim = int(vectors.shape[1])
         # header-declared token count of the source file, when one was parsed
         # (differs from len(vocab) under vocab_filter or duplicate dropping)
@@ -99,29 +103,46 @@ class EmbeddingModel:
         self._usable = self.norms >= MIN_USABLE_NORM
         self._scale = np.zeros(len(vocab), dtype=np.float32)  # see screen_slack
         np.divide(2.0**64, self.norms, out=self._scale, where=self._usable, casting="same_kind")
-        self._fold_index: dict[str, list[int]] = {}
-        for i, tok in enumerate(self.vocab):
-            self._fold_index.setdefault(tok.lower(), []).append(i)
+        keys: dict[str, int] = {}  # a lowercase token is its own key string
+        folded = (tok if (low := tok.lower()) == tok else low for tok in vocab)
+        ids = (keys.setdefault(f, len(keys)) for f in folded)
+        self._key, self._keys = np.fromiter(ids, np.int32, len(vocab)), keys
+        self._rows = np.argsort(self._key, kind="stable").astype(np.int32)
+        self._offsets = np.concatenate([[0], np.cumsum(np.bincount(self._key))])
+        seen: set[str] = set()  # equal tokens share a key, so check keys with variants
+        for i in np.flatnonzero((np.diff(self._offsets) > 1)[self._key]).tolist():
+            if vocab[i] in seen:
+                raise InputError(f"duplicate tokens in vocabulary: {vocab[i]!r}")
+            seen.add(vocab[i])
 
     def __len__(self) -> int:
         return len(self.vocab)
 
     def __contains__(self, token: str) -> bool:
-        return token in self._index
+        return self._row(token, False) is not None
 
-    def usable(self, token: str) -> bool:
-        idx = self._index.get(token)
+    def usable(self, token: str, fold_case: bool = False) -> bool:
+        """Whether ``lookup(token, fold_case)`` finds a row with a usable vector."""
+        idx = self._row(token, fold_case)
         return idx is not None and bool(self._usable[idx])
 
     def lookup(self, token: str, fold_case: bool = True) -> int:
         """Index of ``token``; exact match first, then case variants in file order."""
-        idx = self._index.get(token)
-        if idx is not None:
-            return idx
-        if fold_case:
-            for i in self._fold_index.get(token.lower(), ()):
-                return i
-        raise InputError(f"token {token!r} not in vocabulary of model {self.name!r}")
+        idx = self._row(token, fold_case)
+        if idx is None:
+            raise InputError(f"token {token!r} not in vocabulary of model {self.name!r}")
+        return idx
+
+    def _variants(self, kid: int) -> list[int]:
+        """Rows of folded key id ``kid``, in file order."""
+        return self._rows[self._offsets[kid] : self._offsets[kid + 1]].tolist()
+
+    def _row(self, token: str, fold_case: bool) -> int | None:
+        """Row of exactly ``token``, else (with ``fold_case``) of its first case variant."""
+        kid = self._keys.get(token.lower())
+        rows = [] if kid is None else self._variants(kid)
+        exact = next((i for i in rows if self.vocab[i] == token), None)
+        return rows[0] if exact is None and fold_case and rows else exact
 
     def vector(self, token: str, fold_case: bool = True) -> np.ndarray:
         """Stored float32 vector for ``token`` (a copy)."""
@@ -178,10 +199,9 @@ class EmbeddingModel:
         n_usable = int(self._usable.sum())
         m = min(max(4 * k, 64) if fold_case else k, n_usable)
         pending = list(range(len(queries))) if k else []
-        fold = self._fold_index
         while pending:
             qrows = [rows[j] for j in pending]
-            excluded = [fold[self.vocab[i].lower()] if fold_case else [i] for i in qrows]
+            excluded = [self._variants(self._key[i]) if fold_case else [i] for i in qrows]
             units = self.unit_rows(qrows)
             widen = []
             survivors = self._screen(units, excluded, m, slack2)
@@ -202,9 +222,9 @@ class EmbeddingModel:
 
     def _first_of_keys(self, rows: list[int], k: int, fold_case: bool) -> list[int]:
         """Positions of the first row of each key in ``rows``, up to k keys."""
+        keys = self._key[rows].tolist() if fold_case else rows
         seen, firsts = set(), []
-        for pos, i in enumerate(rows):
-            key = self.vocab[i].lower() if fold_case else i
+        for pos, key in enumerate(keys):
             if key not in seen:
                 seen.add(key)
                 firsts.append(pos)
@@ -287,18 +307,16 @@ def load_model(
     if not vocab:
         raise InputError(f"empty vocabulary after filtering: {path}")
 
-    # Duplicate tokens: keep the first occurrence, warn with a count.
-    seen: set[str] = set()
-    keep_rows: list[int] = []
-    for i, tok in enumerate(vocab):
-        if tok not in seen:
-            seen.add(tok)
-            keep_rows.append(i)
-    dupes = len(vocab) - len(keep_rows)
-    if dupes:
+    # Duplicate tokens: keep the first occurrence, warn with a count.  The set
+    # is freed before the model builds its index, so the two never coexist.
+    if len(set(vocab)) < len(vocab):
+        first: dict[str, int] = {}
+        for i, tok in enumerate(vocab):
+            first.setdefault(tok, i)
+        dupes = len(vocab) - len(first)
         warnings.warn(f"{path}: dropped {dupes} duplicate token(s), kept first occurrences")
-        vocab = [vocab[i] for i in keep_rows]
-        matrix = matrix[keep_rows]
+        vocab = list(first)
+        matrix = matrix[list(first.values())]
     model = EmbeddingModel(name or path.stem, vocab, matrix)
     model.declared_vocab_size = declared
     return model
@@ -377,7 +395,7 @@ def _read_text(path: Path, keep) -> tuple[list[str], np.ndarray, int | None]:
             if not first:
                 raise InputError(f"empty model file: {path}")
             parts = first.rstrip("\n").split(" ")
-            if len(parts) == 2 and all(p.isdecimal() for p in parts):
+            if len(parts) == 2 and all(p.removeprefix("-").isdecimal() for p in parts):
                 declared, dim = int(parts[0]), int(parts[1])
                 if declared < 1 or dim < 1:
                     raise InputError(f"malformed header {first!r}: {path}")

@@ -149,7 +149,7 @@ class CandidatePair:
 @dataclass
 class ExpansionResult:
     pairs: list[CandidatePair]
-    skipped: list[tuple[str, str]]  # (seed surface, model form) not found in the model
+    skipped: list[tuple[str, str]]  # (seed surface, model form) not found or unusable
 
 
 def expand(
@@ -161,8 +161,9 @@ def expand(
     """Retrieve each seed's top-k neighbors from one model.
 
     Candidates are lowercase-folded and pairs hitting any folded seed surface
-    or model form are dropped.  Out-of-vocabulary seed forms are reported,
-    never fatal.  Output is sorted by (seed, similarity desc, candidate asc).
+    or model form are dropped.  A seed form that is out of vocabulary, or
+    whose vector has a near-zero norm, is reported in ``skipped``, never
+    fatal.  Output is sorted by (seed, similarity desc, candidate asc).
     """
     if k < 1:
         raise InputError("k must be positive")
@@ -172,12 +173,7 @@ def expand(
     for entry in lexicon.entries:
         for form in entry.model_forms:
             form = form.replace(" ", "_")
-            try:
-                model.lookup(form, fold_case=fold_case)
-            except InputError:
-                skipped.append((entry.surface, form))
-                continue
-            found.append((entry.surface, form))
+            (found if model.usable(form, fold_case) else skipped).append((entry.surface, form))
     neighbors = model.top_k_batch([form for _, form in found], k, fold_case)
 
     pairs = [

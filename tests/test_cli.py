@@ -190,6 +190,32 @@ def test_expand_writes_pairs(workspace):
     assert len(pairs) > header_idx + 1
 
 
+@pytest.mark.parametrize("command", ["expand", "pipeline"])
+def test_seed_form_with_a_zero_vector_is_skipped_not_fatal(tmp_path, command):
+    tokens = ["possible", "maybe", "perhaps", "likely", "table", "chair"]
+    vecs = np.array([[0, 0], [1, 0], [0.9, 0.1], [0.8, 0.3], [0, 1], [0.1, 1]], dtype=np.float32)
+    for name in ("m1", "m2"):
+        write_binary(tmp_path / f"{name}.bin", tokens, vecs)
+    (tmp_path / "seeds.txt").write_text("possible\tscientific\nmaybe\tscientific\n")
+    out = tmp_path / "out"
+    code = run(
+        command,
+        "--model", f"m1={tmp_path / 'm1.bin'}",
+        "--model", f"m2={tmp_path / 'm2.bin'}",
+        "--seeds", str(tmp_path / "seeds.txt"),
+        "--k", "2",
+        "--out", str(out),
+        "--reproducible",
+    )
+    assert code == 0
+    for name in ("m1", "m2"):
+        rows = [ln for ln in (out / f"skipped_{name}.tsv").read_text().splitlines()
+                if not ln.startswith("# ")]
+        assert rows == ["seed\tmodel_form", "possible\tpossible"]
+        pairs = (out / f"pairs_{name}.tsv").read_text()
+        assert "maybe\tperhaps" in pairs and "maybe\tlikely" in pairs
+
+
 def pipeline_args(workspace, out):
     return [
         "pipeline",

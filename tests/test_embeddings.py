@@ -1,6 +1,8 @@
+import gc
 import os
 import random
 import struct
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -153,6 +155,32 @@ def test_duplicate_tokens_kept_first_with_warning(tmp_path):
     assert model.vectors[0].tolist() == [1.0, 0.0]
 
 
+def test_duplicate_tokens_are_refused_naming_the_first_repeat():
+    tokens = ["x", "Y", "y", "z", "z", "y"]  # "z" repeats first, at row 4
+    with pytest.raises(InputError, match="duplicate tokens in vocabulary: 'z'"):
+        EmbeddingModel("d", tokens, np.eye(6, dtype=np.float32))
+    with pytest.raises(InputError, match="duplicate tokens in vocabulary: 'Y'"):
+        EmbeddingModel("d", ["Y", "a", "y", "Y"], np.eye(4, dtype=np.float32))
+
+
+def test_a_loaded_model_keeps_little_beyond_its_vectors(tmp_path):
+    # tokens, the fold index, norms and scales; the model keeps the loader's list
+    path = tmp_path / "mem.bin"
+    tokens = random_tokens(random.Random(13), 20_000)
+    vectors = np.random.default_rng(13).standard_normal((len(tokens), 8)).astype(np.float32)
+    write_binary(path, tokens, vectors)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        model = load_model(path, "binary")
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - model.vectors.nbytes
+    finally:
+        tracemalloc.stop()
+    assert model.vocab == tokens
+    assert retained / len(model) <= 200
+
+
 def test_invalid_utf8_tokens_are_an_error_at_their_offset(tmp_path):
     # two distinct undecodable tokens used to both become U+FFFD, and the
     # second was then dropped as a duplicate
@@ -204,6 +232,14 @@ def test_text_header_declaring_more_records_than_the_file_holds(tmp_path):
     # a superscript digit is a digit to str.isdigit but not to int()
     path.write_text("\u00b2 3\na 1 2 3\n")
     with pytest.raises(InputError, match="truncated vector payload for token 'a'"):
+        load_model(path, "text")
+
+
+def test_text_header_with_a_negative_count_is_malformed(tmp_path):
+    # "-1 1" could be a headerless record of dimension 1, but it reads as a header
+    path = tmp_path / "neg.txt"
+    path.write_text("-1 1\n0 0.0\n")
+    with pytest.raises(InputError, match="malformed header"):
         load_model(path, "text")
 
 
@@ -535,6 +571,89 @@ def test_folded_cut_widens_past_a_run_of_case_variants():
     assert spy.call_count == 2  # cut 64 covers one key, cut 128 covers three
     assert [r.neighbor for r in got] == ["abcdefg", "x", "y"]
     assert_ranks_like_oracle(model, "q", 3, True, got)
+
+
+class FoldReference:
+    """Token lookup from a dict of rows and per-key row lists built with ``str.lower()``."""
+
+    def __init__(self, tokens):
+        self.tokens = tokens
+        self.row = {t: i for i, t in enumerate(tokens)}
+        self.variants: dict[str, list[int]] = {}
+        for i, t in enumerate(tokens):
+            self.variants.setdefault(t.lower(), []).append(i)
+
+    def lookup(self, token, fold_case):
+        if token in self.row:
+            return self.row[token]
+        return self.variants.get(token.lower(), [None])[0] if fold_case else None
+
+    def top_k(self, vectors, query, k, fold_case):
+        """(neighbor, similarity) by a full float64 scan, deduplicated by key."""
+        units = vectors.astype(np.float64)
+        norms = np.linalg.norm(units, axis=1)
+        qi = self.lookup(query, fold_case)
+        excluded = self.variants[self.tokens[qi].lower()] if fold_case else [qi]
+        scored = sorted(
+            (-float(units[i] @ units[qi] / (norms[i] * norms[qi])), t)
+            for i, t in enumerate(self.tokens)
+            if norms[i] >= embeddings.MIN_USABLE_NORM and i not in excluded
+        )
+        out, seen = [], set()
+        for neg, t in scored:
+            key = t.lower() if fold_case else t
+            if key not in seen:
+                seen.add(key)
+                out.append((t, -neg))
+        return out[:k]
+
+
+# Tokens whose lowercase is longer (İ), merges with another token (ẞ/ß, the
+# Kelvin sign and k, Σ/σ) or depends on position (ΣΑΣ -> σας, final ς).
+FOLD_TRAPS = ["İ", "i̇", "i", "I", "ı", "ẞ", "ß", "ss", "SS", "Σ", "σ", "ς", "ΣΑΣ", "σας",
+              "σασ", "\u212a", "k", "K", "\u212aelvin", "kelvin", "KELVIN", "ǅ", "ǆ", "Ǆ"]
+
+
+@st.composite
+def fold_models(draw):
+    """A model over fold traps, a run of up to 70 case variants and plain words."""
+    pool = FOLD_TRAPS + case_variants("abcdefg", draw(st.integers(0, 70))) + ["w1", "W1", "w2"]
+    tokens = draw(st.permutations(pool))[: draw(st.integers(1, len(pool)))]
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    vectors = rng.standard_normal((len(tokens), 4)).astype(np.float32)
+    for i in draw(st.lists(st.integers(0, len(tokens) - 1), max_size=3)):
+        vectors[i] = 0.0
+    return tokens, vectors
+
+
+@settings(max_examples=150, deadline=None)
+@given(fold_models(), st.sampled_from([1, 2, 5, 200]))
+def test_fold_index_matches_a_dict_of_rows(case, k):
+    tokens, vectors = case
+    model = EmbeddingModel("f", list(tokens), vectors)
+    ref = FoldReference(tokens)
+    usable = np.linalg.norm(vectors.astype(np.float64), axis=1) >= embeddings.MIN_USABLE_NORM
+    probes = {p for t in tokens for p in (t, t.lower(), t.upper(), t.casefold(), t.swapcase())}
+    probes |= {"absent", "ABSENT", ""}
+    for fold_case in (True, False):
+        for probe in sorted(probes):
+            i = ref.lookup(probe, fold_case)
+            assert model.usable(probe, fold_case) == (i is not None and bool(usable[i]))
+            if i is None:
+                with pytest.raises(InputError, match="not in vocabulary"):
+                    model.lookup(probe, fold_case)
+                continue
+            assert model.lookup(probe, fold_case) == i
+            assert model.vector(probe, fold_case).tobytes() == vectors[i].tobytes()
+        queries = sorted(p for p in probes if model.usable(p, fold_case))[:8]
+        for query, got in zip(queries, model.top_k_batch(queries, k, fold_case)):
+            want = ref.top_k(vectors, query, k, fold_case)
+            assert [r.neighbor for r in got] == [t for t, _ in want]
+            for r, (_, sim) in zip(got, want):
+                assert r.similarity == pytest.approx(sim, abs=1e-12)
+    for probe in probes:
+        assert (probe in model) == (probe in ref.row)
+        assert model.usable(probe) == (probe in ref.row and bool(usable[ref.row[probe]]))
 
 
 @settings(max_examples=100, deadline=None)

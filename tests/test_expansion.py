@@ -107,6 +107,28 @@ def test_expand_all_oov_reports_everything(toy_model):
     assert sorted(s for s, _ in result.skipped) == ["qqqqalsonot", "zzzznotintfhere"]
 
 
+def write_zero_seed_model(path):
+    """Six tokens; the seed ``possible`` has an all-zero vector, ``Maybe`` a usable one."""
+    tokens = ["possible", "Maybe", "perhaps", "likely", "table", "chair"]
+    vecs = [[0, 0], [1, 0], [0.9, 0.1], [0.8, 0.3], [0, 1], [0.1, 1]]
+    write_binary(path, tokens, np.array(vecs, dtype=np.float32))
+
+
+@pytest.mark.parametrize("fold_case", [True, False])
+def test_expand_skips_a_seed_form_with_an_unusable_vector(tmp_path, fold_case):
+    write_zero_seed_model(tmp_path / "zero.bin")
+    model = load_model(tmp_path / "zero.bin", "binary")
+    result = expand(model, lexicon_of("possible", "maybe"), k=2, fold_case=fold_case)
+    if fold_case:
+        assert result.skipped == [("possible", "possible")]
+        assert [(p.seed, p.candidate) for p in result.pairs] == [
+            ("maybe", "perhaps"), ("maybe", "likely")
+        ]
+    else:  # ``maybe`` matches only ``Maybe`` when case is folded
+        assert result.skipped == [("possible", "possible"), ("maybe", "maybe")]
+        assert result.pairs == []
+
+
 def test_expand_matches_per_seed_brute_force(tmp_path):
     model = make_model(tmp_path, seed=21, n=40, dim=6)
     seeds = model.vocab[:4]
