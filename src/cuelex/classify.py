@@ -3,13 +3,14 @@
 Datasets carry concatenated embedding vectors as features.  All classifiers
 are trained from scratch here; every source of randomness flows from an
 explicit seed, so a (dataset, spec, folds, seed) tuple fully determines the
-evaluation report.
+evaluation report, whatever the number of processes that fit the folds.
 """
 
 from __future__ import annotations
 
 import csv
 import hashlib
+import os
 import random
 import warnings
 from dataclasses import dataclass
@@ -539,27 +540,80 @@ def fold_digest(folds: np.ndarray) -> str:
     return hashlib.sha256(np.asarray(folds, dtype=np.int64).tobytes()).hexdigest()[:12]
 
 
-def train_eval(dataset, spec: ClassifierSpec, folds: np.ndarray, rng_seed: int = 0) -> EvalReport:
-    """Cross-validate one classifier spec, pooling a single confusion matrix."""
-    folds = np.asarray(folds)
-    if len(folds) != len(dataset):
-        raise InputError("fold assignment length does not match dataset")
-    X = np.vstack([ex.features for ex in dataset]).astype(np.float64)
-    y = np.array([ex.label for ex in dataset], dtype=np.int64)
-    tp = fp = fn = tn = 0
-    for f in sorted(set(folds.tolist())):
-        test = folds == f
-        train = ~test
-        if train.sum() == 0:
-            raise InputError("a fold leaves no training data")
+# (X, y, folds, spec, rng_seed) of the running train_eval: the fold workers
+# inherit it through fork, so only fold ids and counts are pickled.
+_JOB = None
+
+
+def _fit_fold(f: int):
+    """Confusion counts (tp, fp, fn, tn) of fold ``f`` and the warnings its fit raised."""
+    X, y, folds, spec, rng_seed = _JOB
+    test = folds == f
+    train = ~test
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
         clf = make_classifier(spec, rng_seed=rng_seed)
         clf.fit(X[train], y[train])
         pred = clf.predict(X[test])
-        truth = y[test]
-        tp += int(((pred == 1) & (truth == 1)).sum())
-        fp += int(((pred == 1) & (truth == 0)).sum())
-        fn += int(((pred == 0) & (truth == 1)).sum())
-        tn += int(((pred == 0) & (truth == 0)).sum())
+    truth = y[test]
+    counts = tuple(
+        int(((pred == p) & (truth == t)).sum()) for p, t in ((1, 1), (1, 0), (0, 1), (0, 0))
+    )
+    return counts, [(w.message, w.category, w.filename, w.lineno) for w in caught]
+
+
+def _usable_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def train_eval(dataset, spec: ClassifierSpec, folds: np.ndarray, rng_seed: int = 0) -> EvalReport:
+    """Cross-validate one classifier spec, pooling a single confusion matrix.
+
+    The folds are fitted in forked worker processes, one per CPU this process
+    may use (at most one per fold).  Their integer counts are summed and the
+    warnings of their fits re-issued here in fold order, so the report and the
+    warnings do not depend on the number of workers.
+    """
+    global _JOB
+    folds = np.asarray(folds)
+    if len(folds) != len(dataset):
+        raise InputError("fold assignment length does not match dataset")
+    fold_ids = sorted(set(folds.tolist()))
+    if len(fold_ids) == 1:  # that fold holds every example
+        raise InputError("a fold leaves no training data")
+    make_classifier(spec, rng_seed=rng_seed)  # a bad spec fails here, not in a worker
+    X = np.vstack([ex.features for ex in dataset]).astype(np.float64)
+    y = np.array([ex.label for ex in dataset], dtype=np.int64)
+    n_workers = min(_usable_cpus(), len(fold_ids))
+    _JOB = (X, y, folds, spec, rng_seed)
+    try:
+        if n_workers <= 1:
+            results = list(map(_fit_fold, fold_ids))
+        else:
+            import multiprocessing  # only train pays for the import
+
+            pool = multiprocessing.get_context("fork").Pool(n_workers)
+            try:
+                results = pool.map(_fit_fold, fold_ids, chunksize=1)
+            except BaseException:
+                pool.terminate()
+                raise
+            else:
+                pool.close()
+            finally:
+                pool.join()
+    finally:
+        _JOB = None
+
+    # the registry that warnings.warn uses here, so "default" still shows a warning once
+    registry = globals().setdefault("__warningregistry__", {})
+    for _, caught in results:
+        for message, category, filename, lineno in caught:
+            module = __name__ if filename == __file__ else None
+            warnings.warn_explicit(message, category, filename, lineno, module, registry)
+    tp, fp, fn, tn = (sum(c) for c in zip(*(counts for counts, _ in results)))
     m = metrics(tp, fp, fn, tn)
     return EvalReport(
         spec.name, tp, fp, fn, tn, m.accuracy, m.precision, m.recall, m.f1, m.flags,

@@ -95,7 +95,8 @@ FLAGS = {
     "config": _Flag(str, None, "JSON config file; flags override its values"),
     "out": _Flag(str, None, "output directory"),
     "rng_seed": _Flag(int, 0, "seed for all randomness", 0),
-    "threads": _Flag(int, 1, "accepted for compatibility; no effect", 1),
+    "threads": _Flag(int, 1, "accepted for compatibility; no effect (train fits folds on "
+                     "every CPU the process may use; limit them with taskset)", 1),
     "reproducible": _Flag(bool, False, "omit timestamps so reruns are byte-identical"),
     "model": _Flag(list, [], 'embedding model as "name=path"'),
     "model_format": _Flag(

@@ -29,8 +29,11 @@ from .errors import InputError
 
 # Vectors shorter than this are unusable for cosine similarity.
 MIN_USABLE_NORM = 1e-12
-# Vocabulary rows per block of the screen and of the norm computation.
+# Vocabulary rows per block of the screen.
 BLOCK_ROWS = 2048
+# Rows per block of the norm computation, whose float64 copy of a block is the
+# largest transient of a model load (256 x 300 x 8 B = 0.6 MiB at dim 300).
+NORM_BLOCK_ROWS = 256
 # The binary loader releases the file pages it has read every this many bytes,
 # so a load never holds the whole file besides the matrix.
 RELEASE_BYTES = 1 << 22
@@ -86,9 +89,9 @@ class EmbeddingModel:
         # Squares of float32 values cannot overflow float64, so a row holds a
         # non-finite value exactly when its norm is not finite.
         self.norms = np.empty(len(vocab))
-        for lo in range(0, len(vocab), BLOCK_ROWS):
-            v64 = self.vectors[lo : lo + BLOCK_ROWS].astype(np.float64)
-            self.norms[lo : lo + BLOCK_ROWS] = np.sqrt(np.einsum("ij,ij->i", v64, v64))
+        for lo in range(0, len(vocab), NORM_BLOCK_ROWS):
+            v64 = self.vectors[lo : lo + NORM_BLOCK_ROWS].astype(np.float64)
+            self.norms[lo : lo + NORM_BLOCK_ROWS] = np.sqrt(np.einsum("ij,ij->i", v64, v64))
         if not np.isfinite(self.norms).all():
             bad = int(np.flatnonzero(~np.isfinite(self.norms))[0])
             raise InputError(f"non-finite value in vector for token {vocab[bad]!r}")

@@ -1,4 +1,8 @@
+import multiprocessing
+import multiprocessing.context
+import os
 import random
+import warnings
 
 import numpy as np
 import pytest
@@ -8,6 +12,7 @@ from conftest import make_model
 from cuelex.classify import (
     Annotation,
     ClassifierSpec,
+    KnnClassifier,
     LabeledExample,
     agreement,
     agreement_from_counts,
@@ -447,6 +452,133 @@ def test_train_eval_fold_mismatch():
     ds = dataset_of(5, 5)
     with pytest.raises(InputError, match="fold"):
         train_eval(ds, ClassifierSpec("knn"), np.zeros(3, dtype=int))
+
+
+# --- folds in worker processes ----------------------------------------------
+
+
+def serial_confusion(dataset, spec, folds, rng_seed=0):
+    """The one-process fold loop that train_eval replaced, kept as the reference."""
+    X = np.vstack([ex.features for ex in dataset]).astype(np.float64)
+    y = np.array([ex.label for ex in dataset], dtype=np.int64)
+    tp = fp = fn = tn = 0
+    for f in sorted(set(folds.tolist())):
+        test = folds == f
+        clf = make_classifier(spec, rng_seed=rng_seed).fit(X[~test], y[~test])
+        pred, truth = clf.predict(X[test]), y[test]
+        tp += int(((pred == 1) & (truth == 1)).sum())
+        fp += int(((pred == 1) & (truth == 0)).sum())
+        fn += int(((pred == 0) & (truth == 1)).sum())
+        tn += int(((pred == 0) & (truth == 0)).sum())
+    return tp, fp, fn, tn
+
+
+def set_cpus(monkeypatch, n):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+
+
+@pytest.fixture
+def pools(monkeypatch):
+    """Worker counts of the fork pools started during the test."""
+    started = []
+    real = multiprocessing.context.ForkContext.Pool
+
+    def spy(self, processes=None, *args, **kwargs):
+        started.append(processes)
+        return real(self, processes, *args, **kwargs)
+
+    monkeypatch.setattr(multiprocessing.context.ForkContext, "Pool", spy)
+    return started
+
+
+FAST_SPECS = [
+    ClassifierSpec("knn", (("k", 3),)),
+    ClassifierSpec("gaussian_nb"),
+    ClassifierSpec("logistic_sgd", (("epochs", 40), ("batch", 16))),
+    ClassifierSpec("mlp", (("epochs", 40), ("batch", 16))),
+]
+
+
+@pytest.mark.parametrize("spec", FAST_SPECS, ids=lambda s: s.kind)
+def test_train_eval_same_report_on_one_and_two_cpus(monkeypatch, pools, spec):
+    ds = dataset_of(38, 34, dim=6, seed=23)
+    folds = kfold(ds, k=10, rng_seed=5)
+    reports = []
+    for n in (1, 2):
+        set_cpus(monkeypatch, n)
+        reports.append(train_eval(ds, spec, folds, rng_seed=5))
+    assert pools == [2]  # one CPU fits the folds in this process
+    assert reports[0] == reports[1]
+    r = reports[0]
+    assert (r.tp, r.fp, r.fn, r.tn) == serial_confusion(ds, spec, folds, rng_seed=5)
+
+
+def _recorded(action, fn, *args):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter(action)
+        result = fn(*args)
+    return result, [(w.category, w.filename, w.lineno, str(w.message)) for w in caught]
+
+
+@pytest.mark.parametrize("n_cpus", [1, 2])
+@pytest.mark.parametrize("action", ["always", "default"])
+@pytest.mark.parametrize("case", ["two folds", "ten folds"])
+def test_train_eval_warns_as_often_as_the_serial_loop(monkeypatch, n_cpus, action, case):
+    if case == "two folds":  # fold 0 holds every positive, fold 1 every negative
+        ds = dataset_of(6, 7, dim=3, seed=3)
+        folds = np.array([1 - ex.label for ex in ds])
+    else:  # the fold holding the only positive trains on negatives alone
+        ds = dataset_of(1, 29, dim=3, seed=3)
+        folds = kfold(ds, k=10, rng_seed=2)
+    spec = ClassifierSpec("gaussian_nb")
+    counts, expected = _recorded(action, serial_confusion, ds, spec, folds)
+    set_cpus(monkeypatch, n_cpus)
+    report, seen = _recorded(action, train_eval, ds, spec, folds)
+    assert seen == expected
+    assert len(seen) == (1 if action == "default" or case == "ten folds" else 2)
+    assert "single class" in seen[0][3]
+    assert (report.tp, report.fp, report.fn, report.tn) == counts
+
+
+def test_train_eval_warning_as_error_leaves_no_process(monkeypatch):
+    ds = dataset_of(6, 7, dim=3, seed=3)
+    folds = np.array([1 - ex.label for ex in ds])
+    set_cpus(monkeypatch, 2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(UserWarning, match="single class"):
+            train_eval(ds, ClassifierSpec("gaussian_nb"), folds)
+    assert multiprocessing.active_children() == []
+
+
+def test_train_eval_input_errors_come_before_any_worker(monkeypatch, pools):
+    set_cpus(monkeypatch, 2)
+    ds = dataset_of(5, 5)
+    with pytest.raises(InputError, match="a fold leaves no training data"):
+        train_eval(ds, ClassifierSpec("knn"), np.zeros(len(ds), dtype=int))
+    with pytest.raises(InputError, match="unknown classifier kind"):
+        train_eval(ds, ClassifierSpec("boost"), kfold(ds, k=5))
+    with pytest.raises(InputError, match="k >= 1"):
+        train_eval(ds, ClassifierSpec("knn", (("k", 0),)), kfold(ds, k=5))
+    assert pools == []
+    assert multiprocessing.active_children() == []
+
+
+def test_train_eval_leaves_no_process_after_return_or_worker_failure(monkeypatch, pools):
+    set_cpus(monkeypatch, 2)
+    ds = dataset_of(10, 10, dim=3, seed=1)
+    folds = kfold(ds, k=5, rng_seed=1)
+    train_eval(ds, ClassifierSpec("knn"), folds)
+    assert multiprocessing.active_children() == []
+
+    def failing_fit(self, X, y):
+        raise RuntimeError("fit failed in a worker")
+
+    monkeypatch.setattr(KnnClassifier, "fit", failing_fit)
+    with pytest.raises(RuntimeError, match="fit failed in a worker"):
+        train_eval(ds, ClassifierSpec("knn"), folds)
+    assert pools == [2, 2]
+    assert multiprocessing.active_children() == []
 
 
 def test_parse_classifier_spec():

@@ -413,6 +413,18 @@ def test_norms_match_recomputation(toy_model):
     assert np.allclose(toy_model.norms, recomputed, rtol=1e-5)
 
 
+def test_norms_equal_one_row_at_a_time_bit_for_bit():
+    # more than one norm block, with a partial last block
+    n = 3 * embeddings.NORM_BLOCK_ROWS + 17
+    vectors = np.random.default_rng(29).standard_normal((n, 300)).astype(np.float32)
+    model = EmbeddingModel("blocks", [f"t{i}" for i in range(n)], vectors)
+    rows = vectors.astype(np.float64)
+    one_by_one = np.concatenate(
+        [np.sqrt(np.einsum("ij,ij->i", rows[i : i + 1], rows[i : i + 1])) for i in range(n)]
+    )
+    assert model.norms.tobytes() == one_by_one.tobytes()
+
+
 # --- top_k -----------------------------------------------------------------
 
 
