@@ -1,4 +1,3 @@
-import multiprocessing
 import multiprocessing.context
 import os
 import random
@@ -513,7 +512,7 @@ def test_train_eval_same_report_on_one_and_two_cpus(monkeypatch, pools, spec):
     assert (r.tp, r.fp, r.fn, r.tn) == serial_confusion(ds, spec, folds, rng_seed=5)
 
 
-def _recorded(action, fn, *args):
+def run_recording_warnings(action, fn, *args):
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter(action)
         result = fn(*args)
@@ -531,9 +530,9 @@ def test_train_eval_warns_as_often_as_the_serial_loop(monkeypatch, n_cpus, actio
         ds = dataset_of(1, 29, dim=3, seed=3)
         folds = kfold(ds, k=10, rng_seed=2)
     spec = ClassifierSpec("gaussian_nb")
-    counts, expected = _recorded(action, serial_confusion, ds, spec, folds)
+    counts, expected = run_recording_warnings(action, serial_confusion, ds, spec, folds)
     set_cpus(monkeypatch, n_cpus)
-    report, seen = _recorded(action, train_eval, ds, spec, folds)
+    report, seen = run_recording_warnings(action, train_eval, ds, spec, folds)
     assert seen == expected
     assert len(seen) == (1 if action == "default" or case == "ten folds" else 2)
     assert "single class" in seen[0][3]
