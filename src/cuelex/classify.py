@@ -13,7 +13,7 @@ import hashlib
 import os
 import random
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -31,6 +31,12 @@ class Annotation:
     word: str
     judge1: str  # pos | neg
     judge2: str
+
+    @property
+    def status(self) -> str:
+        """accepted when both judges said pos, rejected when both said neg, else unrated."""
+        agreed = {("pos", "pos"): "accepted", ("neg", "neg"): "rejected"}
+        return agreed.get((self.judge1, self.judge2), "unrated")
 
 
 def load_annotations(path: str | Path) -> list[Annotation]:
@@ -136,7 +142,6 @@ def sample_unrelated(
     seed_rows = []
     for entry in lexicon.entries:
         for form in entry.model_forms:
-            form = form.replace(" ", "_")
             if model.usable(form, fold_case=True):
                 seed_rows.append(model.lookup(form))
     if not seed_rows:
@@ -174,10 +179,8 @@ class LabeledExample:
     oov_flags: tuple[bool, ...]  # per model, True when the segment is zero-filled
 
 
-def featurize(word: str, models, policy: str = "concat"):
+def featurize(word: str, models):
     """Concatenate the word's stored vectors across models, zero-filling OOV segments."""
-    if policy != "concat":
-        raise InputError(f"unknown featurize policy {policy!r}")
     segments = []
     flags = []
     hit = False
@@ -201,22 +204,13 @@ class DatasetBuild:
     excluded: list[str]  # words OOV in every model
 
 
-def build_dataset(
-    accepted,
-    rejected,
-    unrelated,
-    models,
-    seeds=(),
-    include_seeds: bool = False,
-    shuffle_seed: int = DATASET_SHUFFLE_SEED,
-) -> DatasetBuild:
-    """Labeled examples: positives = accepted (plus seeds when flagged),
-    negatives = rejected + unrelated.
+def build_dataset(accepted, rejected, unrelated, models, seeds=()) -> DatasetBuild:
+    """Labeled examples: positives = accepted + seeds, negatives = rejected + unrelated.
 
     Input lists must be disjoint.  Words missing from every model are excluded
     and reported.  The result is shuffled with a fixed seed before folding.
     """
-    seed_words = list(seeds) if include_seeds else []
+    seed_words = list(seeds)
     groups = {
         "accepted": [w.lower() for w in accepted],
         "rejected": [w.lower() for w in rejected],
@@ -251,7 +245,7 @@ def build_dataset(
         examples.append(LabeledExample(word, feats, label, flags))
     if not examples:
         raise InputError("degenerate dataset: every word is out of vocabulary")
-    random.Random(shuffle_seed).shuffle(examples)
+    random.Random(DATASET_SHUFFLE_SEED).shuffle(examples)
     return DatasetBuild(examples, excluded)
 
 
@@ -290,8 +284,35 @@ def kfold(dataset, k: int = 10, rng_seed: int = 0) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ClassifierSpec:
-    kind: str  # knn | gaussian_nb | logistic_sgd | mlp
+    """A kind of ``CLASSIFIERS`` and its (name, value) parameters, checked on construction.
+
+    Each parameter names a field of the kind's class other than ``rng_seed``,
+    and its value is a positive number of that field's type (an int passes for
+    a float field).  The class's defaults fill in the fields left out.
+    """
+
+    kind: str
     params: tuple = ()
+
+    def __post_init__(self):
+        cls = CLASSIFIERS.get(self.kind)
+        if cls is None:
+            known = ", ".join(CLASSIFIERS)
+            raise InputError(f"unknown classifier kind {self.kind!r} (known: {known})")
+        types = {f.name: type(f.default) for f in fields(cls) if f.name != "rng_seed"}
+        if len(dict(self.params)) < len(self.params):
+            raise InputError(f"{self.name}: a parameter is given twice")
+        for key, value in self.params:
+            want = types.get(key)
+            if want is None:
+                known = ", ".join(types) or "none"
+                raise InputError(f"{self.kind} has no parameter {key!r} (it takes: {known})")
+            if type(value) not in (want, int) or not 0 < value < float("inf"):
+                bound = f"{key} >= 1" if want is int else f"0 < {key} < inf"
+                raise InputError(
+                    f"{self.kind}: {key} must be a positive {want.__name__} ({bound}), "
+                    f"got {value!r}"
+                )
 
     @property
     def name(self) -> str:
@@ -301,40 +322,46 @@ class ClassifierSpec:
         return f"{self.kind}({inner})"
 
     def get(self, key, default):
-        for k, v in self.params:
-            if k == key:
-                return v
-        return default
+        return dict(self.params).get(key, default)
 
 
 def parse_classifier_spec(text: str) -> ClassifierSpec:
-    """Parse "knn:k=3" style spec strings."""
-    text = text.strip()
-    if ":" in text:
-        kind, rest = text.split(":", 1)
-        params = []
-        for part in rest.split(","):
-            if not part.strip():
-                continue
-            if "=" not in part:
-                raise InputError(f"bad classifier parameter {part!r}")
-            key, val = part.split("=", 1)
-            try:
-                parsed = float(val) if "." in val or "e" in val.lower() else int(val)
-            except ValueError:
-                raise InputError(f"bad classifier parameter value {val!r}") from None
-            params.append((key.strip(), parsed))
-        return ClassifierSpec(kind.strip(), tuple(params))
-    return ClassifierSpec(text)
+    """Parse one spec such as "knn:k=3" or "mlp:epochs=40,batch=16"."""
+    kind, _, rest = text.partition(":")
+    params = []
+    for part in filter(str.strip, rest.split(",")):
+        key, equals, val = part.partition("=")
+        if not equals:
+            raise InputError(f"bad classifier parameter {part!r}")
+        try:
+            parsed = float(val) if "." in val or "e" in val.lower() else int(val)
+        except ValueError:
+            raise InputError(f"bad classifier parameter value {val!r}") from None
+        params.append((key.strip(), parsed))
+    return ClassifierSpec(kind.strip(), tuple(params))
 
 
+def parse_classifier_specs(text: str) -> list[ClassifierSpec]:
+    """Parse a comma-separated spec list such as "knn:k=3,gaussian_nb,mlp:epochs=40,batch=16".
+
+    A ``key=value`` item without a kind is one more parameter of the spec before it.
+    """
+    parts: list[str] = []
+    for chunk in filter(None, (c.strip() for c in text.split(","))):
+        if "=" in chunk and ":" not in chunk and parts:
+            parts[-1] += ("," if ":" in parts[-1] else ":") + chunk
+        else:
+            parts.append(chunk)
+    if not parts:
+        raise InputError(f"no classifier spec in {text!r}")
+    return [parse_classifier_spec(part) for part in parts]
+
+
+@dataclass
 class KnnClassifier:
     """k-nearest neighbors under cosine distance; vote ties go to the nearest."""
 
-    def __init__(self, k: int = 3):
-        if k < 1:
-            raise InputError("knn needs k >= 1")
-        self.k = k
+    k: int = 3
 
     def fit(self, X: np.ndarray, y: np.ndarray):
         self._units = _unit_rows(X)
@@ -357,6 +384,7 @@ class KnnClassifier:
         return out
 
 
+@dataclass
 class GaussianNbClassifier:
     """Per-feature normal likelihoods with a variance floor."""
 
@@ -395,14 +423,14 @@ def _minibatches(X: np.ndarray, y: np.ndarray, epochs: int, batch: int, rng_seed
             yield X[sel], y[sel]
 
 
+@dataclass
 class LogisticSgdClassifier:
     """Logistic regression trained with seeded minibatch SGD."""
 
-    def __init__(self, lr: float = 0.0005, epochs: int = 500, batch: int = 100, rng_seed: int = 0):
-        self.lr = lr
-        self.epochs = epochs
-        self.batch = batch
-        self.rng_seed = rng_seed
+    lr: float = 0.0005
+    epochs: int = 500
+    batch: int = 100
+    rng_seed: int = 0
 
     def fit(self, X: np.ndarray, y: np.ndarray):
         X = np.asarray(X, dtype=np.float64)
@@ -419,22 +447,15 @@ class LogisticSgdClassifier:
         return (z >= 0.0).astype(np.int64)
 
 
+@dataclass
 class MlpClassifier:
-    """One hidden tanh layer (width 6 by default) trained with seeded minibatch SGD."""
+    """One hidden tanh layer trained with seeded minibatch SGD."""
 
-    def __init__(
-        self,
-        hidden_width: int = 6,
-        lr: float = 0.0005,
-        epochs: int = 500,
-        batch: int = 100,
-        rng_seed: int = 0,
-    ):
-        self.hidden_width = hidden_width
-        self.lr = lr
-        self.epochs = epochs
-        self.batch = batch
-        self.rng_seed = rng_seed
+    hidden_width: int = 6
+    lr: float = 0.0005
+    epochs: int = 500
+    batch: int = 100
+    rng_seed: int = 0
 
     def fit(self, X: np.ndarray, y: np.ndarray):
         X = np.asarray(X, dtype=np.float64)
@@ -464,27 +485,21 @@ class MlpClassifier:
         return (z >= 0.0).astype(np.int64)
 
 
+# The one registry of classifier kinds: each class's fields and their defaults
+# are the kind's spec parameters.
+CLASSIFIERS = {
+    "knn": KnnClassifier,
+    "gaussian_nb": GaussianNbClassifier,
+    "logistic_sgd": LogisticSgdClassifier,
+    "mlp": MlpClassifier,
+}
+
+
 def make_classifier(spec: ClassifierSpec, rng_seed: int = 0):
-    if spec.kind == "knn":
-        return KnnClassifier(k=int(spec.get("k", 3)))
-    if spec.kind == "gaussian_nb":
-        return GaussianNbClassifier()
-    if spec.kind == "logistic_sgd":
-        return LogisticSgdClassifier(
-            lr=float(spec.get("lr", 0.0005)),
-            epochs=int(spec.get("epochs", 500)),
-            batch=int(spec.get("batch", 100)),
-            rng_seed=rng_seed,
-        )
-    if spec.kind == "mlp":
-        return MlpClassifier(
-            hidden_width=int(spec.get("hidden_width", 6)),
-            lr=float(spec.get("lr", 0.0005)),
-            epochs=int(spec.get("epochs", 500)),
-            batch=int(spec.get("batch", 100)),
-            rng_seed=rng_seed,
-        )
-    raise InputError(f"unknown classifier kind {spec.kind!r}")
+    """An unfitted classifier of the spec; a kind with an ``rng_seed`` field gets ``rng_seed``."""
+    cls = CLASSIFIERS[spec.kind]
+    seeded = {"rng_seed": rng_seed} if hasattr(cls, "rng_seed") else {}
+    return cls(**dict(spec.params), **seeded)
 
 
 @dataclass(frozen=True)
@@ -583,7 +598,6 @@ def train_eval(dataset, spec: ClassifierSpec, folds: np.ndarray, rng_seed: int =
     fold_ids = sorted(set(folds.tolist()))
     if len(fold_ids) == 1:  # that fold holds every example
         raise InputError("a fold leaves no training data")
-    make_classifier(spec, rng_seed=rng_seed)  # a bad spec fails here, not in a worker
     X = np.vstack([ex.features for ex in dataset]).astype(np.float64)
     y = np.array([ex.label for ex in dataset], dtype=np.int64)
     n_workers = min(_usable_cpus(), len(fold_ids))

@@ -267,7 +267,10 @@ def _load_models(ctx) -> list:
     for spec in ctx.model:  # every spec is checked before the first model is read
         if "=" not in spec:
             raise InputError(f'--model must look like "name=path", got {spec!r}')
-    specs = (spec.split("=", 1) for spec in ctx.model)
+    specs = [spec.split("=", 1) for spec in ctx.model]
+    unknown = sorted(set(formats) - {"", *(name for name, _ in specs)})
+    if unknown:
+        raise InputError(f"--model-format names no --model: {', '.join(unknown)}")
     return [
         embeddings.load_model(path, formats.get(name, formats.get("", "binary")), name=name)
         for name, path in specs
@@ -454,18 +457,11 @@ def _cmd_find(ctx) -> int:
     return 0
 
 
-def _statuses_from_annotations(path) -> dict[str, str]:
-    agreed = {("pos", "pos"): "accepted", ("neg", "neg"): "rejected"}
-    return {
-        a.word.lower(): agreed.get((a.judge1, a.judge2), "unrated")
-        for a in classify.load_annotations(path)
-    }
-
-
 def _cmd_graph(ctx) -> int:
     pairs = [p for path in ctx.pairs for p in expansion.read_pairs(path)]
     lexicon = _load_lexicon(ctx)
-    statuses = _statuses_from_annotations(ctx.statuses) if ctx.statuses else {}
+    annotations = classify.load_annotations(ctx.statuses) if ctx.statuses else ()
+    statuses = {a.word.lower(): a.status for a in annotations}
     g = graph_mod.build(pairs, lexicon, statuses)
     out = ctx.out_dir()
     graph_mod.export_node_tsv(out / "nodes.tsv", g, header_lines=ctx.header_lines())
@@ -567,16 +563,14 @@ def _cmd_dataset(ctx) -> int:
     models = _load_models(ctx)
     lexicon = _load_lexicon(ctx)
     annotations = classify.load_annotations(ctx.annotations)
-    accepted = [a.word for a in annotations if a.judge1 == "pos" and a.judge2 == "pos"]
-    rejected = [a.word for a in annotations if a.judge1 == "neg" and a.judge2 == "neg"]
+    accepted = [a.word for a in annotations if a.status == "accepted"]
+    rejected = [a.word for a in annotations if a.status == "rejected"]
     unrelated = classify.sample_unrelated(
         models[0], lexicon, n=ctx.n_unrelated, max_sim=ctx.max_sim, rng_seed=ctx.rng_seed,
         exclude=[a.word for a in annotations],
     )
     seeds = sorted(lexicon.folded_words()) if ctx.include_seeds else ()
-    build = classify.build_dataset(
-        accepted, rejected, unrelated, models, seeds=seeds, include_seeds=ctx.include_seeds
-    )
+    build = classify.build_dataset(accepted, rejected, unrelated, models, seeds=seeds)
     out = ctx.out_dir()
     features = np.vstack([ex.features for ex in build.examples]).astype(np.float32)
     np.save(out / "dataset_features.npy", features)
@@ -621,18 +615,8 @@ def _load_dataset(ctx):
 
 
 def _cmd_train(ctx) -> int:
+    specs = classify.parse_classifier_specs(ctx.classifiers)
     dataset = _load_dataset(ctx)
-    spec_parts: list[str] = []
-    for chunk in ctx.classifiers.split(","):
-        chunk = chunk.strip()
-        if not chunk:
-            continue
-        # bare key=value chunks are parameters of the previous spec
-        if "=" in chunk and ":" not in chunk and spec_parts:
-            spec_parts[-1] += "," + chunk
-        else:
-            spec_parts.append(chunk)
-    specs = [classify.parse_classifier_spec(s) for s in spec_parts]
     folds = classify.kfold(dataset, k=ctx.folds, rng_seed=ctx.rng_seed)
     reports = [classify.train_eval(dataset, spec, folds, rng_seed=ctx.rng_seed) for spec in specs]
     _write_tsv(

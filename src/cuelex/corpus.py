@@ -171,13 +171,11 @@ def tokenize(text: str) -> list[str]:
     return [tok for tok in (raw.strip(_STRIP_CHARS) for raw in text.split()) if tok]
 
 
-def build_corpus(
-    docs, abbreviations: tuple[str, ...] = DEFAULT_ABBREVIATIONS
-) -> SentenceCorpus:
+def build_corpus(docs) -> SentenceCorpus:
     """Build a corpus from (doc_id, text) pairs; empty sentences are dropped."""
 
     def segments(text):
-        for idx, sent in enumerate(segment(text, abbreviations)):
+        for idx, sent in enumerate(segment(text)):
             tokens = tokenize(sent)
             if tokens:
                 yield idx, sent, tokens
@@ -185,7 +183,7 @@ def build_corpus(
     return SentenceCorpus((str(doc_id), segments(text)) for doc_id, text in docs)
 
 
-def load_jsonl(path: str | Path, **kwargs) -> SentenceCorpus:
+def load_jsonl(path: str | Path) -> SentenceCorpus:
     """Corpus from JSON-lines: one object per document, {"id": ..., "text": ...}."""
     path = Path(path)
     if not path.is_file():
@@ -205,10 +203,10 @@ def load_jsonl(path: str | Path, **kwargs) -> SentenceCorpus:
                     raise InputError(f'{path}:{lineno}: document needs "id" and "text"')
                 yield obj["id"], obj["text"]
 
-    return build_corpus(documents(), **kwargs)
+    return build_corpus(documents())
 
 
-def load_directory(path: str | Path, **kwargs) -> SentenceCorpus:
+def load_directory(path: str | Path) -> SentenceCorpus:
     """Corpus from a directory of UTF-8 .txt files; the filename stem is the doc_id."""
     path = Path(path)
     if not path.is_dir():
@@ -216,14 +214,14 @@ def load_directory(path: str | Path, **kwargs) -> SentenceCorpus:
     files = sorted(path.glob("*.txt"))
     if not files:
         raise InputError(f"no .txt files in {path}")
-    return build_corpus(((f.stem, f.read_text(encoding="utf-8")) for f in files), **kwargs)
+    return build_corpus(((f.stem, f.read_text(encoding="utf-8")) for f in files))
 
 
-def load_corpus(path: str | Path, **kwargs) -> SentenceCorpus:
+def load_corpus(path: str | Path) -> SentenceCorpus:
     path = Path(path)
     if path.is_dir():
-        return load_directory(path, **kwargs)
-    return load_jsonl(path, **kwargs)
+        return load_directory(path)
+    return load_jsonl(path)
 
 
 class MatchIndex:

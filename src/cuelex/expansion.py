@@ -104,7 +104,9 @@ def parse_seed_lexicon(lines, origin: str = "<memory>") -> SeedLexicon:
             raise InputError(f"{origin}:{lineno}: unknown source tag {tag!r}")
         pattern = parse_pattern(surface)
         if len(fields) > 2 and fields[2].strip():
-            forms = tuple(f.strip() for f in fields[2].split(",") if f.strip())
+            forms = tuple(  # model tokens spell a phrase's spaces as "_"
+                f.strip().replace(" ", "_") for f in fields[2].split(",") if f.strip()
+            )
         else:
             forms = _default_forms(pattern)
         try:
@@ -172,7 +174,6 @@ def expand(
     found, skipped = [], []
     for entry in lexicon.entries:
         for form in entry.model_forms:
-            form = form.replace(" ", "_")
             (found if model.usable(form, fold_case) else skipped).append((entry.surface, form))
     neighbors = model.top_k_batch([form for _, form in found], k, fold_case)
 

@@ -108,10 +108,6 @@ def build(pairs, seeds=None, statuses: dict[str, str] | None = None) -> CueGraph
             continue
         if 0.0 < p.similarity <= 1.0:
             graph.add_edge(u, v, p.similarity)
-    for word, status in statuses.items():
-        node = graph.nodes.get(word)
-        if node is not None and not node.is_seed:
-            node.status = status
     return graph
 
 
@@ -228,10 +224,7 @@ def louvain(graph: CueGraph, resolution: float = 1.0, rng_seed: int = 0) -> Part
 
     # Node of the working (aggregated) graph -> members in the original graph.
     members = {w: [w] for w in graph.nodes}
-    neighbors: dict = {w: {} for w in graph.nodes}
-    for (u, v), w in graph.edges.items():
-        neighbors[u][v] = neighbors[u].get(v, 0.0) + w
-        neighbors[v][u] = neighbors[v].get(u, 0.0) + w
+    neighbors = graph.adjacency()
     self_loops: dict = {}
 
     assignment = {w: w for w in graph.nodes}

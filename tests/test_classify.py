@@ -13,6 +13,7 @@ from cuelex.classify import (
     ClassifierSpec,
     KnnClassifier,
     LabeledExample,
+    MlpClassifier,
     agreement,
     agreement_from_counts,
     build_dataset,
@@ -23,6 +24,7 @@ from cuelex.classify import (
     make_classifier,
     metrics,
     parse_classifier_spec,
+    parse_classifier_specs,
     sample_unrelated,
     train_eval,
 )
@@ -51,6 +53,12 @@ def test_agreement_published_counts():
     assert report.percent_agreement == pytest.approx(0.715, abs=5e-4)
     assert report.kappa == pytest.approx(0.4291, abs=5e-4)
     assert report.band == "moderate"
+
+
+def test_annotation_status_needs_both_judges_to_agree():
+    judges = (("pos", "pos"), ("neg", "neg"), ("pos", "neg"), ("neg", "pos"))
+    statuses = [Annotation("w", j1, j2).status for j1, j2 in judges]
+    assert statuses == ["accepted", "rejected", "unrated", "unrated"]
 
 
 def test_agreement_from_annotations_matches_counts():
@@ -266,7 +274,7 @@ def test_build_dataset_shuffle_deterministic():
 
 def test_build_dataset_include_seeds():
     m1, m2 = two_toy_models()
-    build = build_dataset(["word"], ["only2"], [], [m1, m2], seeds=["shared"], include_seeds=True)
+    build = build_dataset(["word"], ["only2"], [], [m1, m2], seeds=["shared"])
     labels = {ex.word: ex.label for ex in build.examples}
     assert labels["shared"] == 1
 
@@ -589,3 +597,23 @@ def test_parse_classifier_spec():
         parse_classifier_spec("knn:k")
     with pytest.raises(InputError):
         make_classifier(ClassifierSpec("boost"))
+
+
+@pytest.mark.parametrize(
+    "text, names",
+    [
+        ("knn:k=3,gaussian_nb,logistic_sgd,mlp", ["knn(k=3)", "gaussian_nb", "logistic_sgd", "mlp"]),
+        ("mlp:epochs=40,batch=16,knn", ["mlp(epochs=40,batch=16)", "knn"]),
+        (" knn : k = 5 , , logistic_sgd:lr=1", ["knn(k=5)", "logistic_sgd(lr=1)"]),
+        ("gaussian_nb,mlp,epochs=40,batch=16", ["gaussian_nb", "mlp(epochs=40,batch=16)"]),
+    ],
+)
+def test_parse_classifier_specs_joins_bare_parameters_onto_the_spec_before(text, names):
+    assert [spec.name for spec in parse_classifier_specs(text)] == names
+
+
+def test_make_classifier_takes_its_defaults_from_the_class():
+    spec = parse_classifier_spec("mlp:lr=1,epochs=40")
+    assert make_classifier(spec, rng_seed=7) == MlpClassifier(lr=1, epochs=40, rng_seed=7)
+    assert make_classifier(ClassifierSpec("knn")) == KnnClassifier()
+

@@ -796,6 +796,43 @@ def test_model_format_is_checked_before_any_model_is_read(tmp_path, monkeypatch,
     assert not (tmp_path / "o").exists()
 
 
+def test_model_format_must_name_a_model(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert run("expand", *MISSING_MODELS, "--model-format", "zz=text", "--out", "o") == 1
+    err = capsys.readouterr().err
+    assert "--model-format names no --model: zz" in err and "not found" not in err
+    assert run("expand", *MISSING_MODELS, "--model-format", "a=text", "--out", "o") == 1
+    assert "missing.bin" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "spec, message",
+    [
+        ("knn:kk=5", "knn has no parameter 'kk'"),
+        ("mlp:hidden=2", "mlp has no parameter 'hidden'"),
+        ("gaussian_nb:k=3", "gaussian_nb has no parameter 'k'"),
+        ("knn:k=2.5", "knn: k must be a positive int (k >= 1), got 2.5"),
+        ("logistic_sgd:epochs=-5", "logistic_sgd: epochs must be a positive int"),
+        ("logistic_sgd:lr=-1", "logistic_sgd: lr must be a positive float"),
+        ("mlp:hidden_width=0", "mlp: hidden_width must be a positive int"),
+        ("knn:k=3,logistic_sgd,batch=0", "logistic_sgd: batch must be a positive int"),
+        ("boost:depth=2", "unknown classifier kind 'boost'"),
+        ("mlp:rng_seed=4", "mlp has no parameter 'rng_seed'"),
+        ("knn:k=3,k=4", "knn(k=3,k=4): a parameter is given twice"),
+        ("knn:k=3.0", "knn: k must be a positive int (k >= 1), got 3.0"),
+        ("logistic_sgd:lr=1e999", "logistic_sgd: lr must be a positive float (0 < lr < inf)"),
+        (" , ", "no classifier spec"),
+    ],
+)
+def test_bad_classifier_spec_fails_before_the_dataset_is_read(
+    tmp_path, monkeypatch, capsys, spec, message
+):
+    monkeypatch.chdir(tmp_path)
+    assert run("train", "--dataset", "missing.tsv", "--classifiers", spec, "--out", "o") == 1
+    err = capsys.readouterr().err
+    assert f"cuelex: error: {message}" in err and "missing" not in err
+
+
 def test_every_model_spec_is_checked_before_any_model_is_read(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     assert run("expand", "--model", "a=missing.bin", "--model", "b.bin", "--out", "o") == 1

@@ -193,6 +193,21 @@ def test_expand_multiword_seed_maps_spaces(tmp_path):
     assert result.skipped == []
 
 
+def test_spaced_model_form_is_a_seed_word_in_lookup_and_exclusion(tmp_path):
+    tokens = ["in_question", "doubtful", "unclear", "filler"]
+    vecs = np.array([[1, 0], [0.95, 0.05], [0.8, 0.2], [0, 1]], dtype=np.float32)
+    write_binary(tmp_path / "forms.bin", tokens, vecs)
+    model = load_model(tmp_path / "forms.bin", "binary")
+    lex = parse_seed_lexicon(["in question\tscientific\tin question", "doubtful"])
+    assert lex.entries[0].model_forms == ("in_question",)
+    result = expand(model, lex, k=3)
+    assert result.skipped == []
+    assert sorted((p.seed, p.candidate) for p in result.pairs) == [
+        ("doubtful", "filler"), ("doubtful", "unclear"),
+        ("in question", "filler"), ("in question", "unclear"),
+    ]
+
+
 def test_expand_k_must_be_positive(toy_model):
     with pytest.raises(InputError):
         expand(toy_model, lexicon_of("anything"), k=0)
