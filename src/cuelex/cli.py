@@ -88,7 +88,6 @@ class _Flag(NamedTuple):
     help: str = ""
     minimum: int | None = None
     below: float | None = None  # an exclusive upper bound
-    choices: tuple[str, ...] = ()  # allowed values of a list flag's items, after any "name="
 
 
 FLAGS = {
@@ -99,10 +98,7 @@ FLAGS = {
                      "every CPU the process may use; limit them with taskset)", 1),
     "reproducible": _Flag(bool, False, "omit timestamps so reruns are byte-identical"),
     "model": _Flag(list, [], 'embedding model as "name=path"'),
-    "model_format": _Flag(
-        list, [], '"binary" (the default), "text", or "name=format" per model',
-        choices=("binary", "text"),
-    ),
+    "model_format": _Flag(list, [], '"binary" (the default), "text", or "name=format" per model'),
     "seeds": _Flag(str, None, "seed lexicon file (default: bundled list)"),
     "k": _Flag(int, 50, "neighbors per seed", 1),
     "no_fold_case": _Flag(bool, False, "keep case variants apart in retrieval"),
@@ -153,7 +149,7 @@ class _Context:
 
     Every key of the command becomes an attribute: a flag wins over the config
     file, which wins over the default in ``FLAGS``.  Each value is cast, then
-    checked against its range and choices, and every required key must be set.  The
+    checked against its range, and every required key must be set.  The
     config digest hashes the command and every effective value but ``out`` and
     ``config``, so every artifact of one run carries the same digest.
     """
@@ -220,10 +216,6 @@ def _check(key, flag, value) -> None:
     if (low is not None and not value >= low) or (high is not None and not value < high):
         bound = f"in [{low}, {high})" if high is not None else _BOUNDS.get(low, f"at least {low}")
         raise InputError(f"{key} must be {bound}, got {value}")
-    for item in value if flag.choices else ():
-        choice = item.split("=", 1)[-1]
-        if choice not in flag.choices:
-            raise InputError(f"{key} must be one of {', '.join(flag.choices)}, got {choice!r}")
 
 
 def _load_config(path):
@@ -262,13 +254,22 @@ def _build_parser() -> _Parser:
 
 
 def _load_models(ctx) -> list:
-    # a bare format applies to every model without a "name=format" of its own
-    formats = dict(f.split("=", 1) if "=" in f else ("", f) for f in ctx.model_format)
-    for spec in ctx.model:  # every spec is checked before the first model is read
+    """The ``--model``s; every model and format item is checked before the first is read."""
+    formats = {}  # a bare format applies to every model without a "name=format" of its own
+    for item in ctx.model_format:
+        name, fmt = item.split("=", 1) if "=" in item else ("", item)
+        if fmt not in ("binary", "text"):
+            raise InputError(f"model_format must be one of binary, text, got {fmt!r}")
+        formats[name] = fmt
+    for spec in ctx.model:
         if "=" not in spec:
             raise InputError(f'--model must look like "name=path", got {spec!r}')
     specs = [spec.split("=", 1) for spec in ctx.model]
-    unknown = sorted(set(formats) - {"", *(name for name, _ in specs)})
+    names = [name for name, _ in specs]
+    repeated = sorted({name for name in names if names.count(name) > 1})
+    if repeated:
+        raise InputError(f"--model names a model more than once: {', '.join(repeated)}")
+    unknown = sorted(set(formats) - {"", *names})
     if unknown:
         raise InputError(f"--model-format names no --model: {', '.join(unknown)}")
     return [

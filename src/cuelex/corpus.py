@@ -77,19 +77,15 @@ class SentenceCorpus:
     tokens as ids into ``vocab``, and ``doc_offsets[d]:doc_offsets[d + 1]``
     are document ``d``'s sentence ids.  ``seg_index[s]`` is the sentence's
     position among its document's segments before token-less ones were
-    dropped.  The constructor packs ``Document``s, or (doc_id, [(segment
-    index, text, tokens), ...]) pairs.  A token's folded form is its
-    ``str.lower()``, so a ``Sentence`` is packed by its ``tokens`` alone.
+    dropped.  The constructor packs (doc_id, [(segment index, text, tokens),
+    ...]) pairs.  A token's folded form is its ``str.lower()``.
     """
 
     def __init__(self, documents):
         vocab: dict[str, int] = {}
         ids, seg_index = array("i"), array("i")
         sent_sizes, doc_sizes, doc_ids, texts = array("q"), array("q"), [], []
-        for doc in documents:
-            if isinstance(doc, Document):
-                doc = doc.doc_id, ((s.index, s.text, s.tokens) for s in doc.sentences)
-            doc_id, sentences = doc
+        for doc_id, sentences in documents:
             n = len(texts)
             for index, text, tokens in sentences:
                 ids.extend([vocab.setdefault(t, len(vocab)) for t in tokens])
@@ -135,7 +131,7 @@ class SentenceCorpus:
 
     def match_index(self, offsets: np.ndarray, groups=None) -> MatchIndex:
         words = [t.lower() for t in self.vocab]
-        return MatchIndex((self.token_ids, offsets), groups, words)
+        return MatchIndex(self.token_ids, offsets, words, groups)
 
     @cached_property
     def index(self) -> MatchIndex:
@@ -199,8 +195,10 @@ def load_jsonl(path: str | Path) -> SentenceCorpus:
                     obj = json.loads(line)
                 except json.JSONDecodeError as exc:
                     raise InputError(f"{path}:{lineno}: invalid JSON ({exc})") from None
-                if "id" not in obj or "text" not in obj:
+                if not isinstance(obj, dict) or "id" not in obj or "text" not in obj:
                     raise InputError(f'{path}:{lineno}: document needs "id" and "text"')
+                if not isinstance(obj["text"], str):
+                    raise InputError(f'{path}:{lineno}: "text" must be a string')
                 yield obj["id"], obj["text"]
 
     return build_corpus(documents())
@@ -236,18 +234,8 @@ class MatchIndex:
     when given, maps each unit to a group (its document, for sentences).
     """
 
-    def __init__(self, units, groups=None, words=None):
-        """Index over objects with a ``folded`` token tuple, such as collection items.
-
-        Given ``words``, ``units`` are the columns ``(tokens, starts)`` instead,
-        and ``words[i]`` is the folded form of token id ``i``.
-        """
-        if words is None:
-            vocab: dict[str, int] = {}
-            tokens = [vocab.setdefault(t, len(vocab)) for u in units for t in u.folded]
-            units = np.array(tokens, dtype=np.int32), _offsets([len(u.folded) for u in units])
-            words = list(vocab)
-        tokens, starts = units
+    def __init__(self, tokens, starts, words, groups=None):
+        """``words[i]`` is the folded form of token id ``i``."""
         self.vocab = sorted(set(words))
         rank = {w: i for i, w in enumerate(self.vocab)}
         self.fold = np.array([rank[w] for w in words], dtype=np.int32)
@@ -325,14 +313,10 @@ class SentenceView(Sequence):
 
 @dataclass
 class SplitResult:
-    """S+ / S- partition of a corpus by indicator patterns.
+    """S+ / S- partition of a corpus by indicator patterns: two views of one corpus."""
 
-    ``split_corpus`` fills both sides with ``SentenceView``s of its corpus;
-    sentence lists work too.
-    """
-
-    s_plus: Sequence[Sentence]
-    s_minus: Sequence[Sentence]
+    s_plus: SentenceView
+    s_minus: SentenceView
     indicators: tuple[MatchPattern, ...]
     capped: bool = False
 
@@ -373,28 +357,20 @@ class RatioRow:
     ratio: float  # math.inf when n_minus == 0
 
 
-def _sides(split: SplitResult) -> tuple[MatchIndex, np.ndarray]:
-    """The index holding both sides' sentences, and each unit's side: 1 S+, 2 S-, 0 neither."""
-    plus, minus = split.s_plus, split.s_minus
-    if not all(isinstance(s, SentenceView) and s.corpus is plus.corpus for s in (plus, minus)):
-        corpus = SentenceCorpus([Document("", (*plus, *minus))])  # index sentence lists apart
-        ids = np.arange(corpus.n_sentences)
-        plus, minus = SentenceView(corpus, ids[: len(plus)]), SentenceView(corpus, ids[len(plus) :])
-    side = np.zeros(plus.corpus.n_sentences, dtype=np.int8)
-    side[plus.ids], side[minus.ids] = 1, 2
-    return plus.corpus.index, side
-
-
 def ratio_table(words, split: SplitResult) -> list[RatioRow]:
     """Per-word S+/S- occurrence table, sorted by ratio descending.
 
     ratio = (n_plus/|S+|) / (n_minus/|S-|); a zero n_minus yields an infinite
     ratio that sorts above every finite one.
     """
-    if not split.s_plus or not split.s_minus:
+    plus, minus = split.s_plus, split.s_minus
+    if not all(isinstance(s, SentenceView) and s.corpus is plus.corpus for s in (plus, minus)):
+        raise InputError("ratio_table needs a split whose sides are views of one corpus")
+    if not plus or not minus:
         raise InputError("ratio_table needs non-empty S+ and S-")
-    n_p, n_m = len(split.s_plus), len(split.s_minus)
-    index, side = _sides(split)
+    n_p, n_m, index = len(plus), len(minus), plus.corpus.index
+    side = np.zeros(plus.corpus.n_sentences, dtype=np.int8)  # 1 S+, 2 S-, 0 neither
+    side[plus.ids], side[minus.ids] = 1, 2
     rows = []
     for w in words:
         p = as_pattern(w)
@@ -443,6 +419,9 @@ def load_collections(manifest_path: str | Path) -> list[DocumentCollection]:
     mapping = tables.read_json(manifest_path, "collection manifest")
     if not isinstance(mapping, dict) or not mapping:
         raise InputError(f"{manifest_path}: manifest must map group ids to corpus paths")
+    for g, value in mapping.items():
+        if not isinstance(value, str) or not value:
+            raise InputError(f"{manifest_path}: group {g!r} needs a corpus path, got {value!r}")
     base = Path(manifest_path).parent  # an absolute corpus path replaces it
     return [collection_from_corpus(g, load_corpus(base / mapping[g])) for g in sorted(mapping)]
 

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import mmap
 import warnings
+from array import array
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -31,8 +32,9 @@ from .errors import InputError
 MIN_USABLE_NORM = 1e-12
 # Vocabulary rows per block of the screen.
 BLOCK_ROWS = 2048
-# Rows per block of the norm computation, whose float64 copy of a block is the
-# largest transient of a model load (256 x 300 x 8 B = 0.6 MiB at dim 300).
+# Rows per block of the passes that copy a block of a loaded matrix: the norm
+# computation, whose float64 copy of a block is the largest transient of a model
+# load (256 x 300 x 8 B = 0.6 MiB at dim 300), and dropping duplicate rows.
 NORM_BLOCK_ROWS = 256
 # The binary loader releases the file pages it has read every this many bytes,
 # so a load never holds the whole file besides the matrix.
@@ -319,7 +321,13 @@ def load_model(
         dupes = len(vocab) - len(first)
         warnings.warn(f"{path}: dropped {dupes} duplicate token(s), kept first occurrences")
         vocab = list(first)
-        matrix = matrix[list(first.values())]
+        # Move the kept rows up in place, a block at a time: they ascend, so no
+        # block reads a row that an earlier block overwrote.
+        kept = np.fromiter(first.values(), dtype=np.int64, count=len(first))
+        for lo in range(0, len(kept), NORM_BLOCK_ROWS):
+            block = kept[lo : lo + NORM_BLOCK_ROWS]
+            matrix[lo : lo + len(block)] = matrix[block]
+        matrix = matrix[: len(kept)]
     model = EmbeddingModel(name or path.stem, vocab, matrix)
     model.declared_vocab_size = declared
     return model
@@ -388,7 +396,7 @@ def _read_binary(path: Path, keep) -> tuple[list[str], np.ndarray, int]:
 
 def _read_text(path: Path, keep) -> tuple[list[str], np.ndarray, int | None]:
     vocab: list[str] = []
-    rows: list[np.ndarray] = []
+    rows = array("f")  # every kept row, one after another
     dim: int | None = None
     declared: int | None = None
     records = 0
@@ -417,9 +425,7 @@ def _read_text(path: Path, keep) -> tuple[list[str], np.ndarray, int | None]:
         raise InputError(f"invalid UTF-8 in text model: {path}") from None
     if declared is not None and records != declared:
         raise InputError(f"header declares {declared} records, the file holds {records}: {path}")
-    if not rows:
-        return [], np.empty((0, dim or 0), dtype=np.float32), declared
-    return vocab, np.vstack(rows), declared
+    return vocab, np.frombuffer(rows, dtype=np.float32).reshape(-1, dim), declared
 
 
 def _append_text_row(parts: list[str], path: Path, vocab, rows, keep) -> None:
@@ -437,4 +443,4 @@ def _append_text_row(parts: list[str], path: Path, vocab, rows, keep) -> None:
     if not np.isfinite(row).all():
         raise InputError(f"non-finite value in vector for token {token!r}: {path}")
     vocab.append(token)
-    rows.append(row)
+    rows.frombytes(row.tobytes())

@@ -9,7 +9,7 @@ back, like "STRASSE"), and words that repeat into overlapping phrases.
 
 from hypothesis import strategies as st
 
-from cuelex.corpus import Document, Sentence, SentenceCorpus
+from cuelex.corpus import SentenceCorpus
 from cuelex.errors import InputError
 
 ASTRAL = "\U0001d6fc"  # MATHEMATICAL ITALIC SMALL ALPHA: sorts above "\uffff"
@@ -48,18 +48,10 @@ def corpora(draw, min_docs=0, max_docs=6):
 
 
 def make_corpus(docs) -> SentenceCorpus:
-    """Corpus from (doc_id, [[token, ...], ...]) pairs, one Sentence per token list."""
+    """Corpus from (doc_id, [[token, ...], ...]) pairs, one sentence per token list."""
     return SentenceCorpus(
-        [
-            Document(
-                doc_id,
-                tuple(
-                    Sentence(doc_id, i, " ".join(toks), tuple(toks), tuple(t.lower() for t in toks))
-                    for i, toks in enumerate(sents)
-                ),
-            )
-            for doc_id, sents in docs
-        ]
+        (doc_id, [(i, " ".join(toks), toks) for i, toks in enumerate(sents)])
+        for doc_id, sents in docs
     )
 
 

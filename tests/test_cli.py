@@ -4,6 +4,7 @@ import os
 import random
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ import pytest
 from conftest import random_tokens
 from w2v_writer import write_binary
 
+import cuelex
 from cuelex import cli
 
 
@@ -568,6 +570,12 @@ def test_threads_does_not_change_results(workspace):
 
 
 
+def child_env(env=os.environ):
+    """``env`` with the ``src`` directory this suite imports cuelex from first on PYTHONPATH."""
+    src = str(Path(cuelex.__file__).parent.parent)
+    return {**env, "PYTHONPATH": os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))}
+
+
 BLAS_PROBE = """
 import ctypes, os
 import cuelex.cli
@@ -583,7 +591,8 @@ def test_command_process_runs_blas_in_one_thread_unless_told(given):
     env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
     if given:
         env["OPENBLAS_NUM_THREADS"] = given
-    proc = subprocess.run([sys.executable, "-c", BLAS_PROBE], env=env, capture_output=True, text=True)
+    probe = [sys.executable, "-c", BLAS_PROBE]
+    proc = subprocess.run(probe, env=child_env(env), capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     setting, threads = proc.stdout.split()
     if given:
@@ -796,6 +805,29 @@ def test_model_format_is_checked_before_any_model_is_read(tmp_path, monkeypatch,
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("--model", "a=m1.bin", "--model", "a=m2.bin"), "--model names a model more than once: a"),
+        (
+            (*MISSING_MODELS, "--model-format", "a=txt", "--model-format", "a=text"),
+            "model_format must be one of binary, text, got 'txt'",
+        ),
+    ],
+)
+def test_a_repeated_model_or_any_bad_format_is_refused_before_any_model_is_read(
+    tmp_path, monkeypatch, capsys, argv, message
+):
+    monkeypatch.chdir(tmp_path)
+    make_model_file(tmp_path / "m1.bin", 1)
+    make_model_file(tmp_path / "m2.bin", 2)
+    for command in ("expand", "pipeline"):
+        assert run(command, *argv, "--out", "o") == 1
+        err = capsys.readouterr().err
+        assert message in err and "not found" not in err
+        assert not (tmp_path / "o").exists()
+
+
 def test_model_format_must_name_a_model(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     assert run("expand", *MISSING_MODELS, "--model-format", "zz=text", "--out", "o") == 1
@@ -853,7 +885,8 @@ print(code, ",".join(loaded) or "-", callable(graph.louvain), type(graph) is typ
 
 def test_corpus_command_runs_no_other_module(workspace):
     argv = ("split", "--corpus", str(workspace / "corpus.jsonl"), "--out", str(workspace / "lazy"))
-    proc = subprocess.run([sys.executable, "-c", LAZY_PROBE, *argv], capture_output=True, text=True)
+    probe = [sys.executable, "-c", LAZY_PROBE, *argv]
+    proc = subprocess.run(probe, env=child_env(), capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     # none of the five was executed, yet each is registered and loads on first use
     assert proc.stdout.splitlines()[-1] == "0 - True True"

@@ -10,8 +10,6 @@ from corpus_strategies import corpora, make_corpus, outcome, patterns
 
 from cuelex.corpus import (
     DEFAULT_CONSENSUS_QUERY,
-    CollectionItem,
-    MatchIndex,
     RatioRow,
     RateRow,
     SentenceMatch,
@@ -162,6 +160,38 @@ def test_load_jsonl_errors(tmp_path):
         load_jsonl(bad)
     with pytest.raises(InputError, match="not found"):
         load_jsonl(tmp_path / "missing.jsonl")
+
+
+@pytest.mark.parametrize(
+    "line, message", [("5", 'document needs "id"'), ('{"id": "x", "text": 5}', '"text" must be')]
+)
+def test_a_line_that_is_no_text_document_is_an_error_at_its_line(tmp_path, line, message):
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text('{"id": "ok", "text": "Fine."}\n' + line + "\n")
+    with pytest.raises(InputError, match=f"bad.jsonl:2: {message}"):
+        load_jsonl(bad)
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(max_size=5),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(json_values, json_values)
+def test_any_json_text_or_manifest_path_loads_or_is_an_input_error(tmp_path_factory, text, path):
+    base = tmp_path_factory.mktemp("json")
+    (base / "one.jsonl").write_text(json.dumps({"id": "a", "text": "Conflicting a."}) + "\n")
+    (base / "doc.jsonl").write_text(json.dumps({"id": "b", "text": text}) + "\n")
+    (base / "groups.json").write_text(json.dumps({"g": "one.jsonl", "h": path}))
+    for load, target in ((load_jsonl, "doc.jsonl"), (load_collections, "groups.json")):
+        try:
+            load(base / target)
+        except InputError:
+            pass  # the one error allowed; any other exception fails the test
 
 
 # --- split -----------------------------------------------------------------
@@ -394,6 +424,17 @@ def test_load_collections_manifest(tmp_path):
     assert {r.group: r.rate for r in rows} == {"G1": 1.0, "G2": 0.0}
 
 
+@pytest.mark.parametrize("value", [5, ["one.jsonl"], ""])
+def test_a_manifest_path_must_be_a_non_empty_string(tmp_path, value):
+    # "" would name the manifest's own directory, whose .txt files would load
+    (tmp_path / "one.jsonl").write_text(json.dumps({"id": "a", "text": "Calm."}) + "\n")
+    (tmp_path / "three.txt").write_text("A text file beside the manifest.")
+    manifest = tmp_path / "groups.json"
+    manifest.write_text(json.dumps({"G1": "one.jsonl", "G2": value}))
+    with pytest.raises(InputError, match=r"groups.json: group 'G2' needs a corpus path"):
+        load_collections(manifest)
+
+
 # --- find_sentences --------------------------------------------------------
 
 
@@ -614,9 +655,8 @@ def test_find_limit_runs_out_part_way():
 
 def test_index_keys_wider_than_int32():
     # 50,000 units over 50,001 tokens: (token id, unit id) keys overflow int32
-    items = tuple(CollectionItem(f"d{i}", (f"w{i}", "x")) for i in range(50_000))
-    index = MatchIndex(items)
-    assert len(index.vocab) * len(items) >= 2**31
+    index = build_collection("g", ((f"d{i}", f"w{i} x") for i in range(50_000))).index
+    assert len(index.vocab) * index.n_units >= 2**31
     assert index.postings.dtype == "int32"
     assert index.lookup("w49999")[0].tolist() == [49_999]
     assert index.lookup("x")[0].tolist() == list(range(50_000))

@@ -3,6 +3,7 @@ import os
 import random
 import struct
 import tracemalloc
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -179,6 +180,42 @@ def test_a_loaded_model_keeps_little_beyond_its_vectors(tmp_path):
         tracemalloc.stop()
     assert model.vocab == tokens
     assert retained / len(model) <= 200
+
+
+def load_peak(path, format):
+    """The loaded model, and the bytes its load held at its peak beyond the finished model."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # the duplicate-token warning
+            model = load_model(path, format)
+        gc.collect()
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return model, peak - held
+
+
+@pytest.mark.parametrize("form", ["text", "binary with a duplicate"])
+def test_a_model_load_holds_one_copy_of_the_matrix(tmp_path, form):
+    # Measured against a plain binary load of the same vectors, whose own peak
+    # holds the norms' block and the duplicate check's set: a second copy of
+    # the matrix would add 1.0.
+    tokens = random_tokens(random.Random(17), 2000)
+    vectors = np.random.default_rng(17).standard_normal((len(tokens), 300)).astype(np.float32)
+    write_binary(tmp_path / "plain.bin", tokens, vectors)
+    path = tmp_path / "model"
+    if form == "text":
+        write_text(path, tokens, vectors)
+    else:  # row 2 again, with other values, after row 4: every later row moves up one
+        repeated = np.vstack([vectors[:5], -vectors[2:3], vectors[5:]])
+        write_binary(path, [*tokens[:5], tokens[2], *tokens[5:]], repeated)
+    _, plain = load_peak(tmp_path / "plain.bin", "binary")
+    model, extra = load_peak(path, form.split()[0])
+    assert model.vocab == tokens
+    assert model.vectors.tobytes() == vectors.tobytes()
+    assert (extra - plain) / vectors.nbytes <= 0.3
 
 
 def test_invalid_utf8_tokens_are_an_error_at_their_offset(tmp_path):
