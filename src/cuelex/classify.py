@@ -10,14 +10,15 @@ from __future__ import annotations
 
 import csv
 import hashlib
-import os
 import random
 import warnings
+from array import array
 from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
+from . import workers
 from .embeddings import EmbeddingModel
 from .errors import CuelexError, InputError
 from .expansion import SeedLexicon
@@ -149,7 +150,8 @@ def sample_unrelated(
     seed_matrix = model.unit_rows(seed_rows)
 
     blocked = {w.lower() for w in exclude} | lexicon.folded_words()
-    indices = list(range(len(model)))
+    # 4 B per row, where a list takes about 40 B; the shuffle order is the same
+    indices = array("i", range(len(model)))
     random.Random(rng_seed).shuffle(indices)
 
     out = []
@@ -160,7 +162,7 @@ def sample_unrelated(
         max_sims = sims.max(axis=0)
         for pos, idx in enumerate(block):
             token = model.vocab[idx]
-            if not model.usable(token) or token.lower() in blocked:
+            if not model._usable[idx] or token.lower() in blocked:
                 continue
             if max_sims[pos] < max_sim:
                 out.append(token)
@@ -555,43 +557,15 @@ def fold_digest(folds: np.ndarray) -> str:
     return hashlib.sha256(np.asarray(folds, dtype=np.int64).tobytes()).hexdigest()[:12]
 
 
-# (X, y, folds, spec, rng_seed) of the running train_eval: the fold workers
-# inherit it through fork, so only fold ids and counts are pickled.
-_JOB = None
-
-
-def _fit_fold(f: int):
-    """Confusion counts (tp, fp, fn, tn) of fold ``f`` and the warnings its fit raised."""
-    X, y, folds, spec, rng_seed = _JOB
-    test = folds == f
-    train = ~test
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        clf = make_classifier(spec, rng_seed=rng_seed)
-        clf.fit(X[train], y[train])
-        pred = clf.predict(X[test])
-    truth = y[test]
-    counts = tuple(
-        int(((pred == p) & (truth == t)).sum()) for p, t in ((1, 1), (1, 0), (0, 1), (0, 0))
-    )
-    return counts, [(w.message, w.category, w.filename, w.lineno) for w in caught]
-
-
-def _usable_cpus() -> int:
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
 def train_eval(dataset, spec: ClassifierSpec, folds: np.ndarray, rng_seed: int = 0) -> EvalReport:
     """Cross-validate one classifier spec, pooling a single confusion matrix.
 
-    The folds are fitted in forked worker processes, one per CPU this process
-    may use (at most one per fold).  Their integer counts are summed and the
-    warnings of their fits re-issued here in fold order, so the report and the
-    warnings do not depend on the number of workers.
+    The folds are fitted in forked worker processes (``workers.fork_map``),
+    one per CPU this process may use and at most one per fold.  Their integer
+    counts are summed and the warnings of their fits re-issued here in fold
+    order, so the report and the warnings do not depend on the number of
+    workers.
     """
-    global _JOB
     folds = np.asarray(folds)
     if len(folds) != len(dataset):
         raise InputError("fold assignment length does not match dataset")
@@ -600,34 +574,17 @@ def train_eval(dataset, spec: ClassifierSpec, folds: np.ndarray, rng_seed: int =
         raise InputError("a fold leaves no training data")
     X = np.vstack([ex.features for ex in dataset]).astype(np.float64)
     y = np.array([ex.label for ex in dataset], dtype=np.int64)
-    n_workers = min(_usable_cpus(), len(fold_ids))
-    _JOB = (X, y, folds, spec, rng_seed)
-    try:
-        if n_workers <= 1:
-            results = list(map(_fit_fold, fold_ids))
-        else:
-            import multiprocessing  # only train pays for the import
 
-            pool = multiprocessing.get_context("fork").Pool(n_workers)
-            try:
-                results = pool.map(_fit_fold, fold_ids, chunksize=1)
-            except BaseException:
-                pool.terminate()
-                raise
-            else:
-                pool.close()
-            finally:
-                pool.join()
-    finally:
-        _JOB = None
+    def fit_fold(f: int) -> tuple[int, int, int, int]:
+        """Confusion counts (tp, fp, fn, tn) of fold ``f``."""
+        test = folds == f
+        clf = make_classifier(spec, rng_seed=rng_seed).fit(X[~test], y[~test])
+        pred, truth = clf.predict(X[test]), y[test]
+        return tuple(
+            int(((pred == p) & (truth == t)).sum()) for p, t in ((1, 1), (1, 0), (0, 1), (0, 0))
+        )
 
-    # the registry that warnings.warn uses here, so "default" still shows a warning once
-    registry = globals().setdefault("__warningregistry__", {})
-    for _, caught in results:
-        for message, category, filename, lineno in caught:
-            module = __name__ if filename == __file__ else None
-            warnings.warn_explicit(message, category, filename, lineno, module, registry)
-    tp, fp, fn, tn = (sum(c) for c in zip(*(counts for counts, _ in results)))
+    tp, fp, fn, tn = (sum(c) for c in zip(*workers.fork_map(fit_fold, fold_ids)))
     m = metrics(tp, fp, fn, tn)
     return EvalReport(
         spec.name, tp, fp, fn, tn, m.accuracy, m.precision, m.recall, m.f1, m.flags,

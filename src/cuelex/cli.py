@@ -52,7 +52,7 @@ def _lazy(name: str):
 
 
 embeddings, expansion, classify = _lazy("embeddings"), _lazy("expansion"), _lazy("classify")
-graph_mod, reduce_mod = _lazy("graph"), _lazy("reduce")
+graph_mod, reduce_mod, workers = _lazy("graph"), _lazy("reduce"), _lazy("workers")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -94,8 +94,9 @@ FLAGS = {
     "config": _Flag(str, None, "JSON config file; flags override its values"),
     "out": _Flag(str, None, "output directory"),
     "rng_seed": _Flag(int, 0, "seed for all randomness", 0),
-    "threads": _Flag(int, 1, "accepted for compatibility; no effect (train fits folds on "
-                     "every CPU the process may use; limit them with taskset)", 1),
+    "threads": _Flag(int, 1, "accepted for compatibility; no effect (expand and pipeline load "
+                     "and expand each model in its own worker, and train fits folds in workers, "
+                     "one per CPU the process may use; taskset -c 0 runs them in one process)", 1),
     "reproducible": _Flag(bool, False, "omit timestamps so reruns are byte-identical"),
     "model": _Flag(list, [], 'embedding model as "name=path"'),
     "model_format": _Flag(list, [], '"binary" (the default), "text", or "name=format" per model'),
@@ -253,8 +254,8 @@ def _build_parser() -> _Parser:
 # shared input helpers
 
 
-def _load_models(ctx) -> list:
-    """The ``--model``s; every model and format item is checked before the first is read."""
+def _model_specs(ctx) -> list[tuple[str, str, str]]:
+    """The ``--model``s as (name, path, format); every item and file is checked before any read."""
     formats = {}  # a bare format applies to every model without a "name=format" of its own
     for item in ctx.model_format:
         name, fmt = item.split("=", 1) if "=" in item else ("", item)
@@ -272,10 +273,10 @@ def _load_models(ctx) -> list:
     unknown = sorted(set(formats) - {"", *names})
     if unknown:
         raise InputError(f"--model-format names no --model: {', '.join(unknown)}")
-    return [
-        embeddings.load_model(path, formats.get(name, formats.get("", "binary")), name=name)
-        for name, path in specs
-    ]
+    for _, path in specs:
+        if not Path(path).is_file():
+            raise InputError(f"model file not found: {Path(path)}")
+    return [(name, path, formats.get(name, formats.get("", "binary"))) for name, path in specs]
 
 
 def _load_lexicon(ctx):
@@ -328,14 +329,25 @@ def _emit(ctx, stem, columns, rows, decimals=6, **extra) -> None:
 # subcommands
 
 
-def _expand_each(ctx, models, lexicon):
-    """Yield (model, expansion result) per model after writing its pairs and skipped forms."""
+def _expand_each(ctx, specs, lexicon):
+    """Yield (model name, expansion result) per model after writing its pairs and skipped forms.
+
+    Each model is loaded and expanded in its own worker process, so this
+    process never holds a model and each worker holds one.
+    """
+    k, fold_case = ctx.k, not ctx.no_fold_case
+    # executes both lazily registered modules here, once, not in every worker
+    load, expand = embeddings.load_model, expansion.expand
+
+    def expand_one(spec):
+        name, path, fmt = spec
+        return expand(load(path, fmt, name=name), lexicon, k=k, fold_case=fold_case)
+
     out = ctx.out_dir()
-    for model in models:
-        result = expansion.expand(model, lexicon, k=ctx.k, fold_case=not ctx.no_fold_case)
-        expansion.write_pairs(out / f"pairs_{model.name}.tsv", result.pairs, ctx.header_lines())
-        _write_tsv(ctx, f"skipped_{model.name}.tsv", ("seed", "model_form"), result.skipped)
-        yield model, result
+    for (name, _, _), result in zip(specs, workers.fork_map(expand_one, specs)):
+        expansion.write_pairs(out / f"pairs_{name}.tsv", result.pairs, ctx.header_lines())
+        _write_tsv(ctx, f"skipped_{name}.tsv", ("seed", "model_form"), result.skipped)
+        yield name, result
 
 
 def _common_candidates(pair_lists, lexicon):
@@ -346,9 +358,9 @@ def _common_candidates(pair_lists, lexicon):
 
 
 def _cmd_expand(ctx) -> int:
-    models = _load_models(ctx)
-    for model, result in _expand_each(ctx, models, _load_lexicon(ctx)):
-        print(f"{model.name}: {len(result.pairs)} pairs, {len(result.skipped)} seed forms skipped")
+    specs = _model_specs(ctx)
+    for name, result in _expand_each(ctx, specs, _load_lexicon(ctx)):
+        print(f"{name}: {len(result.pairs)} pairs, {len(result.skipped)} seed forms skipped")
     return 0
 
 
@@ -561,7 +573,7 @@ DATASET_COLUMNS = ("word", "label", "oov_flags")
 
 
 def _cmd_dataset(ctx) -> int:
-    models = _load_models(ctx)
+    models = [embeddings.load_model(path, fmt, name=name) for name, path, fmt in _model_specs(ctx)]
     lexicon = _load_lexicon(ctx)
     annotations = classify.load_annotations(ctx.annotations)
     accepted = [a.word for a in annotations if a.status == "accepted"]
@@ -730,13 +742,13 @@ def _cmd_mds(ctx) -> int:
 def _cmd_pipeline(ctx) -> int:
     if len(ctx.model) < 2:
         raise InputError("pipeline needs at least two models to intersect")
-    models = _load_models(ctx)
+    specs = _model_specs(ctx)
     lexicon = _load_lexicon(ctx)
     pair_lists = []
-    for model, result in _expand_each(ctx, models, lexicon):
+    for name, result in _expand_each(ctx, specs, lexicon):
         pair_lists.append(result.pairs)
         n_distinct = len(expansion.distinct_candidates(result.pairs))
-        print(f"{model.name}: {len(result.pairs)} pairs, {n_distinct} distinct candidates")
+        print(f"{name}: {len(result.pairs)} pairs, {n_distinct} distinct candidates")
     cset = _common_candidates(pair_lists, lexicon)
     if ctx.corpus:
         cset = expansion.score_candidates(cset, corpus_mod.load_corpus(ctx.corpus), lexicon)

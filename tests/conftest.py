@@ -1,3 +1,4 @@
+import os
 import random
 import sys
 from pathlib import Path
@@ -61,3 +62,33 @@ def make_model(tmp_path, seed=0, n=100, dim=8, name="synthetic", duplicates=0):
 @pytest.fixture
 def toy_model(tmp_path):
     return make_model(tmp_path, seed=1, n=60, dim=6)
+
+
+def set_cpus(monkeypatch, n):
+    """Let this process see ``n`` usable CPUs: ``workers.fork_map`` starts ``n`` workers at most."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The pids of the worker processes forked during the test."""
+    started = []
+    real = os.fork
+
+    def spy():
+        pid = real()
+        if pid:
+            started.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", spy)
+    return started
+
+
+def no_child_left() -> bool:
+    """Whether this process has no child, running or unreaped (plain forks included)."""
+    try:
+        os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return True
+    return False

@@ -1,12 +1,15 @@
-import multiprocessing.context
+import multiprocessing
 import os
 import random
 import warnings
+from array import array
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import make_model
+from conftest import make_model, no_child_left, random_tokens, set_cpus
 
 from cuelex.classify import (
     Annotation,
@@ -187,6 +190,66 @@ def test_sample_unrelated_exhaustion_error():
     lex = parse_seed_lexicon(["seedtok"])
     with pytest.raises(CuelexError, match="qualify"):
         sample_unrelated(model, lex, n=2, max_sim=0.2)
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(0, 5000), seed=st.integers(0, 2**64))
+def test_an_int32_array_shuffles_into_the_order_of_a_list(n, seed):
+    # sample_unrelated shuffles an array("i"); its sampled words are those of a list shuffle
+    rows, order = array("i", range(n)), list(range(n))
+    random.Random(seed).shuffle(rows)
+    random.Random(seed).shuffle(order)
+    assert rows.tolist() == order
+
+
+def sample_unrelated_from_a_list(model, lexicon, n, max_sim, rng_seed):
+    """The sampler as it was with a shuffled list of ints and a token lookup per row."""
+    seed_rows = [
+        model.lookup(form) for entry in lexicon.entries for form in entry.model_forms
+        if model.usable(form, fold_case=True)
+    ]
+    if not seed_rows:
+        raise InputError("no seed form")
+    seed_matrix = model.unit_rows(seed_rows)
+    indices = list(range(len(model)))
+    random.Random(rng_seed).shuffle(indices)
+    out = []
+    for start in range(0, len(indices), 2048):
+        block = indices[start : start + 2048]
+        max_sims = (seed_matrix @ model.unit_rows(block).T).max(axis=0)
+        for pos, idx in enumerate(block):
+            token = model.vocab[idx]
+            if not model.usable(token) or token.lower() in lexicon.folded_words():
+                continue
+            if max_sims[pos] < max_sim:
+                out.append(token)
+                if len(out) == n:
+                    return out
+    raise CuelexError("too few")
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    data_seed=st.integers(0, 2**32 - 1),
+    n_tokens=st.integers(1, 80),
+    n=st.integers(1, 20),
+    max_sim=st.floats(0.0, 1.0),
+    rng_seed=st.integers(0, 2**64),
+)
+def test_sample_unrelated_matches_the_list_sampler(data_seed, n_tokens, n, max_sim, rng_seed):
+    tokens = random_tokens(random.Random(data_seed), n_tokens)
+    gen = np.random.default_rng(data_seed)
+    vectors = gen.normal(size=(n_tokens, 3)).astype(np.float32)
+    vectors[gen.random(n_tokens) < 0.2] = 0.0  # unusable rows are never sampled
+    model = EmbeddingModel("m", tokens, vectors)
+    lexicon = parse_seed_lexicon([t.lower() for t in tokens[:2]])
+    outcomes = []
+    for sampler in (sample_unrelated, sample_unrelated_from_a_list):
+        try:
+            outcomes.append(sampler(model, lexicon, n=n, max_sim=max_sim, rng_seed=rng_seed))
+        except CuelexError as exc:
+            outcomes.append(type(exc))
+    assert outcomes[0] == outcomes[1]
 
 
 # --- featurize / dataset -------------------------------------------------------
@@ -480,24 +543,6 @@ def serial_confusion(dataset, spec, folds, rng_seed=0):
     return tp, fp, fn, tn
 
 
-def set_cpus(monkeypatch, n):
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
-
-
-@pytest.fixture
-def pools(monkeypatch):
-    """Worker counts of the fork pools started during the test."""
-    started = []
-    real = multiprocessing.context.ForkContext.Pool
-
-    def spy(self, processes=None, *args, **kwargs):
-        started.append(processes)
-        return real(self, processes, *args, **kwargs)
-
-    monkeypatch.setattr(multiprocessing.context.ForkContext, "Pool", spy)
-    return started
-
-
 FAST_SPECS = [
     ClassifierSpec("knn", (("k", 3),)),
     ClassifierSpec("gaussian_nb"),
@@ -507,14 +552,14 @@ FAST_SPECS = [
 
 
 @pytest.mark.parametrize("spec", FAST_SPECS, ids=lambda s: s.kind)
-def test_train_eval_same_report_on_one_and_two_cpus(monkeypatch, pools, spec):
+def test_train_eval_same_report_on_one_and_two_cpus(monkeypatch, forks, spec):
     ds = dataset_of(38, 34, dim=6, seed=23)
     folds = kfold(ds, k=10, rng_seed=5)
     reports = []
     for n in (1, 2):
         set_cpus(monkeypatch, n)
         reports.append(train_eval(ds, spec, folds, rng_seed=5))
-    assert pools == [2]  # one CPU fits the folds in this process
+        assert len(forks) == 2 * (n - 1)  # one CPU fits the folds in this process
     assert reports[0] == reports[1]
     r = reports[0]
     assert (r.tp, r.fp, r.fn, r.tn) == serial_confusion(ds, spec, folds, rng_seed=5)
@@ -556,9 +601,10 @@ def test_train_eval_warning_as_error_leaves_no_process(monkeypatch):
         with pytest.raises(UserWarning, match="single class"):
             train_eval(ds, ClassifierSpec("gaussian_nb"), folds)
     assert multiprocessing.active_children() == []
+    assert no_child_left()
 
 
-def test_train_eval_input_errors_come_before_any_worker(monkeypatch, pools):
+def test_train_eval_input_errors_come_before_any_worker(monkeypatch, forks):
     set_cpus(monkeypatch, 2)
     ds = dataset_of(5, 5)
     with pytest.raises(InputError, match="a fold leaves no training data"):
@@ -567,16 +613,18 @@ def test_train_eval_input_errors_come_before_any_worker(monkeypatch, pools):
         train_eval(ds, ClassifierSpec("boost"), kfold(ds, k=5))
     with pytest.raises(InputError, match="k >= 1"):
         train_eval(ds, ClassifierSpec("knn", (("k", 0),)), kfold(ds, k=5))
-    assert pools == []
+    assert forks == []
     assert multiprocessing.active_children() == []
+    assert no_child_left()
 
 
-def test_train_eval_leaves_no_process_after_return_or_worker_failure(monkeypatch, pools):
+def test_train_eval_leaves_no_process_after_return_or_worker_failure(monkeypatch, forks):
     set_cpus(monkeypatch, 2)
     ds = dataset_of(10, 10, dim=3, seed=1)
     folds = kfold(ds, k=5, rng_seed=1)
     train_eval(ds, ClassifierSpec("knn"), folds)
     assert multiprocessing.active_children() == []
+    assert no_child_left()
 
     def failing_fit(self, X, y):
         raise RuntimeError("fit failed in a worker")
@@ -584,8 +632,9 @@ def test_train_eval_leaves_no_process_after_return_or_worker_failure(monkeypatch
     monkeypatch.setattr(KnnClassifier, "fit", failing_fit)
     with pytest.raises(RuntimeError, match="fit failed in a worker"):
         train_eval(ds, ClassifierSpec("knn"), folds)
-    assert pools == [2, 2]
+    assert len(forks) == 2 + 2
     assert multiprocessing.active_children() == []
+    assert no_child_left()
 
 
 def test_parse_classifier_spec():

@@ -2,14 +2,17 @@ import argparse
 import json
 import os
 import random
+import shutil
+import signal
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from conftest import random_tokens
+from conftest import no_child_left, random_tokens, set_cpus
 from w2v_writer import write_binary
 
 import cuelex
@@ -872,11 +875,146 @@ def test_every_model_spec_is_checked_before_any_model_is_read(tmp_path, monkeypa
     assert "--model must look like \"name=path\", got 'b.bin'" in err and "not found" not in err
 
 
+# --- one worker per model ---------------------------------------------------------
+
+
+def model_run_args(command, workspace, models, out):
+    args = [command, "--seeds", str(workspace / "seeds.txt"), "--out", str(out)]
+    for name, path in models.items():
+        args += ["--model", f"{name}={path}"]
+    if command in ("expand", "pipeline"):
+        args += ["--k", "8"]
+    if command == "pipeline":
+        args += ["--corpus", str(workspace / "corpus.jsonl")]
+    return args + ["--reproducible", "--rng-seed", "7"]
+
+
+@pytest.mark.parametrize("command", ["expand", "pipeline", "dataset"])
+def test_a_missing_model_fails_before_any_model_is_read(workspace, monkeypatch, capsys, command):
+    set_cpus(monkeypatch, 1)  # a load would run in this process, where the spy sees it
+    loads = []
+    monkeypatch.setattr(cli.embeddings, "load_model", lambda *args, **kw: loads.append(args))
+    models = {"a": workspace / "m1.bin", "b": workspace / "missing.bin"}
+    extra = ("--annotations", str(workspace / "labels.csv")) if command == "dataset" else ()
+    assert run(*model_run_args(command, workspace, models, workspace / "o"), *extra) == 1
+    assert f"model file not found: {workspace / 'missing.bin'}" in capsys.readouterr().err
+    assert loads == []
+
+
+def run_and_read(argv, out, capsys):
+    """Exit code, stdout and every file ``argv`` writes into a fresh ``out``."""
+    shutil.rmtree(out, ignore_errors=True)
+    code = run(*argv)
+    files = {p.name: p.read_bytes() for p in sorted(out.iterdir())} if out.exists() else {}
+    return code, capsys.readouterr().out, files
+
+
+@pytest.mark.parametrize("command", ["expand", "pipeline"])
+def test_model_workers_write_the_same_bytes_on_one_or_two_cpus(
+    workspace, monkeypatch, capsys, forks, command
+):
+    shared = ["seeda", "seedb", "canda", "candb", "candc", "knowledge"]
+    make_model_file(workspace / "m3.bin", seed=303, shared=shared)
+    out = workspace / "cpus"
+    for n_models in (2, 3):
+        models = {f"m{i}": workspace / f"m{i}.bin" for i in range(1, n_models + 1)}
+        runs = []
+        for n_cpus in (1, 2):
+            set_cpus(monkeypatch, n_cpus)
+            runs.append(run_and_read(model_run_args(command, workspace, models, out), out, capsys))
+        assert runs[0] == runs[1] and runs[0][0] == 0
+        assert {f"pairs_{name}.tsv" for name in models} <= set(runs[0][2])
+    assert len(forks) == 2 + 2  # two workers for two models, and two for three
+    assert no_child_left()
+
+
+def duplicate_token_model(workspace):
+    from cuelex.embeddings import load_model
+
+    model = load_model(workspace / "m1.bin")
+    path = workspace / "dup.bin"
+    vectors = np.vstack([model.vectors, model.vectors[-1:]])
+    write_binary(path, [*model.vocab, model.vocab[-1]], vectors)
+    return path
+
+
+@pytest.mark.parametrize("action", ["always", "default"])
+def test_a_model_worker_warning_shows_once_here_at_load_model(
+    workspace, monkeypatch, capsys, action
+):
+    import inspect
+
+    from cuelex import embeddings
+
+    models = {"a": duplicate_token_model(workspace), "b": workspace / "m2.bin"}
+    source, first = inspect.getsourcelines(embeddings.load_model)
+    warn_line = first + next(i for i, ln in enumerate(source) if "warnings.warn(" in ln)
+    seen = []
+    for n_cpus in (1, 2):
+        set_cpus(monkeypatch, n_cpus)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter(action)
+            assert run(*model_run_args("pipeline", workspace, models, workspace / "w")) == 0
+        seen.append([(w.category, w.filename, w.lineno, str(w.message)) for w in caught])
+    assert seen[0] == seen[1]
+    ((category, filename, lineno, message),) = seen[1]
+    assert (category, filename, lineno) == (UserWarning, embeddings.__file__, warn_line)
+    assert "dup.bin: dropped 1 duplicate token(s)" in message
+    assert no_child_left()
+
+
+def test_a_model_worker_warning_as_error_raises_here(workspace, monkeypatch, capsys):
+    models = {"a": duplicate_token_model(workspace), "b": workspace / "m2.bin"}
+    for n_cpus in (1, 2):
+        set_cpus(monkeypatch, n_cpus)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(*model_run_args("pipeline", workspace, models, workspace / "e")) == 2
+        err = capsys.readouterr().err
+        assert "internal failure" in err and "UserWarning: " in err and "dropped 1 duplicate" in err
+    assert no_child_left()
+
+
+def test_a_bad_model_fails_in_a_worker_as_in_a_serial_loop(workspace, monkeypatch, capsys):
+    bad_a, bad_b = workspace / "bad_a.bin", workspace / "bad_b.bin"
+    bad_a.write_bytes(b"abc def\nxx")
+    bad_b.write_bytes(b"3 2\nab")
+    for a, expected in (
+        (workspace / "m1.bin",
+         f"header declares 3 records of dimension 2, more than the 2 bytes after it hold: {bad_b}"),
+        (bad_a, f"malformed header b'abc def': {bad_a}"),  # both bad: a's error, as a loop gives
+    ):
+        errors = []
+        for n_cpus in (1, 2):
+            set_cpus(monkeypatch, n_cpus)
+            args = model_run_args("pipeline", workspace, {"a": a, "b": bad_b}, workspace / "bad")
+            assert run(*args) == 1
+            errors.append(capsys.readouterr().err)
+        assert errors[0] == errors[1] == f"cuelex: error: {expected}\n"
+    assert no_child_left()
+
+
+def test_a_killed_model_worker_is_an_internal_failure(workspace, monkeypatch, capsys):
+    set_cpus(monkeypatch, 2)
+    parent, real = os.getpid(), cli.embeddings.load_model
+
+    def load(path, fmt, name):
+        if name == "m2" and os.getpid() != parent:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return real(path, fmt, name=name)
+
+    monkeypatch.setattr(cli.embeddings, "load_model", load)
+    assert run(*pipeline_args(workspace, workspace / "killed")) == 2
+    err = capsys.readouterr().err
+    assert "internal failure" in err and "ended with status -9" in err
+    assert no_child_left()
+
+
 LAZY_PROBE = """
 import sys, types
 from cuelex import cli
 code = cli.main(sys.argv[1:])
-names = ("classify", "graph", "reduce", "embeddings", "expansion")
+names = ("classify", "graph", "reduce", "embeddings", "expansion", "workers")
 loaded = [n for n in names if type(sys.modules.get("cuelex." + n)) is types.ModuleType]
 graph = sys.modules["cuelex.graph"]
 print(code, ",".join(loaded) or "-", callable(graph.louvain), type(graph) is types.ModuleType)
@@ -888,5 +1026,5 @@ def test_corpus_command_runs_no_other_module(workspace):
     probe = [sys.executable, "-c", LAZY_PROBE, *argv]
     proc = subprocess.run(probe, env=child_env(), capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    # none of the five was executed, yet each is registered and loads on first use
+    # none of the six was executed, yet each is registered and loads on first use
     assert proc.stdout.splitlines()[-1] == "0 - True True"
