@@ -15,13 +15,16 @@ import warnings
 from array import array
 from dataclasses import dataclass, fields
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import workers
-from .embeddings import EmbeddingModel
 from .errors import CuelexError, InputError
-from .expansion import SeedLexicon
+
+if TYPE_CHECKING:
+    from .embeddings import EmbeddingModel
+    from .expansion import SeedLexicon
 
 VARIANCE_FLOOR = 1e-9
 DATASET_SHUFFLE_SEED = 13  # fixed pre-fold shuffle, part of the dataset contract

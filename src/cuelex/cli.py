@@ -28,8 +28,9 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import numpy as np  # noqa: E402  (after the BLAS default above)
 
-from . import __version__, corpus as corpus_mod, tables
+from . import __version__, tables
 from .errors import CuelexError, InputError
+from .patterns import DEFAULT_CONSENSUS_QUERY
 
 
 def _lazy(name: str):
@@ -51,8 +52,9 @@ def _lazy(name: str):
     return module
 
 
-embeddings, expansion, classify = _lazy("embeddings"), _lazy("expansion"), _lazy("classify")
-graph_mod, reduce_mod, workers = _lazy("graph"), _lazy("reduce"), _lazy("workers")
+corpus_mod, embeddings, expansion = _lazy("corpus"), _lazy("embeddings"), _lazy("expansion")
+classify, graph_mod, reduce_mod = _lazy("classify"), _lazy("graph"), _lazy("reduce")
+workers = _lazy("workers")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -106,16 +108,14 @@ FLAGS = {
     "corpus": _Flag(str, None, "corpus (JSON-lines file or directory of .txt)"),
     "pairs": _Flag(list, [], "pairs TSV"),
     "candidates": _Flag(str, None, "candidate JSON file"),
-    "indicators": _Flag(
-        list, list(corpus_mod.DEFAULT_CONSENSUS_QUERY), "comma-separated patterns or @file"
-    ),
+    "indicators": _Flag(list, list(DEFAULT_CONSENSUS_QUERY), "comma-separated patterns or @file"),
     "balance": _Flag(bool, False, "down-sample the larger of S+ / S- to the smaller's size"),
     "words": _Flag(list, [], "words or patterns (comma-separated or @file)"),
     "collection": _Flag(str, None, "corpus path treated as one collection"),
     "group": _Flag(str, None, "collection name (default: path stem)"),
     "baseline": _Flag(str, "knowledge", "baseline word"),
     "groups": _Flag(str, None, "JSON manifest mapping group id to corpus path"),
-    "query": _Flag(list, list(corpus_mod.DEFAULT_CONSENSUS_QUERY), "query patterns"),
+    "query": _Flag(list, list(DEFAULT_CONSENSUS_QUERY), "query patterns"),
     "cues": _Flag(list, [], "cue patterns (comma-separated or @file)"),
     "limit": _Flag(int, 10, "max sentences per cue", 1),
     "statuses": _Flag(str, None, "annotations CSV used to mark accepted/rejected"),
@@ -613,14 +613,25 @@ def _load_dataset(ctx):
     features_path = path.parent / "dataset_features.npy"
     if not features_path.is_file():
         raise InputError(f"missing feature matrix next to dataset: {features_path}")
-    features = np.load(features_path)
+    with open(features_path, "rb") as fh:
+        try:  # an .npy array only: never a pickle
+            features = np.lib.format.read_array(fh)
+        except ValueError as exc:
+            raise InputError(f"{features_path}: not a feature matrix ({exc})") from None
+    if features.ndim != 2 or features.dtype.kind not in "biuf":
+        raise InputError(f"{features_path}: expected a numeric 2-D matrix, got {features.dtype} "
+                         f"of shape {features.shape}")
     _, rows = tables.read_tsv(path, DATASET_COLUMNS, "dataset")
     if len(rows) != len(features):
         raise InputError("dataset row count does not match the feature matrix")
     examples = []
+    width = len(rows[0][1][2]) if rows else 0
     for vector, (lineno, (word, label, flags)) in zip(features, rows):
         if label not in ("0", "1"):
             raise InputError(f"{path}:{lineno}: label must be 0 or 1, got {label!r}")
+        if not flags or flags.strip("01") or len(flags) != width:
+            raise InputError(f"{path}:{lineno}: oov_flags must be one 0 or 1 per model, "
+                             f"the same number on every row, got {flags!r}")
         examples.append(
             classify.LabeledExample(word, vector, int(label), tuple(c == "1" for c in flags))
         )

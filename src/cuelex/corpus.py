@@ -32,18 +32,16 @@ import numpy as np
 
 from . import tables
 from .errors import InputError
-from .patterns import MatchPattern, as_pattern, count_matches, match, parse_pattern  # noqa: F401
+from .patterns import (  # noqa: F401  (re-exported)
+    DEFAULT_CONSENSUS_QUERY,
+    MatchPattern,
+    as_pattern,
+    count_matches,
+    match,
+    parse_pattern,
+)
 
 DEFAULT_ABBREVIATIONS = ("e.g.", "i.e.", "et al.", "Fig.", "vs.")
-
-# Five consensus-failure words used as the default S+/S- indicator query.
-DEFAULT_CONSENSUS_QUERY = (
-    "conflicting",
-    "contradictory",
-    "inconsistent",
-    "discrepant",
-    "irreconcilable",
-)
 
 _STRIP_CHARS = string.punctuation + "“”‘’…«»–—·"
 
@@ -199,6 +197,8 @@ def load_jsonl(path: str | Path) -> SentenceCorpus:
                     raise InputError(f'{path}:{lineno}: document needs "id" and "text"')
                 if not isinstance(obj["text"], str):
                     raise InputError(f'{path}:{lineno}: "text" must be a string')
+                if not isinstance(obj["id"], (str, int)) or isinstance(obj["id"], bool):
+                    raise InputError(f'{path}:{lineno}: "id" must be a string or an integer')
                 yield obj["id"], obj["text"]
 
     return build_corpus(documents())

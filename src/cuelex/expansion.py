@@ -11,15 +11,18 @@ import math
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import tables
-from .corpus import SentenceCorpus
-from .embeddings import EmbeddingModel
 from .errors import InputError
 from .patterns import MatchPattern, as_pattern, parse_pattern
 from .tables import COMMENT
+
+if TYPE_CHECKING:
+    from .corpus import SentenceCorpus
+    from .embeddings import EmbeddingModel
 
 PAIRS_HEADER = ("seed", "candidate", "similarity", "model")
 
@@ -366,18 +369,52 @@ def write_candidate_set(path: str | Path, cset: CandidateSet, meta: dict | None 
 
 
 def read_candidate_set(path: str | Path) -> CandidateSet:
+    """The candidates of a ``write_candidate_set`` file, which judges may edit by hand.
+
+    Its shape is checked first: a shape this reader cannot use is an input
+    error naming the file and the index of the entry.
+    """
     doc = tables.read_json(path, "candidate")
-    return CandidateSet([
-        Candidate(
-            word=obj["word"],
-            models={
-                name: ModelProvenance(float(m["similarity"]), tuple(m["seeds"]))
-                for name, m in obj.get("models", {}).items()
-            },
-            pmi=None if obj.get("pmi") is None else float(obj["pmi"]),  # float("-inf") is -inf
-            tfidf=obj.get("tfidf"),
-            status=obj.get("status", "unrated"),
-            no_evidence=bool(obj.get("no_evidence", False)),
-        )
-        for obj in doc.get("candidates", [])
-    ])
+    entries = doc.get("candidates") if isinstance(doc, dict) else None
+    if not isinstance(entries, list):
+        raise InputError(f'{path}: expected an object with a "candidates" list')
+    out = []
+    for i, obj in enumerate(entries):
+        try:
+            out.append(_read_candidate(obj))
+        except InputError as exc:
+            raise InputError(f"{path}: candidate {i}: {exc}") from None
+    return CandidateSet(out)
+
+
+def _read_candidate(obj) -> Candidate:
+    if not isinstance(obj, dict) or not isinstance(obj.get("word"), str):
+        raise InputError('expected an object with a string "word"')
+    models = obj.get("models", {})
+    if not isinstance(models, dict):
+        raise InputError('"models" must map model names to {"similarity", "seeds"}')
+    provenance = {}
+    for name, m in models.items():
+        seeds = m.get("seeds") if isinstance(m, dict) else None
+        if not isinstance(seeds, list) or not all(isinstance(s, str) for s in seeds):
+            shape = '{"similarity": number, "seeds": [string]}'
+            raise InputError(f"model {name!r}: expected {shape}")
+        similarity = _json_number(m.get("similarity"), f"model {name!r} similarity")
+        provenance[name] = ModelProvenance(similarity, tuple(seeds))
+    pmi, tfidf = obj.get("pmi"), obj.get("tfidf")
+    return Candidate(
+        word=obj["word"],
+        models=provenance,
+        pmi=None if pmi is None else _json_number(pmi, '"pmi"'),
+        tfidf=None if tfidf is None else _json_number(tfidf, '"tfidf"'),
+        status=obj.get("status", "unrated"),
+        no_evidence=bool(obj.get("no_evidence", False)),
+    )
+
+
+def _json_number(value, what: str) -> float:
+    """A JSON number, or ``inf``/``-inf`` as ``tables.json_value`` spells them."""
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if number or value in ("inf", "-inf"):
+        return float(value)
+    raise InputError(f"{what} must be a number, got {value!r}")

@@ -214,8 +214,11 @@ def louvain(graph: CueGraph, resolution: float = 1.0, rng_seed: int = 0) -> Part
     """Greedy modularity clustering (local moves + aggregation to a fixed point).
 
     Node visit order is a seeded shuffle, so results are reproducible for a
-    given ``rng_seed``.  The returned partition records the modularity after
-    each aggregation pass.
+    given ``rng_seed``.  Local moves can leave a community internally
+    disconnected (Traag, Waltman & van Eck, arXiv 1810.08473), so each
+    community is finally split into its connected parts, which never lowers
+    modularity.  The returned partition records the modularity after each
+    aggregation pass, and after the split when it splits a community.
     """
     if graph.n_edges == 0:
         raise InputError("louvain needs at least one edge")
@@ -258,9 +261,28 @@ def louvain(graph: CueGraph, resolution: float = 1.0, rng_seed: int = 0) -> Part
                 assignment[w] = com
         trace.append(modularity(graph, Partition(_dense_id(assignment))))
 
-    dense = _dense_id(assignment)
-    result = Partition({w: dense[w] for w in graph.nodes}, modularity_trace=trace)
+    parts = _connected_parts(graph, assignment)
+    result = Partition(_dense_id(parts), modularity_trace=trace)
+    if len(set(parts.values())) > len(set(assignment.values())):
+        trace.append(modularity(graph, result))
     return result
+
+
+def _connected_parts(graph: CueGraph, assignment: dict) -> dict:
+    """Each node, in graph order, mapped to the first node of its community's connected part."""
+    adjacency = graph.adjacency()
+    root: dict = {}
+    for start in graph.nodes:
+        if start in root:
+            continue
+        root[start] = start
+        stack = [start]
+        while stack:
+            for other in adjacency[stack.pop()]:
+                if other not in root and assignment[other] == assignment[start]:
+                    root[other] = start
+                    stack.append(other)
+    return {w: root[w] for w in graph.nodes}
 
 
 def _dense_id(assignment: dict) -> dict:
@@ -315,9 +337,7 @@ def pagerank(
 
     p = np.full(n, 1.0 / n)
     for _ in range(max_iter):
-        flow = np.zeros(n)
-        if len(arcs):
-            np.add.at(flow, dst, trans * p[src])
+        flow = np.bincount(dst, weights=trans * p[src], minlength=n)
         dangling_mass = p[dangling].sum()
         p_new = (1.0 - damping) / n + damping * (flow + dangling_mass / n)
         if np.abs(p_new - p).sum() < tol:

@@ -11,6 +11,15 @@ from dataclasses import dataclass
 
 from .errors import InputError
 
+# Five consensus-failure words used as the default S+/S- indicator query.
+DEFAULT_CONSENSUS_QUERY = (
+    "conflicting",
+    "contradictory",
+    "inconsistent",
+    "discrepant",
+    "irreconcilable",
+)
+
 
 @dataclass(frozen=True)
 class MatchPattern:

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from conftest import no_child_left, random_tokens, set_cpus
+from test_golden import COMMANDS as GOLDEN_COMMANDS, make_workspace, run_all
 from w2v_writer import write_binary
 
 import cuelex
@@ -309,6 +310,48 @@ def test_intersect_then_score(workspace):
     assert not by_word["canda"]["no_evidence"]
 
 
+GOOD_CANDIDATE = {"word": "canda", "models": {"m1": {"similarity": 0.5, "seeds": ["seeda"]}}}
+
+
+def _bad_model(**provenance):
+    return {"candidates": [GOOD_CANDIDATE, {"word": "w", "models": {"m1": provenance}}]}
+
+
+BAD_CANDIDATE_FILES = [
+    [1, 2],
+    {},
+    {"candidates": {"word": "canda"}},
+    {"candidates": [GOOD_CANDIDATE, {"models": {}}]},
+    {"candidates": [GOOD_CANDIDATE, "canda"]},
+    {"candidates": [GOOD_CANDIDATE, {"word": 3}]},
+    {"candidates": [GOOD_CANDIDATE, {"word": "w", "models": []}]},
+    {"candidates": [GOOD_CANDIDATE, {"word": "w", "models": {"m1": 0.5}}]},
+    _bad_model(similarity=0.5),
+    _bad_model(similarity=0.5, seeds=[1]),
+    _bad_model(similarity="zz", seeds=[]),
+    _bad_model(seeds=[]),
+    _bad_model(similarity=True, seeds=[]),
+    {"candidates": [GOOD_CANDIDATE, {"word": "w", "pmi": "zz"}]},
+    {"candidates": [GOOD_CANDIDATE, {"word": "w", "tfidf": [0.5]}]},
+    {"candidates": [GOOD_CANDIDATE, {"word": "w", "status": "maybe"}]},
+]
+
+
+@pytest.mark.parametrize("doc", BAD_CANDIDATE_FILES)
+def test_a_bad_candidates_file_is_an_input_error(workspace, capsys, doc):
+    path = workspace / "cands.json"
+    path.write_text(json.dumps(doc))
+    code = run(
+        "score", "--candidates", str(path), "--corpus", str(workspace / "corpus.jsonl"),
+        "--seeds", str(workspace / "seeds.txt"), "--out", str(workspace / "sc"),
+    )
+    assert code == 1
+    err = capsys.readouterr().err
+    entries = doc.get("candidates") if isinstance(doc, dict) else None
+    where = "candidate 1: " if isinstance(entries, list) else ""
+    assert err.startswith(f"cuelex: error: {path}: {where}"), err
+
+
 def test_config_file_with_flag_override(workspace):
     out = workspace / "cfg_out"
     config = {
@@ -488,6 +531,48 @@ def test_dataset_and_train(workspace):
     for r in reports:
         conf = r["confusion"]
         assert conf["tp"] + conf["fp"] + conf["fn"] + conf["tn"] == 9
+
+
+def write_dataset(root, features, flags=("10", "01", "11", "00", "10", "01")):
+    """A ``dataset`` output of one row per flags string; ``features`` is an array or raw bytes."""
+    root.mkdir()
+    rows = "".join(f"w{i}\t{i % 2}\t{f}\n" for i, f in enumerate(flags))
+    (root / "dataset.tsv").write_text("word\tlabel\toov_flags\n" + rows)
+    if isinstance(features, bytes):
+        (root / "dataset_features.npy").write_bytes(features)
+    else:
+        np.save(root / "dataset_features.npy", features)
+    return ("train", "--dataset", str(root / "dataset.tsv"), "--classifiers", "knn:k=1",
+            "--folds", "2", "--out", str(root / "out"))
+
+
+@pytest.mark.parametrize("features", [
+    b"not an array",
+    np.array([{"w": 1}] * 6, dtype=object),  # saved as a pickle
+    np.lib.format.MAGIC_PREFIX + b"\x01\x00",
+], ids=["garbage", "pickle", "cut-header"])
+def test_train_rejects_a_feature_file_it_cannot_load(tmp_path, capsys, features):
+    assert run(*write_dataset(tmp_path / "ds", features)) == 1
+    assert "dataset_features.npy: not a feature matrix" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("features", [np.zeros(6), np.zeros((6, 2, 2)), np.array(["a"] * 6)],
+                         ids=["1-D", "3-D", "text"])
+def test_train_needs_a_numeric_matrix_of_one_row_per_example(tmp_path, capsys, features):
+    assert run(*write_dataset(tmp_path / "ds", features)) == 1
+    assert "expected a numeric 2-D matrix" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flags, code", [
+    (("10", "01", "11", "00", "10", "01"), 0),
+    (("10", "zz", "11", "00", "10", "01"), 1),
+    (("10", "1", "11", "00", "10", "01"), 1),
+    (("", "", "", "", "", ""), 1),
+])
+def test_train_reads_oov_flags_of_one_0_or_1_per_model(tmp_path, capsys, flags, code):
+    features = np.arange(12, dtype=np.float32).reshape(6, 2)
+    assert run(*write_dataset(tmp_path / "ds", features, flags)) == code
+    assert ("oov_flags must be one 0 or 1 per model" in capsys.readouterr().err) == bool(code)
 
 
 # --- pca / mds --------------------------------------------------------------------
@@ -1010,21 +1095,95 @@ def test_a_killed_model_worker_is_an_internal_failure(workspace, monkeypatch, ca
     assert no_child_left()
 
 
-LAZY_PROBE = """
+# Each lazily registered module, with a function whose first use executes it.
+LAZY = {"corpus": "load_corpus", "embeddings": "load_model", "expansion": "expand",
+        "classify": "train_eval", "graph": "louvain", "reduce": "pca", "workers": "fork_map"}
+MODULE_PROBE = f"""
 import sys, types
 from cuelex import cli
 code = cli.main(sys.argv[1:])
-names = ("classify", "graph", "reduce", "embeddings", "expansion", "workers")
-loaded = [n for n in names if type(sys.modules.get("cuelex." + n)) is types.ModuleType]
-graph = sys.modules["cuelex.graph"]
-print(code, ",".join(loaded) or "-", callable(graph.louvain), type(graph) is types.ModuleType)
+def executed():
+    return {{n[7:] for n, m in sys.modules.items() if n.startswith("cuelex.") and type(m) is types.ModuleType}}
+ran = executed()
+for name, attr in {LAZY!r}.items():  # registered even when not executed, and loads on first use
+    assert callable(getattr(sys.modules["cuelex." + name], attr))
+print(code, ",".join(sorted(ran)), ",".join(sorted(executed() - ran)))
 """
+EAGER = {"cli", "errors", "patterns", "tables"}
+# the cuelex modules each command executes beside the eager ones, on the golden workspace
+EXECUTES = {
+    "expand": "embeddings expansion workers",
+    "intersect": "expansion",
+    "score": "corpus expansion",
+    "split": "corpus",
+    "ratios": "corpus",
+    "relscore": "corpus",
+    "rates": "corpus",
+    "find": "corpus",
+    "graph": "classify expansion graph",  # with --statuses
+    "cluster": "graph",
+    "rank": "graph",
+    "export": "graph",
+    "agree": "classify",
+    "dataset": "classify embeddings expansion",
+    "train": "classify workers",
+    "pca": "reduce",
+    "mds": "reduce",
+    "pipeline": "corpus embeddings expansion workers",  # with --corpus
+}
 
 
-def test_corpus_command_runs_no_other_module(workspace):
-    argv = ("split", "--corpus", str(workspace / "corpus.jsonl"), "--out", str(workspace / "lazy"))
-    probe = [sys.executable, "-c", LAZY_PROBE, *argv]
-    proc = subprocess.run(probe, env=child_env(), capture_output=True, text=True)
+def _without(argv, flag):
+    """``argv`` without ``flag`` and its value."""
+    i = argv.index(flag)
+    return (*argv[:i], *argv[i + 2:])
+
+
+GOLDEN = {argv[0]: argv for argv in GOLDEN_COMMANDS}
+MODULE_CASES = [
+    *(pytest.param(argv, EXECUTES[argv[0]], id=argv[0]) for argv in GOLDEN_COMMANDS),
+    pytest.param(_without(GOLDEN["graph"], "--statuses"), "expansion graph", id="graph-no-statuses"),
+    pytest.param(_without(GOLDEN["pipeline"], "--corpus"), "embeddings expansion workers",
+                 id="pipeline-no-corpus"),
+]
+
+
+@pytest.fixture(scope="module")
+def golden_workspace(tmp_path_factory):
+    """The golden workspace after every command has written its artifacts."""
+    root = tmp_path_factory.mktemp("golden")
+    cwd = os.getcwd()
+    os.chdir(root)
+    try:
+        make_workspace(root)
+        run_all(root)
+    finally:
+        os.chdir(cwd)
+    return root
+
+
+@pytest.mark.parametrize("argv, modules", MODULE_CASES)
+def test_each_command_executes_only_its_modules(golden_workspace, argv, modules):
+    probe = [sys.executable, "-c", MODULE_PROBE, *argv, "--out", "probe"]
+    proc = subprocess.run(
+        probe, cwd=golden_workspace, env=child_env(), capture_output=True, text=True
+    )
     assert proc.returncode == 0, proc.stderr
-    # none of the six was executed, yet each is registered and loads on first use
-    assert proc.stdout.splitlines()[-1] == "0 - True True"
+    code, ran, loaded_later = proc.stdout.splitlines()[-1].split(" ")
+    expected = EAGER | set(modules.split())
+    assert (code, ran) == ("0", ",".join(sorted(expected)))
+    # every module it did not execute is in sys.modules and loads on first use
+    assert loaded_later == ",".join(sorted(set(LAZY) - expected))
+
+
+@pytest.mark.parametrize("module, typed_only", [
+    ("expansion", {"corpus", "embeddings"}),
+    ("classify", {"embeddings", "expansion"}),
+])
+def test_a_module_named_only_in_annotations_is_not_executed(module, typed_only):
+    probe = f"import sys, cuelex.{module}; print(*(n[7:] for n in sys.modules if n[:7] == 'cuelex.'))"
+    proc = subprocess.run([sys.executable, "-c", probe], env=child_env(), capture_output=True,
+                          text=True)
+    assert proc.returncode == 0, proc.stderr
+    executed = set(proc.stdout.split())
+    assert module in executed and not typed_only & executed

@@ -172,6 +172,17 @@ def test_a_line_that_is_no_text_document_is_an_error_at_its_line(tmp_path, line,
         load_jsonl(bad)
 
 
+@pytest.mark.parametrize("doc_id", [None, True, 1.5, [1], {"a": 1}])
+def test_a_document_id_is_a_string_or_an_integer(tmp_path, doc_id):
+    path = tmp_path / "ids.jsonl"
+    lines = [{"id": 7, "text": "Seven."}, {"id": "x", "text": "Ex."}, {"id": doc_id, "text": "Bad."}]
+    path.write_text("".join(json.dumps(line) + "\n" for line in lines[:2]))
+    assert [d.doc_id for d in load_jsonl(path).documents] == ["7", "x"]
+    path.write_text("".join(json.dumps(line) + "\n" for line in lines))
+    with pytest.raises(InputError, match='ids.jsonl:3: "id" must be a string or an integer'):
+        load_jsonl(path)
+
+
 json_values = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(max_size=5),
     lambda inner: st.lists(inner, max_size=3)

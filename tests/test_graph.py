@@ -307,6 +307,12 @@ def test_pagerank_isolated_node_and_sum():
     assert ranks["lonely"] < ranks["a"]
 
 
+def test_pagerank_of_a_graph_without_edges_is_uniform():
+    ranks = pagerank(graph_from_edges([], extra_nodes=["a", "b", "c"]))
+    for n in "abc":
+        assert ranks[n] == pytest.approx(1 / 3, abs=1e-12)
+
+
 def test_pagerank_non_convergence_error():
     g = graph_from_edges([("a", "b"), ("b", "c")])
     with pytest.raises(CuelexError, match="converge"):
@@ -462,6 +468,15 @@ def test_modularity_matches_networkx_on_random_partitions(seed):
         communities = [set(members) for members in partition.groups().values()]
         want = nx.community.modularity(G, communities, weight="weight")
         assert modularity(g, partition) == pytest.approx(want, abs=1e-12)
+
+
+def test_louvain_splits_a_community_left_disconnected():
+    # local moves leave w3 and w5, which share no edge, in one community here
+    edges = [("w5", "w11", 0.0123), ("w0", "w2", 0.2708), ("w3", "w11", 0.3183), ("w10", "w11", 1.0)]
+    g = graph_from_edges(edges, extra_nodes=[f"w{i}" for i in range(15)])
+    part = louvain(g, resolution=2.0, rng_seed=3)
+    assert part["w3"] != part["w5"]
+    assert part.modularity_trace[-1] == modularity(g, part) > part.modularity_trace[-2]
 
 
 @st.composite
