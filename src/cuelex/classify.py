@@ -176,6 +176,31 @@ def sample_unrelated(
     )
 
 
+class ModelRows:
+    """Copies of one model's vectors for chosen words: all that ``featurize`` reads of a model.
+
+    ``vector(word)`` answers as the model's ``vector(word)`` would for each
+    word it was made from: the exact token's row, else its first case
+    variant's.  Any other word is absent, an ``InputError``.  It keeps no
+    reference to the model, so the model can be freed before the next loads.
+    """
+
+    def __init__(self, model: EmbeddingModel, words):
+        self.name, self.dim = model.name, model.dim
+        self._rows = {}
+        for word in words:
+            try:
+                self._rows[word] = model.vector(word)
+            except InputError:  # absent from the model, so absent here too
+                pass
+
+    def vector(self, word: str) -> np.ndarray:
+        """Stored float32 vector for ``word`` (a copy)."""
+        if word not in self._rows:
+            raise InputError(f"token {word!r} not in vocabulary of model {self.name!r}")
+        return self._rows[word].copy()
+
+
 @dataclass
 class LabeledExample:
     word: str
@@ -209,6 +234,22 @@ class DatasetBuild:
     excluded: list[str]  # words OOV in every model
 
 
+def check_disjoint(**groups) -> None:
+    """Raise when two of the named word lists share a word, compared case-folded."""
+    folded = {name: {w.lower() for w in words} for name, words in groups.items()}
+    names = list(folded)
+    for i, g1 in enumerate(names):
+        for g2 in names[i + 1 :]:
+            overlap = folded[g1] & folded[g2]
+            if overlap:
+                raise InputError(f"overlapping lists {g1}/{g2}: {sorted(overlap)[:5]}")
+
+
+def check_labels(n_pos: int, n_neg: int) -> None:
+    if n_pos == 0 or n_neg == 0:
+        raise InputError("degenerate dataset: needs both positive and negative examples")
+
+
 def build_dataset(accepted, rejected, unrelated, models, seeds=()) -> DatasetBuild:
     """Labeled examples: positives = accepted + seeds, negatives = rejected + unrelated.
 
@@ -216,28 +257,12 @@ def build_dataset(accepted, rejected, unrelated, models, seeds=()) -> DatasetBui
     and reported.  The result is shuffled with a fixed seed before folding.
     """
     seed_words = list(seeds)
-    groups = {
-        "accepted": [w.lower() for w in accepted],
-        "rejected": [w.lower() for w in rejected],
-        "unrelated": [w.lower() for w in unrelated],
-        "seeds": [w.lower() for w in seed_words],
-    }
-    names = list(groups)
-    for i, g1 in enumerate(names):
-        for g2 in names[i + 1 :]:
-            overlap = set(groups[g1]) & set(groups[g2])
-            if overlap:
-                raise InputError(
-                    f"overlapping lists {g1}/{g2}: {sorted(overlap)[:5]}"
-                )
-
+    check_disjoint(accepted=accepted, rejected=rejected, unrelated=unrelated, seeds=seed_words)
     labeled = [(w, 1) for w in list(accepted) + seed_words] + [
         (w, 0) for w in list(rejected) + list(unrelated)
     ]
-    n_pos = sum(1 for _, y in labeled if y == 1)
-    n_neg = len(labeled) - n_pos
-    if n_pos == 0 or n_neg == 0:
-        raise InputError("degenerate dataset: needs both positive and negative examples")
+    n_pos = sum(y for _, y in labeled)
+    check_labels(n_pos, len(labeled) - n_pos)
 
     examples = []
     excluded = []

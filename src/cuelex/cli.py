@@ -573,16 +573,26 @@ DATASET_COLUMNS = ("word", "label", "oov_flags")
 
 
 def _cmd_dataset(ctx) -> int:
-    models = [embeddings.load_model(path, fmt, name=name) for name, path, fmt in _model_specs(ctx)]
+    """Hold one model at a time: each is freed once the rows of the dataset's words are copied."""
+    specs = _model_specs(ctx)
     lexicon = _load_lexicon(ctx)
     annotations = classify.load_annotations(ctx.annotations)
     accepted = [a.word for a in annotations if a.status == "accepted"]
     rejected = [a.word for a in annotations if a.status == "rejected"]
-    unrelated = classify.sample_unrelated(
-        models[0], lexicon, n=ctx.n_unrelated, max_sim=ctx.max_sim, rng_seed=ctx.rng_seed,
-        exclude=[a.word for a in annotations],
-    )
-    seeds = sorted(lexicon.folded_words()) if ctx.include_seeds else ()
+    seeds = sorted(lexicon.folded_words()) if ctx.include_seeds else []
+    # the unrelated words are drawn clear of every list and are exactly n_unrelated
+    classify.check_disjoint(accepted=accepted, rejected=rejected, seeds=seeds)
+    classify.check_labels(len(accepted) + len(seeds), len(rejected) + ctx.n_unrelated)
+    models = []
+    for name, path, fmt in specs:
+        model = embeddings.load_model(path, fmt, name=name)
+        if not models:
+            unrelated = classify.sample_unrelated(
+                model, lexicon, n=ctx.n_unrelated, max_sim=ctx.max_sim, rng_seed=ctx.rng_seed,
+                exclude=[a.word for a in annotations],
+            )
+        models.append(classify.ModelRows(model, [*accepted, *rejected, *seeds, *unrelated]))
+        del model  # before the next load
     build = classify.build_dataset(accepted, rejected, unrelated, models, seeds=seeds)
     out = ctx.out_dir()
     features = np.vstack([ex.features for ex in build.examples]).astype(np.float32)

@@ -1,12 +1,28 @@
+import atexit
 import os
 import random
+import shutil
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import settings
+from hypothesis.configuration import set_hypothesis_home_dir
 
 sys.path.insert(0, str(Path(__file__).parent))
+
+# Every run draws the same examples and replays none stored by an earlier run,
+# so two checkouts of one commit give the same outcomes.  Each test's own
+# settings (max_examples) still apply on top of this profile.
+settings.register_profile("deterministic", derandomize=True, database=None)
+settings.load_profile("deterministic")
+# Hypothesis still caches what it derives from source files under its home
+# directory (./.hypothesis by default); a run-local one keeps the checkout clean.
+_hypothesis_home = tempfile.mkdtemp(prefix="cuelex-hypothesis-")
+atexit.register(shutil.rmtree, _hypothesis_home, ignore_errors=True)
+set_hypothesis_home_dir(_hypothesis_home)
 
 from w2v_writer import write_binary  # noqa: E402
 

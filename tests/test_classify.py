@@ -17,6 +17,7 @@ from cuelex.classify import (
     KnnClassifier,
     LabeledExample,
     MlpClassifier,
+    ModelRows,
     agreement,
     agreement_from_counts,
     build_dataset,
@@ -341,6 +342,46 @@ def test_build_dataset_include_seeds():
     labels = {ex.word: ex.label for ex in build.examples}
     assert labels["shared"] == 1
 
+
+
+def test_model_rows_answer_as_the_model_for_their_words(tmp_path):
+    import weakref
+
+    model = make_model(tmp_path, seed=5, n=80, dim=4, name="m")
+    cased = [t for t in model.vocab if t != t.lower()]
+    assert cased  # the case-folding lookup is exercised
+    words = [*model.vocab[:10], *(t.lower() for t in cased), *(t.upper() for t in model.vocab[:5]),
+             "nowhere"]
+    rows = ModelRows(model, words)
+    assert (rows.name, rows.dim) == (model.name, model.dim)
+
+    def answer(source, word):
+        try:
+            return source.vector(word).tobytes()
+        except InputError as exc:
+            return str(exc)
+
+    assert [answer(rows, w) for w in words] == [answer(model, w) for w in words]
+    assert answer(rows, "nowhere") == "token 'nowhere' not in vocabulary of model 'm'"
+    ref = weakref.ref(model)
+    del model
+    assert ref() is None  # the rows keep no reference to the model
+
+
+def test_build_dataset_on_model_rows_matches_the_models(tmp_path):
+    m1 = make_model(tmp_path, seed=31, n=200, dim=4, name="m1")
+    m2 = make_model(tmp_path, seed=37, n=200, dim=3, name="m2")
+    words = list({t.lower(): t for t in m1.vocab}.values())
+    accepted, rejected, unrelated = words[:30], [*words[30:50], "ghost"], words[50:70]
+    seeds = [t.lower() for t in m2.vocab[:10] if t.lower() not in {w.lower() for w in words[:70]}]
+    wanted = [*accepted, *rejected, *seeds, *unrelated]
+    built = [
+        build_dataset(accepted, rejected, unrelated, models, seeds=seeds)
+        for models in ([m1, m2], [ModelRows(m1, wanted), ModelRows(m2, wanted)])
+    ]
+    assert [(ex.word, ex.label, ex.oov_flags, ex.features.tobytes()) for ex in built[0].examples] \
+        == [(ex.word, ex.label, ex.oov_flags, ex.features.tobytes()) for ex in built[1].examples]
+    assert built[0].excluded == built[1].excluded == ["ghost"]
 
 # --- kfold ---------------------------------------------------------------------
 

@@ -986,6 +986,70 @@ def test_a_missing_model_fails_before_any_model_is_read(workspace, monkeypatch, 
     assert loads == []
 
 
+def dataset_args(workspace, labels, *extra):
+    models = {"a": workspace / "m1.bin", "b": workspace / "m2.bin"}
+    args = model_run_args("dataset", workspace, models, workspace / "ds")
+    return [*args, "--annotations", str(labels), "--n-unrelated", "4", "--max-sim", "0.95", *extra]
+
+
+@pytest.mark.parametrize(
+    "rows, extra, message",
+    [
+        (None, (), "annotations file not found: {labels}"),
+        ("seeda,pos,pos\ncandc,neg,neg\n", ("--include-seeds",),
+         "overlapping lists accepted/seeds: ['seeda']"),
+        ("canda,pos,pos\nseedb,neg,neg\n", ("--include-seeds",),
+         "overlapping lists rejected/seeds: ['seedb']"),
+        ("canda,pos,neg\ncandc,neg,neg\n", (), "degenerate dataset: needs both positive and negative"),
+        ("canda,pos,pos\ncandc,pos,neg\n", ("--n-unrelated", "0"),
+         "degenerate dataset: needs both positive and negative"),
+        ("canda,pos,pos\n", ("--seeds", "{empty}"), "empty.txt"),
+    ],
+    ids=["missing-file", "accepted-seed", "rejected-seed", "no-positives", "no-negatives",
+         "empty-seeds"],
+)
+def test_bad_dataset_lists_fail_before_any_model_is_read(
+    workspace, monkeypatch, capsys, rows, extra, message
+):
+    set_cpus(monkeypatch, 1)
+    loads = []
+    monkeypatch.setattr(cli.embeddings, "load_model", lambda *args, **kw: loads.append(args))
+    labels, empty = workspace / "labels.csv", workspace / "empty.txt"
+    empty.write_text("# no entries\n")
+    if rows is not None:
+        labels.write_text("word,judge1,judge2\n" + rows)
+    extra = [arg.format(empty=empty) for arg in extra]
+    assert run(*dataset_args(workspace, labels, *extra)) == 1
+    assert message.format(labels=labels) in capsys.readouterr().err
+    assert loads == []
+
+
+@pytest.mark.parametrize("command", ["expand", "pipeline", "dataset"])
+def test_a_model_is_freed_before_the_next_one_is_loaded(workspace, monkeypatch, command):
+    import weakref
+
+    set_cpus(monkeypatch, 1)  # the loads run in this process, where the spy sees them
+    real, held, alive_at_load = cli.embeddings.load_model, [], []
+
+    def load(*args, **kw):
+        alive_at_load.append([ref().name for ref in held if ref() is not None])
+        model = real(*args, **kw)
+        held.append(weakref.ref(model))
+        return model
+
+    monkeypatch.setattr(cli.embeddings, "load_model", load)
+    make_model_file(workspace / "m3.bin", seed=303, shared=["seeda", "seedb", "canda", "candc"])
+    models = {f"m{i}": workspace / f"m{i}.bin" for i in (1, 2, 3)}
+    labels = workspace / "labels.csv"
+    labels.write_text("word,judge1,judge2\ncanda,pos,pos\ncandc,neg,neg\n")
+    if command == "dataset":
+        args = [*dataset_args(workspace, labels), "--model", f"m3={models['m3']}"]
+    else:
+        args = model_run_args(command, workspace, models, workspace / "o")
+    assert run(*args) == 0
+    assert alive_at_load == [[], [], []]
+
+
 def run_and_read(argv, out, capsys):
     """Exit code, stdout and every file ``argv`` writes into a fresh ``out``."""
     shutil.rmtree(out, ignore_errors=True)
