@@ -343,7 +343,6 @@ def test_build_dataset_include_seeds():
     assert labels["shared"] == 1
 
 
-
 def test_model_rows_answer_as_the_model_for_their_words(tmp_path):
     import weakref
 
@@ -382,6 +381,7 @@ def test_build_dataset_on_model_rows_matches_the_models(tmp_path):
     assert [(ex.word, ex.label, ex.oov_flags, ex.features.tobytes()) for ex in built[0].examples] \
         == [(ex.word, ex.label, ex.oov_flags, ex.features.tobytes()) for ex in built[1].examples]
     assert built[0].excluded == built[1].excluded == ["ghost"]
+
 
 # --- kfold ---------------------------------------------------------------------
 
