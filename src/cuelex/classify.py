@@ -19,7 +19,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from . import workers
+from . import tables, workers
 from .errors import CuelexError, InputError
 
 if TYPE_CHECKING:
@@ -46,9 +46,7 @@ class Annotation:
 def load_annotations(path: str | Path) -> list[Annotation]:
     """Annotations CSV with header word,judge1,judge2 and pos/neg values."""
     path = Path(path)
-    if not path.is_file():
-        raise InputError(f"annotations file not found: {path}")
-    with open(path, encoding="utf-8", newline="") as fh:
+    with tables.open_text(path, "annotations", newline="") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)

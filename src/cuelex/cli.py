@@ -134,12 +134,13 @@ FLAGS = {
     "components": _Flag(int, 7, "principal components", 1),
     "no_standardize": _Flag(bool, False, "keep the columns' own scales"),
     "top": _Flag(int, 10, "words per component in the report", 0),
-    "p": _Flag(float, 2.0, "Minkowski exponent"),
+    "p": _Flag(float, 2.0, "Minkowski exponent", 1),
     "dims": _Flag(int, 2, "output dimensions", 1),
     "max_iter": _Flag(int, 500, "SMACOF iterations", 0),
 }
 _COMMON = ("config", "out", "rng_seed", "threads", "reproducible")
-_BOUNDS = {0: "non-negative", 1: "positive"}  # how a minimum reads in an error
+# how an int flag's minimum reads in an error (a float of at least 1 may be 1.5)
+_BOUNDS = {(int, 0): "non-negative", (int, 1): "positive"}
 # keys left out of the config digest: identical runs into different output
 # directories must produce byte-identical artifacts
 _NOT_DIGESTED = ("config", "out")
@@ -196,26 +197,34 @@ class _Context:
 
 
 def _cast(key, kind, value):
-    """``value`` as ``kind``; a config file may give one string for a repeatable flag."""
-    if value is None or kind is bool:
-        return value if value is None else bool(value)
+    """``value`` as ``kind``; a config file may give one string for a repeatable flag.
+
+    Only a boolean sets a switch, and a boolean is no number.  An int flag
+    takes no fraction (2.7 is not 2), and a float flag takes no NaN.
+    """
+    if value is None or (kind is bool and isinstance(value, bool)):
+        return value
     if kind is list and isinstance(value, str):
         return [value]
     if kind in (str, list):
         if isinstance(value, kind) and all(isinstance(v, str) for v in value):
             return value
-    else:
+    elif kind is not bool and not isinstance(value, bool):
         try:
-            return kind(value)
-        except (TypeError, ValueError):
+            cast = kind(value)
+        except (TypeError, ValueError, OverflowError):
             pass
+        else:  # int(2.7) is 2, and NaN is the one value unequal to itself
+            if cast == cast and not (isinstance(value, float) and cast != value):
+                return cast
     raise InputError(f"{key}: expected {kind.__name__}, got {value!r}")
 
 
 def _check(key, flag, value) -> None:
     low, high = flag.minimum, flag.below
     if (low is not None and not value >= low) or (high is not None and not value < high):
-        bound = f"in [{low}, {high})" if high is not None else _BOUNDS.get(low, f"at least {low}")
+        bound = _BOUNDS.get((flag.type, low), f"at least {low}")
+        bound = f"in [{low}, {high})" if high is not None else bound
         raise InputError(f"{key} must be {bound}, got {value}")
 
 
@@ -274,8 +283,7 @@ def _model_specs(ctx) -> list[tuple[str, str, str]]:
     if unknown:
         raise InputError(f"--model-format names no --model: {', '.join(unknown)}")
     for _, path in specs:
-        if not Path(path).is_file():
-            raise InputError(f"model file not found: {Path(path)}")
+        tables.find_file(path, "model")
     return [(name, path, formats.get(name, formats.get("", "binary"))) for name, path in specs]
 
 
@@ -293,9 +301,7 @@ def _patterns_arg(value, what: str) -> list[str]:
             out += [w.strip() for w in chunk.split(",") if w.strip()]
             continue
         path = Path(chunk[1:])
-        if not path.is_file():
-            raise InputError(f"{what} file not found: {path}")
-        lines = path.read_text(encoding="utf-8").splitlines()
+        lines = tables.read_text(path, what).splitlines()
         patterns = [p for p in (tables.COMMENT.sub("", ln).strip() for ln in lines) if p]
         if not patterns:
             raise InputError(f"{what} file is empty: {path}")

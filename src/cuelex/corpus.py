@@ -180,11 +180,9 @@ def build_corpus(docs) -> SentenceCorpus:
 def load_jsonl(path: str | Path) -> SentenceCorpus:
     """Corpus from JSON-lines: one object per document, {"id": ..., "text": ...}."""
     path = Path(path)
-    if not path.is_file():
-        raise InputError(f"corpus file not found: {path}")
 
     def documents():
-        with open(path, encoding="utf-8") as fh:
+        with tables.open_text(path, "corpus") as fh:
             for lineno, line in enumerate(fh, 1):
                 line = line.strip()
                 if not line:
@@ -212,7 +210,7 @@ def load_directory(path: str | Path) -> SentenceCorpus:
     files = sorted(path.glob("*.txt"))
     if not files:
         raise InputError(f"no .txt files in {path}")
-    return build_corpus(((f.stem, f.read_text(encoding="utf-8")) for f in files))
+    return build_corpus(((f.stem, tables.read_text(f, "corpus")) for f in files))
 
 
 def load_corpus(path: str | Path) -> SentenceCorpus:

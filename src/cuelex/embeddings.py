@@ -26,6 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import tables
 from .errors import InputError
 
 # Vectors shorter than this are unusable for cosine similarity.
@@ -292,9 +293,7 @@ def load_model(
     ``vocab_filter``, only tokens whose exact or lowercased form appears in
     the filter are kept; file order is preserved either way.
     """
-    path = Path(path)
-    if not path.is_file():
-        raise InputError(f"model file not found: {path}")
+    path = tables.find_file(path, "model")
     if format not in ("binary", "text"):
         raise InputError(f"unknown model format {format!r}")
     folded_filter = {t.lower() for t in vocab_filter} if vocab_filter is not None else None
@@ -400,29 +399,27 @@ def _read_text(path: Path, keep) -> tuple[list[str], np.ndarray, int | None]:
     dim: int | None = None
     declared: int | None = None
     records = 0
-    try:
-        with open(path, encoding="utf-8") as fh:
-            first = fh.readline()
-            if not first:
-                raise InputError(f"empty model file: {path}")
-            parts = first.rstrip("\n").split(" ")
-            if len(parts) == 2 and all(p.removeprefix("-").isdecimal() for p in parts):
-                declared, dim = int(parts[0]), int(parts[1])
-                if declared < 1 or dim < 1:
-                    raise InputError(f"malformed header {first!r}: {path}")
-            else:
-                _append_text_row(parts, path, vocab, rows, keep)
-                dim, records = len(parts) - 1, 1
-            for line in fh:
-                parts = line.rstrip("\n").split(" ")
-                if parts == [""]:
-                    continue
-                if len(parts) != dim + 1:
-                    raise InputError(f"truncated vector payload for token {parts[0]!r}: {path}")
-                _append_text_row(parts, path, vocab, rows, keep)
-                records += 1
-    except UnicodeDecodeError:
-        raise InputError(f"invalid UTF-8 in text model: {path}") from None
+    # a value beyond float32's range casts to inf, which _append_text_row reports
+    with tables.open_text(path, "text model") as fh, np.errstate(over="ignore"):
+        first = fh.readline()
+        if not first:
+            raise InputError(f"empty model file: {path}")
+        parts = first.rstrip("\n").split(" ")
+        if len(parts) == 2 and all(p.removeprefix("-").isdecimal() for p in parts):
+            declared, dim = int(parts[0]), int(parts[1])
+            if declared < 1 or dim < 1:
+                raise InputError(f"malformed header {first!r}: {path}")
+        else:
+            _append_text_row(parts, path, vocab, rows, keep)
+            dim, records = len(parts) - 1, 1
+        for line in fh:
+            parts = line.rstrip("\n").split(" ")
+            if parts == [""]:
+                continue
+            if len(parts) != dim + 1:
+                raise InputError(f"truncated vector payload for token {parts[0]!r}: {path}")
+            _append_text_row(parts, path, vocab, rows, keep)
+            records += 1
     if declared is not None and records != declared:
         raise InputError(f"header declares {declared} records, the file holds {records}: {path}")
     return vocab, np.frombuffer(rows, dtype=np.float32).reshape(-1, dim), declared

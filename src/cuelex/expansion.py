@@ -122,11 +122,8 @@ def parse_seed_lexicon(lines, origin: str = "<memory>") -> SeedLexicon:
 
 
 def load_seed_lexicon(path: str | Path) -> SeedLexicon:
-    path = Path(path)
-    if not path.is_file():
-        raise InputError(f"seed lexicon file not found: {path}")
-    with open(path, encoding="utf-8") as fh:
-        return parse_seed_lexicon(fh, origin=str(path))
+    with tables.open_text(path, "seed lexicon") as fh:
+        return parse_seed_lexicon(fh, origin=fh.name)
 
 
 def default_seed_lexicon() -> SeedLexicon:

@@ -7,6 +7,10 @@ header: below it every line is a row, whatever its first character
 skipped anywhere.  A tab, CR or LF inside a field is written as one space.
 JSON documents are written with sorted keys and two-space indentation.
 Infinite floats are spelled ``inf``/``-inf`` in both.
+
+Every text file the toolkit reads, tables or not, is found, opened and decoded
+by ``open_text``: a missing file and a file that is not UTF-8 are input errors
+that name it.
 """
 
 from __future__ import annotations
@@ -14,6 +18,7 @@ from __future__ import annotations
 import json
 import math
 import re
+from contextlib import contextmanager
 from pathlib import Path
 
 from .errors import InputError
@@ -63,15 +68,36 @@ def write_json(path, doc: dict) -> None:
         fh.write("\n")
 
 
-def read_json(path, what: str):
+def find_file(path, what: str) -> Path:
+    """``path`` as a ``Path``; a missing file is an input error that names ``what``."""
     path = Path(path)
     if not path.is_file():
         raise InputError(f"{what} file not found: {path}")
-    with open(path, encoding="utf-8") as fh:
+    return path
+
+
+@contextmanager
+def open_text(path, what: str, newline=None):
+    """``path`` opened as UTF-8; a byte that is not UTF-8, read in the block, is an input error."""
+    path = find_file(path, what)
+    with open(path, encoding="utf-8", newline=newline) as fh:
+        try:
+            yield fh
+        except UnicodeDecodeError:
+            raise InputError(f"invalid UTF-8 in {what}: {path}") from None
+
+
+def read_text(path, what: str) -> str:
+    with open_text(path, what) as fh:
+        return fh.read()
+
+
+def read_json(path, what: str):
+    with open_text(path, what) as fh:
         try:
             return json.load(fh)
         except json.JSONDecodeError as exc:
-            raise InputError(f"{path}: invalid JSON ({exc})") from None
+            raise InputError(f"{fh.name}: invalid JSON ({exc})") from None
 
 
 def read_tsv(path, header=None, what: str = "table"):
@@ -81,11 +107,9 @@ def read_tsv(path, header=None, what: str = "table"):
     have as many fields as the header.  ``what`` names the table in errors.
     """
     path = Path(path)
-    if not path.is_file():
-        raise InputError(f"{what} file not found: {path}")
     found = None
     rows = []
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path, what) as fh:
         for lineno, line in enumerate(fh, 1):
             if not line.strip() or (found is None and line.startswith("#")):
                 continue

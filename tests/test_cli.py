@@ -1,4 +1,5 @@
 import argparse
+import io
 import json
 import os
 import random
@@ -601,17 +602,18 @@ def test_pca_and_mds_commands(workspace):
     assert any(ln.startswith("word0\t") for ln in loadings)
     assert (pdir / "pca_top_words.tsv").exists()
 
-    mdir = workspace / "mds"
-    code = run(
-        "mds", "--matrix", str(matrix), "--p", "2", "--out", str(mdir), "--reproducible",
-    )
-    assert code == 0
-    coords = (mdir / "mds_coordinates.tsv").read_text().splitlines()
-    data = [r for r in coords if r and not r.startswith("#")][1:]
-    assert len(data) == 4
-    summary = json.loads((mdir / "mds_summary.json").read_text())
-    trace = summary["stress_trace"]
-    assert all(b <= a + 1e-12 for a, b in zip(trace, trace[1:]))
+    for p in ("2", "inf"):  # inf is the Chebyshev distance
+        mdir = workspace / f"mds_{p}"
+        code = run(
+            "mds", "--matrix", str(matrix), "--p", p, "--out", str(mdir), "--reproducible",
+        )
+        assert code == 0
+        coords = (mdir / "mds_coordinates.tsv").read_text().splitlines()
+        data = [r for r in coords if r and not r.startswith("#")][1:]
+        assert len(data) == 4
+        summary = json.loads((mdir / "mds_summary.json").read_text())
+        trace = summary["stress_trace"]
+        assert all(b <= a + 1e-12 for a, b in zip(trace, trace[1:]))
 
 
 # --- zero-valued flags -----------------------------------------------------------
@@ -704,6 +706,12 @@ MISSING_MODELS = ("--model", "a=missing.bin", "--model", "b=missing.bin")
         (("cluster", "--rng-seed", "-1", "--nodes", "missing.tsv", "--edges", "missing.tsv"),
          "rng_seed must be non-negative"),
         (("pca", "--matrix", "missing.tsv", "--components", "x"), "components: expected int"),
+        (("mds", "--matrix", "missing.tsv", "--p", "0.5"), "p must be at least 1, got 0.5"),
+        (("mds", "--matrix", "missing.tsv", "--p", "nan"), "p: expected float, got 'nan'"),
+        (("cluster", "--resolution", "nan", "--nodes", "missing.tsv", "--edges", "missing.tsv"),
+         "resolution: expected float, got 'nan'"),
+        (("dataset", "--max-sim", "nan", *MISSING_MODELS, "--annotations", "missing.csv"),
+         "max_sim: expected float, got 'nan'"),
     ],
 )
 def test_settings_are_checked_before_any_input_is_read(
@@ -714,6 +722,41 @@ def test_settings_are_checked_before_any_input_is_read(
     err = capsys.readouterr().err
     assert message in err and "not found" not in err
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize(
+    "argv, config, message",
+    [
+        (("split", "--corpus", "missing.jsonl"), {"balance": "false"},
+         "balance: expected bool, got 'false'"),
+        (("expand", *MISSING_MODELS), {"k": True}, "k: expected int, got True"),
+        (("cluster", "--nodes", "missing.tsv", "--edges", "missing.tsv"), {"resolution": True},
+         "resolution: expected float, got True"),
+        (("expand", *MISSING_MODELS), {"k": 2.7}, "k: expected int, got 2.7"),
+        (("mds", "--matrix", "missing.tsv"), {"p": float("nan")}, "p: expected float, got nan"),
+    ],
+)
+def test_config_values_are_cast_strictly_before_any_input_is_read(
+    tmp_path, monkeypatch, capsys, argv, config, message
+):
+    monkeypatch.chdir(tmp_path)
+    Path("config.json").write_text(json.dumps(config))
+    assert run(*argv, "--config", "config.json", "--out", "o") == 1
+    err = capsys.readouterr().err
+    assert message in err and "not found" not in err
+    assert not (tmp_path / "o").exists()
+
+
+def test_config_takes_an_integral_float_for_an_int_and_a_boolean_for_a_switch(workspace):
+    config = workspace / "typed.json"
+    config.write_text(json.dumps({"limit": 2.0, "balance": False}))
+    find = ("find", "--corpus", str(workspace / "corpus.jsonl"), "--cues", "knowledge")
+    outputs = []
+    for extra in (("--config", str(config)), ("--limit", "2")):
+        out = workspace / f"typed{len(outputs)}"
+        assert run(*find, *extra, "--out", str(out), "--reproducible") == 0
+        outputs.append((out / "sentences.tsv").read_bytes())
+    assert outputs[0] == outputs[1]
 
 
 def test_missing_out_is_reported_before_any_input_is_read(tmp_path, monkeypatch, capsys):
@@ -958,6 +1001,61 @@ def test_every_model_spec_is_checked_before_any_model_is_read(tmp_path, monkeypa
     assert run("expand", "--model", "a=missing.bin", "--model", "b.bin", "--out", "o") == 1
     err = capsys.readouterr().err
     assert "--model must look like \"name=path\", got 'b.bin'" in err and "not found" not in err
+
+
+# --- text inputs ------------------------------------------------------------------
+
+NODES = b"word\tseed\tstatus\tcommunity\tpagerank\nseeda\t1\tunrated\t\t\n"
+FEATURES = io.BytesIO()
+np.save(FEATURES, np.zeros((1, 2)))
+# each kind of text input: the files to write, the one of them that holds a byte
+# that is not UTF-8 (0xff), the name its errors give it, and a command that reads it
+TEXT_INPUTS = {
+    "seeds": ({"s.txt": b"seeda\nseed\xffb\n"}, "seed lexicon",
+              ("expand", "--model", "m1=m1.bin", "--seeds", "s.txt")),
+    "jsonl corpus": ({"c.jsonl": b'{"id": "d", "text": "A \xff."}\n'}, "corpus",
+                     ("find", "--corpus", "c.jsonl", "--cues", "a")),
+    "directory corpus": ({"docs/a.txt": b"Fine.", "docs/b.txt": b"A \xff."}, "corpus",
+                         ("find", "--corpus", "docs", "--cues", "a")),
+    "annotations": ({"a.csv": b"word,judge1,judge2\n\xff,pos,pos\n"}, "annotations",
+                    ("agree", "--annotations", "a.csv")),
+    "pairs TSV": ({"p.tsv": b"seed\tcandidate\tsimilarity\tmodel\ns\t\xff\t0.5\tm\n"}, "pairs",
+                  ("intersect", "--pairs", "p.tsv", "--pairs", "p.tsv")),
+    "node TSV": ({"n.tsv": NODES + b"\xff\t0\t\t\t\n", "e.tsv": b"u\tv\tweight\n"}, "node",
+                 ("export", "--nodes", "n.tsv", "--edges", "e.tsv")),
+    "edge TSV": ({"n.tsv": NODES, "e.tsv": b"u\tv\tweight\nseeda\t\xff\t1\n"}, "edge",
+                 ("export", "--nodes", "n.tsv", "--edges", "e.tsv")),
+    "score matrix TSV": ({"m.tsv": b"word\ta\n\xff\t1\n"}, "score matrix",
+                         ("pca", "--matrix", "m.tsv")),
+    "dataset TSV": ({"d/dataset.tsv": b"word\tlabel\toov_flags\n\xff\t1\t00\n",
+                     "d/dataset_features.npy": FEATURES.getvalue()}, "dataset",
+                    ("train", "--dataset", "d/dataset.tsv")),
+    "@file word list": ({"w.txt": b"seeda\n\xff\n"}, "cues",
+                        ("find", "--corpus", "corpus.jsonl", "--cues", "@w.txt")),
+    "config": ({"c.json": b'{"limit": 2, "out": "\xff"}'}, "config",
+               ("find", "--corpus", "corpus.jsonl", "--cues", "a", "--config", "c.json")),
+    "candidates JSON": ({"c.json": b'{"candidates": ["\xff"]}'}, "candidate",
+                        ("score", "--candidates", "c.json", "--corpus", "corpus.jsonl")),
+    "group manifest": ({"g.json": b'{"g": "\xff.jsonl"}'}, "collection manifest",
+                       ("rates", "--groups", "g.json")),
+    "text model": ({"t.txt": b"1 2\n\xff 0.5 0.5\n"}, "text model",
+                   ("expand", "--model", "t=t.txt", "--model-format", "text")),
+}
+
+
+@pytest.mark.parametrize("kind", TEXT_INPUTS)
+def test_a_text_input_that_is_not_utf8_is_an_input_error_naming_it(
+    workspace, monkeypatch, capsys, kind
+):
+    files, what, argv = TEXT_INPUTS[kind]
+    monkeypatch.chdir(workspace)
+    for name, content in files.items():
+        Path(name).parent.mkdir(exist_ok=True)
+        Path(name).write_bytes(content)
+    bad = next(name for name, content in files.items() if b"\xff" in content)
+    assert run(*argv, "--out", "o") == 1
+    err = capsys.readouterr().err
+    assert err == f"cuelex: error: invalid UTF-8 in {what}: {bad}\n"
 
 
 # --- one worker per model ---------------------------------------------------------

@@ -390,7 +390,9 @@ def test_text_value_errors(tmp_path):
     path = tmp_path / "m.txt"
     for value, message in (("1.5x", "malformed vector value for token 'b'"),
                            ("nan", "non-finite value in vector for token 'b'"),
-                           ("-inf", "non-finite value in vector for token 'b'")):
+                           ("-inf", "non-finite value in vector for token 'b'"),
+                           ("1e39", "non-finite value in vector for token 'b'"),
+                           ("-1e39", "non-finite value in vector for token 'b'")):
         path.write_text(f"2 2\na 1 2\nb 3 {value}\n")
         with pytest.raises(InputError, match=message):
             load_model(path, "text")
