@@ -209,7 +209,7 @@ def _cast(key, kind, value):
     if kind in (str, list):
         if isinstance(value, kind) and all(isinstance(v, str) for v in value):
             return value
-    elif kind is not bool and not isinstance(value, bool):
+    elif kind in (int, float) and not isinstance(value, bool):
         try:
             cast = kind(value)
         except (TypeError, ValueError, OverflowError):

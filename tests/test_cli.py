@@ -733,6 +733,7 @@ def test_settings_are_checked_before_any_input_is_read(
         (("cluster", "--nodes", "missing.tsv", "--edges", "missing.tsv"), {"resolution": True},
          "resolution: expected float, got True"),
         (("expand", *MISSING_MODELS), {"k": 2.7}, "k: expected int, got 2.7"),
+        (("expand", *MISSING_MODELS), {"k": float("inf")}, "k: expected int, got inf"),
         (("mds", "--matrix", "missing.tsv"), {"p": float("nan")}, "p: expected float, got nan"),
     ],
 )
