@@ -9,6 +9,7 @@ timestamp line is suppressed and reruns are byte-identical.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import importlib.util
 import json
@@ -153,7 +154,8 @@ class _Context:
     file, which wins over the default in ``FLAGS``.  Each value is cast, then
     checked against its range, and every required key must be set.  The
     config digest hashes the command and every effective value but ``out`` and
-    ``config``, so every artifact of one run carries the same digest.
+    ``config``.  ``meta`` and ``header_lines`` are built once, so every artifact
+    of one run carries the same digest and the same ``generated`` time.
     """
 
     def __init__(self, args, config):
@@ -169,31 +171,28 @@ class _Context:
             if values[key] in (None, "", []):
                 raise InputError(f"--{key.replace('_', '-')} is required: {FLAGS[key].help}")
         self.__dict__.update(values)
+        if self.out and Path(self.out).exists() and not Path(self.out).is_dir():
+            raise InputError(f"--out is not a directory: {self.out}")
         digested = {k: v for k, v in values.items() if k not in _NOT_DIGESTED}
         blob = json.dumps(digested, sort_keys=True).encode()
-        self.digest = hashlib.sha256(blob).hexdigest()[:12]
-
-    def out_dir(self) -> Path:
-        path = Path(self.out)
-        path.mkdir(parents=True, exist_ok=True)
-        return path
-
-    def header_lines(self) -> list[str]:
-        """``meta()`` as the metadata lines above a TSV header."""
-        meta = self.meta()
-        lines = [
-            f"cuelex {meta['version']}",
-            f"config: {meta['config_digest']}  rng_seed: {meta['rng_seed']}",
+        digest = hashlib.sha256(blob).hexdigest()[:12]
+        self.meta = {"version": __version__, "config_digest": digest, "rng_seed": self.rng_seed}
+        self.header_lines = [  # the metadata lines above a TSV header
+            f"cuelex {__version__}", f"config: {digest}  rng_seed: {self.rng_seed}",
         ]
-        if "generated" in meta:
-            lines.append(f"generated: {meta['generated']}")
-        return lines
-
-    def meta(self) -> dict:
-        meta = {"version": __version__, "config_digest": self.digest, "rng_seed": self.rng_seed}
         if not self.reproducible:
-            meta["generated"] = datetime.now(timezone.utc).isoformat()
-        return meta
+            self.meta["generated"] = datetime.now(timezone.utc).isoformat()
+            self.header_lines.append(f"generated: {self.meta['generated']}")
+
+    @functools.cached_property
+    def out_dir(self) -> Path:
+        """``--out``, made at the first write, so a run that fails on its inputs makes none."""
+        path = Path(self.out)
+        try:
+            path.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise InputError(f"cannot make output directory {path}: {exc.strerror}") from None
+        return path
 
 
 def _cast(key, kind, value):
@@ -316,11 +315,11 @@ def _patterns_arg(value, what: str) -> list[str]:
 
 
 def _write_tsv(ctx, name, header, rows) -> None:
-    tables.write_tsv(ctx.out_dir() / name, header, rows, ctx.header_lines())
+    tables.write_tsv(ctx.out_dir / name, header, rows, ctx.header_lines)
 
 
 def _write_json(ctx, name, payload: dict) -> None:
-    tables.write_json(ctx.out_dir() / name, {"meta": ctx.meta(), **payload})
+    tables.write_json(ctx.out_dir / name, {"meta": ctx.meta, **payload})
 
 
 def _emit(ctx, stem, columns, rows, decimals=6, **extra) -> None:
@@ -349,9 +348,8 @@ def _expand_each(ctx, specs, lexicon):
         name, path, fmt = spec
         return expand(load(path, fmt, name=name), lexicon, k=k, fold_case=fold_case)
 
-    out = ctx.out_dir()
     for (name, _, _), result in zip(specs, workers.fork_map(expand_one, specs)):
-        expansion.write_pairs(out / f"pairs_{name}.tsv", result.pairs, ctx.header_lines())
+        expansion.write_pairs(ctx.out_dir / f"pairs_{name}.tsv", result.pairs, ctx.header_lines)
         _write_tsv(ctx, f"skipped_{name}.tsv", ("seed", "model_form"), result.skipped)
         yield name, result
 
@@ -381,7 +379,7 @@ def _cmd_intersect(ctx) -> int:
 
 
 def _write_candidates(ctx, cset) -> None:
-    expansion.write_candidate_set(ctx.out_dir() / "candidates.json", cset, meta=ctx.meta())
+    expansion.write_candidate_set(ctx.out_dir / "candidates.json", cset, meta=ctx.meta)
     rows = (
         (
             c.word,
@@ -482,9 +480,8 @@ def _cmd_graph(ctx) -> int:
     annotations = classify.load_annotations(ctx.statuses) if ctx.statuses else ()
     statuses = {a.word.lower(): a.status for a in annotations}
     g = graph_mod.build(pairs, lexicon, statuses)
-    out = ctx.out_dir()
-    graph_mod.export_node_tsv(out / "nodes.tsv", g, header_lines=ctx.header_lines())
-    graph_mod.export_edge_tsv(out / "edges.tsv", g, header_lines=ctx.header_lines())
+    graph_mod.export_node_tsv(ctx.out_dir / "nodes.tsv", g, header_lines=ctx.header_lines)
+    graph_mod.export_edge_tsv(ctx.out_dir / "edges.tsv", g, header_lines=ctx.header_lines)
     print(f"graph: {g.n_nodes} nodes, {g.n_edges} edges")
     return 0
 
@@ -493,9 +490,8 @@ def _cmd_cluster(ctx) -> int:
     g, _, ranks = graph_mod.load_graph_tsv(ctx.nodes, ctx.edges)
     partition = graph_mod.louvain(g, resolution=ctx.resolution, rng_seed=ctx.rng_seed)
     q = graph_mod.modularity(g, partition)
-    out = ctx.out_dir()
     graph_mod.export_node_tsv(
-        out / "nodes_clustered.tsv", g, partition, ranks, header_lines=ctx.header_lines()
+        ctx.out_dir / "nodes_clustered.tsv", g, partition, ranks, header_lines=ctx.header_lines
     )
     comp = graph_mod.composition(g, partition)
     _write_tsv(
@@ -520,9 +516,8 @@ def _cmd_cluster(ctx) -> int:
 def _cmd_rank(ctx) -> int:
     g, partition, _ = graph_mod.load_graph_tsv(ctx.nodes, ctx.edges)
     ranks = graph_mod.pagerank(g, damping=ctx.damping)
-    out = ctx.out_dir()
     graph_mod.export_node_tsv(
-        out / "nodes_ranked.tsv", g, partition, ranks, header_lines=ctx.header_lines()
+        ctx.out_dir / "nodes_ranked.tsv", g, partition, ranks, header_lines=ctx.header_lines
     )
     top = sorted(ranks.scores.items(), key=lambda kv: (-kv[1], kv[0]))[:10]
     for word, score in top:
@@ -532,9 +527,9 @@ def _cmd_rank(ctx) -> int:
 
 def _cmd_export(ctx) -> int:
     g, partition, ranks = graph_mod.load_graph_tsv(ctx.nodes, ctx.edges)
-    out = ctx.out_dir()
-    graph_mod.export_gexf(out / "graph.gexf", g, partition, ranks, meta_lines=ctx.header_lines())
-    print(f"wrote {out / 'graph.gexf'}")
+    path = ctx.out_dir / "graph.gexf"
+    graph_mod.export_gexf(path, g, partition, ranks, meta_lines=ctx.header_lines)
+    print(f"wrote {path}")
     return 0
 
 
@@ -600,9 +595,8 @@ def _cmd_dataset(ctx) -> int:
         models.append(classify.ModelRows(model, [*accepted, *rejected, *seeds, *unrelated]))
         del model  # before the next load
     build = classify.build_dataset(accepted, rejected, unrelated, models, seeds=seeds)
-    out = ctx.out_dir()
     features = np.vstack([ex.features for ex in build.examples]).astype(np.float32)
-    np.save(out / "dataset_features.npy", features)
+    np.save(ctx.out_dir / "dataset_features.npy", features)
     rows = (
         (ex.word, ex.label, "".join("1" if f else "0" for f in ex.oov_flags))
         for ex in build.examples
@@ -770,6 +764,10 @@ def _cmd_pipeline(ctx) -> int:
     if len(ctx.model) < 2:
         raise InputError("pipeline needs at least two models to intersect")
     specs = _model_specs(ctx)
+    # the corpus is found now, as load_corpus finds it, but loaded after the expansion:
+    # loaded before the fork, it would count in every worker's RSS
+    if ctx.corpus and not Path(ctx.corpus).is_dir():
+        tables.find_file(ctx.corpus, "corpus")
     lexicon = _load_lexicon(ctx)
     pair_lists = []
     for name, result in _expand_each(ctx, specs, lexicon):
@@ -780,7 +778,7 @@ def _cmd_pipeline(ctx) -> int:
     if ctx.corpus:
         cset = expansion.score_candidates(cset, corpus_mod.load_corpus(ctx.corpus), lexicon)
     _write_candidates(ctx, cset)
-    print(f"{len(cset)} candidates ready for review in {ctx.out_dir() / 'candidates.json'}")
+    print(f"{len(cset)} candidates ready for review in {ctx.out_dir / 'candidates.json'}")
     return 0
 
 

@@ -48,12 +48,12 @@ class SeedLexicon:
     def __init__(self, entries: list[SeedEntry]):
         if not entries:
             raise InputError("seed lexicon is empty")
-        seen = set()
+        self._by_surface = {}  # lowercased surface -> entry
         for e in entries:
             key = e.surface.lower()
-            if key in seen:
+            if key in self._by_surface:
                 raise InputError(f"duplicate seed surface {e.surface!r}")
-            seen.add(key)
+            self._by_surface[key] = e
             if e.pattern.kind == "prefix_wildcard" and not e.model_forms:
                 raise InputError(
                     f"wildcard seed {e.surface!r} needs explicit model forms "
@@ -72,11 +72,10 @@ class SeedLexicon:
         return {w.lower() for e in self.entries for w in (e.surface, *e.model_forms)}
 
     def entry_for(self, surface: str) -> SeedEntry:
-        key = surface.lower()
-        for e in self.entries:
-            if e.surface.lower() == key:
-                return e
-        raise InputError(f"no seed with surface {surface!r}")
+        try:
+            return self._by_surface[surface.lower()]
+        except KeyError:
+            raise InputError(f"no seed with surface {surface!r}") from None
 
 
 def _default_forms(pattern: MatchPattern) -> tuple[str, ...]:
@@ -292,16 +291,22 @@ def score_candidates(
     """Attach TF-IDF and PMI metadata to every candidate.
 
     PMI is aggregated as the maximum over the candidate's contributing seeds
-    (all seeds when no provenance was recorded).  Candidates without corpus
-    evidence keep their place and carry an explicit marker.
+    (all seeds when no provenance was recorded); a seed that matches no
+    sentence adds nothing.  Every contributing seed must be in ``lexicon``,
+    checked for every candidate before any is scored.  Candidates without
+    corpus evidence keep their place and carry an explicit marker.
     """
     if corpus.n_sentences == 0:
         raise InputError("scoring corpus is empty")
-    out = []
+    contributing = []
     for cand in cset.candidates:
-        contributing = sorted({s for prov in cand.models.values() for s in prov.seeds})
-        if not contributing:
-            contributing = [e.surface for e in lexicon.entries]
+        surfaces = sorted({s for prov in cand.models.values() for s in prov.seeds})
+        try:
+            contributing.append([lexicon.entry_for(s) for s in surfaces] or lexicon.entries)
+        except InputError as exc:
+            raise InputError(f"candidate {cand.word!r}: {exc} in the seed lexicon") from None
+    out = []
+    for cand, entries in zip(cset.candidates, contributing):
         word_pattern = as_pattern(cand.word)
         try:
             tf = tfidf(corpus, word_pattern)
@@ -309,11 +314,10 @@ def score_candidates(
             tf = None
         best_pmi: float | None = None
         if tf is not None:  # candidate present in the corpus
-            for surface in contributing:
+            for entry in entries:
                 try:
-                    entry = lexicon.entry_for(surface)
                     value = pmi(corpus, entry.pattern, word_pattern)
-                except InputError:
+                except InputError:  # the seed matches no sentence
                     continue
                 if best_pmi is None or value > best_pmi:
                     best_pmi = value

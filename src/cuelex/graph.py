@@ -40,13 +40,9 @@ class CueGraph:
             raise InputError("empty node word")
         if status not in ("accepted", "rejected", "unrated"):
             raise InputError(f"unknown status {status!r}")
-        node = self.nodes.get(word)
-        if node is None:
-            self.nodes[word] = Node(word, is_seed, status)
-        else:
-            node.is_seed = node.is_seed or is_seed
-            if status != "unrated":
-                node.status = status
+        if word in self.nodes:
+            raise InputError(f"{word!r} is already a node")
+        self.nodes[word] = Node(word, is_seed, status)
 
     def add_edge(self, u: str, v: str, weight: float) -> None:
         """Adds or raises an edge weight; keeps the max on duplicates."""
@@ -411,22 +407,38 @@ def export_edge_tsv(path, graph, header_lines=()):
 
 
 def load_graph_tsv(node_path, edge_path):
-    """Rebuild (graph, partition, ranks) from the TSV pair; empty fields mean None."""
+    """Rebuild (graph, partition, ranks) from the TSV pair.
+
+    Each word is one node row.  The ``community`` and ``pagerank`` columns
+    are each filled on every row or empty on every row (then None).  A row
+    that breaks a rule is an input error at its file and line.
+    """
     graph = CueGraph()
     communities: dict[str, int] = {}
     ranks: dict[str, float] = {}
     _, nodes = tables.read_tsv(node_path, NODE_TSV_HEADER, "node")
     for n, (word, seed, status, com, pr) in nodes:
-        graph.add_node(word, is_seed=seed == "1", status=status)
+        try:
+            graph.add_node(word, is_seed=seed == "1", status=status)
+        except InputError as exc:
+            raise InputError(f"{node_path}:{n}: {exc}") from None
         if com:
             communities[word] = tables.number(int, com, "community", node_path, n)
         if pr:
             ranks[word] = tables.number(float, pr, "pagerank", node_path, n)
+    for column, values in (("community", communities), ("pagerank", ranks)):
+        if values and len(values) < len(nodes):
+            n = next(n for n, fields in nodes if fields[0] not in values)
+            raise InputError(f"{node_path}:{n}: {column} is empty here and filled on other rows")
     _, edges = tables.read_tsv(edge_path, EDGE_TSV_HEADER, "edge")
     for n, (u, v, w) in edges:
-        graph.add_edge(u, v, tables.number(float, w, "weight", edge_path, n))
-    partition = Partition(communities) if len(communities) == len(graph.nodes) else None
-    rank_vec = PageRankVector(ranks) if len(ranks) == len(graph.nodes) else None
+        weight = tables.number(float, w, "weight", edge_path, n)
+        try:
+            graph.add_edge(u, v, weight)
+        except InputError as exc:
+            raise InputError(f"{edge_path}:{n}: {exc}") from None
+    partition = Partition(communities) if communities else None
+    rank_vec = PageRankVector(ranks) if ranks else None
     return graph, partition, rank_vec
 
 

@@ -9,8 +9,8 @@ JSON documents are written with sorted keys and two-space indentation.
 Infinite floats are spelled ``inf``/``-inf`` in both.
 
 Every text file the toolkit reads, tables or not, is found, opened and decoded
-by ``open_text``: a missing file and a file that is not UTF-8 are input errors
-that name it.
+by ``open_text``: a missing file, a path that is not a file (a directory) and
+a file that is not UTF-8 are input errors that name it.
 """
 
 from __future__ import annotations
@@ -69,10 +69,11 @@ def write_json(path, doc: dict) -> None:
 
 
 def find_file(path, what: str) -> Path:
-    """``path`` as a ``Path``; a missing file is an input error that names ``what``."""
+    """``path`` as a ``Path``; a missing path, or one that is not a file, is an input error."""
     path = Path(path)
     if not path.is_file():
-        raise InputError(f"{what} file not found: {path}")
+        raise InputError(f"{what} is not a file: {path}" if path.exists()
+                         else f"{what} file not found: {path}")
     return path
 
 

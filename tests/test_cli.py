@@ -1,8 +1,10 @@
 import argparse
+import datetime
 import io
 import json
 import os
 import random
+import re
 import shutil
 import signal
 import subprocess
@@ -766,6 +768,69 @@ def test_missing_out_is_reported_before_any_input_is_read(tmp_path, monkeypatch,
     assert "--out is required" in capsys.readouterr().err
 
 
+NODE_HEADER = "word\tseed\tstatus\tcommunity\tpagerank\n"
+
+
+def write_graph(root):
+    (root / "n.tsv").write_text(NODE_HEADER + "".join(f"{w}\t0\tunrated\t\t\n" for w in "abcd"))
+    (root / "e.tsv").write_text("u\tv\tweight\na\tb\t0.9\nc\td\t0.8\nb\tc\t0.1\n")
+    return ("--nodes", str(root / "n.tsv"), "--edges", str(root / "e.tsv"))
+
+
+def test_one_run_makes_its_out_once_and_stamps_one_time(tmp_path, monkeypatch):
+    ticks = iter(range(60))
+
+    class Clock(datetime.datetime):  # a new second at every reading
+        @classmethod
+        def now(cls, tz=None):
+            return datetime.datetime(2026, 1, 1, 0, 0, next(ticks), tzinfo=tz)
+
+    made = []
+    mkdir = Path.mkdir
+
+    def spy(path, *args, **kwargs):
+        made.append(path)
+        mkdir(path, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "datetime", Clock)
+    monkeypatch.setattr(Path, "mkdir", spy)
+    out = tmp_path / "o"
+    assert run("cluster", *write_graph(tmp_path), "--out", str(out)) == 0
+    assert made == [out]
+    times = {p.name: re.findall(r"generated\W+([\w:+-]+)", p.read_text()) for p in out.iterdir()}
+    assert sorted(times) == ["cluster_summary.json", "composition.tsv", "nodes_clustered.tsv"]
+    assert set(map(tuple, times.values())) == {("2026-01-01T00:00:00+00:00",)}
+
+
+@pytest.mark.parametrize("out, message", [
+    ("n.tsv", "--out is not a directory: n.tsv"),
+    ("n.tsv/sub", "cannot make output directory n.tsv/sub: Not a directory"),
+])
+def test_an_out_that_cannot_be_a_directory_is_an_input_error(tmp_path, monkeypatch, capsys,
+                                                              out, message):
+    monkeypatch.chdir(tmp_path)
+    write_graph(tmp_path)
+    nodes = Path("n.tsv").read_bytes()
+    # a file named by --out is refused with the settings, before the missing --nodes is found
+    nodes_arg = "missing.tsv" if out == "n.tsv" else "n.tsv"
+    assert run("cluster", "--nodes", nodes_arg, "--edges", "e.tsv", "--out", out) == 1
+    assert capsys.readouterr().err == f"cuelex: error: {message}\n"
+    assert Path("n.tsv").read_bytes() == nodes
+
+
+def test_pipeline_finds_its_corpus_before_any_model_is_read(workspace, monkeypatch, capsys):
+    set_cpus(monkeypatch, 1)  # a load would run in this process, where the spy sees it
+    loads = []
+    monkeypatch.setattr(cli.embeddings, "load_model", lambda *args, **kw: loads.append(args))
+    argv = pipeline_args(workspace, workspace / "po")
+    argv[argv.index("--corpus") + 1] = str(workspace / "missing.jsonl")
+    assert run(*argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"cuelex: error: corpus file not found: {workspace / 'missing.jsonl'}\n"
+    assert captured.out == "" and loads == []
+    assert not (workspace / "po").exists()
+
+
 def test_unknown_config_key_is_an_input_error(workspace, capsys):
     find = ("find", "--corpus", str(workspace / "corpus.jsonl"), "--cues", "inconclusive")
     config = workspace / "typo.json"
@@ -1057,6 +1122,87 @@ def test_a_text_input_that_is_not_utf8_is_an_input_error_naming_it(
     assert run(*argv, "--out", "o") == 1
     err = capsys.readouterr().err
     assert err == f"cuelex: error: invalid UTF-8 in {what}: {bad}\n"
+
+
+# --- input errors -----------------------------------------------------------------
+
+FIND = ("find", "--corpus", "corpus.jsonl", "--cues", "a")
+GRAPH = ("export", "--nodes", "n.tsv", "--edges", "e.tsv")
+# each: the files to write, a command that reads them, and its one error message
+INPUT_ERRORS = {
+    "config list": ({"c.json": "[1]"}, (*FIND, "--config", "c.json"),
+                    "c.json: config must be a JSON object"),
+    "config not JSON": ({"c.json": "{"}, (*FIND, "--config", "c.json"), "c.json: invalid JSON"),
+    "one pairs file": ({}, ("intersect", "--pairs", "p.tsv"),
+                       "intersect needs at least two --pairs files"),
+    "cues of commas": ({}, ("find", "--corpus", "corpus.jsonl", "--cues", ","), "empty cues"),
+    "empty cues file": ({"w.txt": "# none\n"}, ("find", "--corpus", "corpus.jsonl", "--cues",
+                                                  "@w.txt"), "cues file is empty: w.txt"),
+    "corpus line not JSON": ({"c.jsonl": "{oops\n"}, ("find", "--corpus", "c.jsonl", "--cues", "a"),
+                             "c.jsonl:1: invalid JSON"),
+    "corpus without .txt": ({"docs/a.md": "A."}, ("find", "--corpus", "docs", "--cues", "a"),
+                            "no .txt files in docs"),
+    "manifest list": ({"g.json": "[]"}, ("rates", "--groups", "g.json"),
+                      "g.json: manifest must map group ids to corpus paths"),
+    "empty annotations": ({"a.csv": ""}, ("agree", "--annotations", "a.csv"),
+                          "empty annotations file: a.csv"),
+    "annotations row of 2": ({"a.csv": "word,judge1,judge2\nw,pos\n"},
+                             ("agree", "--annotations", "a.csv"), "a.csv:2: expected 3 fields"),
+    "classifier param": ({}, ("train", "--dataset", "d.tsv", "--classifiers", "knn:k=x"),
+                         "bad classifier parameter value 'x'"),
+    "matrix header only": ({"m.tsv": "word\ta\tb\n"}, ("pca", "--matrix", "m.tsv"),
+                           "score matrix needs a header and at least one row: m.tsv"),
+    "no feature matrix": ({"d/dataset.tsv": "word\tlabel\toov_flags\nw\t1\t0\n"},
+                          ("train", "--dataset", "d/dataset.tsv"),
+                          "missing feature matrix next to dataset: d/dataset_features.npy"),
+    "matrix a row short": ({"d/dataset.tsv": "word\tlabel\toov_flags\nw\t1\t0\nv\t0\t0\n",
+                            "d/dataset_features.npy": FEATURES.getvalue()},
+                           ("train", "--dataset", "d/dataset.tsv"),
+                           "dataset row count does not match the feature matrix"),
+    "seed line of a tab": ({"s.txt": "\thedging\n"},
+                           ("expand", "--model", "m1=m1.bin", "--seeds", "s.txt"),
+                           "s.txt:1: entry without a surface"),
+    "model header 0 5": ({"z.bin": "0 5\n"}, ("expand", "--model", "z=z.bin"),
+                         "malformed header (non-positive sizes): z.bin"),
+    # a path that exists but is not a file
+    "corpus subdirectory": ({"docs/a.txt": "A.", "docs/x.txt/b.txt": "B."},
+                            ("find", "--corpus", "docs", "--cues", "a"),
+                            "corpus is not a file: docs/x.txt"),
+    "seeds directory": ({"sd/a.txt": "a"}, ("expand", "--model", "m1=m1.bin", "--seeds", "sd"),
+                        "seed lexicon is not a file: sd"),
+    "model directory": ({"md/a.txt": "a"}, ("expand", "--model", "a=md"),
+                        "model is not a file: md"),
+    # graph TSVs are read strictly
+    "repeated node": ({"n.tsv": NODE_HEADER + "a\t1\taccepted\t\t\na\t0\trejected\t\t\n",
+                       "e.tsv": "u\tv\tweight\n"}, GRAPH, "n.tsv:3: 'a' is already a node"),
+    "community on some rows": ({"n.tsv": NODE_HEADER + "a\t1\taccepted\t0\t\nb\t0\tunrated\t\t\n",
+                                "e.tsv": "u\tv\tweight\na\tb\t0.5\n"},
+                               GRAPH, "n.tsv:3: community is empty here and filled on other rows"),
+    "pagerank on some rows": ({"n.tsv": NODE_HEADER + "a\t1\taccepted\t\t\nb\t0\tunrated\t\t0.5\n",
+                               "e.tsv": "u\tv\tweight\na\tb\t0.5\n"},
+                              GRAPH, "n.tsv:2: pagerank is empty here and filled on other rows"),
+    "edge to no node": ({"n.tsv": NODE_HEADER + "a\t1\taccepted\t\t\n",
+                         "e.tsv": "u\tv\tweight\na\tzz\t0.5\n"},
+                        GRAPH, "e.tsv:2: edge endpoint 'zz' is not a node"),
+    # score needs every seed the candidates credit
+    "seed not in lexicon": ({"c.json": json.dumps({"candidates": [
+        {"word": "ghost", "models": {"m1": {"similarity": 0.5, "seeds": ["seedc"]}}}]})},
+        ("score", "--candidates", "c.json", "--corpus", "corpus.jsonl", "--seeds", "seeds.txt"),
+        "candidate 'ghost': no seed with surface 'seedc' in the seed lexicon"),
+}
+
+
+@pytest.mark.parametrize("case", INPUT_ERRORS)
+def test_an_input_error_is_one_line_and_exit_1(workspace, monkeypatch, capsys, case):
+    files, argv, message = INPUT_ERRORS[case]
+    monkeypatch.chdir(workspace)
+    for name, content in files.items():
+        Path(name).parent.mkdir(parents=True, exist_ok=True)
+        (Path(name).write_bytes if isinstance(content, bytes) else Path(name).write_text)(content)
+    assert run(*argv, "--out", "o") == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"cuelex: error: {message}") and err.count("\n") == 1, err
+    assert not Path("o").exists()
 
 
 # --- one worker per model ---------------------------------------------------------

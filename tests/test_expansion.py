@@ -454,6 +454,20 @@ def test_score_matches_per_pair_recomputation():
         assert cand.status == "unrated"
 
 
+def test_score_needs_every_credited_seed_and_skips_a_seed_without_support():
+    lex = lexicon_of("seedw", "silent")
+    pairs = [pair("seedw", "cand", 0.8, "m1"), pair("silent", "cand", 0.7, "m1")]
+    cset = intersect({"cand"}, {"cand"}, lex, pairs=pairs)
+    corpus = corpus_of("seedw cand together", "cand alone", "noise")
+    scored = score_candidates(cset, corpus, lex)
+    assert scored.candidates[0].pmi == pytest.approx(pmi(corpus, "seedw", "cand"))
+    # a candidate absent from the corpus is checked too
+    ghost = intersect({"ghost"}, {"ghost"}, lex, pairs=[pair("other", "ghost", 0.5, "m1")])
+    cset.candidates += ghost.candidates
+    with pytest.raises(InputError, match="candidate 'ghost': no seed with surface 'other'"):
+        score_candidates(cset, corpus, lex)
+
+
 def test_score_keeps_set_membership():
     lex = lexicon_of("seedw")
     cset = intersect({"present", "ghost"}, {"present", "ghost"}, lex)

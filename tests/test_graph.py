@@ -126,6 +126,14 @@ def test_add_edge_validation():
         g.add_edge("a", "b", 1.5)
 
 
+def test_add_node_refuses_a_word_already_present():
+    g = CueGraph()
+    g.add_node("a", is_seed=True, status="accepted")
+    with pytest.raises(InputError, match="'a' is already a node"):
+        g.add_node("a", status="rejected")
+    assert g.nodes["a"].is_seed and g.nodes["a"].status == "accepted"
+
+
 # --- modularity ----------------------------------------------------------------
 
 
