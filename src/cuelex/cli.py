@@ -337,16 +337,20 @@ def _emit(ctx, stem, columns, rows, decimals=6, **extra) -> None:
 def _expand_each(ctx, specs, lexicon):
     """Yield (model name, expansion result) per model after writing its pairs and skipped forms.
 
-    Each model is loaded and expanded in its own worker process, so this
-    process never holds a model and each worker holds one.
+    Each model is expanded in its own worker process, so this process never
+    reads a model.  A binary model is streamed: its worker holds two file
+    offsets per row and one block of rows, never the matrix.  A text model is
+    loaded whole.
     """
     k, fold_case = ctx.k, not ctx.no_fold_case
+    forms = [form for entry in lexicon for form in entry.model_forms]
     # executes both lazily registered modules here, once, not in every worker
-    load, expand = embeddings.load_model, expansion.expand
+    load, stream, expand = embeddings.load_model, embeddings.stream_model, expansion.expand
 
     def expand_one(spec):
         name, path, fmt = spec
-        return expand(load(path, fmt, name=name), lexicon, k=k, fold_case=fold_case)
+        model = stream(path, forms, name=name) if fmt == "binary" else load(path, fmt, name=name)
+        return expand(model, lexicon, k=k, fold_case=fold_case)
 
     for (name, _, _), result in zip(specs, workers.fork_map(expand_one, specs)):
         expansion.write_pairs(ctx.out_dir / f"pairs_{name}.tsv", result.pairs, ctx.header_lines)

@@ -1,26 +1,39 @@
-"""Word-embedding models: word2vec file loading and exact cosine similarity queries.
+"""Word-embedding models: word2vec files and exact cosine similarity queries.
 
-Models are immutable after loading and safe to share across threads.  A model
-holds its float32 vectors exactly as stored plus float64 norms.  Similarities
-are float64 dot products of float64 unit rows rebuilt on demand
+Models are immutable after loading and safe to share across threads.  A row's
+norm is the float64 norm of its float32 vector exactly as stored.
+Similarities are float64 dot products of float64 unit rows rebuilt on demand
 (``unit_rows``), so cosine(a, b) == cosine(b, a) bit-for-bit and rankings are
 reproducible.  Nearest-neighbor search is exact: a float32 GEMM over blocks of
 vocabulary rows screens every row, a proven rounding bound widens the cut, and
 only the rows that can still rank in the top k are rescored in float64
-(``top_k_batch``).  Large models can be loaded through ``vocab_filter``.
+(``top_k_batch``).
 
-Tokens are found through a fold index: an int32 key id per row (case variants
-share their lowercase form's id), the rows grouped by key in file order with
-int64 offsets, and one dict from lowercase form to key id, whose keys are the
-vocabulary's own strings where a token is already lowercase.  It is the only
-dict: an exact lookup scans its key's rows, and retrieval compares key ids.
+That kernel runs over a source of row blocks, and there are two.  An
+``EmbeddingModel`` (``load_model``) holds the whole matrix: it serves the
+library, ``dataset`` and text models.  A ``StreamedModel`` (``stream_model``)
+reads a binary file again for each screen, a block of rows at a time, and the
+rerank reads its rows by offset.  It keeps two file offsets per row and the
+tokens of the rows it was opened for, so the matrix is never resident.
+
+A loaded model finds tokens through a fold index: an int32 key id per row
+(case variants share their lowercase form's id), the rows grouped by key in
+file order with int64 offsets, and one dict from lowercase form to key id,
+whose keys are the vocabulary's own strings where a token is already
+lowercase.  It is the only dict: an exact lookup scans its key's rows, and
+retrieval compares key ids.
+
+Both readers drop a repeated token's later rows through sorted 64-bit hashes
+of the tokens (``_duplicate_rows``), with one warning.
 """
 
 from __future__ import annotations
 
 import mmap
+import os
 import warnings
 from array import array
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -31,15 +44,16 @@ from .errors import InputError
 
 # Vectors shorter than this are unusable for cosine similarity.
 MIN_USABLE_NORM = 1e-12
-# Vocabulary rows per block of the screen.
+# Rows per block of the screen of a loaded matrix.
 BLOCK_ROWS = 2048
-# Rows per block of the passes that copy a block of a loaded matrix: the norm
-# computation, whose float64 copy of a block is the largest transient of a model
-# load (256 x 300 x 8 B = 0.6 MiB at dim 300), and dropping duplicate rows.
+# Rows per block of the passes that copy rows: the norm computation, whose
+# float64 copy of a block is the largest transient of a model load (256 x 300 x
+# 8 B = 0.6 MiB at dim 300), dropping duplicate rows, and the screen of a
+# streamed model, whose block read from the file is all of the matrix it holds.
 NORM_BLOCK_ROWS = 256
-# The binary loader releases the file pages it has read every this many bytes,
-# so a load never holds the whole file besides the matrix.
-RELEASE_BYTES = 1 << 22
+# The binary reader releases the file pages it has read every this many bytes,
+# so a scan never holds more than this of the file.
+RELEASE_BYTES = 1 << 20
 _DROP_PAGES = getattr(mmap, "MADV_DONTNEED", None)
 
 
@@ -60,6 +74,42 @@ def screen_slack(dim: int) -> float:
     return err + (1 + err) * (eps + u + eps * u) + 4 * (dim + 3) * u64
 
 
+def _norms(vectors: np.ndarray) -> np.ndarray:
+    """Float64 norms of float32 rows, each the same bit for bit whatever rows come with it."""
+    norms = np.empty(len(vectors))
+    for lo in range(0, len(vectors), NORM_BLOCK_ROWS):
+        v64 = vectors[lo : lo + NORM_BLOCK_ROWS].astype(np.float64)
+        norms[lo : lo + NORM_BLOCK_ROWS] = np.sqrt(np.einsum("ij,ij->i", v64, v64))
+    return norms
+
+
+def _check_finite(norms: np.ndarray, token) -> None:
+    """Refuse the first row with a non-finite value; ``token(i)`` names row i.
+
+    Squares of float32 values cannot overflow float64, so a row holds a
+    non-finite value exactly when its norm is not finite.
+    """
+    if not np.isfinite(norms).all():
+        bad = int(np.flatnonzero(~np.isfinite(norms))[0])
+        raise InputError(f"non-finite value in vector for token {token(bad)!r}")
+
+
+def _scales(norms: np.ndarray, usable: np.ndarray) -> np.ndarray:
+    """The screen's float32 row scales 2^64 / norm (see screen_slack); 0 on unusable rows."""
+    scale = np.zeros(len(norms), dtype=np.float32)
+    np.divide(2.0**64, norms, out=scale, where=usable, casting="same_kind")
+    return scale
+
+
+def _units(vectors: np.ndarray, norms: np.ndarray) -> np.ndarray:
+    """Float64 unit rows of float32 ``vectors`` with their ``norms``; unusable rows are zero."""
+    unusable = norms < MIN_USABLE_NORM
+    units = vectors.astype(np.float64)
+    units /= np.where(unusable, 1.0, norms)[:, None]
+    units[unusable] = 0.0
+    return units
+
+
 @dataclass(frozen=True)
 class NeighborResult:
     """One ranked neighbor of a query token."""
@@ -69,60 +119,17 @@ class NeighborResult:
     similarity: float
 
 
-class EmbeddingModel:
-    """Vocabulary plus vector matrix loaded from a word2vec file.
+class _BlockSource:
+    """Token lookup and the exact top-k kernel over a source of row blocks.
 
-    Attributes:
-        name: model identifier (defaults to the file stem).
-        dim: vector dimensionality.
-        vocab: tokens in file order; the model takes ownership of the list it is
-            given, which must not change afterwards.
-        vectors: vocab_size x dim float32 matrix, exactly as stored on disk.
-        norms: per-token Euclidean norms (float64).
+    A source has a ``name``, a ``dim``, a length, ``unit_rows(rows)`` and:
+
+    - ``_blocks()``: (first row, float32 vectors, float32 scales, usable mask)
+      per block of rows, in row order; the scales are ``_scales``;
+    - ``_key_rows(key)``: the rows whose lowercase token is ``key``, in file order;
+    - ``_tokens(rows)`` and ``_usable_rows(rows)``;
+    - ``_fold_keys(rows)``: a value per row, equal where the lowercase tokens are.
     """
-
-    def __init__(self, name: str, vocab: list[str], vectors: np.ndarray):
-        if vectors.ndim != 2 or vectors.shape[0] != len(vocab):
-            raise InputError("vector matrix shape does not match vocabulary")
-        if len(vocab) < 1:
-            raise InputError("empty vocabulary")
-        if vectors.shape[1] < 1:
-            raise InputError("vector dimension must be positive")
-        self.vectors = np.ascontiguousarray(vectors, dtype=np.float32)
-        # Squares of float32 values cannot overflow float64, so a row holds a
-        # non-finite value exactly when its norm is not finite.
-        self.norms = np.empty(len(vocab))
-        for lo in range(0, len(vocab), NORM_BLOCK_ROWS):
-            v64 = self.vectors[lo : lo + NORM_BLOCK_ROWS].astype(np.float64)
-            self.norms[lo : lo + NORM_BLOCK_ROWS] = np.sqrt(np.einsum("ij,ij->i", v64, v64))
-        if not np.isfinite(self.norms).all():
-            bad = int(np.flatnonzero(~np.isfinite(self.norms))[0])
-            raise InputError(f"non-finite value in vector for token {vocab[bad]!r}")
-
-        self.name = name
-        self.vocab = vocab
-        self.dim = int(vectors.shape[1])
-        # header-declared token count of the source file, when one was parsed
-        # (differs from len(vocab) under vocab_filter or duplicate dropping)
-        self.declared_vocab_size: int | None = None
-
-        self._usable = self.norms >= MIN_USABLE_NORM
-        self._scale = np.zeros(len(vocab), dtype=np.float32)  # see screen_slack
-        np.divide(2.0**64, self.norms, out=self._scale, where=self._usable, casting="same_kind")
-        keys: dict[str, int] = {}  # a lowercase token is its own key string
-        folded = (tok if (low := tok.lower()) == tok else low for tok in vocab)
-        ids = (keys.setdefault(f, len(keys)) for f in folded)
-        self._key, self._keys = np.fromiter(ids, np.int32, len(vocab)), keys
-        self._rows = np.argsort(self._key, kind="stable").astype(np.int32)
-        self._offsets = np.concatenate([[0], np.cumsum(np.bincount(self._key))])
-        seen: set[str] = set()  # equal tokens share a key, so check keys with variants
-        for i in np.flatnonzero((np.diff(self._offsets) > 1)[self._key]).tolist():
-            if vocab[i] in seen:
-                raise InputError(f"duplicate tokens in vocabulary: {vocab[i]!r}")
-            seen.add(vocab[i])
-
-    def __len__(self) -> int:
-        return len(self.vocab)
 
     def __contains__(self, token: str) -> bool:
         return self._row(token, False) is not None
@@ -130,7 +137,7 @@ class EmbeddingModel:
     def usable(self, token: str, fold_case: bool = False) -> bool:
         """Whether ``lookup(token, fold_case)`` finds a row with a usable vector."""
         idx = self._row(token, fold_case)
-        return idx is not None and bool(self._usable[idx])
+        return idx is not None and bool(self._usable_rows([idx])[0])
 
     def lookup(self, token: str, fold_case: bool = True) -> int:
         """Index of ``token``; exact match first, then case variants in file order."""
@@ -139,38 +146,11 @@ class EmbeddingModel:
             raise InputError(f"token {token!r} not in vocabulary of model {self.name!r}")
         return idx
 
-    def _variants(self, kid: int) -> list[int]:
-        """Rows of folded key id ``kid``, in file order."""
-        return self._rows[self._offsets[kid] : self._offsets[kid + 1]].tolist()
-
     def _row(self, token: str, fold_case: bool) -> int | None:
         """Row of exactly ``token``, else (with ``fold_case``) of its first case variant."""
-        kid = self._keys.get(token.lower())
-        rows = [] if kid is None else self._variants(kid)
-        exact = next((i for i in rows if self.vocab[i] == token), None)
+        rows = self._key_rows(token.lower())
+        exact = next((i for i, t in zip(rows, self._tokens(rows)) if t == token), None)
         return rows[0] if exact is None and fold_case and rows else exact
-
-    def vector(self, token: str, fold_case: bool = True) -> np.ndarray:
-        """Stored float32 vector for ``token`` (a copy)."""
-        return self.vectors[self.lookup(token, fold_case)].copy()
-
-    def unit_rows(self, rows) -> np.ndarray:
-        """Float64 unit vectors of ``rows`` (indices or a slice); unusable rows are zero."""
-        unusable = ~self._usable[rows]
-        units = self.vectors[rows].astype(np.float64)
-        units /= np.where(unusable, 1.0, self.norms[rows])[:, None]
-        units[unusable] = 0.0
-        return units
-
-    def cosine(self, w1: str, w2: str, fold_case: bool = True) -> float:
-        """Exact cosine of the two stored vectors."""
-        i = self.lookup(w1, fold_case)
-        j = self.lookup(w2, fold_case)
-        for tok, idx in ((w1, i), (w2, j)):
-            if not self._usable[idx]:
-                raise InputError(f"token {tok!r} has near-zero norm and is unusable")
-        a, b = self.unit_rows([i, j])
-        return float(np.dot(a, b))
 
     def top_k(self, query: str, k: int, fold_case: bool = True) -> list[NeighborResult]:
         """The ``k`` nearest tokens to ``query`` by cosine over the whole vocabulary.
@@ -192,34 +172,35 @@ class EmbeddingModel:
         (lowercase tokens with ``fold_case``, else rows), a row that scores
         over 2 ``screen_slack`` below the prefix's end ranks below all of the
         prefix, so only the rows above that cut are rescored in float64 and
-        ranked.  Otherwise m doubles, up to the number of usable rows.
+        ranked.  Otherwise m doubles, up to the number of usable rows, which
+        the first screen counts.
         """
         if k < 0:
             raise InputError("k must be non-negative")
         rows = [self.lookup(q, fold_case) for q in queries]
-        for query, qi in zip(queries, rows):
-            if not self._usable[qi]:
+        for query, ok in zip(queries, self._usable_rows(rows)):
+            if not ok:
                 raise InputError(f"token {query!r} has near-zero norm and is unusable")
         results: list[list[NeighborResult]] = [[] for _ in queries]
         slack2 = 2 * screen_slack(self.dim)
-        n_usable = int(self._usable.sum())
-        m = min(max(4 * k, 64) if fold_case else k, n_usable)
+        m = min(max(4 * k, 64) if fold_case else k, len(self))
         pending = list(range(len(queries))) if k else []
         while pending:
             qrows = [rows[j] for j in pending]
-            excluded = [self._variants(self._key[i]) if fold_case else [i] for i in qrows]
+            tokens = self._tokens(qrows)
+            excluded = [self._key_rows(t.lower()) if fold_case else [i] for i, t in zip(qrows, tokens)]
             units = self.unit_rows(qrows)
             widen = []
-            survivors = self._screen(units, excluded, m, slack2)
+            survivors, n_usable = self._screen(units, excluded, m, slack2)
             for j, uq, ex, (cand, score) in zip(pending, units, excluded, survivors):
                 firsts = self._first_of_keys(cand[:m].tolist(), k, fold_case)
-                if len(firsts) < k and m < n_usable - self._usable[ex].sum():
+                if len(firsts) < k and m < n_usable - self._usable_rows(ex).sum():
                     widen.append(j)
                     continue
                 cut = score[firsts[-1]] - slack2 if len(firsts) == k else -np.inf
                 rerank = cand[score >= cut].tolist()
                 sims = [-float(np.dot(u, uq)) for u in self.unit_rows(rerank)]
-                ranked = sorted(zip(sims, [self.vocab[i] for i in rerank], rerank))
+                ranked = sorted(zip(sims, self._tokens(rerank), rerank))
                 firsts = self._first_of_keys([i for _, _, i in ranked], k, fold_case)
                 results[j] = [NeighborResult(queries[j], ranked[p][1], -ranked[p][0])
                               for p in firsts]
@@ -228,7 +209,7 @@ class EmbeddingModel:
 
     def _first_of_keys(self, rows: list[int], k: int, fold_case: bool) -> list[int]:
         """Positions of the first row of each key in ``rows``, up to k keys."""
-        keys = self._key[rows].tolist() if fold_case else rows
+        keys = self._fold_keys(rows) if fold_case else rows
         seen, firsts = set(), []
         for pos, key in enumerate(keys):
             if key not in seen:
@@ -238,7 +219,7 @@ class EmbeddingModel:
                     break
         return firsts
 
-    def _screen(self, units, excluded, m: int, slack2: float) -> list:
+    def _screen(self, units, excluded, m: int, slack2: float) -> tuple[list, int]:
         """Per query (a row of ``units``): rows holding its exact top ``m``, and their scores.
 
         One float32 GEMM per row block scores it against every query, with
@@ -246,6 +227,7 @@ class EmbeddingModel:
         survives when its score is within ``slack2`` (2 ``screen_slack``) of
         the query's m-th best score, so that its similarity can reach the
         m-th best one.  Rows come in descending score; scores are float64.
+        Also returns the number of usable rows.
         """
         q32 = (units * 2.0**-64).astype(np.float32)
         ex_rows = np.array([i for ex in excluded for i in ex], dtype=np.int64)
@@ -254,23 +236,25 @@ class EmbeddingModel:
         def cut(best):  # every real score is >= -1 - slack, so -2 keeps -inf out
             return np.maximum(best.astype(np.float64) - slack2, -2.0)
 
-        n = len(self.vocab)
+        n, n_usable, width = len(self), 0, 0
         best = np.full((len(units), m), -np.inf, dtype=np.float32)
         tiles, found = [], []
-        for lo in range(0, n, BLOCK_ROWS):
-            hi = min(lo + BLOCK_ROWS, n)
-            s = self.vectors[lo:hi] @ q32.T
-            s *= self._scale[lo:hi, None]
-            s[~self._usable[lo:hi]] = -np.inf
+        for lo, vectors, scale, usable in self._blocks():
+            hi = lo + len(vectors)
+            s = vectors @ q32.T
+            s *= scale[:, None]
+            s[~usable] = -np.inf
+            n_usable += int(np.count_nonzero(usable))
             s = np.ascontiguousarray(s.T)  # one row per query
             hit = (ex_rows >= lo) & (ex_rows < hi)
             s[ex_cols[hit], ex_rows[hit] - lo] = -np.inf
             # Merge tiles into the running top m once they hold m columns, so
             # a large m costs O(n) selection work per query, not O(n m / block).
             tiles.append(s)
-            if len(tiles) * BLOCK_ROWS >= m or hi == n:
+            width += hi - lo
+            if width >= m or hi == n:
                 best = np.partition(np.concatenate([best, *tiles], axis=1), -m, axis=1)[:, -m:]
-                tiles = []
+                tiles, width = [], 0
             q, r = np.divmod(np.flatnonzero(s >= cut(best[:, :1])), hi - lo)
             found.append((q, r + lo, s[q, r]))
         q, r, score = (np.concatenate(x) for x in zip(*found))
@@ -278,7 +262,224 @@ class EmbeddingModel:
         q, r, score = q[keep], r[keep], score[keep].astype(np.float64)
         order = np.lexsort((-score, q))  # by query, then descending score
         splits = np.searchsorted(q[order], np.arange(1, len(units)))
-        return list(zip(np.split(r[order], splits), np.split(score[order], splits)))
+        return list(zip(np.split(r[order], splits), np.split(score[order], splits))), n_usable
+
+
+class EmbeddingModel(_BlockSource):
+    """Vocabulary plus vector matrix loaded from a word2vec file.
+
+    Attributes:
+        name: model identifier (defaults to the file stem).
+        dim: vector dimensionality.
+        vocab: tokens in file order; the model takes ownership of the list it is
+            given, which must not change afterwards.
+        vectors: vocab_size x dim float32 matrix, exactly as stored on disk.
+        norms: per-token Euclidean norms (float64).
+    """
+
+    def __init__(self, name: str, vocab: list[str], vectors: np.ndarray):
+        if vectors.ndim != 2 or vectors.shape[0] != len(vocab):
+            raise InputError("vector matrix shape does not match vocabulary")
+        if len(vocab) < 1:
+            raise InputError("empty vocabulary")
+        if vectors.shape[1] < 1:
+            raise InputError("vector dimension must be positive")
+        self.vectors = np.ascontiguousarray(vectors, dtype=np.float32)
+        self.norms = _norms(self.vectors)
+        _check_finite(self.norms, vocab.__getitem__)
+
+        self.name = name
+        self.vocab = vocab
+        self.dim = int(vectors.shape[1])
+        # header-declared token count of the source file, when one was parsed
+        # (differs from len(vocab) under vocab_filter or duplicate dropping)
+        self.declared_vocab_size: int | None = None
+
+        self._usable = self.norms >= MIN_USABLE_NORM
+        self._scale = _scales(self.norms, self._usable)
+        keys: dict[str, int] = {}  # a lowercase token is its own key string
+        intern = keys.setdefault
+        ids = (intern(tok if (low := tok.lower()) == tok else low, len(keys)) for tok in vocab)
+        self._key, self._keys = np.fromiter(ids, np.int32, len(vocab)), keys
+        self._rows = np.argsort(self._key, kind="stable").astype(np.int32)
+        self._offsets = np.concatenate([[0], np.cumsum(np.bincount(self._key))])
+        seen: set[str] = set()  # equal tokens share a key, so check keys with variants
+        for i in np.flatnonzero((np.diff(self._offsets) > 1)[self._key]).tolist():
+            if vocab[i] in seen:
+                raise InputError(f"duplicate tokens in vocabulary: {vocab[i]!r}")
+            seen.add(vocab[i])
+
+    def __len__(self) -> int:
+        return len(self.vocab)
+
+    def _key_rows(self, key: str) -> list[int]:
+        kid = self._keys.get(key)
+        return [] if kid is None else self._rows[self._offsets[kid] : self._offsets[kid + 1]].tolist()
+
+    def _tokens(self, rows) -> list[str]:
+        return [self.vocab[i] for i in rows]
+
+    def _usable_rows(self, rows) -> np.ndarray:
+        return self._usable[rows]
+
+    def _fold_keys(self, rows) -> list[int]:
+        return self._key[rows].tolist()
+
+    def _blocks(self):
+        for lo in range(0, len(self), BLOCK_ROWS):
+            hi = lo + BLOCK_ROWS
+            yield lo, self.vectors[lo:hi], self._scale[lo:hi], self._usable[lo:hi]
+
+    def vector(self, token: str, fold_case: bool = True) -> np.ndarray:
+        """Stored float32 vector for ``token`` (a copy)."""
+        return self.vectors[self.lookup(token, fold_case)].copy()
+
+    def unit_rows(self, rows) -> np.ndarray:
+        """Float64 unit vectors of ``rows`` (indices or a slice); unusable rows are zero."""
+        return _units(self.vectors[rows], self.norms[rows])
+
+    def cosine(self, w1: str, w2: str, fold_case: bool = True) -> float:
+        """Exact cosine of the two stored vectors."""
+        i = self.lookup(w1, fold_case)
+        j = self.lookup(w2, fold_case)
+        for tok, idx in ((w1, i), (w2, j)):
+            if not self._usable[idx]:
+                raise InputError(f"token {tok!r} has near-zero norm and is unusable")
+        a, b = self.unit_rows([i, j])
+        return float(np.dot(a, b))
+
+
+class StreamedModel(_BlockSource):
+    """A binary word2vec file that answers retrieval around chosen tokens without loading it.
+
+    Made by ``stream_model``.  It keeps each row's token and payload offsets,
+    and the tokens of the rows whose lowercase form is that of a chosen token;
+    only those tokens can be looked up.  Each screen reads the file again,
+    ``NORM_BLOCK_ROWS`` rows at a time, and checks every row it reads as
+    ``load_model`` does; a ``top_k_batch`` that runs no screen reads every row
+    once for that check.  The rerank reads its rows and tokens by offset.
+    """
+
+    def __init__(self, name, path, dim, starts, ats, found, stamp, wanted):
+        self.name, self.path, self.dim = name, path, dim
+        self._starts, self._ats, self._stamp, self._wanted = starts, ats, stamp, wanted
+        self._token = dict(found)  # row -> token: the chosen rows', and each row read since
+        rows = sorted(found)
+        self._found: dict[str, list[int]] = {}  # lowercase token -> rows, in file order
+        for row in rows:
+            self._found.setdefault(found[row].lower(), []).append(row)
+        norms = _norms(self._read(rows))
+        self._found_usable = dict(zip(rows, (norms >= MIN_USABLE_NORM).tolist()))
+        self._checked = False
+        if not np.isfinite(norms).all():
+            self._check()  # refuses the file's first non-finite row, as a load does
+
+    def __len__(self) -> int:
+        return len(self._ats)
+
+    def top_k_batch(self, queries, k, fold_case=True):
+        """As on a loaded model; every row has been read once by the time it returns."""
+        results = super().top_k_batch(queries, k, fold_case)
+        self._check()
+        return results
+
+    def _check(self) -> None:
+        """Read every row once, unless a screen has, so that a non-finite row is refused."""
+        if not self._checked:
+            for _ in self._blocks():
+                pass
+
+    def _open(self):
+        fh = open(self.path, "rb", buffering=0)
+        st = os.fstat(fh.fileno())
+        if (st.st_size, st.st_mtime_ns) != self._stamp:
+            fh.close()
+            raise InputError(f"model file changed while it was read: {self.path}")
+        return fh
+
+    def _key_rows(self, key: str) -> list[int]:
+        if key not in self._wanted:
+            raise ValueError(f"{key!r} is not a token that model {self.name!r} was streamed for")
+        return self._found.get(key, [])
+
+    def _tokens(self, rows) -> list[str]:
+        missing = [i for i in rows if i not in self._token]
+        if missing:
+            with self._open() as fh:
+                for i in missing:
+                    start, at = int(self._starts[i]), int(self._ats[i])
+                    self._token[i] = os.pread(fh.fileno(), at - 1 - start, start).decode("utf-8")
+        return [self._token[i] for i in rows]
+
+    def _usable_rows(self, rows) -> np.ndarray:
+        return np.array([self._found_usable[i] for i in rows], dtype=bool)
+
+    def _fold_keys(self, rows) -> list[str]:
+        return [t.lower() for t in self._tokens(rows)]
+
+    def _read(self, rows) -> np.ndarray:
+        """The float32 vectors of ``rows``, read by offset."""
+        payload = 4 * self.dim
+        with self._open() as fh:
+            data = b"".join(os.pread(fh.fileno(), payload, at) for at in self._ats[rows].tolist())
+        return np.frombuffer(data, dtype="<f4").reshape(len(rows), self.dim)
+
+    def unit_rows(self, rows) -> np.ndarray:
+        """Float64 unit vectors of ``rows``; unusable rows are zero."""
+        vectors = self._read(rows)
+        return _units(vectors, _norms(vectors))
+
+    def _blocks(self):
+        payload, n = 4 * self.dim, len(self)
+        block = np.empty((min(NORM_BLOCK_ROWS, n), self.dim), dtype="<f4")
+        out, buf = memoryview(block).cast("B"), bytearray()
+        with self._open() as fh:
+            for lo in range(0, n, NORM_BLOCK_ROWS):
+                ats = self._ats[lo : lo + NORM_BLOCK_ROWS]
+                base = int(ats[0])
+                span = int(ats[-1]) + payload - base
+                if len(buf) < span:
+                    buf = bytearray(span)
+                fh.seek(base)
+                with memoryview(buf) as read:
+                    if fh.readinto(read[:span]) != span:
+                        raise InputError(f"model file changed while it was read: {self.path}")
+                    for j, at in enumerate((ats - base).tolist()):
+                        out[j * payload : (j + 1) * payload] = read[at : at + payload]
+                vectors = block[: len(ats)]
+                norms = _norms(vectors)
+                _check_finite(norms, lambda i: self._tokens([lo + i])[0])
+                usable = norms >= MIN_USABLE_NORM
+                yield lo, vectors, _scales(norms, usable), usable
+        self._checked = True
+
+
+def _duplicate_rows(hashes: np.ndarray, same, path) -> np.ndarray:
+    """Rows whose token repeats an earlier row's, ascending; warns with their count.
+
+    ``hashes`` holds a 64-bit hash of each row's token, so equal tokens have
+    equal hashes: sorting them finds the rows that can repeat, and
+    ``same(i, j)`` compares the tokens of two rows whose hashes collide.  No
+    set of the vocabulary is built.
+    """
+    ordered = np.sort(hashes)
+    if not (ordered[1:] == ordered[:-1]).any():
+        return np.empty(0, dtype=np.int64)
+    del ordered
+    order = np.argsort(hashes, kind="stable")  # rows of equal hashes in row order
+    tie = hashes[order[1:]] == hashes[order[:-1]]
+    rows = np.sort(order[np.concatenate([[False], tie]) | np.concatenate([tie, [False]])])
+    kept: dict[int, list[int]] = {}  # hash -> the first row of each distinct token
+    dropped = []
+    for row, h in zip(rows.tolist(), hashes[rows].tolist()):
+        firsts = kept.setdefault(h, [])
+        if any(same(first, row) for first in firsts):
+            dropped.append(row)
+        else:
+            firsts.append(row)
+    if dropped:
+        warnings.warn(f"{path}: dropped {len(dropped)} duplicate token(s), kept first occurrences")
+    return np.array(dropped, dtype=np.int64)
 
 
 def load_model(
@@ -296,12 +497,12 @@ def load_model(
     path = tables.find_file(path, "model")
     if format not in ("binary", "text"):
         raise InputError(f"unknown model format {format!r}")
-    folded_filter = {t.lower() for t in vocab_filter} if vocab_filter is not None else None
+    keep = None  # every token
+    if vocab_filter is not None:
+        folded_filter = {t.lower() for t in vocab_filter}
 
-    def keep(token: str) -> bool:
-        if vocab_filter is None:
-            return True
-        return token in vocab_filter or token.lower() in folded_filter
+        def keep(token: str) -> bool:
+            return token in vocab_filter or token.lower() in folded_filter
 
     if format == "binary":
         vocab, matrix, declared = _read_binary(path, keep)
@@ -311,18 +512,15 @@ def load_model(
     if not vocab:
         raise InputError(f"empty vocabulary after filtering: {path}")
 
-    # Duplicate tokens: keep the first occurrence, warn with a count.  The set
-    # is freed before the model builds its index, so the two never coexist.
-    if len(set(vocab)) < len(vocab):
-        first: dict[str, int] = {}
-        for i, tok in enumerate(vocab):
-            first.setdefault(tok, i)
-        dupes = len(vocab) - len(first)
-        warnings.warn(f"{path}: dropped {dupes} duplicate token(s), kept first occurrences")
-        vocab = list(first)
+    # Duplicate tokens: keep the first occurrence, warn with a count.
+    hashes = np.fromiter(map(hash, vocab), np.int64, len(vocab))
+    dropped = _duplicate_rows(hashes, lambda i, j: vocab[i] == vocab[j], path)
+    del hashes
+    if len(dropped):
+        kept = np.delete(np.arange(len(vocab)), dropped)
+        vocab = [vocab[i] for i in kept.tolist()]
         # Move the kept rows up in place, a block at a time: they ascend, so no
         # block reads a row that an earlier block overwrote.
-        kept = np.fromiter(first.values(), dtype=np.int64, count=len(first))
         for lo in range(0, len(kept), NORM_BLOCK_ROWS):
             block = kept[lo : lo + NORM_BLOCK_ROWS]
             matrix[lo : lo + len(block)] = matrix[block]
@@ -332,65 +530,124 @@ def load_model(
     return model
 
 
-def _read_binary(path: Path, keep) -> tuple[list[str], np.ndarray, int]:
+def stream_model(path: str | Path, tokens, name: str | None = None) -> StreamedModel:
+    """Scan a binary word2vec file for retrieval around ``tokens``; its matrix is never held.
+
+    The scan checks the file as ``load_model`` does and drops repeated tokens
+    with the same warning.  It keeps two int64 file offsets per row and a
+    64-bit token hash until the duplicates are found.  ``tokens`` and their
+    case variants are the only tokens the model can look up.
+    """
+    path = tables.find_file(path, "model")
+    wanted = {t.lower() for t in tokens}
+    st = path.stat()
+    found: dict[int, str] = {}  # row -> token, for the rows of wanted keys
+    with _binary_file(path) as (mm, declared, dim, records):
+        starts, ats, hashes = (np.empty(declared, dtype=np.int64) for _ in range(3))
+        n = 0
+        for chunk, chunk_starts, chunk_ats in records:
+            if not wanted.isdisjoint(map(str.lower, chunk)):
+                found.update((n + i, t) for i, t in enumerate(chunk) if t.lower() in wanted)
+            end = n + len(chunk)
+            starts[n:end], ats[n:end] = chunk_starts, chunk_ats
+            hashes[n:end] = np.fromiter(map(hash, chunk), np.int64, len(chunk))
+            n = end
+        dropped = _duplicate_rows(
+            hashes, lambda i, j: mm[starts[i] : ats[i]] == mm[starts[j] : ats[j]], path
+        )
+    del hashes
+    if len(dropped):
+        starts, ats = np.delete(starts, dropped), np.delete(ats, dropped)
+        gone = set(dropped.tolist())
+        shift = np.searchsorted(dropped, list(found))
+        found = {row - int(k): tok for (row, tok), k in zip(found.items(), shift) if row not in gone}
+    stamp = (st.st_size, st.st_mtime_ns)
+    return StreamedModel(name or path.stem, path, dim, starts, ats, found, stamp, wanted)
+
+
+@contextmanager
+def _binary_file(path: Path):
+    """A binary model file, mapped, with its header checked: (mmap, declared count, dim, records).
+
+    ``records`` yields the records in file order, a stretch of about
+    ``RELEASE_BYTES`` of the file at a time: (tokens, token offsets, payload
+    offsets).  It releases the file pages of each stretch once the stretch has
+    been used, and every fault of the file's layout is an ``InputError`` at its
+    byte, raised before the stretch that holds it is yielded.
+    """
     if path.stat().st_size == 0:
         raise InputError(f"empty model file: {path}")
-    with open(path, "rb") as fh:
-        mm = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
+    with open(path, "rb") as fh, mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ) as mm:
+        nl = mm.find(b"\n")
+        if nl < 0:
+            raise InputError(f"malformed header (no newline): {path}")
+        header = mm[:nl].split()
+        if len(header) != 2:
+            raise InputError(f"malformed header {mm[:nl]!r}: {path}")
         try:
-            nl = mm.find(b"\n")
-            if nl < 0:
-                raise InputError(f"malformed header (no newline): {path}")
-            header = mm[:nl].split()
-            if len(header) != 2:
-                raise InputError(f"malformed header {mm[:nl]!r}: {path}")
-            try:
-                vocab_size, dim = int(header[0]), int(header[1])
-            except ValueError:
-                raise InputError(f"malformed header {mm[:nl]!r}: {path}") from None
-            if vocab_size < 1 or dim < 1:
-                raise InputError(f"malformed header (non-positive sizes): {path}")
-            # the smallest record is a one-byte token, a space and the payload
-            if vocab_size * (4 * dim + 2) > len(mm) - nl - 1:
-                raise InputError(
-                    f"header declares {vocab_size} records of dimension {dim}, "
-                    f"more than the {len(mm) - nl - 1} bytes after it hold: {path}"
-                )
+            vocab_size, dim = int(header[0]), int(header[1])
+        except ValueError:
+            raise InputError(f"malformed header {mm[:nl]!r}: {path}") from None
+        if vocab_size < 1 or dim < 1:
+            raise InputError(f"malformed header (non-positive sizes): {path}")
+        # the smallest record is a one-byte token, a space and the payload
+        if vocab_size * (4 * dim + 2) > len(mm) - nl - 1:
+            raise InputError(
+                f"header declares {vocab_size} records of dimension {dim}, "
+                f"more than the {len(mm) - nl - 1} bytes after it hold: {path}"
+            )
+        yield mm, vocab_size, dim, _records(mm, path, vocab_size, dim, nl + 1)
 
-            vocab: list[str] = []
-            matrix = np.empty((vocab_size, dim), dtype="<f4")
-            out = memoryview(matrix).cast("B")
-            payload = 4 * dim
-            pos, size, released = nl + 1, len(mm), 0
-            for _ in range(vocab_size):
-                while pos < size and mm[pos] == 0x0A:
-                    pos += 1
-                sp = mm.find(b" ", pos)
-                if sp < 0:
-                    raise InputError(f"truncated token record at byte {pos}: {path}")
-                try:
-                    token = mm[pos:sp].decode("utf-8")
-                except UnicodeDecodeError:
-                    raise InputError(f"invalid UTF-8 in token at byte {pos}: {path}") from None
-                if not token:
-                    raise InputError(f"empty token at byte {pos}: {path}")
-                pos = sp + 1 + payload
-                if pos > size:
-                    raise InputError(f"truncated vector payload for token {token!r}: {path}")
-                if keep(token):
-                    out[len(vocab) * payload : (len(vocab) + 1) * payload] = mm[sp + 1 : pos]
-                    vocab.append(token)
-                if _DROP_PAGES is not None and pos - released > RELEASE_BYTES:
-                    upto = pos - pos % mmap.PAGESIZE  # the page cache keeps them
-                    mm.madvise(_DROP_PAGES, released, upto - released)
-                    released = upto
-            while pos < size and mm[pos] == 0x0A:
-                pos += 1
-            if pos < size:
-                raise InputError(f"data after the last declared record at byte {pos}: {path}")
-            return vocab, matrix[: len(vocab)], vocab_size
-        finally:
-            mm.close()
+
+def _records(mm, path: Path, vocab_size: int, dim: int, pos: int):
+    payload = 4 * dim
+    size, released = len(mm), 0
+    tokens, starts, ats = [], [], []
+    for _ in range(vocab_size):
+        while pos < size and mm[pos] == 0x0A:
+            pos += 1
+        sp = mm.find(b" ", pos)
+        if sp < 0:
+            raise InputError(f"truncated token record at byte {pos}: {path}")
+        try:
+            token = mm[pos:sp].decode("utf-8")
+        except UnicodeDecodeError:
+            raise InputError(f"invalid UTF-8 in token at byte {pos}: {path}") from None
+        if not token:
+            raise InputError(f"empty token at byte {pos}: {path}")
+        tokens.append(token)
+        starts.append(pos)
+        ats.append(sp + 1)
+        pos = sp + 1 + payload
+        if pos > size:
+            raise InputError(f"truncated vector payload for token {token!r}: {path}")
+        if pos - released > RELEASE_BYTES:
+            yield tokens, starts, ats
+            tokens, starts, ats = [], [], []
+            upto = pos - pos % mmap.PAGESIZE  # the page cache keeps them
+            if _DROP_PAGES is not None:
+                mm.madvise(_DROP_PAGES, released, upto - released)
+            released = upto
+    yield tokens, starts, ats
+    while pos < size and mm[pos] == 0x0A:
+        pos += 1
+    if pos < size:
+        raise InputError(f"data after the last declared record at byte {pos}: {path}")
+
+
+def _read_binary(path: Path, keep) -> tuple[list[str], np.ndarray, int]:
+    with _binary_file(path) as (mm, vocab_size, dim, records):
+        vocab: list[str] = []
+        matrix = np.empty((vocab_size, dim), dtype="<f4")
+        out = memoryview(matrix).cast("B")
+        payload = 4 * dim
+        with memoryview(mm) as file:  # copies each payload straight into the matrix
+            for tokens, _, ats in records:
+                for token, at in zip(tokens, ats):
+                    if keep is None or keep(token):
+                        out[len(vocab) * payload : (len(vocab) + 1) * payload] = file[at : at + payload]
+                        vocab.append(token)
+        return vocab, matrix[: len(vocab)], vocab_size
 
 
 def _read_text(path: Path, keep) -> tuple[list[str], np.ndarray, int | None]:
@@ -431,7 +688,7 @@ def _append_text_row(parts: list[str], path: Path, vocab, rows, keep) -> None:
     token = parts[0]
     if not token:
         raise InputError(f"empty token in text model: {path}")
-    if not keep(token):
+    if keep is not None and not keep(token):
         return
     try:
         row = np.array(parts[1:], dtype=np.float64).astype(np.float32)

@@ -22,7 +22,7 @@ from .tables import COMMENT
 
 if TYPE_CHECKING:
     from .corpus import SentenceCorpus
-    from .embeddings import EmbeddingModel
+    from .embeddings import EmbeddingModel, StreamedModel
 
 PAIRS_HEADER = ("seed", "candidate", "similarity", "model")
 
@@ -154,12 +154,12 @@ class ExpansionResult:
 
 
 def expand(
-    model: EmbeddingModel,
+    model: EmbeddingModel | StreamedModel,
     lexicon: SeedLexicon,
     k: int = 50,
     fold_case: bool = True,
 ) -> ExpansionResult:
-    """Retrieve each seed's top-k neighbors from one model.
+    """Retrieve each seed's top-k neighbors from one model, loaded or streamed.
 
     Candidates are lowercase-folded and pairs hitting any folded seed surface
     or model form are dropped.  A seed form that is out of vocabulary, or

@@ -409,15 +409,19 @@ def export_edge_tsv(path, graph, header_lines=()):
 def load_graph_tsv(node_path, edge_path):
     """Rebuild (graph, partition, ranks) from the TSV pair.
 
-    Each word is one node row.  The ``community`` and ``pagerank`` columns
-    are each filled on every row or empty on every row (then None).  A row
-    that breaks a rule is an input error at its file and line.
+    Each word is one node row, whose ``seed`` is 0 or 1, and each pair of
+    words is at most one edge row, in either order.  The ``community`` and
+    ``pagerank`` columns are each filled on every row or empty on every row
+    (then None).  A row that breaks a rule is an input error at its file and
+    line.
     """
     graph = CueGraph()
     communities: dict[str, int] = {}
     ranks: dict[str, float] = {}
     _, nodes = tables.read_tsv(node_path, NODE_TSV_HEADER, "node")
     for n, (word, seed, status, com, pr) in nodes:
+        if seed not in ("0", "1"):
+            raise InputError(f"{node_path}:{n}: seed must be 0 or 1, got {seed!r}")
         try:
             graph.add_node(word, is_seed=seed == "1", status=status)
         except InputError as exc:
@@ -431,8 +435,13 @@ def load_graph_tsv(node_path, edge_path):
             n = next(n for n, fields in nodes if fields[0] not in values)
             raise InputError(f"{node_path}:{n}: {column} is empty here and filled on other rows")
     _, edges = tables.read_tsv(edge_path, EDGE_TSV_HEADER, "edge")
+    lines: dict[tuple[str, str], int] = {}  # each pair's edge row
     for n, (u, v, w) in edges:
         weight = tables.number(float, w, "weight", edge_path, n)
+        pair = (u, v) if u < v else (v, u)
+        if pair in lines:
+            raise InputError(f"{edge_path}:{n}: the edge {u!r}-{v!r} repeats line {lines[pair]}")
+        lines[pair] = n
         try:
             graph.add_edge(u, v, weight)
         except InputError as exc:

@@ -14,8 +14,10 @@ from conftest import make_model, no_child_left, random_tokens, set_cpus
 from cuelex.classify import (
     Annotation,
     ClassifierSpec,
+    GaussianNbClassifier,
     KnnClassifier,
     LabeledExample,
+    LogisticSgdClassifier,
     MlpClassifier,
     ModelRows,
     agreement,
@@ -529,6 +531,104 @@ def test_deterministic_classifiers_invariant_to_training_order():
         a = make_classifier(ClassifierSpec(kind)).fit(X, y).predict(probe)
         b = make_classifier(ClassifierSpec(kind)).fit(X[perm], y[perm]).predict(probe)
         assert (a == b).all()
+
+
+# --- independent oracles: scipy for knn and gaussian_nb, finite differences for SGD ---
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 7])
+@pytest.mark.parametrize("seed", range(4))
+def test_knn_votes_match_a_cdist_oracle_ties_included(seed, k):
+    distance = pytest.importorskip("scipy.spatial.distance")
+    rng = np.random.default_rng(seed)
+    X = rng.normal(size=(12, 4))
+    X = np.vstack([X, X[:6]])  # rows 12-17 repeat rows 0-5: equal distances
+    y = rng.integers(0, 2, len(X))
+    y[12:] = 1 - y[:6]  # with the other label, so that votes can tie
+    queries = np.vstack([rng.normal(size=(20, 4)), X[:3]])
+    want = []
+    for row in distance.cdist(queries, X, "cosine"):
+        others = np.sort(np.delete(row, range(12, 18)))
+        assert np.diff(others).min() > 1e-9  # only the repeated rows tie
+        nearest = sorted(range(len(X)), key=lambda j: (row[j], j))[:k]  # ties to the earlier row
+        votes = np.bincount(y[nearest], minlength=2)
+        want.append(y[nearest[0]] if votes[0] == votes[1] else int(np.argmax(votes)))
+    assert KnnClassifier(k=k).fit(X, y).predict(queries).tolist() == want
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_gaussian_nb_predicts_the_class_of_the_larger_logpdf_sum(seed):
+    stats = pytest.importorskip("scipy.stats")
+    rng = np.random.default_rng(seed)
+    y = (rng.random(60) < 0.3).astype(np.int64)  # unequal priors
+    X = rng.normal(size=(60, 5)) * [1.0, 2.0, 0.5, 1.0, 1.5] + 0.6 * y[:, None]
+    X[:, 4] = 2.5  # no variance in either class: the floor applies
+    queries = rng.normal(0.3, 1.5, size=(400, 5))
+    queries[:, 4] = 2.5
+    scores = np.column_stack([
+        stats.norm.logpdf(queries, X[y == c].mean(axis=0),
+                          np.sqrt(np.maximum(X[y == c].var(axis=0), 1e-9))).sum(axis=1)
+        + np.log(np.mean(y == c))
+        for c in (0, 1)
+    ])
+    margin = np.abs(scores[:, 0] - scores[:, 1])
+    assert margin.min() > 1e-6  # no query sits on the boundary
+    assert np.sum(margin < 0.3) >= 10  # but many sit near it, where a wrong score shows
+    assert GaussianNbClassifier().fit(X, y).predict(queries).tolist() == np.argmax(scores, 1).tolist()
+
+
+def _mean_log_loss(z, y):
+    """Mean binary cross-entropy of logits ``z`` against labels ``y``."""
+    return float(np.mean(y * np.logaddexp(0.0, -z) + (1 - y) * np.logaddexp(0.0, z)))
+
+
+def _central_differences(loss, params, h=1e-6):
+    """d loss / d p for every entry of every array in ``params``, by central differences."""
+    grads = []
+    for p in params:
+        g = np.empty_like(p)
+        for i in np.ndindex(p.shape):
+            saved = p[i]
+            p[i] = saved + h
+            up = loss()
+            p[i] = saved - h
+            down = loss()
+            p[i] = saved
+            g[i] = (up - down) / (2 * h)
+        grads.append(g)
+    return grads
+
+
+def test_the_logistic_sgd_step_follows_the_log_loss_gradient():
+    # one full batch per epoch: epoch 2 steps by lr times the gradient at epoch 1's end
+    rng = np.random.default_rng(5)
+    X, y = rng.normal(size=(30, 4)), (rng.random(30) < 0.5).astype(np.float64)
+    fits = [LogisticSgdClassifier(lr=0.5, epochs=e, batch=30, rng_seed=1).fit(X, y) for e in (1, 2)]
+    w, b = fits[0]._w.copy(), np.array([fits[0]._b])
+    numeric = _central_differences(lambda: _mean_log_loss(X @ w + b[0], y), [w, b])
+    step = [(fits[0]._w - fits[1]._w) / 0.5, np.array([(fits[0]._b - fits[1]._b) / 0.5])]
+    for got, want in zip(step, numeric):
+        np.testing.assert_allclose(got, want, rtol=1e-6, atol=1e-9)
+
+
+def test_the_mlp_sgd_step_follows_the_log_loss_gradient():
+    # no epoch leaves the seeded start; one full-batch epoch steps by lr times its gradient
+    rng = np.random.default_rng(6)
+    X, y = rng.normal(size=(25, 3)), (rng.random(25) < 0.5).astype(np.float64)
+    fits = [MlpClassifier(hidden_width=4, lr=0.5, epochs=e, batch=25, rng_seed=2).fit(X, y)
+            for e in (0, 1)]
+    start = fits[0]
+    params = [start._W1.copy(), start._b1.copy(), start._w2.copy(), np.array([start._b2])]
+    W1, b1, w2, b2 = params
+
+    def loss():
+        return _mean_log_loss(np.tanh(X @ W1 + b1) @ w2 + b2[0], y)
+
+    numeric = _central_differences(loss, params)
+    names = ("_W1", "_b1", "_w2", "_b2")
+    step = [(np.asarray(getattr(start, n)) - getattr(fits[1], n)) / 0.5 for n in names]
+    for got, want in zip(step, numeric):
+        np.testing.assert_allclose(np.reshape(got, np.shape(want)), want, rtol=1e-6, atol=1e-9)
 
 
 def test_metrics_hand_case():

@@ -818,10 +818,17 @@ def test_an_out_that_cannot_be_a_directory_is_an_input_error(tmp_path, monkeypat
     assert Path("n.tsv").read_bytes() == nodes
 
 
+def spy_model_reads(monkeypatch) -> list:
+    """The arguments of every model load or stream in this process, which reads no model."""
+    reads = []
+    for reader in ("load_model", "stream_model"):
+        monkeypatch.setattr(cli.embeddings, reader, lambda *args, **kw: reads.append(args))
+    return reads
+
+
 def test_pipeline_finds_its_corpus_before_any_model_is_read(workspace, monkeypatch, capsys):
-    set_cpus(monkeypatch, 1)  # a load would run in this process, where the spy sees it
-    loads = []
-    monkeypatch.setattr(cli.embeddings, "load_model", lambda *args, **kw: loads.append(args))
+    set_cpus(monkeypatch, 1)  # a read would run in this process, where the spy sees it
+    loads = spy_model_reads(monkeypatch)
     argv = pipeline_args(workspace, workspace / "po")
     argv[argv.index("--corpus") + 1] = str(workspace / "missing.jsonl")
     assert run(*argv) == 1
@@ -1184,6 +1191,11 @@ INPUT_ERRORS = {
     "edge to no node": ({"n.tsv": NODE_HEADER + "a\t1\taccepted\t\t\n",
                          "e.tsv": "u\tv\tweight\na\tzz\t0.5\n"},
                         GRAPH, "e.tsv:2: edge endpoint 'zz' is not a node"),
+    "seed not 0 or 1": ({"n.tsv": NODE_HEADER + "a\t1\taccepted\t\t\nb\tyes\tunrated\t\t\n",
+                         "e.tsv": "u\tv\tweight\n"}, GRAPH, "n.tsv:3: seed must be 0 or 1, got 'yes'"),
+    "repeated edge": ({"n.tsv": NODE_HEADER + "a\t1\taccepted\t\t\nb\t0\tunrated\t\t\n",
+                       "e.tsv": "u\tv\tweight\na\tb\t0.5\nb\ta\t0.7\n"},
+                      GRAPH, "e.tsv:3: the edge 'b'-'a' repeats line 2"),
     # score needs every seed the candidates credit
     "seed not in lexicon": ({"c.json": json.dumps({"candidates": [
         {"word": "ghost", "models": {"m1": {"similarity": 0.5, "seeds": ["seedc"]}}}]})},
@@ -1221,9 +1233,8 @@ def model_run_args(command, workspace, models, out):
 
 @pytest.mark.parametrize("command", ["expand", "pipeline", "dataset"])
 def test_a_missing_model_fails_before_any_model_is_read(workspace, monkeypatch, capsys, command):
-    set_cpus(monkeypatch, 1)  # a load would run in this process, where the spy sees it
-    loads = []
-    monkeypatch.setattr(cli.embeddings, "load_model", lambda *args, **kw: loads.append(args))
+    set_cpus(monkeypatch, 1)  # a read would run in this process, where the spy sees it
+    loads = spy_model_reads(monkeypatch)
     models = {"a": workspace / "m1.bin", "b": workspace / "missing.bin"}
     extra = ("--annotations", str(workspace / "labels.csv")) if command == "dataset" else ()
     assert run(*model_run_args(command, workspace, models, workspace / "o"), *extra) == 1
@@ -1273,8 +1284,10 @@ def test_bad_dataset_lists_fail_before_any_model_is_read(
 def test_a_model_is_freed_before_the_next_one_is_loaded(workspace, monkeypatch, command):
     import weakref
 
-    set_cpus(monkeypatch, 1)  # the loads run in this process, where the spy sees them
-    real, held, alive_at_load = cli.embeddings.load_model, [], []
+    set_cpus(monkeypatch, 1)  # the reads run in this process, where the spy sees them
+    # expand and pipeline stream a binary model; dataset loads it
+    reader = "load_model" if command == "dataset" else "stream_model"
+    real, held, alive_at_load = getattr(cli.embeddings, reader), [], []
 
     def load(*args, **kw):
         alive_at_load.append([ref().name for ref in held if ref() is not None])
@@ -1282,7 +1295,7 @@ def test_a_model_is_freed_before_the_next_one_is_loaded(workspace, monkeypatch, 
         held.append(weakref.ref(model))
         return model
 
-    monkeypatch.setattr(cli.embeddings, "load_model", load)
+    monkeypatch.setattr(cli.embeddings, reader, load)
     make_model_file(workspace / "m3.bin", seed=303, shared=["seeda", "seedb", "canda", "candc"])
     models = {f"m{i}": workspace / f"m{i}.bin" for i in (1, 2, 3)}
     labels = workspace / "labels.csv"
@@ -1341,7 +1354,8 @@ def test_a_model_worker_warning_shows_once_here_at_load_model(
     from cuelex import embeddings
 
     models = {"a": duplicate_token_model(workspace), "b": workspace / "m2.bin"}
-    source, first = inspect.getsourcelines(embeddings.load_model)
+    # the one warning line of both readers, and the worker streams the model
+    source, first = inspect.getsourcelines(embeddings._duplicate_rows)
     warn_line = first + next(i for i, ln in enumerate(source) if "warnings.warn(" in ln)
     seen = []
     for n_cpus in (1, 2):
@@ -1390,18 +1404,57 @@ def test_a_bad_model_fails_in_a_worker_as_in_a_serial_loop(workspace, monkeypatc
 
 def test_a_killed_model_worker_is_an_internal_failure(workspace, monkeypatch, capsys):
     set_cpus(monkeypatch, 2)
-    parent, real = os.getpid(), cli.embeddings.load_model
+    parent, real = os.getpid(), cli.embeddings.stream_model
 
-    def load(path, fmt, name):
+    def stream(path, tokens, name):
         if name == "m2" and os.getpid() != parent:
             os.kill(os.getpid(), signal.SIGKILL)
-        return real(path, fmt, name=name)
+        return real(path, tokens, name=name)
 
-    monkeypatch.setattr(cli.embeddings, "load_model", load)
+    monkeypatch.setattr(cli.embeddings, "stream_model", stream)
     assert run(*pipeline_args(workspace, workspace / "killed")) == 2
     err = capsys.readouterr().err
     assert "internal failure" in err and "ended with status -9" in err
     assert no_child_left()
+
+
+# Runs a command pinned to one CPU, and prints its exit status and its wait4 max RSS in
+# KiB.  Linux carries a process's peak RSS across fork and exec into the child, so the
+# command is started from this small interpreter, not from the test process.
+PEAK_PROBE = """
+import os, subprocess, sys
+os.sched_setaffinity(0, {int(sys.argv[1])})
+proc = subprocess.Popen(sys.argv[2:], stdout=subprocess.DEVNULL)
+_, status, usage = os.wait4(proc.pid, 0)
+print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
+"""
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="pins a child to one CPU")
+def test_expand_never_holds_the_matrix_of_a_binary_model(tmp_path):
+    # On one CPU the model is expanded in the command process, where wait4 sees it.
+    tokens = random_tokens(random.Random(23), 20_000)
+    vectors = np.random.default_rng(23).standard_normal((len(tokens), 300)).astype(np.float32)
+    model, seeds = tmp_path / "m.bin", tmp_path / "seeds.txt"
+    write_binary(model, tokens, vectors)  # 24 MB
+    seeds.write_text("".join(f"{token.lower()}\n" for token in tokens[:20]))
+
+    def peak(*code):
+        cpu = str(min(os.sched_getaffinity(0)))
+        proc = subprocess.run([sys.executable, "-c", PEAK_PROBE, cpu, sys.executable, "-c", *code],
+                              env=child_env(), capture_output=True, text=True, check=True)
+        status, kib = map(int, proc.stdout.split())
+        assert status == 0, proc.stderr
+        return kib * 1024
+
+    bare = peak("import numpy, cuelex.cli, cuelex.embeddings, cuelex.expansion, cuelex.workers")
+    command = peak("import sys; from cuelex.cli import main; sys.exit(main())", "expand",
+                   "--model", f"m={model}", "--seeds", str(seeds), "--k", "50",
+                   "--out", str(tmp_path / "out"))
+    from cuelex import tables
+
+    assert tables.read_tsv(tmp_path / "out" / "skipped_m.tsv")[1] == []  # every seed was expanded
+    assert (command - bare) / model.stat().st_size <= 0.25
 
 
 # Each lazily registered module, with a function whose first use executes it.

@@ -15,7 +15,7 @@ from conftest import make_model, random_tokens
 from w2v_writer import write_binary, write_text
 
 from cuelex import embeddings
-from cuelex.embeddings import EmbeddingModel, load_model, screen_slack
+from cuelex.embeddings import EmbeddingModel, load_model, screen_slack, stream_model
 from cuelex.errors import InputError
 from cuelex.expansion import expand, parse_seed_lexicon
 
@@ -53,6 +53,45 @@ def brute_force_ranking(model, query, fold_case):
 # --- loading ---------------------------------------------------------------
 
 
+def streamed(path, tokens=()):
+    """``stream_model(path, tokens)`` after it has read every row once, as a retrieval does."""
+    model = stream_model(path, tokens)
+    model.top_k_batch([], 1)
+    return model
+
+
+def stream_rows(model):
+    """The tokens and the matrix bytes of a streamed model, read back through its blocks."""
+    matrix = b"".join(vectors.tobytes() for _, vectors, _, _ in model._blocks())
+    return model._tokens(range(len(model))), matrix
+
+
+def read_binary_both(path, tokens=()):
+    """The loaded and the streamed model of a binary file, or the one message both refuse it with.
+
+    The streamed model's rows are checked against the loaded model's.
+    """
+    got = []
+    for read in (lambda: load_model(path, "binary"), lambda: streamed(path, tokens)):
+        try:
+            got.append(read())
+        except InputError as exc:
+            got.append(str(exc))
+    loaded, stream = got
+    if isinstance(loaded, str) or isinstance(stream, str):
+        assert loaded == stream
+        return loaded
+    assert stream_rows(stream) == (loaded.vocab, loaded.vectors.tobytes())
+    return loaded, stream
+
+
+def refusal(path) -> str:
+    """The message with which both binary readers refuse ``path``."""
+    message = read_binary_both(path)
+    assert isinstance(message, str), "the file was read"
+    return message
+
+
 def test_minimal_binary_file(tmp_path):
     path = tmp_path / "min.bin"
     with open(path, "wb") as fh:
@@ -74,7 +113,7 @@ def test_binary_round_trip_bit_exact(tmp_path):
     )
     path = tmp_path / "rt.bin"
     write_binary(path, tokens, vectors)
-    model = load_model(path, "binary")
+    model, _ = read_binary_both(path)
     assert model.vocab == tokens
     assert model.vectors.tobytes() == vectors.tobytes()
 
@@ -85,7 +124,7 @@ def test_binary_without_record_newlines(tmp_path):
     vectors = np.array([[rng.uniform(-1, 1)] * 4 for _ in range(20)], dtype=np.float32)
     path = tmp_path / "nolf.bin"
     write_binary(path, tokens, vectors, record_newlines=False)
-    model = load_model(path, "binary")
+    model, _ = read_binary_both(path)
     assert model.vocab == tokens
     assert model.vectors.tobytes() == vectors.tobytes()
 
@@ -107,8 +146,7 @@ def test_text_round_trip(tmp_path):
 def test_malformed_header(tmp_path):
     path = tmp_path / "bad.bin"
     path.write_bytes(b"not a header\nxxxx")
-    with pytest.raises(InputError, match="header"):
-        load_model(path, "binary")
+    assert "header" in refusal(path)
 
 
 def test_truncated_payload(tmp_path):
@@ -117,8 +155,7 @@ def test_truncated_payload(tmp_path):
         fh.write(b"1 4\n")
         fh.write(b"tok ")
         fh.write(struct.pack("<2f", 1.0, 2.0))  # 8 bytes where 16 are declared
-    with pytest.raises(InputError, match="truncated"):
-        load_model(path, "binary")
+    assert "truncated" in refusal(path)
 
 
 def test_non_finite_value(tmp_path):
@@ -127,8 +164,7 @@ def test_non_finite_value(tmp_path):
         fh.write(b"1 2\n")
         fh.write(b"tok ")
         fh.write(struct.pack("<2f", float("nan"), 1.0))
-    with pytest.raises(InputError, match="non-finite"):
-        load_model(path, "binary")
+    assert "non-finite" in refusal(path)
 
 
 def test_empty_after_filter(tmp_path):
@@ -154,6 +190,9 @@ def test_duplicate_tokens_kept_first_with_warning(tmp_path):
         model = load_model(path, "binary")
     assert model.vocab == ["a", "b"]
     assert model.vectors[0].tolist() == [1.0, 0.0]
+    with pytest.warns(UserWarning, match="dropped 1 duplicate"):
+        stream = streamed(path)
+    assert stream_rows(stream) == (model.vocab, model.vectors.tobytes())
 
 
 def test_duplicate_tokens_are_refused_naming_the_first_repeat():
@@ -223,30 +262,26 @@ def test_invalid_utf8_tokens_are_an_error_at_their_offset(tmp_path):
     # second was then dropped as a duplicate
     path = tmp_path / "bad.bin"
     write_binary(path, ["ok", b"\xff", b"\xfe"], np.eye(3, 2, dtype=np.float32))
-    with pytest.raises(InputError, match=r"invalid UTF-8 in token at byte 16"):
-        load_model(path, "binary")
+    assert refusal(path).startswith("invalid UTF-8 in token at byte 16: ")
 
 
 def test_empty_binary_model_is_an_input_error(tmp_path):
     path = tmp_path / "empty.bin"
     path.write_bytes(b"")
-    with pytest.raises(InputError, match="empty model file: .*empty.bin"):
-        load_model(path, "binary")
+    assert refusal(path) == f"empty model file: {path}"
 
 
 def test_header_larger_than_the_file_is_refused_before_allocating(tmp_path):
     path = tmp_path / "huge.bin"
     path.write_bytes(b"1000000000000 300\n" + b"a " + bytes(1200))
-    with pytest.raises(InputError, match=r"header declares 1000000000000 records .*huge.bin"):
-        load_model(path, "binary")
+    assert refusal(path).startswith("header declares 1000000000000 records of dimension 300, ")
 
 
 def test_binary_data_after_the_declared_records_is_refused(tmp_path):
     path = tmp_path / "extra.bin"
     write_binary(path, ["a", "b"], np.eye(2, dtype=np.float32))
     path.write_bytes(path.read_bytes().replace(b"2 2\n", b"1 2\n", 1))
-    with pytest.raises(InputError, match="data after the last declared record at byte 15"):
-        load_model(path, "binary")
+    assert refusal(path) == f"data after the last declared record at byte 15: {path}"
 
 
 def test_text_model_cut_inside_a_character_is_an_input_error(tmp_path):
@@ -315,11 +350,11 @@ def test_binary_file_cut_at_every_offset(tmp_path_factory, model, newlines):
     data = path.read_bytes()
     for cut in range(len(data) + 1):
         path.write_bytes(data[:cut])
-        loaded = _load_or_refuse(path, "binary")
-        assert loaded is not None or cut < len(data)
-        if loaded is not None:
-            assert loaded.vocab == tokens
-            assert loaded.vectors.tobytes() == vectors.tobytes()
+        read = read_binary_both(path)  # the streamed reader agrees, rows or message
+        assert not isinstance(read, str) or cut < len(data)
+        if not isinstance(read, str):
+            assert read[0].vocab == tokens
+            assert read[0].vectors.tobytes() == vectors.tobytes()
 
 
 @settings(max_examples=30, deadline=None)
@@ -355,6 +390,8 @@ def test_header_that_disagrees_with_the_records_is_refused(
     data = path.read_bytes()
     header = f"{len(tokens) + count_delta} {vectors.shape[1] + dim_delta}\n".encode()
     path.write_bytes(header + data[data.index(b"\n") + 1 :])
+    if fmt == "binary":  # the streamed reader agrees, rows or message
+        read_binary_both(path)
     loaded = _load_or_refuse(path, fmt)
     if count_delta or dim_delta:
         assert loaded is None
@@ -749,6 +786,85 @@ def test_expand_is_the_same_for_any_block_size(tmp_path):
         runs.append(expand(model, lexicon, k=7))
     assert runs[0].pairs == runs[1].pairs
     assert runs[0].skipped == runs[1].skipped == [("absentword", "absentword")]
+
+
+# --- the streamed model: the loaded model's answers from one block of rows at a time ---
+
+
+@settings(max_examples=100, deadline=None)
+@given(kernel_cases(), st.sampled_from([1, 3, 16, 2048]), st.integers(0, 2), st.data())
+def test_a_streamed_model_answers_as_the_loaded_one(tmp_path_factory, case, block_rows, newlines,
+                                                    data):
+    model, queries, k, _ = case
+    tokens = list(model.vocab)
+    # rows repeated later in the file, with other values: both readers keep the first
+    repeats = data.draw(st.lists(st.integers(0, len(tokens) - 1), max_size=3))
+    path = tmp_path_factory.mktemp("stream") / "m.bin"
+    write_binary(path, tokens + [tokens[i] for i in repeats],
+                 np.vstack([model.vectors, model.vectors[repeats] + 1]), record_newlines=newlines)
+    seeds = sorted({q.lower() for q in queries} | {"absent"})
+    probes = sorted({p for q in queries + [tokens[0]] for p in (q, q.lower(), q.upper())})
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # the duplicate-token warning
+        loaded = load_model(path, "binary")
+        with mock.patch.object(embeddings, "NORM_BLOCK_ROWS", block_rows):
+            stream = stream_model(path, probes + seeds)
+    assert loaded.vocab == tokens
+    lexicon = parse_seed_lexicon(seeds)
+    for fold_case in (True, False):
+        assert [stream.usable(p, fold_case) for p in probes] == [
+            loaded.usable(p, fold_case) for p in probes]
+        with mock.patch.object(embeddings, "NORM_BLOCK_ROWS", block_rows):
+            got = stream.top_k_batch(queries, k, fold_case)
+            expanded = expand(stream, lexicon, k=max(k, 1), fold_case=fold_case)
+        assert got == loaded.top_k_batch(queries, k, fold_case)
+        want = expand(loaded, lexicon, k=max(k, 1), fold_case=fold_case)
+        assert (expanded.pairs, expanded.skipped) == (want.pairs, want.skipped)
+
+
+def test_a_streamed_model_looks_up_only_the_tokens_it_was_opened_for(tmp_path):
+    path = tmp_path / "m.bin"
+    write_binary(path, ["Alpha", "beta", "alpha"], np.eye(3, dtype=np.float32))
+    stream = stream_model(path, ["ALPHA"])
+    assert stream.lookup("alpha") == 2 and stream.lookup("aLpHa") == 0
+    assert "Alpha" in stream and not stream.usable("ALPHA")
+    with pytest.raises(ValueError, match="'beta' is not a token that model 'm' was streamed for"):
+        stream.lookup("beta")
+
+
+@pytest.mark.parametrize("forms", [[], ["a"], ["b"]], ids=["no-form", "a-finite-form", "the-row"])
+def test_a_streamed_model_refuses_a_non_finite_row_whatever_it_retrieves(tmp_path, forms):
+    path = tmp_path / "nan.bin"
+    write_binary(path, ["a", "b", "c"], [[1.0, 0.0], [float("inf"), 1.0], [0.0, 1.0]])
+    lexicon = parse_seed_lexicon(forms or ["absent"])
+    with pytest.raises(InputError, match="^non-finite value in vector for token 'b'$"):
+        expand(stream_model(path, forms or ["absent"]), lexicon, k=1)
+
+
+def test_the_duplicate_check_compares_tokens_whose_hashes_collide(tmp_path, monkeypatch):
+    path = tmp_path / "dup.bin"
+    tokens = ["a", "b", "a", "c", "b", "a"]
+    write_binary(path, tokens, np.arange(1, 13, dtype=np.float32).reshape(6, 2))
+    monkeypatch.setattr(embeddings, "hash", lambda token: 7, raising=False)  # every pair collides
+    with pytest.warns(UserWarning, match="dropped 3 duplicate token"):
+        loaded = load_model(path)
+    with pytest.warns(UserWarning, match="dropped 3 duplicate token"):
+        stream = streamed(path)
+    assert loaded.vocab == ["a", "b", "c"]
+    assert loaded.vectors.tolist() == [[1.0, 2.0], [3.0, 4.0], [7.0, 8.0]]
+    assert stream_rows(stream) == (loaded.vocab, loaded.vectors.tobytes())
+
+
+def test_the_duplicate_check_builds_no_set_of_the_vocabulary():
+    tokens = random_tokens(random.Random(3), 50_000)
+    hashes = np.fromiter(map(hash, tokens), np.int64, len(tokens))
+    tracemalloc.start()
+    try:
+        assert len(embeddings._duplicate_rows(hashes, None, "m")) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / len(tokens) <= 12  # a sorted copy of the hashes; a set takes over 30 B a token
 
 
 # --- public reference models (manual downloads; run when the env vars point at them)
