@@ -38,6 +38,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from . import tables
 from .errors import InputError
@@ -108,6 +109,17 @@ def _units(vectors: np.ndarray, norms: np.ndarray) -> np.ndarray:
     units /= np.where(unusable, 1.0, norms)[:, None]
     units[unusable] = 0.0
     return units
+
+
+def _payloads(data, offsets: np.ndarray, dim: int) -> np.ndarray:
+    """Copies of the float32 rows whose payloads start at byte ``offsets`` of ``data``.
+
+    One gather over a view of ``data`` with a window of ``4 * dim`` bytes at
+    every byte, so each row is one copy, whatever its alignment.
+    """
+    raw = np.frombuffer(data, dtype=np.uint8)
+    windows = as_strided(raw, (len(raw) - 4 * dim + 1, 4 * dim), (1, 1), writeable=False)
+    return windows[offsets].view("<f4")
 
 
 @dataclass(frozen=True)
@@ -208,15 +220,22 @@ class _BlockSource:
         return results
 
     def _first_of_keys(self, rows: list[int], k: int, fold_case: bool) -> list[int]:
-        """Positions of the first row of each key in ``rows``, up to k keys."""
-        keys = self._fold_keys(rows) if fold_case else rows
-        seen, firsts = set(), []
-        for pos, key in enumerate(keys):
-            if key not in seen:
-                seen.add(key)
-                firsts.append(pos)
-                if len(firsts) == k:
-                    break
+        """Positions of the first row of each key in ``rows``, up to k keys.
+
+        The keys are looked up k rows at a time, then twice as many rows as
+        keys are still missing, so that a source that reads each token from its
+        file reads few past the k-th key.
+        """
+        seen, firsts, start = set(), [], 0
+        while start < len(rows) and len(firsts) < k:
+            part = rows[start : start + 2 * (k - len(firsts)) if firsts else start + k]
+            for pos, key in enumerate(self._fold_keys(part) if fold_case else part, start):
+                if key not in seen:
+                    seen.add(key)
+                    firsts.append(pos)
+                    if len(firsts) == k:
+                        break
+            start += len(part)
         return firsts
 
     def _screen(self, units, excluded, m: int, slack2: float) -> tuple[list, int]:
@@ -239,12 +258,18 @@ class _BlockSource:
         n, n_usable, width = len(self), 0, 0
         best = np.full((len(units), m), -np.inf, dtype=np.float32)
         tiles, found = [], []
+        pieces, first = [], 0  # the scores of the blocks since row ``first``
         for lo, vectors, scale, usable in self._blocks():
-            hi = lo + len(vectors)
             s = vectors @ q32.T
             s *= scale[:, None]
             s[~usable] = -np.inf
             n_usable += int(np.count_nonzero(usable))
+            pieces.append(s)
+            hi = lo + len(vectors)
+            if hi - first < BLOCK_ROWS and hi < n:  # the rest runs once per BLOCK_ROWS rows
+                continue
+            lo, s = first, pieces[0] if len(pieces) == 1 else np.concatenate(pieces)
+            pieces, first = [], hi
             s = np.ascontiguousarray(s.T)  # one row per query
             hit = (ex_rows >= lo) & (ex_rows < hi)
             s[ex_cols[hit], ex_rows[hit] - lo] = -np.inf
@@ -405,9 +430,9 @@ class StreamedModel(_BlockSource):
     def _tokens(self, rows) -> list[str]:
         missing = [i for i in rows if i not in self._token]
         if missing:
+            starts, ats = self._starts[missing].tolist(), self._ats[missing].tolist()
             with self._open() as fh:
-                for i in missing:
-                    start, at = int(self._starts[i]), int(self._ats[i])
+                for i, start, at in zip(missing, starts, ats):
                     self._token[i] = os.pread(fh.fileno(), at - 1 - start, start).decode("utf-8")
         return [self._token[i] for i in rows]
 
@@ -430,23 +455,18 @@ class StreamedModel(_BlockSource):
         return _units(vectors, _norms(vectors))
 
     def _blocks(self):
-        payload, n = 4 * self.dim, len(self)
-        block = np.empty((min(NORM_BLOCK_ROWS, n), self.dim), dtype="<f4")
-        out, buf = memoryview(block).cast("B"), bytearray()
+        payload, buf = 4 * self.dim, bytearray()
         with self._open() as fh:
-            for lo in range(0, n, NORM_BLOCK_ROWS):
+            for lo in range(0, len(self), NORM_BLOCK_ROWS):
                 ats = self._ats[lo : lo + NORM_BLOCK_ROWS]
                 base = int(ats[0])
                 span = int(ats[-1]) + payload - base
                 if len(buf) < span:
                     buf = bytearray(span)
                 fh.seek(base)
-                with memoryview(buf) as read:
-                    if fh.readinto(read[:span]) != span:
-                        raise InputError(f"model file changed while it was read: {self.path}")
-                    for j, at in enumerate((ats - base).tolist()):
-                        out[j * payload : (j + 1) * payload] = read[at : at + payload]
-                vectors = block[: len(ats)]
+                if fh.readinto(memoryview(buf)[:span]) != span:
+                    raise InputError(f"model file changed while it was read: {self.path}")
+                vectors = _payloads(buf, ats - base, self.dim)
                 norms = _norms(vectors)
                 _check_finite(norms, lambda i: self._tokens([lo + i])[0])
                 usable = norms >= MIN_USABLE_NORM
@@ -639,14 +659,12 @@ def _read_binary(path: Path, keep) -> tuple[list[str], np.ndarray, int]:
     with _binary_file(path) as (mm, vocab_size, dim, records):
         vocab: list[str] = []
         matrix = np.empty((vocab_size, dim), dtype="<f4")
-        out = memoryview(matrix).cast("B")
-        payload = 4 * dim
-        with memoryview(mm) as file:  # copies each payload straight into the matrix
-            for tokens, _, ats in records:
-                for token, at in zip(tokens, ats):
-                    if keep is None or keep(token):
-                        out[len(vocab) * payload : (len(vocab) + 1) * payload] = file[at : at + payload]
-                        vocab.append(token)
+        for tokens, _, ats in records:
+            if keep is not None:
+                kept = [i for i, token in enumerate(tokens) if keep(token)]
+                tokens, ats = [tokens[i] for i in kept], [ats[i] for i in kept]
+            matrix[len(vocab) : len(vocab) + len(tokens)] = _payloads(mm, np.array(ats, np.int64), dim)
+            vocab += tokens
         return vocab, matrix[: len(vocab)], vocab_size
 
 

@@ -274,7 +274,9 @@ def test_empty_binary_model_is_an_input_error(tmp_path):
 def test_header_larger_than_the_file_is_refused_before_allocating(tmp_path):
     path = tmp_path / "huge.bin"
     path.write_bytes(b"1000000000000 300\n" + b"a " + bytes(1200))
-    assert refusal(path).startswith("header declares 1000000000000 records of dimension 300, ")
+    message = refusal(path)
+    assert message.startswith("header declares 1000000000000 records of dimension 300, ")
+    assert message.endswith(f": {path}")
 
 
 def test_binary_data_after_the_declared_records_is_refused(tmp_path):
@@ -792,9 +794,11 @@ def test_expand_is_the_same_for_any_block_size(tmp_path):
 
 
 @settings(max_examples=100, deadline=None)
-@given(kernel_cases(), st.sampled_from([1, 3, 16, 2048]), st.integers(0, 2), st.data())
-def test_a_streamed_model_answers_as_the_loaded_one(tmp_path_factory, case, block_rows, newlines,
-                                                    data):
+@given(kernel_cases(), st.sampled_from([1, 3, 16, 2048]), st.sampled_from([5, 2048]),
+       st.integers(0, 2), st.data())
+def test_a_streamed_model_answers_as_the_loaded_one(tmp_path_factory, case, block_rows, screen_rows,
+                                                    newlines, data):
+    # block_rows: rows a streamed block reads; screen_rows: rows the screen takes at once
     model, queries, k, _ = case
     tokens = list(model.vocab)
     # rows repeated later in the file, with other values: both readers keep the first
@@ -814,7 +818,8 @@ def test_a_streamed_model_answers_as_the_loaded_one(tmp_path_factory, case, bloc
     for fold_case in (True, False):
         assert [stream.usable(p, fold_case) for p in probes] == [
             loaded.usable(p, fold_case) for p in probes]
-        with mock.patch.object(embeddings, "NORM_BLOCK_ROWS", block_rows):
+        with mock.patch.object(embeddings, "NORM_BLOCK_ROWS", block_rows), \
+             mock.patch.object(embeddings, "BLOCK_ROWS", screen_rows):
             got = stream.top_k_batch(queries, k, fold_case)
             expanded = expand(stream, lexicon, k=max(k, 1), fold_case=fold_case)
         assert got == loaded.top_k_batch(queries, k, fold_case)
