@@ -80,7 +80,7 @@ def _run(argv) -> int:
     if args.command is None:
         raise InputError("missing subcommand (see --help)")
     ctx = _Context(args, _load_config(args.config))
-    return _DISPATCH[args.command](ctx)
+    return _COMMANDS[args.command].run(ctx)
 
 
 class _Flag(NamedTuple):
@@ -833,7 +833,6 @@ _COMMANDS = {
     "pipeline": _Command("expand -> intersect -> score, emitting the review file",
                          f"{_MODELS} seeds k no_fold_case corpus", "model out", _cmd_pipeline),
 }
-_DISPATCH = {name: command.run for name, command in _COMMANDS.items()}
 
 
 if __name__ == "__main__":

@@ -9,19 +9,22 @@ vocabulary rows screens every row, a proven rounding bound widens the cut, and
 only the rows that can still rank in the top k are rescored in float64
 (``top_k_batch``).
 
-That kernel runs over a source of row blocks, and there are two.  An
+That kernel, the lookups and the row methods (``vector``, ``cosine``,
+``unit_rows``) are written once, in ``_BlockSource``, over five primitives of
+a source of rows: its length, the rows of a lowercase key (``_key_rows``), the
+tokens (``_tokens``) and stored float32 vectors (``_vectors``) of given rows,
+and all its rows in blocks (``_blocks``).  There are two sources.  An
 ``EmbeddingModel`` (``load_model``) holds the whole matrix: it serves the
 library, ``dataset`` and text models.  A ``StreamedModel`` (``stream_model``)
 reads a binary file again for each screen, a block of rows at a time, and the
 rerank reads its rows by offset.  It keeps two file offsets per row and the
 tokens of the rows it was opened for, so the matrix is never resident.
 
-A loaded model finds tokens through a fold index: an int32 key id per row
-(case variants share their lowercase form's id), the rows grouped by key in
-file order with int64 offsets, and one dict from lowercase form to key id,
-whose keys are the vocabulary's own strings where a token is already
-lowercase.  It is the only dict: an exact lookup scans its key's rows, and
-retrieval compares key ids.
+A loaded model finds tokens through a fold index: the rows grouped by
+lowercase key in file order with int64 offsets, and one dict from lowercase
+form to key id, whose keys are the vocabulary's own strings where a token is
+already lowercase.  It is the only dict: an exact lookup scans its key's rows.
+Retrieval tells keys apart by the lowercase tokens.
 
 Both readers drop a repeated token's later rows through sorted 64-bit hashes
 of the tokens (``_duplicate_rows``), with one warning.
@@ -76,10 +79,13 @@ def screen_slack(dim: int) -> float:
 
 
 def _norms(vectors: np.ndarray) -> np.ndarray:
-    """Float64 norms of float32 rows, each the same bit for bit whatever rows come with it."""
+    """Float64 norms of float32 rows, each the same bit for bit whatever rows come with it.
+
+    Float64 copies of the rows give the same norms, without a copy of their own.
+    """
     norms = np.empty(len(vectors))
     for lo in range(0, len(vectors), NORM_BLOCK_ROWS):
-        v64 = vectors[lo : lo + NORM_BLOCK_ROWS].astype(np.float64)
+        v64 = vectors[lo : lo + NORM_BLOCK_ROWS].astype(np.float64, copy=False)
         norms[lo : lo + NORM_BLOCK_ROWS] = np.sqrt(np.einsum("ij,ij->i", v64, v64))
     return norms
 
@@ -100,15 +106,6 @@ def _scales(norms: np.ndarray, usable: np.ndarray) -> np.ndarray:
     scale = np.zeros(len(norms), dtype=np.float32)
     np.divide(2.0**64, norms, out=scale, where=usable, casting="same_kind")
     return scale
-
-
-def _units(vectors: np.ndarray, norms: np.ndarray) -> np.ndarray:
-    """Float64 unit rows of float32 ``vectors`` with their ``norms``; unusable rows are zero."""
-    unusable = norms < MIN_USABLE_NORM
-    units = vectors.astype(np.float64)
-    units /= np.where(unusable, 1.0, norms)[:, None]
-    units[unusable] = 0.0
-    return units
 
 
 def _payloads(data, offsets: np.ndarray, dim: int) -> np.ndarray:
@@ -132,15 +129,18 @@ class NeighborResult:
 
 
 class _BlockSource:
-    """Token lookup and the exact top-k kernel over a source of row blocks.
+    """Token lookup, the row methods and the exact top-k kernel over a source of rows.
 
-    A source has a ``name``, a ``dim``, a length, ``unit_rows(rows)`` and:
+    A source has a ``name`` and a ``dim`` and supplies five primitives:
 
-    - ``_blocks()``: (first row, float32 vectors, float32 scales, usable mask)
-      per block of rows, in row order; the scales are ``_scales``;
+    - ``__len__()``: the number of rows;
     - ``_key_rows(key)``: the rows whose lowercase token is ``key``, in file order;
-    - ``_tokens(rows)`` and ``_usable_rows(rows)``;
-    - ``_fold_keys(rows)``: a value per row, equal where the lowercase tokens are.
+    - ``_tokens(rows)``: the tokens of ``rows``;
+    - ``_vectors(rows)``: the float32 vectors of ``rows`` (indices or a slice), as stored;
+    - ``_blocks()``: (first row, float32 vectors, float32 scales, usable mask)
+      per block of rows, in row order; the scales are ``_scales``.  A source
+      may check each row as it reads it: a ``top_k_batch`` that screens no
+      query reads every block once, so every row is read by a retrieval.
     """
 
     def __contains__(self, token: str) -> bool:
@@ -164,6 +164,35 @@ class _BlockSource:
         exact = next((i for i, t in zip(rows, self._tokens(rows)) if t == token), None)
         return rows[0] if exact is None and fold_case and rows else exact
 
+    def vector(self, token: str, fold_case: bool = True) -> np.ndarray:
+        """Stored float32 vector for ``token`` (a copy)."""
+        return self._vectors([self.lookup(token, fold_case)])[0].copy()
+
+    def unit_rows(self, rows) -> np.ndarray:
+        """Float64 unit vectors of ``rows`` (indices or a slice); unusable rows are zero."""
+        units = self._vectors(rows).astype(np.float64)
+        norms = _norms(units)  # as of the float32 rows, and with no copy of its own
+        unusable = norms < MIN_USABLE_NORM
+        units /= np.where(unusable, 1.0, norms)[:, None]
+        units[unusable] = 0.0
+        return units
+
+    def cosine(self, w1: str, w2: str, fold_case: bool = True) -> float:
+        """Exact cosine of the two stored vectors."""
+        rows = [self.lookup(w1, fold_case), self.lookup(w2, fold_case)]
+        for tok, ok in zip((w1, w2), self._usable_rows(rows)):
+            if not ok:
+                raise InputError(f"token {tok!r} has near-zero norm and is unusable")
+        a, b = self.unit_rows(rows)
+        return float(np.dot(a, b))
+
+    def _usable_rows(self, rows) -> np.ndarray:
+        return _norms(self._vectors(rows)) >= MIN_USABLE_NORM
+
+    def _fold_keys(self, rows) -> list[str]:
+        """The lowercase tokens of ``rows``: equal exactly where the rows share a key."""
+        return [t.lower() for t in self._tokens(rows)]
+
     def top_k(self, query: str, k: int, fold_case: bool = True) -> list[NeighborResult]:
         """The ``k`` nearest tokens to ``query`` by cosine over the whole vocabulary.
 
@@ -185,7 +214,8 @@ class _BlockSource:
         over 2 ``screen_slack`` below the prefix's end ranks below all of the
         prefix, so only the rows above that cut are rescored in float64 and
         ranked.  Otherwise m doubles, up to the number of usable rows, which
-        the first screen counts.
+        the first screen counts.  When no query is screened (none, or k = 0),
+        every block is read once all the same.
         """
         if k < 0:
             raise InputError("k must be non-negative")
@@ -197,6 +227,9 @@ class _BlockSource:
         slack2 = 2 * screen_slack(self.dim)
         m = min(max(4 * k, 64) if fold_case else k, len(self))
         pending = list(range(len(queries))) if k else []
+        if not pending:  # read every row as a screen would, so a source checks them all
+            for _ in self._blocks():
+                pass
         while pending:
             qrows = [rows[j] for j in pending]
             tokens = self._tokens(qrows)
@@ -255,10 +288,11 @@ class _BlockSource:
         def cut(best):  # every real score is >= -1 - slack, so -2 keeps -inf out
             return np.maximum(best.astype(np.float64) - slack2, -2.0)
 
-        n, n_usable, width = len(self), 0, 0
+        # Rows are merged into the running top m a group at a time, so a large
+        # m costs O(n) selection work per query, not O(n m / block).
+        n, n_usable, group = len(self), 0, max(BLOCK_ROWS, m)
         best = np.full((len(units), m), -np.inf, dtype=np.float32)
-        tiles, found = [], []
-        pieces, first = [], 0  # the scores of the blocks since row ``first``
+        found, pieces, first = [], [], 0  # the scores of the blocks since row ``first``
         for lo, vectors, scale, usable in self._blocks():
             s = vectors @ q32.T
             s *= scale[:, None]
@@ -266,20 +300,14 @@ class _BlockSource:
             n_usable += int(np.count_nonzero(usable))
             pieces.append(s)
             hi = lo + len(vectors)
-            if hi - first < BLOCK_ROWS and hi < n:  # the rest runs once per BLOCK_ROWS rows
+            if hi - first < group and hi < n:  # the rest runs once per group
                 continue
             lo, s = first, pieces[0] if len(pieces) == 1 else np.concatenate(pieces)
             pieces, first = [], hi
             s = np.ascontiguousarray(s.T)  # one row per query
             hit = (ex_rows >= lo) & (ex_rows < hi)
             s[ex_cols[hit], ex_rows[hit] - lo] = -np.inf
-            # Merge tiles into the running top m once they hold m columns, so
-            # a large m costs O(n) selection work per query, not O(n m / block).
-            tiles.append(s)
-            width += hi - lo
-            if width >= m or hi == n:
-                best = np.partition(np.concatenate([best, *tiles], axis=1), -m, axis=1)[:, -m:]
-                tiles, width = [], 0
+            best = np.partition(np.concatenate([best, s], axis=1), -m, axis=1)[:, -m:]
             q, r = np.divmod(np.flatnonzero(s >= cut(best[:, :1])), hi - lo)
             found.append((q, r + lo, s[q, r]))
         q, r, score = (np.concatenate(x) for x in zip(*found))
@@ -325,11 +353,11 @@ class EmbeddingModel(_BlockSource):
         keys: dict[str, int] = {}  # a lowercase token is its own key string
         intern = keys.setdefault
         ids = (intern(tok if (low := tok.lower()) == tok else low, len(keys)) for tok in vocab)
-        self._key, self._keys = np.fromiter(ids, np.int32, len(vocab)), keys
-        self._rows = np.argsort(self._key, kind="stable").astype(np.int32)
-        self._offsets = np.concatenate([[0], np.cumsum(np.bincount(self._key))])
+        key, self._keys = np.fromiter(ids, np.int32, len(vocab)), keys
+        self._rows = np.argsort(key, kind="stable").astype(np.int32)
+        self._offsets = np.concatenate([[0], np.cumsum(np.bincount(key))])
         seen: set[str] = set()  # equal tokens share a key, so check keys with variants
-        for i in np.flatnonzero((np.diff(self._offsets) > 1)[self._key]).tolist():
+        for i in np.flatnonzero((np.diff(self._offsets) > 1)[key]).tolist():
             if vocab[i] in seen:
                 raise InputError(f"duplicate tokens in vocabulary: {vocab[i]!r}")
             seen.add(vocab[i])
@@ -344,34 +372,13 @@ class EmbeddingModel(_BlockSource):
     def _tokens(self, rows) -> list[str]:
         return [self.vocab[i] for i in rows]
 
-    def _usable_rows(self, rows) -> np.ndarray:
-        return self._usable[rows]
-
-    def _fold_keys(self, rows) -> list[int]:
-        return self._key[rows].tolist()
+    def _vectors(self, rows) -> np.ndarray:
+        return self.vectors[rows]
 
     def _blocks(self):
         for lo in range(0, len(self), BLOCK_ROWS):
             hi = lo + BLOCK_ROWS
             yield lo, self.vectors[lo:hi], self._scale[lo:hi], self._usable[lo:hi]
-
-    def vector(self, token: str, fold_case: bool = True) -> np.ndarray:
-        """Stored float32 vector for ``token`` (a copy)."""
-        return self.vectors[self.lookup(token, fold_case)].copy()
-
-    def unit_rows(self, rows) -> np.ndarray:
-        """Float64 unit vectors of ``rows`` (indices or a slice); unusable rows are zero."""
-        return _units(self.vectors[rows], self.norms[rows])
-
-    def cosine(self, w1: str, w2: str, fold_case: bool = True) -> float:
-        """Exact cosine of the two stored vectors."""
-        i = self.lookup(w1, fold_case)
-        j = self.lookup(w2, fold_case)
-        for tok, idx in ((w1, i), (w2, j)):
-            if not self._usable[idx]:
-                raise InputError(f"token {tok!r} has near-zero norm and is unusable")
-        a, b = self.unit_rows([i, j])
-        return float(np.dot(a, b))
 
 
 class StreamedModel(_BlockSource):
@@ -393,26 +400,11 @@ class StreamedModel(_BlockSource):
         self._found: dict[str, list[int]] = {}  # lowercase token -> rows, in file order
         for row in rows:
             self._found.setdefault(found[row].lower(), []).append(row)
-        norms = _norms(self._read(rows))
-        self._found_usable = dict(zip(rows, (norms >= MIN_USABLE_NORM).tolist()))
-        self._checked = False
-        if not np.isfinite(norms).all():
-            self._check()  # refuses the file's first non-finite row, as a load does
+        if not np.isfinite(_norms(self._vectors(rows))).all():
+            self.top_k_batch([], 0)  # reads every row: refuses the file's first non-finite one
 
     def __len__(self) -> int:
         return len(self._ats)
-
-    def top_k_batch(self, queries, k, fold_case=True):
-        """As on a loaded model; every row has been read once by the time it returns."""
-        results = super().top_k_batch(queries, k, fold_case)
-        self._check()
-        return results
-
-    def _check(self) -> None:
-        """Read every row once, unless a screen has, so that a non-finite row is refused."""
-        if not self._checked:
-            for _ in self._blocks():
-                pass
 
     def _open(self):
         fh = open(self.path, "rb", buffering=0)
@@ -436,23 +428,11 @@ class StreamedModel(_BlockSource):
                     self._token[i] = os.pread(fh.fileno(), at - 1 - start, start).decode("utf-8")
         return [self._token[i] for i in rows]
 
-    def _usable_rows(self, rows) -> np.ndarray:
-        return np.array([self._found_usable[i] for i in rows], dtype=bool)
-
-    def _fold_keys(self, rows) -> list[str]:
-        return [t.lower() for t in self._tokens(rows)]
-
-    def _read(self, rows) -> np.ndarray:
-        """The float32 vectors of ``rows``, read by offset."""
+    def _vectors(self, rows) -> np.ndarray:
         payload = 4 * self.dim
         with self._open() as fh:
             data = b"".join(os.pread(fh.fileno(), payload, at) for at in self._ats[rows].tolist())
-        return np.frombuffer(data, dtype="<f4").reshape(len(rows), self.dim)
-
-    def unit_rows(self, rows) -> np.ndarray:
-        """Float64 unit vectors of ``rows``; unusable rows are zero."""
-        vectors = self._read(rows)
-        return _units(vectors, _norms(vectors))
+        return np.frombuffer(data, dtype="<f4").reshape(-1, self.dim)
 
     def _blocks(self):
         payload, buf = 4 * self.dim, bytearray()
@@ -471,7 +451,6 @@ class StreamedModel(_BlockSource):
                 _check_finite(norms, lambda i: self._tokens([lo + i])[0])
                 usable = norms >= MIN_USABLE_NORM
                 yield lo, vectors, _scales(norms, usable), usable
-        self._checked = True
 
 
 def _duplicate_rows(hashes: np.ndarray, same, path) -> np.ndarray:

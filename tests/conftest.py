@@ -26,7 +26,14 @@ set_hypothesis_home_dir(_hypothesis_home)
 
 from w2v_writer import write_binary  # noqa: E402
 
+import cuelex  # noqa: E402
 from cuelex.embeddings import load_model  # noqa: E402
+
+
+def child_env(env=os.environ):
+    """``env`` with the ``src`` directory this suite imports cuelex from first on PYTHONPATH."""
+    src = str(Path(cuelex.__file__).parent.parent)
+    return {**env, "PYTHONPATH": os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))}
 
 
 def pytest_configure(config):

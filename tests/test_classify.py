@@ -1,6 +1,8 @@
 import multiprocessing
 import os
 import random
+import subprocess
+import sys
 import warnings
 from array import array
 
@@ -9,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_model, no_child_left, random_tokens, set_cpus
+from conftest import child_env, make_model, no_child_left, random_tokens, set_cpus
 
 from cuelex.classify import (
     Annotation,
@@ -501,6 +503,25 @@ def test_gaussian_nb_single_class_warns():
     with pytest.warns(UserWarning, match="single class"):
         clf.fit(X, y)
     assert clf.predict(np.array([[5.0, 5.0]])).tolist() == [1]
+
+
+FIT_PROBE = """
+import sys
+import numpy as np
+from cuelex.classify import ClassifierSpec, make_classifier
+X, y = np.random.default_rng(0).normal(size=(8, 3)), np.array([0, 1] * 4)
+for kind in ("knn", "gaussian_nb", "logistic_sgd", "mlp"):
+    make_classifier(ClassifierSpec(kind)).fit(X, y).predict(X)
+print("numpy.ma" in sys.modules)
+"""
+
+
+def test_no_classifier_imports_numpy_ma():
+    # np.unique imports numpy.ma (some ms), which train would pay in every fold worker
+    proc = subprocess.run([sys.executable, "-c", FIT_PROBE], env=child_env(), capture_output=True,
+                          text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False"]
 
 
 def test_sgd_deterministic_given_seed():

@@ -15,11 +15,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import no_child_left, random_tokens, set_cpus
+from conftest import child_env, no_child_left, random_tokens, set_cpus
 from test_golden import COMMANDS as GOLDEN_COMMANDS, make_workspace, run_all
 from w2v_writer import write_binary
 
-import cuelex
 from cuelex import cli
 
 
@@ -91,7 +90,7 @@ def test_internal_failure_exit_2(workspace, capsys, monkeypatch):
     def boom(ctx):
         raise RuntimeError("wires crossed")
 
-    monkeypatch.setitem(cli._DISPATCH, "agree", boom)
+    monkeypatch.setitem(cli._COMMANDS, "agree", cli._COMMANDS["agree"]._replace(run=boom))
     code = run("agree", "--annotations", str(workspace / "nope.csv"))
     assert code == 2
     assert "internal failure" in capsys.readouterr().err
@@ -659,13 +658,6 @@ def test_threads_does_not_change_results(workspace):
     assert names and names == sorted(p.name for p in outs[1].glob("*.tsv"))
     for name in names:  # the config digest above the header records the flag
         assert tables.read_tsv(outs[0] / name)[1] == tables.read_tsv(outs[1] / name)[1]
-
-
-
-def child_env(env=os.environ):
-    """``env`` with the ``src`` directory this suite imports cuelex from first on PYTHONPATH."""
-    src = str(Path(cuelex.__file__).parent.parent)
-    return {**env, "PYTHONPATH": os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))}
 
 
 BLAS_PROBE = """

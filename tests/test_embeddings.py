@@ -15,7 +15,7 @@ from conftest import make_model, random_tokens
 from w2v_writer import write_binary, write_text
 
 from cuelex import embeddings
-from cuelex.embeddings import EmbeddingModel, load_model, screen_slack, stream_model
+from cuelex.embeddings import EmbeddingModel, StreamedModel, load_model, screen_slack, stream_model
 from cuelex.errors import InputError
 from cuelex.expansion import expand, parse_seed_lexicon
 
@@ -793,6 +793,19 @@ def test_expand_is_the_same_for_any_block_size(tmp_path):
 # --- the streamed model: the loaded model's answers from one block of rows at a time ---
 
 
+def row_answers(model, probes, fold_case):
+    """Each probe's ``vector`` and ``cosine`` with the next probe, or the message refusing
+    it, then the ``unit_rows`` of every row, all as bytes."""
+    answers = []
+    for p, q in zip(probes, probes[1:] + probes[:1]):
+        for call in (lambda: model.vector(p, fold_case), lambda: model.cosine(p, q, fold_case)):
+            try:
+                answers.append(np.asarray(call()).tobytes())
+            except InputError as exc:
+                answers.append(str(exc))
+    return answers + [model.unit_rows(list(range(len(model)))).tobytes()]
+
+
 @settings(max_examples=100, deadline=None)
 @given(kernel_cases(), st.sampled_from([1, 3, 16, 2048]), st.sampled_from([5, 2048]),
        st.integers(0, 2), st.data())
@@ -822,9 +835,20 @@ def test_a_streamed_model_answers_as_the_loaded_one(tmp_path_factory, case, bloc
              mock.patch.object(embeddings, "BLOCK_ROWS", screen_rows):
             got = stream.top_k_batch(queries, k, fold_case)
             expanded = expand(stream, lexicon, k=max(k, 1), fold_case=fold_case)
+            rows = row_answers(stream, probes, fold_case)
         assert got == loaded.top_k_batch(queries, k, fold_case)
+        assert rows == row_answers(loaded, probes, fold_case)
         want = expand(loaded, lexicon, k=max(k, 1), fold_case=fold_case)
         assert (expanded.pairs, expanded.skipped) == (want.pairs, want.skipped)
+
+
+def test_both_sources_supply_only_the_primitives_of_the_one_kernel():
+    shared = {"vector", "cosine", "unit_rows", "_usable_rows", "_fold_keys", "top_k_batch", "_screen"}
+    assert shared <= set(vars(embeddings._BlockSource))
+    primitives = {"__init__", "__len__", "_key_rows", "_tokens", "_vectors", "_blocks"}
+    for source, own in ((EmbeddingModel, primitives), (StreamedModel, primitives | {"_open"})):
+        assert not shared & set(vars(source))
+        assert {name for name, value in vars(source).items() if callable(value)} == own
 
 
 def test_a_streamed_model_looks_up_only_the_tokens_it_was_opened_for(tmp_path):
