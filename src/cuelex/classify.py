@@ -159,11 +159,11 @@ def sample_unrelated(
     chunk = 2048
     for start in range(0, len(indices), chunk):
         block = indices[start : start + chunk]
-        sims = seed_matrix @ model.unit_rows(block).T
-        max_sims = sims.max(axis=0)
+        units = model.unit_rows(block)  # zero exactly on the unusable rows
+        max_sims, usable = (seed_matrix @ units.T).max(axis=0), units.any(axis=1)
         for pos, idx in enumerate(block):
             token = model.vocab[idx]
-            if not model._usable[idx] or token.lower() in blocked:
+            if not usable[pos] or token.lower() in blocked:
                 continue
             if max_sims[pos] < max_sim:
                 out.append(token)

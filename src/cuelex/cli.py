@@ -14,6 +14,7 @@ import hashlib
 import importlib.util
 import json
 import os
+import re
 import sys
 import traceback
 from dataclasses import asdict
@@ -145,6 +146,7 @@ _BOUNDS = {(int, 0): "non-negative", (int, 1): "positive"}
 # keys left out of the config digest: identical runs into different output
 # directories must produce byte-identical artifacts
 _NOT_DIGESTED = ("config", "out")
+_MODEL_NAME = re.compile(r"[^=/\\\s\x00-\x1f\x7f-\x9f]+=")  # a --model's "name="
 
 
 class _Context:
@@ -273,6 +275,9 @@ def _model_specs(ctx) -> list[tuple[str, str, str]]:
     for spec in ctx.model:
         if "=" not in spec:
             raise InputError(f'--model must look like "name=path", got {spec!r}')
+        if not _MODEL_NAME.match(spec) or spec.startswith((".=", "..=")):
+            raise InputError("a --model name must be non-empty, not . or .., and hold no /, \\, "
+                             f"whitespace or control character, got {spec!r}")
     specs = [spec.split("=", 1) for spec in ctx.model]
     names = [name for name, _ in specs]
     repeated = sorted({name for name in names if names.count(name) > 1})

@@ -35,6 +35,7 @@ from __future__ import annotations
 import mmap
 import os
 import warnings
+import weakref
 from array import array
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -101,13 +102,6 @@ def _check_finite(norms: np.ndarray, token) -> None:
         raise InputError(f"non-finite value in vector for token {token(bad)!r}")
 
 
-def _scales(norms: np.ndarray, usable: np.ndarray) -> np.ndarray:
-    """The screen's float32 row scales 2^64 / norm (see screen_slack); 0 on unusable rows."""
-    scale = np.zeros(len(norms), dtype=np.float32)
-    np.divide(2.0**64, norms, out=scale, where=usable, casting="same_kind")
-    return scale
-
-
 def _payloads(data, offsets: np.ndarray, dim: int) -> np.ndarray:
     """Copies of the float32 rows whose payloads start at byte ``offsets`` of ``data``.
 
@@ -137,8 +131,8 @@ class _BlockSource:
     - ``_key_rows(key)``: the rows whose lowercase token is ``key``, in file order;
     - ``_tokens(rows)``: the tokens of ``rows``;
     - ``_vectors(rows)``: the float32 vectors of ``rows`` (indices or a slice), as stored;
-    - ``_blocks()``: (first row, float32 vectors, float32 scales, usable mask)
-      per block of rows, in row order; the scales are ``_scales``.  A source
+    - ``_blocks()``: (first row, float32 vectors, float64 norms) per block of
+      rows, in row order; the norms are ``_norms`` of the vectors.  A source
       may check each row as it reads it: a ``top_k_batch`` that screens no
       query reads every block once, so every row is read by a retrieval.
     """
@@ -274,11 +268,12 @@ class _BlockSource:
     def _screen(self, units, excluded, m: int, slack2: float) -> tuple[list, int]:
         """Per query (a row of ``units``): rows holding its exact top ``m``, and their scores.
 
-        One float32 GEMM per row block scores it against every query, with
-        -inf for the query's ``excluded`` rows and for unusable rows.  A row
-        survives when its score is within ``slack2`` (2 ``screen_slack``) of
-        the query's m-th best score, so that its similarity can reach the
-        m-th best one.  Rows come in descending score; scores are float64.
+        One float32 GEMM per row block, each row scaled by fl32(2^64 / norm),
+        scores it against every query, with -inf for the query's ``excluded``
+        rows and for unusable rows.  A row survives when its score is within
+        ``slack2`` (2 ``screen_slack``) of the query's m-th best score, so that
+        its similarity can reach the m-th best one.  Rows come in descending
+        score; scores are float64.
         Also returns the number of usable rows.
         """
         q32 = (units * 2.0**-64).astype(np.float32)
@@ -293,9 +288,10 @@ class _BlockSource:
         n, n_usable, group = len(self), 0, max(BLOCK_ROWS, m)
         best = np.full((len(units), m), -np.inf, dtype=np.float32)
         found, pieces, first = [], [], 0  # the scores of the blocks since row ``first``
-        for lo, vectors, scale, usable in self._blocks():
+        for lo, vectors, norms in self._blocks():
+            usable = norms >= MIN_USABLE_NORM
             s = vectors @ q32.T
-            s *= scale[:, None]
+            s *= (2.0**64 / np.maximum(norms, MIN_USABLE_NORM)).astype(np.float32)[:, None]
             s[~usable] = -np.inf
             n_usable += int(np.count_nonzero(usable))
             pieces.append(s)
@@ -348,8 +344,6 @@ class EmbeddingModel(_BlockSource):
         # (differs from len(vocab) under vocab_filter or duplicate dropping)
         self.declared_vocab_size: int | None = None
 
-        self._usable = self.norms >= MIN_USABLE_NORM
-        self._scale = _scales(self.norms, self._usable)
         keys: dict[str, int] = {}  # a lowercase token is its own key string
         intern = keys.setdefault
         ids = (intern(tok if (low := tok.lower()) == tok else low, len(keys)) for tok in vocab)
@@ -377,8 +371,7 @@ class EmbeddingModel(_BlockSource):
 
     def _blocks(self):
         for lo in range(0, len(self), BLOCK_ROWS):
-            hi = lo + BLOCK_ROWS
-            yield lo, self.vectors[lo:hi], self._scale[lo:hi], self._usable[lo:hi]
+            yield lo, self.vectors[lo : lo + BLOCK_ROWS], self.norms[lo : lo + BLOCK_ROWS]
 
 
 class StreamedModel(_BlockSource):
@@ -390,11 +383,16 @@ class StreamedModel(_BlockSource):
     ``NORM_BLOCK_ROWS`` rows at a time, and checks every row it reads as
     ``load_model`` does; a ``top_k_batch`` that runs no screen reads every row
     once for that check.  The rerank reads its rows and tokens by offset.
+
+    It holds the file open, read-only, for its life and reads only at offsets
+    (``_read``), never at the file position: threads and forks may share it.
     """
 
     def __init__(self, name, path, dim, starts, ats, found, stamp, wanted):
         self.name, self.path, self.dim = name, path, dim
         self._starts, self._ats, self._stamp, self._wanted = starts, ats, stamp, wanted
+        self._file = open(path, "rb", buffering=0)
+        weakref.finalize(self, self._file.close)
         self._token = dict(found)  # row -> token: the chosen rows', and each row read since
         rows = sorted(found)
         self._found: dict[str, list[int]] = {}  # lowercase token -> rows, in file order
@@ -406,13 +404,21 @@ class StreamedModel(_BlockSource):
     def __len__(self) -> int:
         return len(self._ats)
 
-    def _open(self):
-        fh = open(self.path, "rb", buffering=0)
-        st = os.fstat(fh.fileno())
+    def _read(self, spans):
+        """The bytes at each (offset, length) of ``spans``, in order.
+
+        A file whose (size, mtime) is not the scan's, checked once per call, or
+        that ends before a span does, is refused.
+        """
+        fd = self._file.fileno()
+        st = os.fstat(fd)
         if (st.st_size, st.st_mtime_ns) != self._stamp:
-            fh.close()
             raise InputError(f"model file changed while it was read: {self.path}")
-        return fh
+        for at, size in spans:
+            data = os.pread(fd, size, at)
+            if len(data) != size:
+                raise InputError(f"model file changed while it was read: {self.path}")
+            yield data
 
     def _key_rows(self, key: str) -> list[int]:
         if key not in self._wanted:
@@ -421,36 +427,24 @@ class StreamedModel(_BlockSource):
 
     def _tokens(self, rows) -> list[str]:
         missing = [i for i in rows if i not in self._token]
-        if missing:
-            starts, ats = self._starts[missing].tolist(), self._ats[missing].tolist()
-            with self._open() as fh:
-                for i, start, at in zip(missing, starts, ats):
-                    self._token[i] = os.pread(fh.fileno(), at - 1 - start, start).decode("utf-8")
+        starts, ats = self._starts[missing].tolist(), self._ats[missing].tolist()
+        data = self._read((start, at - 1 - start) for start, at in zip(starts, ats))
+        self._token.update(zip(missing, (token.decode("utf-8") for token in data)))
         return [self._token[i] for i in rows]
 
     def _vectors(self, rows) -> np.ndarray:
-        payload = 4 * self.dim
-        with self._open() as fh:
-            data = b"".join(os.pread(fh.fileno(), payload, at) for at in self._ats[rows].tolist())
+        data = b"".join(self._read((at, 4 * self.dim) for at in self._ats[rows].tolist()))
         return np.frombuffer(data, dtype="<f4").reshape(-1, self.dim)
 
     def _blocks(self):
-        payload, buf = 4 * self.dim, bytearray()
-        with self._open() as fh:
-            for lo in range(0, len(self), NORM_BLOCK_ROWS):
-                ats = self._ats[lo : lo + NORM_BLOCK_ROWS]
-                base = int(ats[0])
-                span = int(ats[-1]) + payload - base
-                if len(buf) < span:
-                    buf = bytearray(span)
-                fh.seek(base)
-                if fh.readinto(memoryview(buf)[:span]) != span:
-                    raise InputError(f"model file changed while it was read: {self.path}")
-                vectors = _payloads(buf, ats - base, self.dim)
-                norms = _norms(vectors)
-                _check_finite(norms, lambda i: self._tokens([lo + i])[0])
-                usable = norms >= MIN_USABLE_NORM
-                yield lo, vectors, _scales(norms, usable), usable
+        payload, los = 4 * self.dim, range(0, len(self), NORM_BLOCK_ROWS)
+        blocks = [self._ats[lo : lo + NORM_BLOCK_ROWS] for lo in los]  # views, not copies
+        spans = ((int(ats[0]), int(ats[-1]) + payload - int(ats[0])) for ats in blocks)
+        for lo, ats, data in zip(los, blocks, self._read(spans)):
+            vectors = _payloads(data, ats - ats[0], self.dim)
+            norms = _norms(vectors)
+            _check_finite(norms, lambda i: self._tokens([lo + i])[0])
+            yield lo, vectors, norms
 
 
 def _duplicate_rows(hashes: np.ndarray, same, path) -> np.ndarray:

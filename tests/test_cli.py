@@ -1234,6 +1234,41 @@ def test_a_missing_model_fails_before_any_model_is_read(workspace, monkeypatch, 
     assert loads == []
 
 
+@pytest.mark.parametrize("command", ["expand", "pipeline", "dataset"])
+@pytest.mark.parametrize("name", ["", ".", "..", "a/b", "../x", "a\\b", "a b", "a\tb", "a\x00b", "a\x7f"])
+def test_an_empty_or_path_like_model_name_fails_before_any_model_is_read(
+        workspace, monkeypatch, capsys, command, name):
+    set_cpus(monkeypatch, 1)  # a read would run in this process, where the spy sees it
+    loads = spy_model_reads(monkeypatch)
+    models = {"a": workspace / "m1.bin", name: workspace / "m2.bin"}
+    labels = workspace / "labels.csv"
+    labels.write_text("word,judge1,judge2\ncanda,pos,pos\ncandc,neg,neg\n")
+    extra = ("--annotations", str(labels)) if command == "dataset" else ()
+    assert run(*model_run_args(command, workspace, models, workspace / "o"), *extra) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("cuelex: error: a --model name must be non-empty")
+    assert err.endswith(f"got {name + '=' + str(workspace / 'm2.bin')!r}\n")
+    assert loads == [] and not (workspace / "o").exists()
+
+
+def test_expand_opens_each_model_file_once_to_scan_it_and_once_to_read_it(workspace, monkeypatch):
+    set_cpus(monkeypatch, 1)  # both expansions run in this process, where the spy sees them
+    opened = []
+
+    def spy(path, *args, **kw):
+        opened.append(Path(path).name)
+        return open(path, *args, **kw)
+
+    monkeypatch.setattr(cli.embeddings, "open", spy, raising=False)
+    seeds = workspace / "five.txt"
+    seeds.write_text("".join(f"{w}\tscientific\n" for w in ("seeda", "seedb", "canda", "candb", "candc")))
+    argv = model_run_args("expand", workspace, {"a": workspace / "m1.bin", "b": workspace / "m2.bin"},
+                          workspace / "o")
+    argv[argv.index("--seeds") + 1] = str(seeds)
+    assert run(*argv) == 0
+    assert sorted(opened) == ["m1.bin", "m1.bin", "m2.bin", "m2.bin"]
+
+
 def dataset_args(workspace, labels, *extra):
     models = {"a": workspace / "m1.bin", "b": workspace / "m2.bin"}
     args = model_run_args("dataset", workspace, models, workspace / "ds")

@@ -1,6 +1,7 @@
 import gc
 import os
 import random
+import re
 import struct
 import tracemalloc
 import warnings
@@ -62,7 +63,7 @@ def streamed(path, tokens=()):
 
 def stream_rows(model):
     """The tokens and the matrix bytes of a streamed model, read back through its blocks."""
-    matrix = b"".join(vectors.tobytes() for _, vectors, _, _ in model._blocks())
+    matrix = b"".join(vectors.tobytes() for _, vectors, _ in model._blocks())
     return model._tokens(range(len(model))), matrix
 
 
@@ -761,7 +762,8 @@ def test_screen_scores_stay_within_the_slack(dim, seed, magnitude, positive):
     vectors[1] = vectors[0] + rng.integers(0, 2, dim).astype(np.float32) * np.spacing(vectors[0])
     model = EmbeddingModel("s", [f"t{i}" for i in range(200)], vectors)
     q32 = (model.unit_rows([0]) * 2.0**-64).astype(np.float32)
-    screen = (model.vectors @ q32.T)[:, 0] * model._scale
+    scale = (2.0**64 / np.maximum(model.norms, embeddings.MIN_USABLE_NORM)).astype(np.float32)
+    screen = (model.vectors @ q32.T)[:, 0] * scale
     exact = np.array([np.dot(u, model.unit_rows([0])[0]) for u in model.unit_rows(slice(None))])
     usable = model.norms >= embeddings.MIN_USABLE_NORM
     assert np.all(np.abs(screen - exact)[usable] <= screen_slack(dim))
@@ -846,7 +848,7 @@ def test_both_sources_supply_only_the_primitives_of_the_one_kernel():
     shared = {"vector", "cosine", "unit_rows", "_usable_rows", "_fold_keys", "top_k_batch", "_screen"}
     assert shared <= set(vars(embeddings._BlockSource))
     primitives = {"__init__", "__len__", "_key_rows", "_tokens", "_vectors", "_blocks"}
-    for source, own in ((EmbeddingModel, primitives), (StreamedModel, primitives | {"_open"})):
+    for source, own in ((EmbeddingModel, primitives), (StreamedModel, primitives | {"_read"})):
         assert not shared & set(vars(source))
         assert {name for name, value in vars(source).items() if callable(value)} == own
 
@@ -868,6 +870,42 @@ def test_a_streamed_model_refuses_a_non_finite_row_whatever_it_retrieves(tmp_pat
     lexicon = parse_seed_lexicon(forms or ["absent"])
     with pytest.raises(InputError, match="^non-finite value in vector for token 'b'$"):
         expand(stream_model(path, forms or ["absent"]), lexicon, k=1)
+
+
+def changed_while_read(path) -> str:
+    return f"^model file changed while it was read: {re.escape(str(path))}$"
+
+
+@pytest.mark.parametrize("change", ["grow", "truncate", "touch"])
+def test_a_streamed_model_refuses_a_file_changed_after_its_scan(tmp_path, change):
+    path = tmp_path / "m.bin"
+    write_binary(path, ["a", "b", "c", "d"], np.eye(4, dtype=np.float32) + 1)
+    stream = stream_model(path, ["a"])
+    st = path.stat()
+    if change == "grow":
+        with open(path, "ab") as fh:
+            fh.write(b"\n")
+    elif change == "truncate":
+        os.truncate(path, st.st_size - 4)
+    else:
+        os.utime(path, ns=(st.st_atime_ns, st.st_mtime_ns + 10**9))
+    for read in (lambda: stream.top_k_batch([], 0),  # a screen: reads every block
+                 lambda: stream.vector("a"),  # a row
+                 lambda: stream._tokens([3])):  # a token that no lookup has read
+        with pytest.raises(InputError, match=changed_while_read(path)):
+            read()
+
+
+def test_a_streamed_model_refuses_a_read_that_comes_up_short(tmp_path):
+    path = tmp_path / "m.bin"
+    write_binary(path, ["a", "b", "c", "d"], np.eye(4, dtype=np.float32) + 1)
+    stream = stream_model(path, ["a"])
+    os.truncate(path, path.stat().st_size - 4)
+    st = path.stat()
+    stream._stamp = (st.st_size, st.st_mtime_ns)  # as if cut after the check of the stamp
+    assert stream.vector("a").tolist() == [2.0, 1.0, 1.0, 1.0]  # row 0 is whole
+    with pytest.raises(InputError, match=changed_while_read(path)):
+        stream.top_k_batch([], 0)  # the last block is cut
 
 
 def test_the_duplicate_check_compares_tokens_whose_hashes_collide(tmp_path, monkeypatch):

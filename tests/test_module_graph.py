@@ -6,6 +6,9 @@ imported under ``typing.TYPE_CHECKING``; otherwise importing one module would
 execute another that it never calls.  Re-exports are allowed: a name listed in
 ``__all__``, or an import marked ``# noqa: F401``.  The package imports its own
 modules relatively (``from .x import y``), so only those imports are read.
+
+No module reads another object's private state: an attribute whose name
+starts with ``_`` is read only on ``self`` or ``cls``.
 """
 
 import ast
@@ -72,3 +75,43 @@ def test_the_check_flags_a_module_named_only_in_annotations():
         "if TYPE_CHECKING:\n    from .expansion import SeedLexicon\n"
     )
     assert type_only_imports(header + exempt + body) == []
+
+
+def private_reads(source: str) -> list[int]:
+    """Lines that name a ``_``-prefixed attribute of anything but ``self`` or ``cls``.
+
+    Dunder names are public protocol, and ``os._exit`` is the one allowed call.
+    """
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.Attribute) or not node.attr.startswith("_"):
+            continue
+        owner = ast.unparse(node.value)
+        dunder = node.attr.startswith("__") and node.attr.endswith("__")
+        if not dunder and owner not in ("self", "cls") and f"{owner}.{node.attr}" != "os._exit":
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
+def test_no_module_reads_another_objects_private_state(path):
+    assert private_reads(path.read_text(encoding="utf-8")) == []
+
+
+def test_the_private_read_guard_flags_foreign_private_names_and_passes_own_ones():
+    flagged = (
+        "ok = model._usable[idx]\n"
+        "rows = self.model._rows\n"
+        "norms = embeddings._norms(v)\n"
+        "f()._cache = {}\n"
+        "sys._getframe(0)\n"
+    )
+    assert private_reads(flagged) == [1, 2, 3, 4, 5]
+    allowed = (
+        "ok = self._usable[idx]\n"
+        "cls._cache = {}\n"
+        "os._exit(0)\n"
+        "name = type(model).__name__\n"
+        "ok = model.usable(word)\n"
+    )
+    assert private_reads(allowed) == []
