@@ -23,7 +23,7 @@ from . import tables, workers
 from .errors import CuelexError, InputError
 
 if TYPE_CHECKING:
-    from .embeddings import EmbeddingModel
+    from .embeddings import EmbeddingModel, StreamedModel
     from .expansion import SeedLexicon
 
 VARIANCE_FLOOR = 1e-9
@@ -124,7 +124,7 @@ def agreement(annotations) -> AgreementReport:
 
 
 def sample_unrelated(
-    model: EmbeddingModel,
+    model: EmbeddingModel | StreamedModel,
     lexicon: SeedLexicon,
     n: int = 100,
     max_sim: float = 0.2,
@@ -133,14 +133,32 @@ def sample_unrelated(
 ) -> list[str]:
     """Draw n vocabulary tokens far from every seed (max cosine < max_sim).
 
-    The vocabulary is scanned in a seeded shuffle order; candidate-set words
-    and lexicon words are skipped.  Raises when the full scan cannot supply n
-    qualifying tokens.
+    The tokens of ``draw_unrelated``, in draw order.
+    """
+    return list(draw_unrelated(model, lexicon, n, max_sim, rng_seed, exclude))
+
+
+def draw_unrelated(
+    model: EmbeddingModel | StreamedModel,
+    lexicon: SeedLexicon,
+    n: int = 100,
+    max_sim: float = 0.2,
+    rng_seed: int = 0,
+    exclude=(),
+) -> dict[str, int]:
+    """n vocabulary tokens far from every seed (max cosine < max_sim), each with its row.
+
+    ``model`` is either source: loaded, or streamed for the lexicon's model
+    forms.  The vocabulary is scanned in a seeded shuffle order, 2,048 rows at
+    a time; candidate-set words and lexicon words are skipped.  Only the
+    tokens of the rows that are far enough are read, and a streamed model
+    keeps none of them.  Raises when the full scan cannot supply n qualifying
+    tokens.
     """
     if n < 0:
         raise InputError("n must be non-negative")
     if n == 0:
-        return []
+        return {}
     seed_rows = []
     for entry in lexicon.entries:
         for form in entry.model_forms:
@@ -155,18 +173,15 @@ def sample_unrelated(
     indices = array("i", range(len(model)))
     random.Random(rng_seed).shuffle(indices)
 
-    out = []
+    out: dict[str, int] = {}
     chunk = 2048
     for start in range(0, len(indices), chunk):
         block = indices[start : start + chunk]
-        units = model.unit_rows(block)  # zero exactly on the unusable rows
-        max_sims, usable = (seed_matrix @ units.T).max(axis=0), units.any(axis=1)
-        for pos, idx in enumerate(block):
-            token = model.vocab[idx]
-            if not usable[pos] or token.lower() in blocked:
-                continue
-            if max_sims[pos] < max_sim:
-                out.append(token)
+        far = _far_rows(model, seed_matrix, block, max_sim)
+        rows = [idx for idx, ok in zip(block, far.tolist()) if ok]
+        for idx, token in zip(rows, model.tokens_of(rows)):
+            if token.lower() not in blocked:
+                out[token] = idx
                 if len(out) == n:
                     return out
     raise CuelexError(
@@ -174,16 +189,44 @@ def sample_unrelated(
     )
 
 
+def _far_rows(model, seed_matrix: np.ndarray, block, max_sim: float) -> np.ndarray:
+    """Whether each row of ``block`` is usable and under ``max_sim`` from every seed.
+
+    Decided as one product of the seeds' and the block's unit rows decides it,
+    but computed 256 rows at a time, so the block's float64 rows are not all
+    held.  A part's product may sum in another order than the block's, and
+    two float64 dot products of unit rows of dimension d summed in any orders
+    differ by at most 2 gamma_d (1 + eps)^2 < 4 d 2^-53.  So only when a
+    usable row's best cosine is within that of ``max_sim`` is the whole block
+    scored at once.
+    """
+    part, slack = 256, 4 * model.dim * 2.0**-53
+    far, near = [], False
+    for lo in range(0, len(block), part):
+        units = model.unit_rows(block[lo : lo + part])  # zero exactly on the unusable rows
+        sims, usable = (seed_matrix @ units.T).max(axis=0), units.any(axis=1)
+        near = near or bool((usable & (np.abs(sims - max_sim) <= slack)).any())
+        far.append(usable & (sims < max_sim))
+    if near and len(block) > part:
+        units = model.unit_rows(block)
+        return ((seed_matrix @ units.T).max(axis=0) < max_sim) & units.any(axis=1)
+    return np.concatenate(far)
+
+
 class ModelRows:
     """Copies of one model's vectors for chosen words: all that ``featurize`` reads of a model.
 
-    ``vector(word)`` answers as the model's ``vector(word)`` would for each
-    word it was made from: the exact token's row, else its first case
-    variant's.  Any other word is absent, an ``InputError``.  It keeps no
+    ``model`` is either source, loaded or streamed; a streamed one must have
+    been opened for every word of ``words``.  ``vector(word)`` answers as the
+    model's ``vector(word)`` would for each word it was made from: the exact
+    token's row, else its first case variant's.  ``at_rows`` maps more words,
+    each a token of the model, to their rows, as ``draw_unrelated`` returns
+    them: their vectors are read at those rows, which a streamed model cannot
+    look up.  Any other word is absent, an ``InputError``.  It keeps no
     reference to the model, so the model can be freed before the next loads.
     """
 
-    def __init__(self, model: EmbeddingModel, words):
+    def __init__(self, model: EmbeddingModel | StreamedModel, words, at_rows=None):
         self.name, self.dim = model.name, model.dim
         self._rows = {}
         for word in words:
@@ -191,6 +234,8 @@ class ModelRows:
                 self._rows[word] = model.vector(word)
             except InputError:  # absent from the model, so absent here too
                 pass
+        if at_rows:
+            self._rows.update(zip(at_rows, model.vectors_of(list(at_rows.values()))))
 
     def vector(self, word: str) -> np.ndarray:
         """Stored float32 vector for ``word`` (a copy)."""

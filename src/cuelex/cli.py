@@ -583,7 +583,12 @@ DATASET_COLUMNS = ("word", "label", "oov_flags")
 
 
 def _cmd_dataset(ctx) -> int:
-    """Hold one model at a time: each is freed once the rows of the dataset's words are copied."""
+    """Hold one model at a time: each is freed once the rows of the dataset's words are copied.
+
+    A binary model is streamed for the seed forms and the dataset's words, and
+    read through once so that a non-finite row is refused as ``load_model``
+    refuses it; a text model is loaded.
+    """
     specs = _model_specs(ctx)
     lexicon = _load_lexicon(ctx)
     annotations = classify.load_annotations(ctx.annotations)
@@ -593,17 +598,25 @@ def _cmd_dataset(ctx) -> int:
     # the unrelated words are drawn clear of every list and are exactly n_unrelated
     classify.check_disjoint(accepted=accepted, rejected=rejected, seeds=seeds)
     classify.check_labels(len(accepted) + len(seeds), len(rejected) + ctx.n_unrelated)
-    models = []
+    words = [*accepted, *rejected, *seeds]
+    forms = [form for entry in lexicon for form in entry.model_forms]
+    models, unrelated = [], {}
     for name, path, fmt in specs:
-        model = embeddings.load_model(path, fmt, name=name)
+        if fmt == "binary":
+            model = embeddings.stream_model(path, [*forms, *words, *unrelated], name=name)
+            model.check_rows()
+        else:
+            model = embeddings.load_model(path, fmt, name=name)
         if not models:
-            unrelated = classify.sample_unrelated(
+            unrelated = classify.draw_unrelated(
                 model, lexicon, n=ctx.n_unrelated, max_sim=ctx.max_sim, rng_seed=ctx.rng_seed,
                 exclude=[a.word for a in annotations],
             )
-        models.append(classify.ModelRows(model, [*accepted, *rejected, *seeds, *unrelated]))
-        del model  # before the next load
-    build = classify.build_dataset(accepted, rejected, unrelated, models, seeds=seeds)
+            models.append(classify.ModelRows(model, words, at_rows=unrelated))
+        else:
+            models.append(classify.ModelRows(model, [*words, *unrelated]))
+        del model  # before the next read
+    build = classify.build_dataset(accepted, rejected, list(unrelated), models, seeds=seeds)
     features = np.vstack([ex.features for ex in build.examples]).astype(np.float32)
     np.save(ctx.out_dir / "dataset_features.npy", features)
     rows = (

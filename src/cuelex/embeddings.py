@@ -15,10 +15,11 @@ a source of rows: its length, the rows of a lowercase key (``_key_rows``), the
 tokens (``_tokens``) and stored float32 vectors (``_vectors``) of given rows,
 and all its rows in blocks (``_blocks``).  There are two sources.  An
 ``EmbeddingModel`` (``load_model``) holds the whole matrix: it serves the
-library, ``dataset`` and text models.  A ``StreamedModel`` (``stream_model``)
-reads a binary file again for each screen, a block of rows at a time, and the
-rerank reads its rows by offset.  It keeps two file offsets per row and the
-tokens of the rows it was opened for, so the matrix is never resident.
+library and text models.  A ``StreamedModel`` (``stream_model``) serves every
+command that reads a binary model: it reads the file again for each screen, a
+block of rows at a time, and reads other rows by offset.  It keeps two file
+offsets per row and the tokens of the rows it was opened for, so the matrix is
+never resident.
 
 A loaded model finds tokens through a fold index: the rows grouped by
 lowercase key in file order with int64 offsets, and one dict from lowercase
@@ -133,8 +134,8 @@ class _BlockSource:
     - ``_vectors(rows)``: the float32 vectors of ``rows`` (indices or a slice), as stored;
     - ``_blocks()``: (first row, float32 vectors, float64 norms) per block of
       rows, in row order; the norms are ``_norms`` of the vectors.  A source
-      may check each row as it reads it: a ``top_k_batch`` that screens no
-      query reads every block once, so every row is read by a retrieval.
+      may check each row as it reads it: ``check_rows`` reads every block
+      once, and so does a ``top_k_batch`` that screens no query.
     """
 
     def __contains__(self, token: str) -> bool:
@@ -161,6 +162,19 @@ class _BlockSource:
     def vector(self, token: str, fold_case: bool = True) -> np.ndarray:
         """Stored float32 vector for ``token`` (a copy)."""
         return self._vectors([self.lookup(token, fold_case)])[0].copy()
+
+    def tokens_of(self, rows) -> list[str]:
+        """The tokens of ``rows``, in order."""
+        return self._tokens(rows)
+
+    def vectors_of(self, rows) -> np.ndarray:
+        """Stored float32 vectors of ``rows``, in order (a copy)."""
+        return np.array(self._vectors(rows))
+
+    def check_rows(self) -> None:
+        """Read every row once, so that a source that checks the rows it reads checks them all."""
+        for _ in self._blocks():
+            pass
 
     def unit_rows(self, rows) -> np.ndarray:
         """Float64 unit vectors of ``rows`` (indices or a slice); unusable rows are zero."""
@@ -209,7 +223,7 @@ class _BlockSource:
         prefix, so only the rows above that cut are rescored in float64 and
         ranked.  Otherwise m doubles, up to the number of usable rows, which
         the first screen counts.  When no query is screened (none, or k = 0),
-        every block is read once all the same.
+        every row is read once all the same (``check_rows``).
         """
         if k < 0:
             raise InputError("k must be non-negative")
@@ -221,9 +235,8 @@ class _BlockSource:
         slack2 = 2 * screen_slack(self.dim)
         m = min(max(4 * k, 64) if fold_case else k, len(self))
         pending = list(range(len(queries))) if k else []
-        if not pending:  # read every row as a screen would, so a source checks them all
-            for _ in self._blocks():
-                pass
+        if not pending:
+            self.check_rows()
         while pending:
             qrows = [rows[j] for j in pending]
             tokens = self._tokens(qrows)
@@ -381,8 +394,9 @@ class StreamedModel(_BlockSource):
     and the tokens of the rows whose lowercase form is that of a chosen token;
     only those tokens can be looked up.  Each screen reads the file again,
     ``NORM_BLOCK_ROWS`` rows at a time, and checks every row it reads as
-    ``load_model`` does; a ``top_k_batch`` that runs no screen reads every row
-    once for that check.  The rerank reads its rows and tokens by offset.
+    ``load_model`` does; ``check_rows`` reads every row once for that check.
+    Other rows and tokens are read by offset.  It keeps the tokens it reads
+    for its life, except those that ``tokens_of`` reads.
 
     It holds the file open, read-only, for its life and reads only at offsets
     (``_read``), never at the file position: threads and forks may share it.
@@ -399,7 +413,7 @@ class StreamedModel(_BlockSource):
         for row in rows:
             self._found.setdefault(found[row].lower(), []).append(row)
         if not np.isfinite(_norms(self._vectors(rows))).all():
-            self.top_k_batch([], 0)  # reads every row: refuses the file's first non-finite one
+            self.check_rows()  # refuses the file's first non-finite row
 
     def __len__(self) -> int:
         return len(self._ats)
@@ -425,11 +439,15 @@ class StreamedModel(_BlockSource):
             raise ValueError(f"{key!r} is not a token that model {self.name!r} was streamed for")
         return self._found.get(key, [])
 
+    def tokens_of(self, rows) -> list[str]:
+        """The tokens of ``rows``, each read from the file and none kept."""
+        starts, ats = self._starts[rows].tolist(), self._ats[rows].tolist()
+        data = self._read((start, at - 1 - start) for start, at in zip(starts, ats))
+        return [token.decode("utf-8") for token in data]
+
     def _tokens(self, rows) -> list[str]:
         missing = [i for i in rows if i not in self._token]
-        starts, ats = self._starts[missing].tolist(), self._ats[missing].tolist()
-        data = self._read((start, at - 1 - start) for start, at in zip(starts, ats))
-        self._token.update(zip(missing, (token.decode("utf-8") for token in data)))
+        self._token.update(zip(missing, self.tokens_of(missing)))
         return [self._token[i] for i in rows]
 
     def _vectors(self, rows) -> np.ndarray:

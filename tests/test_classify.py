@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import child_env, make_model, no_child_left, random_tokens, set_cpus
+from w2v_writer import write_binary
 
 from cuelex.classify import (
     Annotation,
@@ -36,7 +37,7 @@ from cuelex.classify import (
     sample_unrelated,
     train_eval,
 )
-from cuelex.embeddings import EmbeddingModel
+from cuelex.embeddings import EmbeddingModel, stream_model
 from cuelex.errors import CuelexError, InputError
 from cuelex.expansion import parse_seed_lexicon
 
@@ -255,6 +256,92 @@ def test_sample_unrelated_matches_the_list_sampler(data_seed, n_tokens, n, max_s
         except CuelexError as exc:
             outcomes.append(type(exc))
     assert outcomes[0] == outcomes[1]
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    data_seed=st.integers(0, 2**32 - 1),
+    n_tokens=st.integers(257, 2600),
+    dim=st.sampled_from([3, 50]),
+    n_seeds=st.integers(1, 3),
+    tie=st.booleans(),
+    rng_seed=st.integers(0, 2**64),
+)
+def test_sample_unrelated_decides_a_chunk_in_parts_as_one_product_would(
+    data_seed, n_tokens, dim, n_seeds, tie, rng_seed
+):
+    tokens = random_tokens(random.Random(data_seed), n_tokens)
+    vectors = np.random.default_rng(data_seed).normal(size=(n_tokens, dim)).astype(np.float32)
+    model = EmbeddingModel("m", tokens, vectors)
+    lexicon = parse_seed_lexicon([t.lower() for t in tokens[:n_seeds]])
+    forms = [form for entry in lexicon.entries for form in entry.model_forms]
+    seed_matrix = model.unit_rows([model.lookup(form) for form in forms])
+    order = list(range(n_tokens))
+    random.Random(rng_seed).shuffle(order)
+    sims = (seed_matrix @ model.unit_rows(order[:2048]).T).max(axis=0)
+    # with a tie, one row's best cosine, as the whole first chunk's product gives it, is max_sim
+    max_sim = float(sims[data_seed % len(sims)] if tie else np.median(sims))
+    outcomes = []
+    for sampler in (sample_unrelated, sample_unrelated_from_a_list):
+        try:
+            outcomes.append(sampler(model, lexicon, n=n_tokens // 3, max_sim=max_sim, rng_seed=rng_seed))
+        except CuelexError as exc:
+            outcomes.append(type(exc))
+    assert outcomes[0] == outcomes[1]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_rows=st.integers(1, 2048),
+    dim=st.sampled_from([3, 50, 300]),
+    n_seeds=st.integers(1, 3),
+    tie=st.sampled_from([None, -1.0, 0.0, 1.0]),
+)
+def test_far_rows_decide_a_block_as_one_product_over_it_does(seed, n_rows, dim, n_seeds, tie):
+    # parts of a block can sum in another order than the whole block, so a row whose best
+    # cosine is max_sim, or one ulp from it, is where the two could disagree
+    from cuelex.classify import _far_rows
+
+    gen = np.random.default_rng(seed)
+    vectors = gen.normal(size=(n_seeds + n_rows, dim)).astype(np.float32)
+    vectors[n_seeds:][gen.random(n_rows) < 0.1] = 0.0
+    model = EmbeddingModel("m", [f"t{i}" for i in range(len(vectors))], vectors)
+    seed_matrix = model.unit_rows(list(range(n_seeds)))
+    block = array("i", (gen.permutation(n_rows) + n_seeds).tolist())
+    units = model.unit_rows(block)
+    sims, usable = (seed_matrix @ units.T).max(axis=0), units.any(axis=1)
+    if tie is None:
+        max_sim = float(gen.uniform(-1, 1))
+    else:
+        at = sims[int(gen.integers(n_rows))]
+        max_sim = float(np.nextafter(at, at + tie))
+    assert _far_rows(model, seed_matrix, block, max_sim).tolist() == ((sims < max_sim) & usable).tolist()
+
+
+def test_an_exhausted_draw_keeps_no_token_of_a_streamed_model(tmp_path):
+    import gc
+    import tracemalloc
+
+    tokens = random_tokens(random.Random(3), 20_000)
+    write_binary(tmp_path / "m.bin", tokens,
+                 np.random.default_rng(3).standard_normal((len(tokens), 8)).astype(np.float32))
+    key = tokens[0].lower()
+    model = stream_model(tmp_path / "m.bin", [key])
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        try:  # every row is far enough, so every token is read
+            sample_unrelated(model, parse_seed_lexicon([key]), n=len(tokens), max_sim=2.0)
+        except CuelexError as exc:
+            message = str(exc)
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    drawn = sum(t.lower() != key for t in tokens)
+    assert message == f"only {drawn} of {len(tokens)} requested unrelated tokens qualify in model 'm'"
+    assert retained <= 8 * len(tokens)
 
 
 # --- featurize / dataset -------------------------------------------------------

@@ -14,12 +14,15 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import child_env, no_child_left, random_tokens, set_cpus
 from test_golden import COMMANDS as GOLDEN_COMMANDS, make_workspace, run_all
 from w2v_writer import write_binary
 
 from cuelex import cli
+from cuelex.errors import CuelexError, InputError
 
 
 def run(*argv):
@@ -1295,8 +1298,7 @@ def test_bad_dataset_lists_fail_before_any_model_is_read(
     workspace, monkeypatch, capsys, rows, extra, message
 ):
     set_cpus(monkeypatch, 1)
-    loads = []
-    monkeypatch.setattr(cli.embeddings, "load_model", lambda *args, **kw: loads.append(args))
+    loads = spy_model_reads(monkeypatch)
     labels, empty = workspace / "labels.csv", workspace / "empty.txt"
     empty.write_text("# no entries\n")
     if rows is not None:
@@ -1312,9 +1314,7 @@ def test_a_model_is_freed_before_the_next_one_is_loaded(workspace, monkeypatch, 
     import weakref
 
     set_cpus(monkeypatch, 1)  # the reads run in this process, where the spy sees them
-    # expand and pipeline stream a binary model; dataset loads it
-    reader = "load_model" if command == "dataset" else "stream_model"
-    real, held, alive_at_load = getattr(cli.embeddings, reader), [], []
+    real, held, alive_at_load = cli.embeddings.stream_model, [], []
 
     def load(*args, **kw):
         alive_at_load.append([ref().name for ref in held if ref() is not None])
@@ -1322,7 +1322,7 @@ def test_a_model_is_freed_before_the_next_one_is_loaded(workspace, monkeypatch, 
         held.append(weakref.ref(model))
         return model
 
-    monkeypatch.setattr(cli.embeddings, reader, load)
+    monkeypatch.setattr(cli.embeddings, "stream_model", load)
     make_model_file(workspace / "m3.bin", seed=303, shared=["seeda", "seedb", "canda", "candc"])
     models = {f"m{i}": workspace / f"m{i}.bin" for i in (1, 2, 3)}
     labels = workspace / "labels.csv"
@@ -1457,31 +1457,252 @@ print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
 """
 
 
+def wait4_peak(*code) -> int:
+    """Bytes of the wait4 max RSS of ``python -c *code`` on one CPU, which must exit 0."""
+    cpu = str(min(os.sched_getaffinity(0)))
+    proc = subprocess.run([sys.executable, "-c", PEAK_PROBE, cpu, sys.executable, "-c", *code],
+                          env=child_env(), capture_output=True, text=True, check=True)
+    status, kib = map(int, proc.stdout.split())
+    assert status == 0, proc.stderr
+    return kib * 1024
+
+
+def large_model(tmp_path):
+    """A 20,000 x 300 binary model (24 MB) and its tokens."""
+    tokens = random_tokens(random.Random(23), 20_000)
+    vectors = np.random.default_rng(23).standard_normal((len(tokens), 300)).astype(np.float32)
+    write_binary(tmp_path / "m.bin", tokens, vectors)
+    return tmp_path / "m.bin", tokens
+
+
+MAIN = "import sys; from cuelex.cli import main; sys.exit(main())"
+
+
 @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="pins a child to one CPU")
 def test_expand_never_holds_the_matrix_of_a_binary_model(tmp_path):
     # On one CPU the model is expanded in the command process, where wait4 sees it.
-    tokens = random_tokens(random.Random(23), 20_000)
-    vectors = np.random.default_rng(23).standard_normal((len(tokens), 300)).astype(np.float32)
-    model, seeds = tmp_path / "m.bin", tmp_path / "seeds.txt"
-    write_binary(model, tokens, vectors)  # 24 MB
+    model, tokens = large_model(tmp_path)
+    seeds = tmp_path / "seeds.txt"
     seeds.write_text("".join(f"{token.lower()}\n" for token in tokens[:20]))
-
-    def peak(*code):
-        cpu = str(min(os.sched_getaffinity(0)))
-        proc = subprocess.run([sys.executable, "-c", PEAK_PROBE, cpu, sys.executable, "-c", *code],
-                              env=child_env(), capture_output=True, text=True, check=True)
-        status, kib = map(int, proc.stdout.split())
-        assert status == 0, proc.stderr
-        return kib * 1024
-
-    bare = peak("import numpy, cuelex.cli, cuelex.embeddings, cuelex.expansion, cuelex.workers")
-    command = peak("import sys; from cuelex.cli import main; sys.exit(main())", "expand",
-                   "--model", f"m={model}", "--seeds", str(seeds), "--k", "50",
-                   "--out", str(tmp_path / "out"))
+    bare = wait4_peak("import numpy, cuelex.cli, cuelex.embeddings, cuelex.expansion, cuelex.workers")
+    command = wait4_peak(MAIN, "expand", "--model", f"m={model}", "--seeds", str(seeds),
+                         "--k", "50", "--out", str(tmp_path / "out"))
     from cuelex import tables
 
     assert tables.read_tsv(tmp_path / "out" / "skipped_m.tsv")[1] == []  # every seed was expanded
     assert (command - bare) / model.stat().st_size <= 0.25
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="pins a child to one CPU")
+def test_dataset_never_holds_the_matrix_of_a_binary_model(tmp_path):
+    model, tokens = large_model(tmp_path)
+    folded = list({token.lower(): None for token in tokens})
+    seeds, labels = tmp_path / "seeds.txt", tmp_path / "labels.csv"
+    seeds.write_text("".join(f"{word}\n" for word in folded[:20]))
+    labels.write_text("word,judge1,judge2\n" + "".join(
+        f"{word},{judge},{judge}\n" for word, judge in zip(folded[20:220], ["pos", "neg"] * 100)))
+    bare = wait4_peak("import numpy, cuelex.cli, cuelex.classify, cuelex.embeddings, cuelex.expansion")
+    out = tmp_path / "out"
+    command = wait4_peak(MAIN, "dataset", "--model", f"m={model}", "--seeds", str(seeds),
+                         "--annotations", str(labels), "--n-unrelated", "100", "--out", str(out))
+    summary = json.loads((out / "dataset_summary.json").read_text())
+    assert (summary["n_examples"], summary["n_unrelated"]) == (300, 100)
+    assert (command - bare) / model.stat().st_size <= 0.25
+
+
+# --- dataset streams a binary model ---------------------------------------------------
+
+
+def streamed_case_models(root, seed, n_models, n_rows, dim):
+    """Binary models with case variants, a repeated token, zero rows, and words later models lack.
+
+    Returns the model paths and the first model's tokens.
+    """
+    rng = random.Random(seed)
+    tokens = random_tokens(rng, n_rows)
+    tokens += [t.upper() for t in rng.sample(tokens, 3) if t.upper() not in tokens]
+    paths, first = [], None
+    for i in range(n_models):
+        kept = tokens if i == 0 else [t for t in tokens if rng.random() < 0.7]
+        kept = [*kept, kept[rng.randrange(len(kept))]]  # a repeat: its later row is dropped
+        vectors = np.array([[rng.gauss(0, 1) for _ in range(dim)] for _ in kept], dtype=np.float32)
+        vectors[[rng.randrange(len(kept)) for _ in range(3)]] = 0.0
+        paths.append(root / f"m{i}.bin")
+        write_binary(paths[-1], kept, vectors, record_newlines=rng.random() < 0.5)
+        first = first or kept
+    return paths, first
+
+
+def outcome(fn):
+    """What ``fn()`` returns, or the type and message of the ``CuelexError`` it raises."""
+    try:
+        return fn()
+    except CuelexError as exc:
+        return type(exc), str(exc)
+
+
+def dataset_run(argv, out, stream: bool):
+    """Exit code, stdout, stderr, warnings and artifacts of a ``dataset`` run.
+
+    Unless ``stream``, each binary model is loaded in place of being streamed.
+    """
+    from contextlib import redirect_stderr, redirect_stdout
+
+    shutil.rmtree(out, ignore_errors=True)
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with pytest.MonkeyPatch.context() as mp, warnings.catch_warnings(record=True) as caught, \
+            redirect_stdout(stdout), redirect_stderr(stderr):
+        warnings.simplefilter("always")
+        if not stream:
+            load = cli.embeddings.load_model
+            mp.setattr(cli.embeddings, "stream_model", lambda path, tokens, name: load(path, name=name))
+        code = run(*argv)
+    files = {p.name: p.read_bytes() for p in sorted(out.iterdir())} if out.exists() else {}
+    return code, stdout.getvalue(), stderr.getvalue(), [str(w.message) for w in caught], files
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_models=st.integers(1, 3),
+    n_rows=st.sampled_from([12, 40, 300]),  # 300 rows: a draw of more than one 256-row part
+    n_unrelated=st.integers(0, 6),
+    max_sim=st.sampled_from([0.05, 0.2, 0.6, 0.95]),
+    include_seeds=st.booleans(),
+)
+def test_dataset_streams_a_binary_model_as_load_model_reads_it(
+    tmp_path_factory, seed, n_models, n_rows, n_unrelated, max_sim, include_seeds
+):
+    from cuelex.classify import sample_unrelated
+    from cuelex.embeddings import load_model, stream_model
+    from cuelex.expansion import load_seed_lexicon
+
+    root = tmp_path_factory.mktemp("streamed")
+    rng = random.Random(seed)
+    paths, tokens = streamed_case_models(root, seed, n_models, n_rows, dim=rng.randint(2, 4))
+    keys = list({t.lower(): t for t in tokens}.values())
+    rng.shuffle(keys)
+    seeds, labels = root / "seeds.txt", root / "labels.csv"
+    seeds.write_text("".join(f"{t.lower()}\n" for t in keys[:2]))
+    words = [rng.choice([t, t.lower(), t.upper()]) for t in keys[2:8]] + ["ghost"]
+    labels.write_text("word,judge1,judge2\n" + "".join(
+        f"{w},{j},{j}\n" for w, j in zip(words, ["pos", "neg", "pos", "pos", "neg", "neg", "pos"])))
+
+    lexicon = load_seed_lexicon(seeds)
+    forms = [form for entry in lexicon for form in entry.model_forms]
+    draws = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # the repeated token's warning, checked below
+        for model in (stream_model(paths[0], forms, name="a"), load_model(paths[0], name="a")):
+            draws.append(outcome(lambda: sample_unrelated(
+                model, lexicon, n=n_unrelated, max_sim=max_sim, rng_seed=seed % 97, exclude=words)))
+    assert draws[0] == draws[1]
+
+    argv = ["dataset", "--seeds", str(seeds), "--annotations", str(labels), "--out", str(root / "o"),
+            "--n-unrelated", str(n_unrelated), "--max-sim", str(max_sim),
+            "--rng-seed", str(seed % 97), "--reproducible",
+            *(["--include-seeds"] if include_seeds else [])]
+    for i, path in enumerate(paths):
+        argv += ["--model", f"m{i}={path}"]
+    streamed, loaded = (dataset_run(argv, root / "o", stream) for stream in (True, False))
+    assert streamed == loaded
+    if streamed[0] == 0:
+        assert len(streamed[3]) == n_models  # one repeated-token warning per model
+
+
+def test_dataset_refuses_a_non_finite_row_that_is_none_of_its_words(workspace, capsys):
+    from cuelex.embeddings import load_model
+
+    tokens = make_model_file(workspace / "m1.bin", seed=101, shared=["seeda", "seedb", "canda",
+                                                                     "candb", "candc", "knowledge"])
+    vectors = load_model(workspace / "m1.bin").vectors.copy()
+    bad = tokens.index("knowledge")  # neither a seed, an annotated word nor drawn
+    vectors[bad, 2] = np.inf
+    write_binary(workspace / "m1.bin", tokens, vectors)
+    labels = workspace / "labels.csv"
+    labels.write_text("word,judge1,judge2\ncanda,pos,pos\ncandc,neg,neg\n")
+    assert run(*dataset_args(workspace, labels)) == 1
+    assert capsys.readouterr().err == "cuelex: error: non-finite value in vector for token 'knowledge'\n"
+    with pytest.raises(InputError, match="^non-finite value in vector for token 'knowledge'$"):
+        load_model(workspace / "m1.bin")
+
+
+@pytest.mark.parametrize("damage", ["truncated-payload", "malformed-header"])
+def test_dataset_refuses_a_damaged_model_as_load_model_does(workspace, capsys, damage):
+    from cuelex.embeddings import load_model
+
+    path = workspace / "m2.bin"
+    data = path.read_bytes()
+    path.write_bytes(data[:-5] if damage == "truncated-payload" else b"50 six" + data[data.index(b"\n"):])
+    with pytest.raises(InputError) as loaded:
+        load_model(path)
+    expected = {"truncated-payload": "truncated vector payload for token '",
+                "malformed-header": f"malformed header b'50 six': {path}"}[damage]
+    assert str(loaded.value).startswith(expected)
+    labels = workspace / "labels.csv"
+    labels.write_text("word,judge1,judge2\ncanda,pos,pos\ncandc,neg,neg\n")
+    assert run(*dataset_args(workspace, labels)) == 1
+    assert capsys.readouterr().err == f"cuelex: error: {loaded.value}\n"
+
+
+def test_dataset_warns_once_of_a_repeated_token_at_the_duplicate_rows_line(workspace, capsys):
+    import inspect
+
+    from cuelex import embeddings
+
+    source, first = inspect.getsourcelines(embeddings._duplicate_rows)
+    warn_line = first + next(i for i, ln in enumerate(source) if "warnings.warn(" in ln)
+    labels = workspace / "labels.csv"
+    labels.write_text("word,judge1,judge2\ncanda,pos,pos\ncandc,neg,neg\n")
+    argv = dataset_args(workspace, labels)
+    argv[argv.index(f"a={workspace / 'm1.bin'}")] = f"a={duplicate_token_model(workspace)}"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run(*argv) == 0
+    ((warning,),) = [caught]
+    assert (warning.category, warning.filename, warning.lineno) == \
+        (UserWarning, embeddings.__file__, warn_line)
+    assert str(warning.message).endswith("dup.bin: dropped 1 duplicate token(s), kept first occurrences")
+
+
+def test_a_later_models_error_comes_after_the_first_models_draw(workspace, capsys):
+    (workspace / "bad.bin").write_bytes(b"abc def\nxx")
+    labels = workspace / "labels.csv"
+    labels.write_text("word,judge1,judge2\ncanda,pos,pos\ncandc,neg,neg\n")
+    argv = dataset_args(workspace, labels, "--n-unrelated", "500")
+    argv[argv.index(f"b={workspace / 'm2.bin'}")] = f"b={workspace / 'bad.bin'}"
+    assert run(*argv) == 1
+    assert capsys.readouterr().err == \
+        "cuelex: error: only 45 of 500 requested unrelated tokens qualify in model 'a'\n"
+    argv[argv.index("500")] = "4"
+    assert run(*argv) == 1
+    assert capsys.readouterr().err == f"cuelex: error: malformed header b'abc def': {workspace / 'bad.bin'}\n"
+
+
+@pytest.mark.parametrize("command", ["expand", "pipeline", "dataset"])
+def test_a_binary_model_is_never_loaded_and_a_text_model_always_is(workspace, monkeypatch, command):
+    from cuelex.embeddings import load_model
+    from w2v_writer import write_text
+
+    set_cpus(monkeypatch, 1)  # the reads run in this process, where the spy sees them
+    loads = []
+    monkeypatch.setattr(cli.embeddings, "load_model",
+                        lambda path, *args, **kw: loads.append(Path(path).name) or load_model(path, *args, **kw))
+    labels = workspace / "labels.csv"
+    labels.write_text("word,judge1,judge2\ncanda,pos,pos\ncandc,neg,neg\n")
+    extra = ["--annotations", str(labels), "--n-unrelated", "4", "--max-sim", "0.95"] \
+        if command == "dataset" else []
+    for fmt in ("binary", "text"):
+        models = {}
+        for name in ("m1", "m2"):
+            models[name] = workspace / f"{name}.bin"
+            if fmt == "text":
+                model = load_model(models[name])
+                models[name] = workspace / f"{name}.txt"
+                write_text(models[name], model.vocab, model.vectors)
+        argv = model_run_args(command, workspace, models, workspace / fmt)
+        assert run(*argv, *extra, "--model-format", fmt) == 0
+    assert loads == ["m1.txt", "m2.txt"]
 
 
 # Each lazily registered module, with a function whose first use executes it.

@@ -845,10 +845,13 @@ def test_a_streamed_model_answers_as_the_loaded_one(tmp_path_factory, case, bloc
 
 
 def test_both_sources_supply_only_the_primitives_of_the_one_kernel():
-    shared = {"vector", "cosine", "unit_rows", "_usable_rows", "_fold_keys", "top_k_batch", "_screen"}
-    assert shared <= set(vars(embeddings._BlockSource))
+    shared = {"vector", "vectors_of", "check_rows", "cosine", "unit_rows", "_usable_rows",
+              "_fold_keys", "top_k_batch", "_screen"}
+    assert shared | {"tokens_of"} <= set(vars(embeddings._BlockSource))
     primitives = {"__init__", "__len__", "_key_rows", "_tokens", "_vectors", "_blocks"}
-    for source, own in ((EmbeddingModel, primitives), (StreamedModel, primitives | {"_read"})):
+    # a streamed model reads tokens_of's tokens without keeping them, and _tokens keeps them
+    streamed = primitives | {"_read", "tokens_of"}
+    for source, own in ((EmbeddingModel, primitives), (StreamedModel, streamed)):
         assert not shared & set(vars(source))
         assert {name for name, value in vars(source).items() if callable(value)} == own
 
