@@ -266,12 +266,11 @@ def _build_parser() -> _Parser:
 
 def _model_specs(ctx) -> list[tuple[str, str, str]]:
     """The ``--model``s as (name, path, format); every item and file is checked before any read."""
-    formats = {}  # a bare format applies to every model without a "name=format" of its own
-    for item in ctx.model_format:
-        name, fmt = item.split("=", 1) if "=" in item else ("", item)
+    # a bare format applies to every model without a "name=format" of its own
+    given = [item.split("=", 1) if "=" in item else ("", item) for item in ctx.model_format]
+    for _, fmt in given:
         if fmt not in ("binary", "text"):
             raise InputError(f"model_format must be one of binary, text, got {fmt!r}")
-        formats[name] = fmt
     for spec in ctx.model:
         if "=" not in spec:
             raise InputError(f'--model must look like "name=path", got {spec!r}')
@@ -280,9 +279,12 @@ def _model_specs(ctx) -> list[tuple[str, str, str]]:
                              f"whitespace or control character, got {spec!r}")
     specs = [spec.split("=", 1) for spec in ctx.model]
     names = [name for name, _ in specs]
-    repeated = sorted({name for name in names if names.count(name) > 1})
-    if repeated:
-        raise InputError(f"--model names a model more than once: {', '.join(repeated)}")
+    for flag, items in (("--model", specs), ("--model-format", given)):
+        named = [name for name, _ in items]
+        repeated = sorted({name or "(bare format)" for name in named if named.count(name) > 1})
+        if repeated:
+            raise InputError(f"{flag} names a model more than once: {', '.join(repeated)}")
+    formats = dict(given)
     unknown = sorted(set(formats) - {"", *names})
     if unknown:
         raise InputError(f"--model-format names no --model: {', '.join(unknown)}")

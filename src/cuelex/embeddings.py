@@ -12,14 +12,14 @@ only the rows that can still rank in the top k are rescored in float64
 That kernel, the lookups and the row methods (``vector``, ``cosine``,
 ``unit_rows``) are written once, in ``_BlockSource``, over five primitives of
 a source of rows: its length, the rows of a lowercase key (``_key_rows``), the
-tokens (``_tokens``) and stored float32 vectors (``_vectors``) of given rows,
+tokens (``tokens_of``) and stored float32 vectors (``_vectors``) of given rows,
 and all its rows in blocks (``_blocks``).  There are two sources.  An
 ``EmbeddingModel`` (``load_model``) holds the whole matrix: it serves the
 library and text models.  A ``StreamedModel`` (``stream_model``) serves every
 command that reads a binary model: it reads the file again for each screen, a
-block of rows at a time, and reads other rows by offset.  It keeps two file
-offsets per row and the tokens of the rows it was opened for, so the matrix is
-never resident.
+block of rows at a time, and reads other rows and tokens by offset.  It keeps
+two file offsets per row and the rows of the keys it was opened for, and no
+token, so the matrix is never resident.
 
 A loaded model finds tokens through a fold index: the rows grouped by
 lowercase key in file order with int64 offsets, and one dict from lowercase
@@ -114,6 +114,39 @@ def _payloads(data, offsets: np.ndarray, dim: int) -> np.ndarray:
     return windows[offsets].view("<f4")
 
 
+def _read_once(read):
+    """``read`` (rows -> their values) that reads each row once and keeps what it read."""
+    kept: dict[int, object] = {}
+
+    def values(rows) -> list:
+        missing = [i for i in rows if i not in kept]
+        kept.update(zip(missing, read(missing)))
+        return [kept[i] for i in rows]
+
+    return values
+
+
+def _first_of_keys(rows: list[int], k: int, tokens) -> list[int]:
+    """Positions of the first row of each key in ``rows``, up to k keys.
+
+    A key is a row's lowercase token, read by ``tokens`` (rows -> tokens), or
+    the row itself when ``tokens`` is false.  The keys are looked up k rows at
+    a time, then twice as many rows as keys are still missing, so that a
+    source that reads each token from its file reads few past the k-th key.
+    """
+    seen, firsts, start = set(), [], 0
+    while start < len(rows) and len(firsts) < k:
+        part = rows[start : start + 2 * (k - len(firsts)) if firsts else start + k]
+        for pos, key in enumerate([t.lower() for t in tokens(part)] if tokens else part, start):
+            if key not in seen:
+                seen.add(key)
+                firsts.append(pos)
+                if len(firsts) == k:
+                    break
+        start += len(part)
+    return firsts
+
+
 @dataclass(frozen=True)
 class NeighborResult:
     """One ranked neighbor of a query token."""
@@ -130,7 +163,7 @@ class _BlockSource:
 
     - ``__len__()``: the number of rows;
     - ``_key_rows(key)``: the rows whose lowercase token is ``key``, in file order;
-    - ``_tokens(rows)``: the tokens of ``rows``;
+    - ``tokens_of(rows)``: the tokens of ``rows``, in order;
     - ``_vectors(rows)``: the float32 vectors of ``rows`` (indices or a slice), as stored;
     - ``_blocks()``: (first row, float32 vectors, float64 norms) per block of
       rows, in row order; the norms are ``_norms`` of the vectors.  A source
@@ -156,16 +189,12 @@ class _BlockSource:
     def _row(self, token: str, fold_case: bool) -> int | None:
         """Row of exactly ``token``, else (with ``fold_case``) of its first case variant."""
         rows = self._key_rows(token.lower())
-        exact = next((i for i, t in zip(rows, self._tokens(rows)) if t == token), None)
+        exact = next((i for i, t in zip(rows, self.tokens_of(rows)) if t == token), None)
         return rows[0] if exact is None and fold_case and rows else exact
 
     def vector(self, token: str, fold_case: bool = True) -> np.ndarray:
         """Stored float32 vector for ``token`` (a copy)."""
         return self._vectors([self.lookup(token, fold_case)])[0].copy()
-
-    def tokens_of(self, rows) -> list[str]:
-        """The tokens of ``rows``, in order."""
-        return self._tokens(rows)
 
     def vectors_of(self, rows) -> np.ndarray:
         """Stored float32 vectors of ``rows``, in order (a copy)."""
@@ -197,10 +226,6 @@ class _BlockSource:
     def _usable_rows(self, rows) -> np.ndarray:
         return _norms(self._vectors(rows)) >= MIN_USABLE_NORM
 
-    def _fold_keys(self, rows) -> list[str]:
-        """The lowercase tokens of ``rows``: equal exactly where the rows share a key."""
-        return [t.lower() for t in self._tokens(rows)]
-
     def top_k(self, query: str, k: int, fold_case: bool = True) -> list[NeighborResult]:
         """The ``k`` nearest tokens to ``query`` by cosine over the whole vocabulary.
 
@@ -223,7 +248,8 @@ class _BlockSource:
         prefix, so only the rows above that cut are rescored in float64 and
         ranked.  Otherwise m doubles, up to the number of usable rows, which
         the first screen counts.  When no query is screened (none, or k = 0),
-        every row is read once all the same (``check_rows``).
+        every row is read once all the same (``check_rows``).  Each candidate's
+        token is read once per query, and none is kept after it.
         """
         if k < 0:
             raise InputError("k must be non-negative")
@@ -238,45 +264,27 @@ class _BlockSource:
         if not pending:
             self.check_rows()
         while pending:
-            qrows = [rows[j] for j in pending]
-            tokens = self._tokens(qrows)
-            excluded = [self._key_rows(t.lower()) if fold_case else [i] for i, t in zip(qrows, tokens)]
+            qrows = [rows[j] for j in pending]  # a query's row has the query's key
+            excluded = [self._key_rows(queries[j].lower()) if fold_case else [i]
+                        for j, i in zip(pending, qrows)]
             units = self.unit_rows(qrows)
             widen = []
             survivors, n_usable = self._screen(units, excluded, m, slack2)
             for j, uq, ex, (cand, score) in zip(pending, units, excluded, survivors):
-                firsts = self._first_of_keys(cand[:m].tolist(), k, fold_case)
+                tokens = _read_once(self.tokens_of)
+                firsts = _first_of_keys(cand[:m].tolist(), k, tokens if fold_case else None)
                 if len(firsts) < k and m < n_usable - self._usable_rows(ex).sum():
                     widen.append(j)
                     continue
                 cut = score[firsts[-1]] - slack2 if len(firsts) == k else -np.inf
                 rerank = cand[score >= cut].tolist()
                 sims = [-float(np.dot(u, uq)) for u in self.unit_rows(rerank)]
-                ranked = sorted(zip(sims, self._tokens(rerank), rerank))
-                firsts = self._first_of_keys([i for _, _, i in ranked], k, fold_case)
+                ranked = sorted(zip(sims, tokens(rerank), rerank))
+                firsts = _first_of_keys([i for _, _, i in ranked], k, tokens if fold_case else None)
                 results[j] = [NeighborResult(queries[j], ranked[p][1], -ranked[p][0])
                               for p in firsts]
             pending, m = widen, min(2 * m, n_usable)
         return results
-
-    def _first_of_keys(self, rows: list[int], k: int, fold_case: bool) -> list[int]:
-        """Positions of the first row of each key in ``rows``, up to k keys.
-
-        The keys are looked up k rows at a time, then twice as many rows as
-        keys are still missing, so that a source that reads each token from its
-        file reads few past the k-th key.
-        """
-        seen, firsts, start = set(), [], 0
-        while start < len(rows) and len(firsts) < k:
-            part = rows[start : start + 2 * (k - len(firsts)) if firsts else start + k]
-            for pos, key in enumerate(self._fold_keys(part) if fold_case else part, start):
-                if key not in seen:
-                    seen.add(key)
-                    firsts.append(pos)
-                    if len(firsts) == k:
-                        break
-            start += len(part)
-        return firsts
 
     def _screen(self, units, excluded, m: int, slack2: float) -> tuple[list, int]:
         """Per query (a row of ``units``): rows holding its exact top ``m``, and their scores.
@@ -376,7 +384,7 @@ class EmbeddingModel(_BlockSource):
         kid = self._keys.get(key)
         return [] if kid is None else self._rows[self._offsets[kid] : self._offsets[kid + 1]].tolist()
 
-    def _tokens(self, rows) -> list[str]:
+    def tokens_of(self, rows) -> list[str]:
         return [self.vocab[i] for i in rows]
 
     def _vectors(self, rows) -> np.ndarray:
@@ -388,30 +396,53 @@ class EmbeddingModel(_BlockSource):
 
 
 class StreamedModel(_BlockSource):
-    """A binary word2vec file that answers retrieval around chosen tokens without loading it.
+    """A binary word2vec file that answers retrieval around ``tokens`` without loading it.
 
-    Made by ``stream_model``.  It keeps each row's token and payload offsets,
-    and the tokens of the rows whose lowercase form is that of a chosen token;
-    only those tokens can be looked up.  Each screen reads the file again,
-    ``NORM_BLOCK_ROWS`` rows at a time, and checks every row it reads as
-    ``load_model`` does; ``check_rows`` reads every row once for that check.
-    Other rows and tokens are read by offset.  It keeps the tokens it reads
-    for its life, except those that ``tokens_of`` reads.
+    The constructor scans the file, checks it as ``load_model`` does and drops
+    repeated tokens with the same warning.  It keeps two int64 file offsets per
+    row, and a 64-bit token hash until the duplicates are found.  After the
+    scan the model keeps those offsets, the rows of each lowercase form of
+    ``tokens`` (the only tokens it can look up, with their case variants), the
+    file's (size, mtime) and the open file: no token and no row of the matrix.
+    Each screen reads the file again, ``NORM_BLOCK_ROWS`` rows at a time, and
+    checks every row it reads as ``load_model`` does; ``check_rows`` reads
+    every row once for that check.  Other rows and tokens are read by offset.
 
     It holds the file open, read-only, for its life and reads only at offsets
     (``_read``), never at the file position: threads and forks may share it.
     """
 
-    def __init__(self, name, path, dim, starts, ats, found, stamp, wanted):
-        self.name, self.path, self.dim = name, path, dim
-        self._starts, self._ats, self._stamp, self._wanted = starts, ats, stamp, wanted
+    def __init__(self, path: str | Path, tokens, name: str | None = None):
+        path = tables.find_file(path, "model")
+        found: dict[str, list[int]] = {t.lower(): [] for t in tokens}  # key -> rows
+        st = path.stat()
+        with _binary_file(path) as (mm, declared, dim, records):
+            starts, ats, hashes = (np.empty(declared, dtype=np.int64) for _ in range(3))
+            n = 0
+            for chunk, chunk_starts, chunk_ats in records:
+                if not found.keys().isdisjoint(map(str.lower, chunk)):
+                    for i, key in enumerate(map(str.lower, chunk), n):
+                        if key in found:
+                            found[key].append(i)
+                end = n + len(chunk)
+                starts[n:end], ats[n:end] = chunk_starts, chunk_ats
+                hashes[n:end] = np.fromiter(map(hash, chunk), np.int64, len(chunk))
+                n = end
+            dropped = _duplicate_rows(
+                hashes, lambda i, j: mm[starts[i] : ats[i]] == mm[starts[j] : ats[j]], path
+            )
+        del hashes
+        if len(dropped):
+            starts, ats = np.delete(starts, dropped), np.delete(ats, dropped)
+            for key, rows in found.items():
+                kept = np.setdiff1d(rows, dropped)
+                found[key] = (kept - np.searchsorted(dropped, kept)).tolist()
+        self.name, self.path, self.dim = name or path.stem, path, dim
+        self._starts, self._ats, self._stamp = starts, ats, (st.st_size, st.st_mtime_ns)
+        self._found = found
         self._file = open(path, "rb", buffering=0)
         weakref.finalize(self, self._file.close)
-        self._token = dict(found)  # row -> token: the chosen rows', and each row read since
-        rows = sorted(found)
-        self._found: dict[str, list[int]] = {}  # lowercase token -> rows, in file order
-        for row in rows:
-            self._found.setdefault(found[row].lower(), []).append(row)
+        rows = [i for rows in found.values() for i in rows]
         if not np.isfinite(_norms(self._vectors(rows))).all():
             self.check_rows()  # refuses the file's first non-finite row
 
@@ -435,20 +466,15 @@ class StreamedModel(_BlockSource):
             yield data
 
     def _key_rows(self, key: str) -> list[int]:
-        if key not in self._wanted:
+        if key not in self._found:
             raise ValueError(f"{key!r} is not a token that model {self.name!r} was streamed for")
-        return self._found.get(key, [])
+        return self._found[key]
 
     def tokens_of(self, rows) -> list[str]:
-        """The tokens of ``rows``, each read from the file and none kept."""
+        """The tokens of ``rows``, in order, each read from the file."""
         starts, ats = self._starts[rows].tolist(), self._ats[rows].tolist()
         data = self._read((start, at - 1 - start) for start, at in zip(starts, ats))
         return [token.decode("utf-8") for token in data]
-
-    def _tokens(self, rows) -> list[str]:
-        missing = [i for i in rows if i not in self._token]
-        self._token.update(zip(missing, self.tokens_of(missing)))
-        return [self._token[i] for i in rows]
 
     def _vectors(self, rows) -> np.ndarray:
         data = b"".join(self._read((at, 4 * self.dim) for at in self._ats[rows].tolist()))
@@ -461,7 +487,7 @@ class StreamedModel(_BlockSource):
         for lo, ats, data in zip(los, blocks, self._read(spans)):
             vectors = _payloads(data, ats - ats[0], self.dim)
             norms = _norms(vectors)
-            _check_finite(norms, lambda i: self._tokens([lo + i])[0])
+            _check_finite(norms, lambda i: self.tokens_of([lo + i])[0])
             yield lo, vectors, norms
 
 
@@ -541,39 +567,7 @@ def load_model(
     return model
 
 
-def stream_model(path: str | Path, tokens, name: str | None = None) -> StreamedModel:
-    """Scan a binary word2vec file for retrieval around ``tokens``; its matrix is never held.
-
-    The scan checks the file as ``load_model`` does and drops repeated tokens
-    with the same warning.  It keeps two int64 file offsets per row and a
-    64-bit token hash until the duplicates are found.  ``tokens`` and their
-    case variants are the only tokens the model can look up.
-    """
-    path = tables.find_file(path, "model")
-    wanted = {t.lower() for t in tokens}
-    st = path.stat()
-    found: dict[int, str] = {}  # row -> token, for the rows of wanted keys
-    with _binary_file(path) as (mm, declared, dim, records):
-        starts, ats, hashes = (np.empty(declared, dtype=np.int64) for _ in range(3))
-        n = 0
-        for chunk, chunk_starts, chunk_ats in records:
-            if not wanted.isdisjoint(map(str.lower, chunk)):
-                found.update((n + i, t) for i, t in enumerate(chunk) if t.lower() in wanted)
-            end = n + len(chunk)
-            starts[n:end], ats[n:end] = chunk_starts, chunk_ats
-            hashes[n:end] = np.fromiter(map(hash, chunk), np.int64, len(chunk))
-            n = end
-        dropped = _duplicate_rows(
-            hashes, lambda i, j: mm[starts[i] : ats[i]] == mm[starts[j] : ats[j]], path
-        )
-    del hashes
-    if len(dropped):
-        starts, ats = np.delete(starts, dropped), np.delete(ats, dropped)
-        gone = set(dropped.tolist())
-        shift = np.searchsorted(dropped, list(found))
-        found = {row - int(k): tok for (row, tok), k in zip(found.items(), shift) if row not in gone}
-    stamp = (st.st_size, st.st_mtime_ns)
-    return StreamedModel(name or path.stem, path, dim, starts, ats, found, stamp, wanted)
+stream_model = StreamedModel  # the name the commands call, and tests replace
 
 
 @contextmanager

@@ -1012,6 +1012,14 @@ def test_model_format_is_checked_before_any_model_is_read(tmp_path, monkeypatch,
             (*MISSING_MODELS, "--model-format", "a=txt", "--model-format", "a=text"),
             "model_format must be one of binary, text, got 'txt'",
         ),
+        (
+            (*MISSING_MODELS, "--model-format", "a=text", "--model-format", "a=binary"),
+            "--model-format names a model more than once: a",
+        ),
+        (
+            (*MISSING_MODELS, "--model-format", "text", "--model-format", "binary"),
+            "--model-format names a model more than once: (bare format)",
+        ),
     ],
 )
 def test_a_repeated_model_or_any_bad_format_is_refused_before_any_model_is_read(

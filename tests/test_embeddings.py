@@ -64,7 +64,7 @@ def streamed(path, tokens=()):
 def stream_rows(model):
     """The tokens and the matrix bytes of a streamed model, read back through its blocks."""
     matrix = b"".join(vectors.tobytes() for _, vectors, _ in model._blocks())
-    return model._tokens(range(len(model))), matrix
+    return model.tokens_of(range(len(model))), matrix
 
 
 def read_binary_both(path, tokens=()):
@@ -846,11 +846,10 @@ def test_a_streamed_model_answers_as_the_loaded_one(tmp_path_factory, case, bloc
 
 def test_both_sources_supply_only_the_primitives_of_the_one_kernel():
     shared = {"vector", "vectors_of", "check_rows", "cosine", "unit_rows", "_usable_rows",
-              "_fold_keys", "top_k_batch", "_screen"}
-    assert shared | {"tokens_of"} <= set(vars(embeddings._BlockSource))
-    primitives = {"__init__", "__len__", "_key_rows", "_tokens", "_vectors", "_blocks"}
-    # a streamed model reads tokens_of's tokens without keeping them, and _tokens keeps them
-    streamed = primitives | {"_read", "tokens_of"}
+              "top_k_batch", "_screen"}
+    assert shared <= set(vars(embeddings._BlockSource))
+    primitives = {"__init__", "__len__", "_key_rows", "tokens_of", "_vectors", "_blocks"}
+    streamed = primitives | {"_read"}
     for source, own in ((EmbeddingModel, primitives), (StreamedModel, streamed)):
         assert not shared & set(vars(source))
         assert {name for name, value in vars(source).items() if callable(value)} == own
@@ -864,6 +863,48 @@ def test_a_streamed_model_looks_up_only_the_tokens_it_was_opened_for(tmp_path):
     assert "Alpha" in stream and not stream.usable("ALPHA")
     with pytest.raises(ValueError, match="'beta' is not a token that model 'm' was streamed for"):
         stream.lookup("beta")
+
+
+def sixty_seed_models(tmp_path, names):
+    """A 60-seed lexicon, and a streamed model of one 3,000 x 16 file per name."""
+    tokens = random_tokens(random.Random(29), 3000)
+    vectors = np.random.default_rng(29).standard_normal((len(tokens), 16)).astype(np.float32)
+    seeds = tokens[:60]
+    models = []
+    for name in names:
+        write_binary(tmp_path / f"{name}.bin", tokens, vectors)
+        models.append(stream_model(tmp_path / f"{name}.bin", seeds))
+    return parse_seed_lexicon(seeds), models
+
+
+def test_a_streamed_model_keeps_nothing_of_an_expand(tmp_path):
+    lexicon, (warm, model) = sixty_seed_models(tmp_path, ["warm", "m"])
+    expand(warm, lexicon, k=10)  # the interpreter's own caches and free lists fill here
+    gc.collect()
+    tracemalloc.start()
+    try:
+        assert len(expand(model, lexicon, k=10).pairs) > 500
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert held < 16 * 1024  # a token kept per row read would hold over 50 KiB
+
+
+def test_a_streamed_query_reads_each_token_once(tmp_path, monkeypatch):
+    lexicon, (model,) = sixty_seed_models(tmp_path, ["m"])
+    query = lexicon.entries[0].model_forms[0]
+    rows, read = [], model.tokens_of
+
+    def tokens_of(some):
+        rows.extend(some)
+        return read(some)
+
+    monkeypatch.setattr(model, "tokens_of", tokens_of)
+    for k in (1, 10, 200):
+        rows.clear()
+        assert len(model.top_k(query, k)) == k
+        assert len(rows) == len(set(rows)) > k
 
 
 @pytest.mark.parametrize("forms", [[], ["a"], ["b"]], ids=["no-form", "a-finite-form", "the-row"])
@@ -894,7 +935,7 @@ def test_a_streamed_model_refuses_a_file_changed_after_its_scan(tmp_path, change
         os.utime(path, ns=(st.st_atime_ns, st.st_mtime_ns + 10**9))
     for read in (lambda: stream.top_k_batch([], 0),  # a screen: reads every block
                  lambda: stream.vector("a"),  # a row
-                 lambda: stream._tokens([3])):  # a token that no lookup has read
+                 lambda: stream.tokens_of([3])):  # a token
         with pytest.raises(InputError, match=changed_while_read(path)):
             read()
 
