@@ -9,7 +9,6 @@ evaluation report, whatever the number of processes that fit the folds.
 from __future__ import annotations
 
 import csv
-import hashlib
 import random
 import warnings
 from array import array
@@ -625,7 +624,7 @@ class EvalReport:
 
 
 def fold_digest(folds: np.ndarray) -> str:
-    return hashlib.sha256(np.asarray(folds, dtype=np.int64).tobytes()).hexdigest()[:12]
+    return tables.sha256_hex(np.asarray(folds, dtype=np.int64).tobytes())[:12]
 
 
 def train_eval(dataset, spec: ClassifierSpec, folds: np.ndarray, rng_seed: int = 0) -> EvalReport:

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import hashlib
 import importlib.util
 import json
 import os
@@ -177,7 +176,7 @@ class _Context:
             raise InputError(f"--out is not a directory: {self.out}")
         digested = {k: v for k, v in values.items() if k not in _NOT_DIGESTED}
         blob = json.dumps(digested, sort_keys=True).encode()
-        digest = hashlib.sha256(blob).hexdigest()[:12]
+        digest = tables.sha256_hex(blob)[:12]
         self.meta = {"version": __version__, "config_digest": digest, "rng_seed": self.rng_seed}
         self.header_lines = [  # the metadata lines above a TSV header
             f"cuelex {__version__}", f"config: {digest}  rng_seed: {self.rng_seed}",
@@ -333,7 +332,7 @@ def _emit(ctx, stem, columns, rows, decimals=6, **extra) -> None:
     """``stem.tsv`` and its JSON twin ``stem.json`` from the same row dicts."""
     cells = ([tables.cell(row[c], decimals) for c in columns] for row in rows)
     _write_tsv(ctx, f"{stem}.tsv", columns, cells)
-    json_rows = [{c: tables.json_value(row[c]) for c in columns} for row in rows]
+    json_rows = ({c: tables.json_value(row[c]) for c in columns} for row in rows)
     _write_json(ctx, f"{stem}.json", {"rows": json_rows, **extra})
 
 
@@ -368,7 +367,7 @@ def _expand_each(ctx, specs, lexicon):
 def _common_candidates(pair_lists, lexicon):
     """Candidates retrieved by every pair list, with provenance from all of them."""
     common = set.intersection(*(expansion.distinct_candidates(pairs) for pairs in pair_lists))
-    all_pairs = [p for pairs in pair_lists for p in pairs]
+    all_pairs = (p for pairs in pair_lists for p in pairs)
     return expansion.intersect(common, common, lexicon, pairs=all_pairs)
 
 

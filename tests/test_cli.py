@@ -1805,3 +1805,35 @@ def test_a_module_named_only_in_annotations_is_not_executed(module, typed_only):
     assert proc.returncode == 0, proc.stderr
     executed = set(proc.stdout.split())
     assert module in executed and not typed_only & executed
+
+
+# Runs a command in this interpreter pinned to one CPU, so its workers' calls run here too,
+# and prints its exit status and whether OpenSSL's hash module was imported.
+OPENSSL_PROBE = """
+import os, sys
+os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+from cuelex import cli
+code = cli.main(sys.argv[1:])
+print(code, "_hashlib" in sys.modules)
+"""
+
+
+def _with_classifiers(classifiers):
+    argv = GOLDEN["train"]
+    i = argv.index("--classifiers")
+    return (*argv[: i + 1], classifiers, *argv[i + 2:])
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="pins a child to one CPU")
+@pytest.mark.parametrize("argv, maps_openssl", [
+    *(pytest.param(GOLDEN[name], False, id=name)
+      for name in ("agree", "split", "graph", "pca", "dataset", "pipeline")),
+    pytest.param(_with_classifiers("knn,logistic_sgd"), False, id="train-knn-logistic"),
+    # numpy.random, which mlp seeds its weights from, imports secrets and so hashlib
+    pytest.param(_with_classifiers("mlp:epochs=5"), True, id="train-mlp"),
+])
+def test_no_command_maps_openssl_but_train_with_mlp(golden_workspace, argv, maps_openssl):
+    proc = subprocess.run([sys.executable, "-c", OPENSSL_PROBE, *argv, "--out", "openssl-probe"],
+                          cwd=golden_workspace, env=child_env(), capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split()[-2:] == ["0", str(maps_openssl)]

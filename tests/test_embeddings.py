@@ -426,6 +426,27 @@ def test_text_rows_parse_like_float_by_float(tmp_path_factory, rows, header):
     assert load_model(path, "text").vectors.tobytes() == want.tobytes()
 
 
+@pytest.mark.parametrize("header, keep", [(True, None), (False, None), (True, 100)],
+                         ids=["declared", "headerless", "filtered"])
+def test_a_text_model_holds_its_rows_in_one_block_of_their_size(tmp_path, header, keep):
+    tokens = random_tokens(random.Random(31), 500)
+    vectors = np.random.default_rng(31).standard_normal((len(tokens), 300)).astype(np.float32)
+    path = tmp_path / "m.txt"
+    write_text(path, tokens, vectors)
+    if not header:
+        path.write_text(path.read_text().split("\n", 1)[1])
+    vocab_filter = set(tokens[:keep]) if keep else None
+    tracemalloc.start()
+    try:
+        model = load_model(path, "text", vocab_filter=vocab_filter)
+        blocks = [trace.size for trace in tracemalloc.take_snapshot().traces]
+    finally:
+        tracemalloc.stop()
+    assert model.vectors.tobytes() == vectors[: keep or len(tokens)].tobytes()
+    # the largest block is the matrix, with no spare capacity for rows
+    assert max(blocks) == model.vectors.nbytes
+
+
 def test_text_value_errors(tmp_path):
     path = tmp_path / "m.txt"
     for value, message in (("1.5x", "malformed vector value for token 'b'"),
@@ -905,6 +926,28 @@ def test_a_streamed_query_reads_each_token_once(tmp_path, monkeypatch):
         rows.clear()
         assert len(model.top_k(query, k)) == k
         assert len(rows) == len(set(rows)) > k
+
+
+def test_an_expand_reads_each_seed_forms_tokens_and_vector_once_before_its_screen(
+        tmp_path, monkeypatch):
+    lexicon, (model,) = sixty_seed_models(tmp_path, ["m"])
+    forms = [form for entry in lexicon for form in entry.model_forms]
+    key_rows = sorted(i for form in forms for i in model._key_rows(form.lower()))
+    form_rows = sorted(model.lookup(form) for form in forms)
+    reads, screens = {"tokens_of": [], "_vectors": []}, []
+    for name in reads:
+        def spy(rows, read=getattr(model, name), name=name):
+            if not screens:
+                reads[name].extend(rows)
+            return read(rows)
+
+        monkeypatch.setattr(model, name, spy)
+    blocks = model._blocks
+    monkeypatch.setattr(model, "_blocks", lambda: screens.append(1) or blocks())
+    expand(model, lexicon, k=10)
+    assert screens
+    assert sorted(reads["tokens_of"]) == key_rows  # each lookup's key rows, once
+    assert sorted(reads["_vectors"]) == form_rows  # each usable check and query vector, once
 
 
 @pytest.mark.parametrize("forms", [[], ["a"], ["b"]], ids=["no-form", "a-finite-form", "the-row"])

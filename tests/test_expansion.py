@@ -1,11 +1,15 @@
+import gc
 import math
+import pickle
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import make_model
+from conftest import make_model, set_cpus
 from corpus_strategies import corpora, make_corpus, outcome, patterns
 from w2v_writer import write_binary
 
@@ -14,7 +18,9 @@ from cuelex.embeddings import load_model
 from cuelex.errors import InputError
 from cuelex.expansion import (
     NEG_INF,
+    Candidate,
     CandidatePair,
+    ModelProvenance,
     default_seed_lexicon,
     distinct_candidates,
     expand,
@@ -29,6 +35,7 @@ from cuelex.expansion import (
     write_candidate_set,
     write_pairs,
 )
+from cuelex.workers import fork_map
 
 
 def lexicon_of(*surfaces):
@@ -274,6 +281,106 @@ def test_intersect_provenance_from_pairs():
     assert cand.models["alpha"].seeds == ("s1", "s2")
     assert cand.models["beta"].seeds == ("s1",)
     assert cand.status == "unrated"
+
+
+def intersect_oracle(a, b, lexicon, pairs):
+    """``intersect`` as dicts of sets: each (candidate, model)'s best similarity, the first
+    of equal ones, and its set of seeds."""
+    words = sorted((a & b) - lexicon.folded_words())
+    by_word = {w: Candidate(w) for w in words}
+    best, seeds = {}, {}
+    for p in pairs:
+        if p.candidate not in by_word:
+            continue
+        key = (p.candidate, p.model_name)
+        if key not in best or p.similarity > best[key]:
+            best[key] = p.similarity
+        seeds.setdefault(key, set()).add(p.seed)
+    for (word, model_name), sim in sorted(best.items()):
+        seeds_of = tuple(sorted(seeds[(word, model_name)]))
+        by_word[word].models[model_name] = ModelProvenance(sim, seeds_of)
+    return [by_word[w] for w in words]
+
+
+SEED_POOL = ["s1", "s2", "s3", "Sx"]
+# seed words among the candidates; ties among the similarities, 0.0 and -0.0 included
+CANDIDATE_POOL = ["c1", "c2", "c3", "c4", "s1", "sx", "c5"]
+SIMILARITIES = [0.5, 0.25, 0.0, -0.0, -0.5, 0.9, 1.0]
+
+
+@st.composite
+def pair_lists(draw):
+    models = draw(st.lists(st.sampled_from(["a", "b", "c"]), min_size=1, max_size=3, unique=True))
+    pair = st.builds(CandidatePair, st.sampled_from(SEED_POOL), st.sampled_from(CANDIDATE_POOL),
+                     st.sampled_from(SIMILARITIES), st.sampled_from(models))
+    return draw(st.lists(pair, max_size=40))  # small pools: repeated (candidate, model, seed)
+
+
+@settings(max_examples=300, deadline=None)
+@given(pair_lists(), st.sets(st.sampled_from(CANDIDATE_POOL)), st.booleans())
+def test_intersect_provenance_matches_the_dict_of_sets_oracle(pairs, other, common):
+    lexicon = parse_seed_lexicon(SEED_POOL)
+    a = distinct_candidates(pairs)
+    b = a if common else other  # the pipeline passes the common set twice
+    got = intersect(a, b, lexicon, pairs=iter(pairs)).candidates
+    # repr tells 0.0 from -0.0, and shows each candidate's models in insertion order
+    assert repr(got) == repr(intersect_oracle(a, b, lexicon, pairs))
+
+
+def test_candidate_records_survive_pickle_and_the_worker_pipe(monkeypatch):
+    pairs = [pair("s1", "c\u00e9", -0.0, "m"), pair("s2", "c", 1.0, "n")]
+    cand = Candidate("c", {"m": ModelProvenance(0.5, ("s1",))}, pmi=NEG_INF, status="accepted")
+    assert pickle.loads(pickle.dumps(pairs)) == pairs
+    assert pickle.loads(pickle.dumps(cand)) == cand
+    set_cpus(monkeypatch, 2)
+    assert fork_map(lambda i: pairs[i:], [0, 1]) == [pairs, pairs[1:]]
+    with pytest.raises(AttributeError):  # slotted: no per-instance dict
+        pairs[0].__dict__
+
+
+def retrieval_shaped_pairs() -> tuple[list[str], list[list[CandidatePair]]]:
+    """Seeds and two models' pairs shaped like the benchmark's seed-7 ``retrieval`` pairs.
+
+    60 seeds with 50 neighbors each from two models (6,000 pairs): 40 neighbors
+    per seed that both models retrieve, 10 of each model's own, 2 of which the
+    other model also retrieves (2,402 common candidates), 7-letter words.
+    """
+    rng = random.Random(7)
+    letters = "abcdefghijklmnopqrstuvwxyz"
+    pool = sorted({"".join(rng.choices(letters, k=7)) for _ in range(9000)})
+    rng.shuffle(pool)
+    words = iter(pool)
+    seeds = [f"seed{i:02d}" for i in range(60)]
+    shared = {s: [next(words) for _ in range(40)] for s in seeds}
+    own = [{s: [next(words) for _ in range(10)] for s in seeds} for _ in "ab"]
+    own[1][seeds[0]][0], own[1][seeds[1]][0] = own[0][seeds[0]][0], own[0][seeds[1]][0]
+    lists = []
+    for m, name in enumerate("ab"):
+        lists.append([
+            CandidatePair(s, w, round(0.9 - 0.009 * r + rng.uniform(0, 0.004), 6), name)
+            for s in seeds for r, w in enumerate(shared[s] + own[m][s])
+        ])
+    return seeds, lists
+
+
+def test_the_candidate_stage_holds_no_dict_of_sets_and_no_json_tree(tmp_path):
+    seeds, lists = retrieval_shaped_pairs()
+    lexicon = parse_seed_lexicon(seeds)
+    common = set.intersection(*(distinct_candidates(pairs) for pairs in lists))
+    assert (sum(map(len, lists)), len(common)) == (6000, 2402)
+    meta = {"version": "0.1.0", "config_digest": "0" * 12, "rng_seed": 1}
+    gc.collect()
+    tracemalloc.start()
+    try:
+        cset = intersect(common, common, lexicon, pairs=(p for pairs in lists for p in pairs))
+        write_candidate_set(tmp_path / "candidates.json", cset, meta=meta)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(read_candidate_set(tmp_path / "candidates.json")) == 2402
+    # dicts of sets and the whole JSON tree peaked near 3.8 MiB; one sort and
+    # the entries written one at a time peak near 1.3 MiB
+    assert peak < 2.54 * 2**20  # halfway between the two
 
 
 # --- pmi / tfidf -----------------------------------------------------------

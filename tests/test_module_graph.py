@@ -9,6 +9,11 @@ modules relatively (``from .x import y``), so only those imports are read.
 
 No module reads another object's private state: an attribute whose name
 starts with ``_`` is read only on ``self`` or ``cls``.
+
+No module imports ``hashlib``, ``hmac``, ``secrets`` or ``ssl``: each maps
+OpenSSL into the process (3.5 MiB of RSS) for every command that runs it.  The
+one allowed import is a fallback in an ``except ImportError`` handler, taken
+only where CPython's own SHA-256 module is missing.
 """
 
 import ast
@@ -115,3 +120,53 @@ def test_the_private_read_guard_flags_foreign_private_names_and_passes_own_ones(
         "ok = model.usable(word)\n"
     )
     assert private_reads(allowed) == []
+
+
+OPENSSL_MODULES = {"hashlib", "hmac", "secrets", "ssl"}
+
+
+def openssl_imports(source: str) -> list[int]:
+    """Lines that import a module mapping OpenSSL, but in an ``except ImportError`` handler."""
+    tree = ast.parse(source)
+    fallback = {
+        id(node)
+        for handler in ast.walk(tree)
+        if isinstance(handler, ast.ExceptHandler)
+        and handler.type is not None and ast.unparse(handler.type) == "ImportError"
+        for node in ast.walk(handler)
+    }
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            names = [node.module]
+        else:
+            continue
+        banned = any(name.split(".")[0] in OPENSSL_MODULES for name in names)
+        if banned and id(node) not in fallback:
+            lines.append(node.lineno)
+    return lines
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
+def test_no_module_imports_openssl(path):
+    assert openssl_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_the_openssl_guard_flags_every_import_but_an_import_error_fallback():
+    flagged = (
+        "import hashlib\n"
+        "import os, hmac\n"
+        "from secrets import token_hex\n"
+        "def f():\n    import ssl\n"
+        "try:\n    import _sha256\nexcept ValueError:\n    import hashlib\n"
+    )
+    assert openssl_imports(flagged) == [1, 2, 3, 5, 9]
+    allowed = (
+        "try:\n    from _sha2 import sha256\nexcept ImportError:\n"
+        "    from hashlib import sha256\n"
+        "import hashlibx\n"
+        "from .ssl import x\n"
+    )
+    assert openssl_imports(allowed) == []

@@ -1,5 +1,6 @@
 """The shared table format: round trips, ``#`` rows below the header, real line numbers."""
 
+import json
 import math
 
 import numpy as np
@@ -120,3 +121,67 @@ def test_score_matrix_keeps_a_row_that_starts_with_hash(tmp_path):
     loaded = load_score_matrix(tmp_path / "m.tsv")
     assert loaded.row_labels == ["#x", "y"]
     assert np.array_equal(loaded.values, m.values)
+
+
+# --- the config digest and the JSON writer ---------------------------------
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.binary(max_size=300))
+def test_the_digest_is_sha256(data):
+    import hashlib  # the oracle: the package itself never maps OpenSSL
+
+    assert tables.sha256_hex(data) == hashlib.sha256(data).hexdigest()
+
+
+def dumped(doc) -> str:
+    """``json.dump(doc, indent=2, sort_keys=True)`` and a newline, the writer's contract."""
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+def written(tmp_path, doc) -> str:
+    tables.write_json(tmp_path / "doc.json", doc)
+    return (tmp_path / "doc.json").read_bytes().decode("utf-8")
+
+
+json_scalars = st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6)
+json_values = st.recursive(
+    json_scalars,
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=12,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.dictionaries(st.text(max_size=5), json_values, max_size=4), st.data())
+def test_write_json_writes_json_dump_bytes_whatever_the_top_level_lists(tmp_path_factory, doc,
+                                                                         data):
+    # each top-level list may come as a list, a tuple or a generator of its entries
+    passed = {
+        key: data.draw(st.sampled_from([list, tuple, iter]))(value) if isinstance(value, list)
+        else value
+        for key, value in doc.items()
+    }
+    assert written(tmp_path_factory.mktemp("json"), passed) == dumped(doc)
+
+
+@pytest.mark.parametrize("doc", [
+    {},
+    {"meta": {}, "rows": []},
+    {"rows": [{"word": "naïve", "sim": 0.5}, {"word": ASTRAL + "é"}], "meta": {"b": 1}},
+    {"meta": {"version": "0.1.0", "nested": {"z": [1, {"y": [], "x": {}}], "a": None}},
+     "candidates": [{"models": {"b": {"seeds": ["s"]}, "a": {"seeds": []}}}], "n": 2},
+], ids=["empty", "empty-list", "non-ascii", "nested-meta"])
+def test_write_json_streams_a_generator_list_as_json_dump_writes_the_list(tmp_path, doc):
+    lists = [key for key, value in doc.items() if isinstance(value, list)]
+    consumed = []
+
+    def entries(key):
+        for entry in doc[key]:
+            consumed.append(entry)
+            yield entry
+
+    passed = {**doc, **{key: entries(key) for key in lists}}
+    assert written(tmp_path, passed) == dumped(doc)
+    assert consumed == [entry for key in sorted(lists) for entry in doc[key]]
