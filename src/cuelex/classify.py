@@ -158,14 +158,11 @@ def draw_unrelated(
         raise InputError("n must be non-negative")
     if n == 0:
         return {}
-    seed_rows = []
-    for entry in lexicon.entries:
-        for form in entry.model_forms:
-            if model.usable(form, fold_case=True):
-                seed_rows.append(model.lookup(form))
-    if not seed_rows:
+    forms = [form for entry in lexicon.entries for form in entry.model_forms]
+    units = model.unit_rows([i for i in model.rows_of(forms) if i is not None])
+    seed_matrix = units[units.any(axis=1)]  # the usable seed forms' unit rows
+    if not len(seed_matrix):
         raise InputError(f"no seed form is present in model {model.name!r}")
-    seed_matrix = model.unit_rows(seed_rows)
 
     blocked = {w.lower() for w in exclude} | lexicon.folded_words()
     # 4 B per row, where a list takes about 40 B; the shuffle order is the same
@@ -227,14 +224,9 @@ class ModelRows:
 
     def __init__(self, model: EmbeddingModel | StreamedModel, words, at_rows=None):
         self.name, self.dim = model.name, model.dim
-        self._rows = {}
-        for word in words:
-            try:
-                self._rows[word] = model.vector(word)
-            except InputError:  # absent from the model, so absent here too
-                pass
-        if at_rows:
-            self._rows.update(zip(at_rows, model.vectors_of(list(at_rows.values()))))
+        rows = {word: i for word, i in zip(words, model.rows_of(words)) if i is not None}
+        rows.update(at_rows or {})
+        self._rows = dict(zip(rows, model.vectors_of(list(rows.values()))))
 
     def vector(self, word: str) -> np.ndarray:
         """Stored float32 vector for ``word`` (a copy)."""

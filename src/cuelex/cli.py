@@ -97,7 +97,7 @@ FLAGS = {
     "config": _Flag(str, None, "JSON config file; flags override its values"),
     "out": _Flag(str, None, "output directory"),
     "rng_seed": _Flag(int, 0, "seed for all randomness", 0),
-    "threads": _Flag(int, 1, "accepted for compatibility; no effect (expand and pipeline load "
+    "threads": _Flag(int, 1, "accepted for compatibility; no effect (expand and pipeline open "
                      "and expand each model in its own worker, and train fits folds in workers, "
                      "one per CPU the process may use; taskset -c 0 runs them in one process)", 1),
     "reproducible": _Flag(bool, False, "omit timestamps so reruns are byte-identical"),
@@ -343,20 +343,17 @@ def _emit(ctx, stem, columns, rows, decimals=6, **extra) -> None:
 def _expand_each(ctx, specs, lexicon):
     """Yield (model name, expansion result) per model after writing its pairs and skipped forms.
 
-    Each model is expanded in its own worker process, so this process never
-    reads a model.  A binary model is streamed: its worker holds two file
-    offsets per row and one block of rows, never the matrix.  A text model is
-    loaded whole.
+    Each model is opened (``embeddings.open_model``) and expanded in its own
+    worker process, so this process never reads a model.
     """
     k, fold_case = ctx.k, not ctx.no_fold_case
     forms = [form for entry in lexicon for form in entry.model_forms]
     # executes both lazily registered modules here, once, not in every worker
-    load, stream, expand = embeddings.load_model, embeddings.stream_model, expansion.expand
+    open_model, expand = embeddings.open_model, expansion.expand
 
     def expand_one(spec):
         name, path, fmt = spec
-        model = stream(path, forms, name=name) if fmt == "binary" else load(path, fmt, name=name)
-        return expand(model, lexicon, k=k, fold_case=fold_case)
+        return expand(open_model(path, fmt, forms, name=name), lexicon, k=k, fold_case=fold_case)
 
     for (name, _, _), result in zip(specs, workers.fork_map(expand_one, specs)):
         expansion.write_pairs(ctx.out_dir / f"pairs_{name}.tsv", result.pairs, ctx.header_lines)
@@ -586,9 +583,9 @@ DATASET_COLUMNS = ("word", "label", "oov_flags")
 def _cmd_dataset(ctx) -> int:
     """Hold one model at a time: each is freed once the rows of the dataset's words are copied.
 
-    A binary model is streamed for the seed forms and the dataset's words, and
-    read through once so that a non-finite row is refused as ``load_model``
-    refuses it; a text model is loaded.
+    A binary model is streamed for the seed forms and the dataset's words; a
+    text model is loaded.  Each is read through once, so that a non-finite
+    row is refused wherever it is.
     """
     specs = _model_specs(ctx)
     lexicon = _load_lexicon(ctx)
@@ -603,11 +600,8 @@ def _cmd_dataset(ctx) -> int:
     forms = [form for entry in lexicon for form in entry.model_forms]
     models, unrelated = [], {}
     for name, path, fmt in specs:
-        if fmt == "binary":
-            model = embeddings.stream_model(path, [*forms, *words, *unrelated], name=name)
-            model.check_rows()
-        else:
-            model = embeddings.load_model(path, fmt, name=name)
+        model = embeddings.open_model(path, fmt, [*forms, *words, *unrelated], name=name)
+        model.check_rows()
         if not models:
             unrelated = classify.draw_unrelated(
                 model, lexicon, n=ctx.n_unrelated, max_sim=ctx.max_sim, rng_seed=ctx.rng_seed,

@@ -13,13 +13,13 @@ That kernel, the lookups and the row methods (``vector``, ``cosine``,
 ``unit_rows``) are written once, in ``_BlockSource``, over five primitives of
 a source of rows: its length, the rows of a lowercase key (``_key_rows``), the
 tokens (``tokens_of``) and stored float32 vectors (``_vectors``) of given rows,
-and all its rows in blocks (``_blocks``).  There are two sources.  An
-``EmbeddingModel`` (``load_model``) holds the whole matrix: it serves the
-library and text models.  A ``StreamedModel`` (``stream_model``) serves every
-command that reads a binary model: it reads the file again for each screen, a
-block of rows at a time, and reads other rows and tokens by offset.  It keeps
-two file offsets per row and the rows of the keys it was opened for, and no
-token, so the matrix is never resident.
+and all its rows in blocks (``_blocks``); lookups find rows by ``rows_of`` and
+tell a usable row by its unit row.  An ``EmbeddingModel`` (``load_model``)
+holds the whole matrix.  A ``StreamedModel`` (``stream_model``) reads a
+binary file again for each screen, a block of rows at a time, and other rows
+and tokens by offset; it keeps two file offsets per row, the rows of the keys
+it was opened for, and no token.  Commands open a model only by
+``open_model``, which streams a binary file and loads a text one.
 
 A loaded model finds tokens through a fold index: the rows grouped by
 lowercase key in file order with int64 offsets, and one dict from lowercase
@@ -171,25 +171,36 @@ class _BlockSource:
     """
 
     def __contains__(self, token: str) -> bool:
-        return self._row(token, False) is not None
+        return self.rows_of([token], False)[0] is not None
 
     def usable(self, token: str, fold_case: bool = False) -> bool:
         """Whether ``lookup(token, fold_case)`` finds a row with a usable vector."""
-        idx = self._row(token, fold_case)
-        return idx is not None and bool(self._usable_rows([idx])[0])
+        (row,) = self.rows_of([token], fold_case)
+        return row is not None and bool(self.unit_rows([row]).any())
 
     def lookup(self, token: str, fold_case: bool = True) -> int:
         """Index of ``token``; exact match first, then case variants in file order."""
-        idx = self._row(token, fold_case)
-        if idx is None:
+        (row,) = self.rows_of([token], fold_case)
+        if row is None:
             raise InputError(f"token {token!r} not in vocabulary of model {self.name!r}")
-        return idx
+        return row
 
-    def _row(self, token: str, fold_case: bool) -> int | None:
-        """Row of exactly ``token``, else (with ``fold_case``) of its first case variant."""
-        rows = self._key_rows(token.lower())
-        exact = next((i for i, t in zip(rows, self.tokens_of(rows)) if t == token), None)
-        return rows[0] if exact is None and fold_case and rows else exact
+    def rows_of(self, tokens, fold_case: bool = True) -> list[int | None]:
+        """Each token's row as ``lookup`` finds it, or None; the keys' tokens are read once."""
+        key_rows = [self._key_rows(token.lower()) for token in tokens]
+        every = sorted({i for rows in key_rows for i in rows})
+        token_at = dict(zip(every, self.tokens_of(every)))
+        exact = [next((i for i in rows if token_at[i] == token), None)
+                 for token, rows in zip(tokens, key_rows)]
+        return [rows[0] if i is None and fold_case and rows else i for i, rows in zip(exact, key_rows)]
+
+    def _usable_units(self, tokens, rows) -> np.ndarray:
+        """``unit_rows(rows)``, refusing the first of ``tokens`` whose row is unusable."""
+        units = self.unit_rows(rows)
+        for token, unit in zip(tokens, units):
+            if not unit.any():
+                raise InputError(f"token {token!r} has near-zero norm and is unusable")
+        return units
 
     def vector(self, token: str, fold_case: bool = True) -> np.ndarray:
         """Stored float32 vector for ``token`` (a copy)."""
@@ -205,7 +216,7 @@ class _BlockSource:
             pass
 
     def unit_rows(self, rows) -> np.ndarray:
-        """Float64 unit vectors of ``rows`` (indices or a slice); unusable rows are zero."""
+        """Float64 unit vectors of ``rows`` (indices or a slice): zero exactly on unusable rows."""
         units = self._vectors(rows).astype(np.float64)
         norms = _norms(units)  # as of the float32 rows, and with no copy of its own
         unusable = norms < MIN_USABLE_NORM
@@ -216,14 +227,8 @@ class _BlockSource:
     def cosine(self, w1: str, w2: str, fold_case: bool = True) -> float:
         """Exact cosine of the two stored vectors."""
         rows = [self.lookup(w1, fold_case), self.lookup(w2, fold_case)]
-        for tok, ok in zip((w1, w2), self._usable_rows(rows)):
-            if not ok:
-                raise InputError(f"token {tok!r} has near-zero norm and is unusable")
-        a, b = self.unit_rows(rows)
+        a, b = self._usable_units([w1, w2], rows)
         return float(np.dot(a, b))
-
-    def _usable_rows(self, rows) -> np.ndarray:
-        return _norms(self._vectors(rows)) >= MIN_USABLE_NORM
 
     def top_k(self, query: str, k: int, fold_case: bool = True) -> list[NeighborResult]:
         """The ``k`` nearest tokens to ``query`` by cosine over the whole vocabulary.
@@ -253,11 +258,7 @@ class _BlockSource:
         if k < 0:
             raise InputError("k must be non-negative")
         rows = [self.lookup(q, fold_case) for q in queries]
-        units = self.unit_rows(rows)
-        for query, unit in zip(queries, units):
-            if not unit.any():  # a unit row is zero exactly when its row is unusable
-                raise InputError(f"token {query!r} has near-zero norm and is unusable")
-        return self._top_k(queries, rows, units, k, fold_case)
+        return self._top_k(queries, rows, self._usable_units(queries, rows), k, fold_case)
 
     def top_k_usable(
         self, queries: list[str], k: int, fold_case: bool = True
@@ -268,17 +269,14 @@ class _BlockSource:
         """
         if k < 0:
             raise InputError("k must be non-negative")
-        rows = [self._row(q, fold_case) for q in queries]
+        rows = self.rows_of(queries, fold_case)
         found = [j for j, i in enumerate(rows) if i is not None]
         units = self.unit_rows([rows[j] for j in found])
         usable = units.any(axis=1)
         kept = [j for j, ok in zip(found, usable.tolist()) if ok]
-        results: list[list[NeighborResult] | None] = [None] * len(queries)
-        ranked = self._top_k([queries[j] for j in kept], [rows[j] for j in kept], units[usable],
-                             k, fold_case)
-        for j, neighbors in zip(kept, ranked):
-            results[j] = neighbors
-        return results
+        ranked = dict(zip(kept, self._top_k([queries[j] for j in kept], [rows[j] for j in kept],
+                                            units[usable], k, fold_case)))
+        return [ranked.get(j) for j in range(len(queries))]
 
     def _top_k(self, queries, rows, units, k: int, fold_case: bool) -> list[list[NeighborResult]]:
         """The ``top_k_batch`` kernel over the queries' rows and their float64 unit rows."""
@@ -296,7 +294,7 @@ class _BlockSource:
             for j, ex, (cand, score) in zip(pending, excluded, survivors):
                 tokens = _read_once(self.tokens_of)
                 firsts = _first_of_keys(cand[:m].tolist(), k, tokens if fold_case else None)
-                if len(firsts) < k and m < n_usable - self._usable_rows(ex).sum():
+                if len(firsts) < k and m < n_usable - self.unit_rows(ex).any(axis=1).sum():
                     widen.append(j)
                     continue
                 cut = score[firsts[-1]] - slack2 if len(firsts) == k else -np.inf
@@ -590,7 +588,16 @@ def load_model(
     return model
 
 
-stream_model = StreamedModel  # the name the commands call, and tests replace
+stream_model = StreamedModel  # the name open_model calls, and tests replace
+
+
+def open_model(
+    path: str | Path, format: str, tokens, name: str | None = None
+) -> StreamedModel | EmbeddingModel:
+    """A command's model: a binary file streamed for ``tokens``, a text one loaded whole."""
+    if format == "binary":
+        return stream_model(path, tokens, name=name)
+    return load_model(path, format, name=name)
 
 
 @contextmanager

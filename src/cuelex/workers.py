@@ -44,7 +44,12 @@ def fork_map(fn, items) -> list:
     try:
         for w in range(n):
             read, write = os.pipe()
-            pid = os.fork()
+            try:
+                pid = os.fork()
+            except OSError:
+                for fd in (read, write):
+                    os.close(fd)
+                raise
             if pid == 0:
                 _child(fn, items[w::n], read, write)
             children[pid] = open(read, "rb")

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from conftest import make_model, random_tokens
 from w2v_writer import write_binary, write_text
 
-from cuelex import embeddings
+from cuelex import classify, embeddings
 from cuelex.embeddings import EmbeddingModel, StreamedModel, load_model, screen_slack, stream_model
 from cuelex.errors import InputError
 from cuelex.expansion import expand, parse_seed_lexicon
@@ -866,7 +866,7 @@ def test_a_streamed_model_answers_as_the_loaded_one(tmp_path_factory, case, bloc
 
 
 def test_both_sources_supply_only_the_primitives_of_the_one_kernel():
-    shared = {"vector", "vectors_of", "check_rows", "cosine", "unit_rows", "_usable_rows",
+    shared = {"vector", "vectors_of", "check_rows", "cosine", "unit_rows", "rows_of",
               "top_k_batch", "_screen"}
     assert shared <= set(vars(embeddings._BlockSource))
     primitives = {"__init__", "__len__", "_key_rows", "tokens_of", "_vectors", "_blocks"}
@@ -928,13 +928,9 @@ def test_a_streamed_query_reads_each_token_once(tmp_path, monkeypatch):
         assert len(rows) == len(set(rows)) > k
 
 
-def test_an_expand_reads_each_seed_forms_tokens_and_vector_once_before_its_screen(
-        tmp_path, monkeypatch):
-    lexicon, (model,) = sixty_seed_models(tmp_path, ["m"])
-    forms = [form for entry in lexicon for form in entry.model_forms]
-    key_rows = sorted(i for form in forms for i in model._key_rows(form.lower()))
-    form_rows = sorted(model.lookup(form) for form in forms)
-    reads, screens = {"tokens_of": [], "_vectors": []}, []
+def spy_reads(monkeypatch, model, screens) -> dict:
+    """The rows that ``tokens_of`` and ``_vectors`` of ``model`` read while ``screens`` is empty."""
+    reads = {"tokens_of": [], "_vectors": []}
     for name in reads:
         def spy(rows, read=getattr(model, name), name=name):
             if not screens:
@@ -942,12 +938,52 @@ def test_an_expand_reads_each_seed_forms_tokens_and_vector_once_before_its_scree
             return read(rows)
 
         monkeypatch.setattr(model, name, spy)
+    return reads
+
+
+def key_and_form_rows(model, forms) -> tuple[list[int], list[int]]:
+    """The rows of the forms' lowercase keys, and the forms' own rows, each sorted."""
+    key_rows = sorted(i for form in forms for i in model._key_rows(form.lower()))
+    return key_rows, sorted(model.lookup(form) for form in forms)
+
+
+def test_an_expand_reads_each_seed_forms_tokens_and_vector_once_before_its_screen(
+        tmp_path, monkeypatch):
+    lexicon, (model,) = sixty_seed_models(tmp_path, ["m"])
+    forms = [form for entry in lexicon for form in entry.model_forms]
+    key_rows, form_rows = key_and_form_rows(model, forms)
+    screens = []
+    reads = spy_reads(monkeypatch, model, screens)
     blocks = model._blocks
     monkeypatch.setattr(model, "_blocks", lambda: screens.append(1) or blocks())
     expand(model, lexicon, k=10)
     assert screens
     assert sorted(reads["tokens_of"]) == key_rows  # each lookup's key rows, once
     assert sorted(reads["_vectors"]) == form_rows  # each usable check and query vector, once
+
+
+def test_a_draw_reads_each_seed_forms_tokens_and_vector_once_before_its_first_screen(
+        tmp_path, monkeypatch):
+    lexicon, (model,) = sixty_seed_models(tmp_path, ["m"])
+    forms = [form for entry in lexicon for form in entry.model_forms]
+    key_rows, form_rows = key_and_form_rows(model, forms)
+    screens, far_rows = [], classify._far_rows
+    monkeypatch.setattr(classify, "_far_rows", lambda *args: screens.append(1) or far_rows(*args))
+    reads = spy_reads(monkeypatch, model, screens)
+    assert len(classify.draw_unrelated(model, lexicon, n=5, max_sim=0.9)) == 5
+    assert screens
+    assert sorted(reads["tokens_of"]) == key_rows  # each lookup's key rows, once
+    assert sorted(reads["_vectors"]) == form_rows  # each usable check and seed vector, once
+
+
+def test_a_cosine_reads_each_of_its_two_rows_once(tmp_path, monkeypatch):
+    lexicon, (model,) = sixty_seed_models(tmp_path, ["m"])
+    words = [entry.model_forms[0] for entry in lexicon.entries[:2]]
+    key_rows, rows = key_and_form_rows(model, words)
+    reads = spy_reads(monkeypatch, model, [])
+    assert model.cosine(*words) == load_model(model.path).cosine(*words)
+    assert sorted(reads["tokens_of"]) == key_rows
+    assert sorted(reads["_vectors"]) == rows
 
 
 @pytest.mark.parametrize("forms", [[], ["a"], ["b"]], ids=["no-form", "a-finite-form", "the-row"])

@@ -170,3 +170,48 @@ def test_the_openssl_guard_flags_every_import_but_an_import_error_fallback():
         "from .ssl import x\n"
     )
     assert openssl_imports(allowed) == []
+
+
+READERS = {"load_model", "stream_model"}
+
+
+def reader_references(source: str) -> list[int]:
+    """Lines that name ``load_model`` or ``stream_model``, or call ``StreamedModel``.
+
+    Every command opens a model through ``embeddings.open_model``, which picks
+    the reader by the model's format, so only ``embeddings`` names a reader.
+    """
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call):
+            name = getattr(node.func, "attr", getattr(node.func, "id", None))
+            named = name == "StreamedModel"
+        else:
+            named = {getattr(node, field, None) for field in ("id", "attr", "name")} & READERS
+        if named:
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "embeddings.py"],
+                         ids=lambda path: path.name)
+def test_only_embeddings_names_a_model_reader(path):
+    assert reader_references(path.read_text(encoding="utf-8")) == []
+
+
+def test_the_reader_guard_flags_every_reference_but_open_model_and_type_names():
+    flagged = (
+        "model = embeddings.load_model(path)\n"
+        "from .embeddings import stream_model\n"
+        "read = stream_model\n"
+        "model = StreamedModel(path, tokens)\n"
+        "model = embeddings.StreamedModel(path, tokens)\n"
+    )
+    assert reader_references(flagged) == [1, 2, 3, 4, 5]
+    allowed = (
+        "model = embeddings.open_model(path, fmt, tokens, name=name)\n"
+        "def f(model: StreamedModel | EmbeddingModel) -> StreamedModel:\n    return model\n"
+        "reader = 'load_model'\n"
+        "load_models = []\n"
+    )
+    assert reader_references(allowed) == []

@@ -1,3 +1,4 @@
+import errno
 import os
 import signal
 import warnings
@@ -125,4 +126,31 @@ def test_an_error_in_this_process_stops_and_reaps_every_child(monkeypatch):
     monkeypatch.setattr(workers.pickle, "loads", broken_loads)
     with pytest.raises(OSError, match="pipe read failed"):
         workers.fork_map(lambda i: i, ITEMS)
+    assert no_child_left()
+
+
+def test_a_failed_fork_closes_its_pipe_and_reaps_the_children_started(monkeypatch):
+    set_cpus(monkeypatch, 3)
+    fds, forks, real_pipe, real_fork = [], [], os.pipe, os.fork
+
+    def pipe():
+        ends = real_pipe()
+        fds.extend(ends)
+        return ends
+
+    def fork():
+        forks.append(1)
+        if len(forks) == 2:  # the second of three workers
+            raise OSError(errno.EAGAIN, "fork failed")
+        return real_fork()
+
+    monkeypatch.setattr(os, "pipe", pipe)
+    monkeypatch.setattr(os, "fork", fork)
+    with pytest.raises(OSError, match="fork failed"):
+        workers.fork_map(lambda i: i, ITEMS)
+    assert len(fds) == 4  # the pipes of the first worker and of the one that failed
+    for fd in fds:
+        with pytest.raises(OSError) as closed:
+            os.fstat(fd)
+        assert closed.value.errno == errno.EBADF
     assert no_child_left()
