@@ -150,9 +150,9 @@ def draw_unrelated(
     ``model`` is either source: loaded, or streamed for the lexicon's model
     forms.  The vocabulary is scanned in a seeded shuffle order, 2,048 rows at
     a time; candidate-set words and lexicon words are skipped.  Only the
-    tokens of the rows that are far enough are read, and a streamed model
-    keeps none of them.  Raises when the full scan cannot supply n qualifying
-    tokens.
+    tokens of the rows that are far enough are read, in draw order and no
+    more at a time than could still be kept, and a streamed model keeps none
+    of them.  Raises when the full scan cannot supply n qualifying tokens.
     """
     if n < 0:
         raise InputError("n must be non-negative")
@@ -175,11 +175,13 @@ def draw_unrelated(
         block = indices[start : start + chunk]
         far = _far_rows(model, seed_matrix, block, max_sim)
         rows = [idx for idx, ok in zip(block, far.tolist()) if ok]
-        for idx, token in zip(rows, model.tokens_of(rows)):
-            if token.lower() not in blocked:
-                out[token] = idx
-                if len(out) == n:
-                    return out
+        while rows:  # read only as many tokens as could still be kept
+            part, rows = rows[: n - len(out)], rows[n - len(out) :]
+            for idx, token in zip(part, model.tokens_of(part)):
+                if token.lower() not in blocked:
+                    out[token] = idx
+            if len(out) == n:
+                return out
     raise CuelexError(
         f"only {len(out)} of {n} requested unrelated tokens qualify in model {model.name!r}"
     )

@@ -3,15 +3,18 @@
 A corpus is immutable once built: analytics are pure functions over it and
 always produce deterministically ordered rows.
 
-A ``SentenceCorpus`` is a column store (one token-id array and offsets);
-its ``Document``s and ``Sentence``s, a split's sides and a collection's
-items are views built from the columns on demand.
+A ``SentenceCorpus`` is a column store (one token-id array, offsets, and
+each document's text once); its ``Document``s and ``Sentence``s, a split's
+sides and a collection's items are views built from the columns on demand.
+``build_corpus`` segments, tokenizes and interns in one pass, one dict
+lookup per whitespace token.
 
 ``patterns`` defines what a pattern matches.  The analytics answer their
-queries from a ``MatchIndex``, an inverted file over the folded token ids
-that a corpus or collection builds on its first query and keeps: it costs
-about 4 bytes per token, and a query then costs in proportion to the
-pattern's postings instead of to the corpus.
+queries from a ``MatchIndex``, a positional inverted file over the folded
+token ids that a corpus or collection builds on its first query and keeps:
+it costs about 4 bytes per token, its build makes no other array over the
+whole corpus, and a query then costs in proportion to the pattern's
+postings (a phrase's, to its rarest token's) instead of to the corpus.
 """
 
 from __future__ import annotations
@@ -45,8 +48,8 @@ DEFAULT_ABBREVIATIONS = ("e.g.", "i.e.", "et al.", "Fig.", "vs.")
 
 _STRIP_CHARS = string.punctuation + "“”‘’…«»–—·"
 
-# A sentence boundary candidate: ./!/?, its whitespace run, and the character after it.
-_BOUNDARY = re.compile(r"[.!?](\s+)(?=(.))", re.DOTALL)
+# A sentence boundary candidate: ./!/? and the whitespace run after it, then a character.
+_BOUNDARY = re.compile(r"[.!?](\s+)(?=\S)")
 
 
 @dataclass(frozen=True)
@@ -75,38 +78,46 @@ class SentenceCorpus:
     tokens as ids into ``vocab``, and ``doc_offsets[d]:doc_offsets[d + 1]``
     are document ``d``'s sentence ids.  ``seg_index[s]`` is the sentence's
     position among its document's segments before token-less ones were
-    dropped.  The constructor packs (doc_id, [(segment index, text, tokens),
-    ...]) pairs.  A token's folded form is its ``str.lower()``.
+    dropped, and its text is ``doc_texts[d][spans[s, 0]:spans[s, 1]]``: each
+    document's text is kept once.  The constructor packs (doc_id, [(segment
+    index, text, tokens), ...]) pairs, joining a document's sentence texts
+    into its text.  Given ``vocab``, a dict from token to id that fills as
+    ``documents`` is read, it packs (doc_id, text, [(segment index, start,
+    end, token ids), ...]) triples instead, which ``build_corpus`` makes.  A
+    token's folded form is its ``str.lower()``.
     """
 
-    def __init__(self, documents):
-        vocab: dict[str, int] = {}
-        ids, seg_index = array("i"), array("i")
+    def __init__(self, documents, vocab: dict[str, int] | None = None):
+        if vocab is None:
+            vocab = {}
+            documents = ((doc_id, *_joined(sentences, vocab)) for doc_id, sentences in documents)
+        ids, seg_index, spans = array("i"), array("i"), array("q")
         sent_sizes, doc_sizes, doc_ids, texts = array("q"), array("q"), [], []
-        for doc_id, sentences in documents:
-            n = len(texts)
-            for index, text, tokens in sentences:
-                ids.extend([vocab.setdefault(t, len(vocab)) for t in tokens])
+        for doc_id, text, sentences in documents:
+            n = len(seg_index)
+            for index, start, end, tokens in sentences:
+                ids.extend(tokens)
                 sent_sizes.append(len(tokens))
                 seg_index.append(index)
-                texts.append(text)
+                spans.extend((start, end))
             doc_ids.append(doc_id)
-            doc_sizes.append(len(texts) - n)
+            doc_sizes.append(len(seg_index) - n)
+            texts.append(text if len(seg_index) > n else "")
         if len(set(doc_ids)) != len(doc_ids):
             raise InputError("duplicate doc_id in corpus")
-        self.doc_ids, self.texts, self.vocab = doc_ids, texts, list(vocab)
+        self.doc_ids, self.doc_texts, self.vocab = doc_ids, texts, list(vocab)
         self.token_ids = np.frombuffer(ids, dtype=np.intc)
         self.seg_index = np.frombuffer(seg_index, dtype=np.intc)
+        self.spans = np.frombuffer(spans, dtype=np.int64).reshape(-1, 2)
         self.sent_offsets = _offsets(np.frombuffer(sent_sizes, dtype=np.int64))
         self.doc_offsets = _offsets(np.frombuffer(doc_sizes, dtype=np.int64))
-        self.n_documents, self.n_sentences, self.n_tokens = len(doc_ids), len(texts), len(ids)
+        self.n_documents, self.n_sentences, self.n_tokens = len(doc_ids), len(seg_index), len(ids)
 
     def sentence(self, s: int) -> Sentence:
+        ((doc_id, index, text),) = self.rows(np.array([s]))
         start, end = self.sent_offsets[s : s + 2].tolist()
         tokens = tuple(map(self.vocab.__getitem__, self.token_ids[start:end].tolist()))
-        doc_id = self.doc_ids[self.doc_offsets.searchsorted(s, side="right") - 1]
-        folded = tuple(t.lower() for t in tokens)
-        return Sentence(doc_id, int(self.seg_index[s]), self.texts[s], tokens, folded)
+        return Sentence(doc_id, index, text, tokens, tuple(t.lower() for t in tokens))
 
     def sentences(self):
         return map(self.sentence, range(self.n_sentences))
@@ -119,13 +130,19 @@ class SentenceCorpus:
             for d, doc_id in enumerate(self.doc_ids)
         ]
 
-    def rows(self, ids: np.ndarray) -> list[tuple[str, int, str]]:
-        """(doc_id, segment index, text) of each sentence id, read from the columns."""
-        docs = self.doc_offsets.searchsorted(ids, side="right") - 1
-        return [
-            (self.doc_ids[d], i, self.texts[s])
-            for s, d, i in zip(ids.tolist(), docs.tolist(), self.seg_index[ids].tolist())
-        ]
+    def rows(self, ids: np.ndarray):
+        """Yield (doc_id, segment index, text) of each sentence id, read from the columns.
+
+        The ids are read 1,024 at a time, so a caller that writes each row as
+        it comes never holds them all.
+        """
+        for lo in range(0, len(ids), 1024):
+            part = ids[lo : lo + 1024]
+            docs = self.doc_offsets.searchsorted(part, side="right") - 1
+            for d, i, (start, end) in zip(
+                docs.tolist(), self.seg_index[part].tolist(), self.spans[part].tolist()
+            ):
+                yield self.doc_ids[d], i, self.doc_texts[d][start:end]
 
     def match_index(self, offsets: np.ndarray, groups=None) -> MatchIndex:
         words = [t.lower() for t in self.vocab]
@@ -138,22 +155,43 @@ class SentenceCorpus:
         return self.match_index(self.sent_offsets, groups)
 
 
+def _joined(sentences, vocab: dict[str, int]):
+    """(segment index, text, tokens) triples as one text and (index, start, end, ids) each."""
+    texts, rows, start = [], [], 0
+    for index, text, tokens in sentences:
+        texts.append(text)
+        ids = [vocab.setdefault(t, len(vocab)) for t in tokens]
+        rows.append((index, start, start + len(text), ids))
+        start += len(text)
+    return "".join(texts), rows
+
+
+def _spans(text: str, abbreviations: tuple[str, ...] = DEFAULT_ABBREVIATIONS):
+    """(start, end, text[start:end]) of each sentence that ``segment`` returns."""
+    abbrevs = tuple(a.lower() for a in abbreviations)
+    window = max((len(a) for a in abbrevs), default=0)
+    start = 0
+    for m in (*_BOUNDARY.finditer(text), None):  # None: the end of the text
+        end, after = m.span(1) if m else (len(text), None)
+        if m and (
+            not text[after].isupper() or text[max(0, end - window) : end].lower().endswith(abbrevs)
+        ):
+            continue
+        part = text[start:end]
+        sentence = part.strip()
+        if sentence:  # only the tail can be empty
+            first = start + part.find(sentence[0])  # after the whitespace stripped
+            yield first, first + len(sentence), sentence
+        start = after
+
+
 def segment(text: str, abbreviations: tuple[str, ...] = DEFAULT_ABBREVIATIONS) -> list[str]:
     """Split text into sentences at ./!/? followed by whitespace and an uppercase letter.
 
     Splits are suppressed when the text up to the boundary ends with one of
-    the (case-insensitive) abbreviations.
+    the (case-insensitive) abbreviations.  Each sentence is stripped.
     """
-    abbrevs = tuple(a.lower() for a in abbreviations)
-    window = max((len(a) for a in abbrevs), default=0)
-    starts, ends = [0], []
-    for m in _BOUNDARY.finditer(text):
-        end = m.start(1)
-        if m.group(2).isupper() and not text[max(0, end - window) : end].lower().endswith(abbrevs):
-            starts.append(m.end(1))
-            ends.append(end)
-    parts = (text[a:b].strip() for a, b in zip(starts, ends + [len(text)]))
-    return [p for p in parts if p]  # only the tail can be empty
+    return [sentence for _, _, sentence in _spans(text, abbreviations)]
 
 
 def tokenize(text: str) -> list[str]:
@@ -165,16 +203,40 @@ def tokenize(text: str) -> list[str]:
     return [tok for tok in (raw.strip(_STRIP_CHARS) for raw in text.split()) if tok]
 
 
+class _Interner(dict):
+    """Raw whitespace token -> the id of its ``tokenize`` form in ``vocab``, or -1 if it has none.
+
+    Only a raw form seen for the first time is stripped; ids are handed out
+    in order of first appearance.
+    """
+
+    def __init__(self):
+        self.vocab: dict[str, int] = {}
+
+    def __missing__(self, raw: str) -> int:
+        token = raw.strip(_STRIP_CHARS)
+        self[raw] = i = self.vocab.setdefault(token, len(self.vocab)) if token else -1
+        return i
+
+
 def build_corpus(docs) -> SentenceCorpus:
-    """Build a corpus from (doc_id, text) pairs; empty sentences are dropped."""
+    """Build a corpus from (doc_id, text) pairs; empty sentences are dropped.
 
-    def segments(text):
-        for idx, sent in enumerate(segment(text)):
-            tokens = tokenize(sent)
-            if tokens:
-                yield idx, sent, tokens
+    Tokenizing and interning are one dict lookup per whitespace token
+    (``_Interner``); the result is that of ``tokenize`` over ``segment``.
+    """
+    interner = _Interner()
 
-    return SentenceCorpus((str(doc_id), segments(text)) for doc_id, text in docs)
+    def sentences(text):
+        for index, (start, end, sentence) in enumerate(_spans(text)):
+            ids = list(map(interner.__getitem__, sentence.split()))
+            if -1 in ids:
+                ids = [i for i in ids if i >= 0]
+            if ids:
+                yield index, start, end, ids
+
+    documents = ((str(doc_id), text, sentences(text)) for doc_id, text in docs)
+    return SentenceCorpus(documents, interner.vocab)
 
 
 def load_jsonl(path: str | Path) -> SentenceCorpus:
@@ -220,17 +282,34 @@ def load_corpus(path: str | Path) -> SentenceCorpus:
     return load_jsonl(path)
 
 
+def _runs(ids: np.ndarray):
+    """Each run of equal values in ``ids`` (non-negative): its value, first index and length."""
+    first = np.flatnonzero(np.diff(ids, prepend=-1))
+    return ids[first], first, np.diff(first, append=len(ids))
+
+
 class MatchIndex:
-    """Inverted file over "units": sentences or documents, by their folded tokens.
+    """Positional inverted file over "units": sentences or documents, by their folded tokens.
 
     A unit is the run ``tokens[starts[u]:starts[u + 1]]`` of token ids, and
     ``fold`` maps a token id to its folded form's id.  The folded vocabulary
     is sorted, so a folded id is its rank and a prefix wildcard covers one
-    contiguous id range.  ``postings`` holds one int32 unit id per token
-    occurrence, grouped by folded id and ascending within one, and
-    ``offsets[t]:offsets[t + 1]`` is folded id ``t``'s slice.  ``groups``,
-    when given, maps each unit to a group (its document, for sentences).
+    contiguous id range.  ``postings`` holds the position of every token
+    occurrence in ``tokens``, grouped by folded id and ascending within one,
+    and ``offsets[t]:offsets[t + 1]`` is folded id ``t``'s slice; a
+    position's unit is the last whose start is at or before it.  Positions
+    and the unit ids a lookup returns are int32 while the corpus has fewer
+    than 2**31 of either, int64 above.  ``groups``, when given, maps each
+    unit to a group (its document, for sentences).
+
+    The postings are a counting sort of the positions by folded id, filled
+    ``BLOCK`` tokens at a time: each block is sorted on its own and written
+    at per-key cursors that start at ``offsets``, so no array over the whole
+    corpus is made besides ``postings``.  A phrase is matched from the
+    positions of its rarest token alone.
     """
+
+    BLOCK = 4096
 
     def __init__(self, tokens, starts, words, groups=None):
         """``words[i]`` is the folded form of token id ``i``."""
@@ -239,11 +318,24 @@ class MatchIndex:
         self.fold = np.array([rank[w] for w in words], dtype=np.int32)
         self.tokens, self.starts, self.groups = tokens, starts, groups
         self.n_units, self.n_tokens = len(starts) - 1, len(tokens)
-        folded = self.fold[tokens]
-        self.offsets = _offsets(np.bincount(folded, minlength=len(self.vocab)))
-        # One stable sort by folded id lays out every token's postings, units ascending.
-        unit = np.repeat(np.arange(self.n_units, dtype=np.int32), np.diff(starts))
-        self.postings = unit[np.argsort(folded, kind="stable")]
+        # Count each token id a vocabulary's length at a time (bincount copies its input
+        # to int64), then fold the counts.
+        step, counts = max(self.BLOCK, len(words)), np.zeros(len(words), dtype=np.int64)
+        for lo in range(0, self.n_tokens, step):
+            counts += np.bincount(tokens[lo : lo + step], minlength=len(words))
+        key_counts = np.zeros(len(self.vocab), dtype=np.int64)
+        np.add.at(key_counts, self.fold, counts)
+        self.offsets = _offsets(key_counts)
+        wide = max(self.n_tokens, self.n_units) >= 2**31
+        self.postings = np.empty(self.n_tokens, dtype=np.int64 if wide else np.int32)
+        cursor = self.offsets[:-1].copy()
+        for lo in range(0, self.n_tokens, self.BLOCK):
+            folded = self.fold[tokens[lo : lo + self.BLOCK]]
+            order = np.argsort(folded, kind="stable")
+            key, first, length = _runs(folded[order])
+            at = np.repeat(cursor[key] - first, length) + np.arange(len(order))
+            self.postings[at] = order + lo
+            cursor[key] += length
         self._cache: dict[MatchPattern, tuple[np.ndarray, np.ndarray]] = {}
 
     def _token_ids(self, pattern: MatchPattern) -> tuple[int, int]:
@@ -257,26 +349,36 @@ class MatchIndex:
             hi += 1
         return lo, hi
 
+    def _units(self, positions: np.ndarray) -> np.ndarray:
+        return (np.searchsorted(self.starts, positions, "right") - 1).astype(self.postings.dtype)
+
     def _resolve(self, pattern: MatchPattern) -> tuple[np.ndarray, np.ndarray]:
         if pattern.kind != "phrase":
             lo, hi = self._token_ids(pattern)
-            return np.unique(self.postings[self.offsets[lo] : self.offsets[hi]], return_counts=True)
-        # units holding every phrase token, then count in-order occurrences
-        phrase = [MatchPattern(t, "literal") for t in pattern.phrase_tokens]
-        postings = [self.lookup(p)[0] for p in set(phrase)]
-        ids = postings[0] if postings else np.arange(self.n_units, dtype=np.int32)
-        for other in postings[1:]:
-            ids = np.intersect1d(ids, other, assume_unique=True)
-        # every window start inside a candidate unit, and the candidate it belongs to
-        first, stop = self.starts[ids], self.starts[ids + 1] - len(phrase) + 1
-        n = np.maximum(stop - first, 0)
-        owner = np.repeat(np.arange(len(ids)), n)
-        pos = np.arange(n.sum()) + np.repeat(first - np.cumsum(n) + n, n)
-        hit = np.ones(len(pos), dtype=bool)
-        for j, p in enumerate(phrase):
-            hit &= self.fold[self.tokens[pos + j]] == self._token_ids(p)[0]
-        counts = np.bincount(owner[hit], minlength=len(ids))
-        return ids[counts > 0], counts[counts > 0]
+            units = self._units(self.postings[self.offsets[lo] : self.offsets[hi]])
+            if hi - lo > 1:  # each folded id's units ascend, but not their concatenation
+                units.sort()
+            ids, _, counts = _runs(units)
+            return ids, counts
+        keys = [self._token_ids(MatchPattern(t, "literal")) for t in pattern.phrase_tokens]
+        if not keys:  # the empty phrase fits once more in a unit than it has tokens
+            return np.arange(self.n_units, dtype=self.postings.dtype), np.diff(self.starts) + 1
+        # Window starts from the positions of the rarest token (none if one is absent), kept
+        # where the window lies in one unit and every other token is in its place.
+        sizes = [self.offsets[hi] - self.offsets[lo] for lo, hi in keys]
+        j = sizes.index(min(sizes))
+        lo, hi = keys[j]
+        start = self.postings[self.offsets[lo] : self.offsets[hi]].astype(np.int64)
+        start = start[start >= j] - j
+        unit = self._units(start)
+        inside = start + len(keys) <= self.starts[unit + 1]
+        start, unit = start[inside], unit[inside]
+        for i, (key, _) in enumerate(keys):
+            if i != j:
+                hit = self.fold[self.tokens[start + i]] == key
+                start, unit = start[hit], unit[hit]
+        ids, _, counts = _runs(unit)  # the starts ascend, so their units do
+        return ids, counts
 
     def lookup(self, pattern) -> tuple[np.ndarray, np.ndarray]:
         """Ascending ids of the units the pattern matches, and its occurrence count in each."""
@@ -291,7 +393,6 @@ class MatchIndex:
         for p in patterns:
             hit[self.lookup(p)[0]] = True
         return hit
-
 
 class SentenceView(Sequence):
     """A corpus's sentences picked by ascending sentence id; each item is built on access."""

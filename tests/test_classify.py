@@ -37,7 +37,7 @@ from cuelex.classify import (
     sample_unrelated,
     train_eval,
 )
-from cuelex.embeddings import EmbeddingModel, stream_model
+from cuelex.embeddings import EmbeddingModel, StreamedModel, stream_model
 from cuelex.errors import CuelexError, InputError
 from cuelex.expansion import parse_seed_lexicon
 
@@ -342,6 +342,28 @@ def test_an_exhausted_draw_keeps_no_token_of_a_streamed_model(tmp_path):
     drawn = sum(t.lower() != key for t in tokens)
     assert message == f"only {drawn} of {len(tokens)} requested unrelated tokens qualify in model 'm'"
     assert retained <= 8 * len(tokens)
+
+
+def test_a_draw_reads_only_the_tokens_it_could_keep(tmp_path, monkeypatch):
+    tokens = random_tokens(random.Random(5), 6_000)
+    vectors = np.random.default_rng(5).standard_normal((len(tokens), 8)).astype(np.float32)
+    write_binary(tmp_path / "m.bin", tokens, vectors)
+    key, exclude = tokens[0].lower(), tokens[1:600]
+    lexicon = parse_seed_lexicon([key])
+    loaded = sample_unrelated(EmbeddingModel("m", tokens, vectors), lexicon, n=10, max_sim=2.0,
+                              exclude=exclude)
+    model = stream_model(tmp_path / "m.bin", [key])
+    calls = []
+    tokens_of = StreamedModel.tokens_of
+    monkeypatch.setattr(StreamedModel, "tokens_of",
+                        lambda self, rows: calls.append(list(rows)) or tokens_of(self, rows))
+    # every usable row is far enough, so each 2,048-row chunk has far rows >> n
+    assert sample_unrelated(model, lexicon, n=10, max_sim=2.0, exclude=exclude) == loaded
+    assert calls[0] == [0]  # the seed form's key row, read by rows_of
+    read = [tokens[i] for rows in calls[1:] for i in rows]
+    blocked = {key} | {w.lower() for w in exclude}
+    assert len(read) == len(loaded) + sum(t.lower() in blocked for t in read)
+    assert [t for t in read if t.lower() not in blocked] == loaded
 
 
 # --- featurize / dataset -------------------------------------------------------

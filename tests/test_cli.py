@@ -1837,3 +1837,28 @@ def test_no_command_maps_openssl_but_train_with_mlp(golden_workspace, argv, maps
                           cwd=golden_workspace, env=child_env(), capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split()[-2:] == ["0", str(maps_openssl)]
+
+
+# Runs a command in this interpreter pinned to one CPU, so its workers' calls run here too,
+# and prints its exit status and whether numpy.ma was imported.
+NUMPY_MA_PROBE = """
+import os, sys
+os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+from cuelex import cli
+code = cli.main(sys.argv[1:])
+print(code, "numpy.ma" in sys.modules)
+"""
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="pins a child to one CPU")
+@pytest.mark.parametrize("argv", [
+    pytest.param(GOLDEN[name], id=name)
+    for name in ("split", "ratios", "find", "relscore", "rates", "score", "pipeline")
+])
+def test_no_corpus_command_imports_numpy_ma(golden_workspace, argv):
+    # np.unique imports numpy.ma (about 1.3 MiB and 13 ms), so the corpus index counts runs itself
+    assert "--corpus" in argv or "--collection" in argv or "--groups" in argv
+    proc = subprocess.run([sys.executable, "-c", NUMPY_MA_PROBE, *argv, "--out", "numpy-ma-probe"],
+                          cwd=golden_workspace, env=child_env(), capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split()[-2:] == ["0", "False"]
