@@ -283,7 +283,10 @@ def load_corpus(path: str | Path) -> SentenceCorpus:
 
 
 def _runs(ids: np.ndarray):
-    """Each run of equal values in ``ids`` (non-negative): its value, first index and length."""
+    """Each run of equal values in ``ids`` (non-negative): its value, first index and length.
+
+    ``MatchIndex`` counts with it, since ``np.unique`` would import ``numpy.ma``.
+    """
     first = np.flatnonzero(np.diff(ids, prepend=-1))
     return ids[first], first, np.diff(first, append=len(ids))
 
@@ -393,6 +396,7 @@ class MatchIndex:
         for p in patterns:
             hit[self.lookup(p)[0]] = True
         return hit
+
 
 class SentenceView(Sequence):
     """A corpus's sentences picked by ascending sentence id; each item is built on access."""
@@ -571,8 +575,7 @@ class SentenceMatch:
 
 def _distinct(ids: np.ndarray) -> np.ndarray:
     """Sorted distinct ids; plain ``np.unique`` would import ``numpy.ma`` for this."""
-    ids = np.sort(ids)
-    return ids[np.diff(ids, prepend=-1) != 0]  # ids are non-negative
+    return _runs(np.sort(ids))[0]
 
 
 def find_sentences(corpus: SentenceCorpus, cues, limit: int) -> list[SentenceMatch]:
