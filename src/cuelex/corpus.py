@@ -14,7 +14,10 @@ queries from a ``MatchIndex``, a positional inverted file over the folded
 token ids that a corpus or collection builds on its first query and keeps:
 it costs about 4 bytes per token, its build makes no other array over the
 whole corpus, and a query then costs in proportion to the pattern's
-postings (a phrase's, to its rarest token's) instead of to the corpus.
+postings (a phrase's, to its rarest token's) instead of to the corpus.  A
+corpus with its sentence index keeps about 20 bytes per token, and its load
+plus that index peaks at about 30 (tracemalloc; README, *Corpus memory
+model*).
 """
 
 from __future__ import annotations
