@@ -122,21 +122,6 @@ def agreement(annotations) -> AgreementReport:
     return agreement_from_counts(counts["pp"], counts["pn"], counts["np"], counts["nn"])
 
 
-def sample_unrelated(
-    model: EmbeddingModel | StreamedModel,
-    lexicon: SeedLexicon,
-    n: int = 100,
-    max_sim: float = 0.2,
-    rng_seed: int = 0,
-    exclude=(),
-) -> list[str]:
-    """Draw n vocabulary tokens far from every seed (max cosine < max_sim).
-
-    The tokens of ``draw_unrelated``, in draw order.
-    """
-    return list(draw_unrelated(model, lexicon, n, max_sim, rng_seed, exclude))
-
-
 def draw_unrelated(
     model: EmbeddingModel | StreamedModel,
     lexicon: SeedLexicon,
@@ -144,20 +129,20 @@ def draw_unrelated(
     max_sim: float = 0.2,
     rng_seed: int = 0,
     exclude=(),
-) -> dict[str, int]:
-    """n vocabulary tokens far from every seed (max cosine < max_sim), each with its row.
+) -> list[str]:
+    """n vocabulary tokens far from every seed (max cosine < max_sim), in draw order.
 
-    ``model`` is either source: loaded, or streamed for the lexicon's model
-    forms.  The vocabulary is scanned in a seeded shuffle order, 2,048 rows at
-    a time; candidate-set words and lexicon words are skipped.  Only the
-    tokens of the rows that are far enough are read, in draw order and no
-    more at a time than could still be kept, and a streamed model keeps none
-    of them.  Raises when the full scan cannot supply n qualifying tokens.
+    ``model`` is either source, loaded or streamed.  The vocabulary is scanned
+    in a seeded shuffle order, 2,048 rows at a time; candidate-set words and
+    lexicon words are skipped.  Only the tokens of the rows that are far
+    enough are read, in draw order and no more at a time than could still be
+    kept, and a streamed model keeps none of them.  Raises when the full scan
+    cannot supply n qualifying tokens.
     """
     if n < 0:
         raise InputError("n must be non-negative")
     if n == 0:
-        return {}
+        return []
     forms = [form for entry in lexicon.entries for form in entry.model_forms]
     units = model.unit_rows([i for i in model.rows_of(forms) if i is not None])
     seed_matrix = units[units.any(axis=1)]  # the usable seed forms' unit rows
@@ -169,7 +154,7 @@ def draw_unrelated(
     indices = array("i", range(len(model)))
     random.Random(rng_seed).shuffle(indices)
 
-    out: dict[str, int] = {}
+    out: list[str] = []
     chunk = 2048
     for start in range(0, len(indices), chunk):
         block = indices[start : start + chunk]
@@ -177,14 +162,15 @@ def draw_unrelated(
         rows = [idx for idx, ok in zip(block, far.tolist()) if ok]
         while rows:  # read only as many tokens as could still be kept
             part, rows = rows[: n - len(out)], rows[n - len(out) :]
-            for idx, token in zip(part, model.tokens_of(part)):
-                if token.lower() not in blocked:
-                    out[token] = idx
+            out += [token for token in model.tokens_of(part) if token.lower() not in blocked]
             if len(out) == n:
                 return out
     raise CuelexError(
         f"only {len(out)} of {n} requested unrelated tokens qualify in model {model.name!r}"
     )
+
+
+sample_unrelated = draw_unrelated  # the name the tests and the benchmark's layer timing use
 
 
 def _far_rows(model, seed_matrix: np.ndarray, block, max_sim: float) -> np.ndarray:
@@ -214,20 +200,16 @@ def _far_rows(model, seed_matrix: np.ndarray, block, max_sim: float) -> np.ndarr
 class ModelRows:
     """Copies of one model's vectors for chosen words: all that ``featurize`` reads of a model.
 
-    ``model`` is either source, loaded or streamed; a streamed one must have
-    been opened for every word of ``words``.  ``vector(word)`` answers as the
-    model's ``vector(word)`` would for each word it was made from: the exact
-    token's row, else its first case variant's.  ``at_rows`` maps more words,
-    each a token of the model, to their rows, as ``draw_unrelated`` returns
-    them: their vectors are read at those rows, which a streamed model cannot
-    look up.  Any other word is absent, an ``InputError``.  It keeps no
-    reference to the model, so the model can be freed before the next loads.
+    ``model`` is either source, loaded or streamed.  ``vector(word)`` answers
+    as the model's ``vector(word)`` would for each word of ``words``: the exact
+    token's row, else its first case variant's.  Any other word is absent, an
+    ``InputError``.  It keeps no reference to the model, so the model can be
+    freed before the next loads.
     """
 
-    def __init__(self, model: EmbeddingModel | StreamedModel, words, at_rows=None):
+    def __init__(self, model: EmbeddingModel | StreamedModel, words):
         self.name, self.dim = model.name, model.dim
         rows = {word: i for word, i in zip(words, model.rows_of(words)) if i is not None}
-        rows.update(at_rows or {})
         self._rows = dict(zip(rows, model.vectors_of(list(rows.values()))))
 
     def vector(self, word: str) -> np.ndarray:

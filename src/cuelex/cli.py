@@ -16,8 +16,8 @@ import os
 import re
 import sys
 import traceback
-from dataclasses import asdict
 from datetime import datetime, timezone
+from operator import attrgetter
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -329,10 +329,15 @@ def _write_json(ctx, name, payload: dict) -> None:
 
 
 def _emit(ctx, stem, columns, rows, decimals=6, **extra) -> None:
-    """``stem.tsv`` and its JSON twin ``stem.json`` from the same row dicts."""
-    cells = ([tables.cell(row[c], decimals) for c in columns] for row in rows)
+    """``stem.tsv`` and its JSON twin ``stem.json`` from the same row objects.
+
+    Each pass reads a column from the row attribute of its name; ``sentence``
+    is read from ``text``.
+    """
+    get = [attrgetter("text" if c == "sentence" else c) for c in columns]
+    cells = ([tables.cell(g(row), decimals) for g in get] for row in rows)
     _write_tsv(ctx, f"{stem}.tsv", columns, cells)
-    json_rows = ({c: tables.json_value(row[c]) for c in columns} for row in rows)
+    json_rows = ({c: tables.json_value(g(row)) for c, g in zip(columns, get)} for row in rows)
     _write_json(ctx, f"{stem}.json", {"rows": json_rows, **extra})
 
 
@@ -347,13 +352,12 @@ def _expand_each(ctx, specs, lexicon):
     worker process, so this process never reads a model.
     """
     k, fold_case = ctx.k, not ctx.no_fold_case
-    forms = [form for entry in lexicon for form in entry.model_forms]
     # executes both lazily registered modules here, once, not in every worker
     open_model, expand = embeddings.open_model, expansion.expand
 
     def expand_one(spec):
         name, path, fmt = spec
-        return expand(open_model(path, fmt, forms, name=name), lexicon, k=k, fold_case=fold_case)
+        return expand(open_model(path, fmt, name=name), lexicon, k=k, fold_case=fold_case)
 
     for (name, _, _), result in zip(specs, workers.fork_map(expand_one, specs)):
         expansion.write_pairs(ctx.out_dir / f"pairs_{name}.tsv", result.pairs, ctx.header_lines)
@@ -441,7 +445,7 @@ def _cmd_split(ctx) -> int:
 def _cmd_ratios(ctx) -> int:
     split = _split_from_ctx(ctx, corpus_mod.load_corpus(ctx.corpus))
     words = _patterns_arg(ctx.words, "words")
-    rows = [asdict(r) for r in corpus_mod.ratio_table(words, split)]
+    rows = corpus_mod.ratio_table(words, split)
     columns = ("word", "n_plus", "pct_plus", "n_minus", "pct_minus", "ratio")
     _emit(ctx, "ratios", columns, rows, 3)
     return 0
@@ -463,7 +467,7 @@ def _cmd_rates(ctx) -> int:
     query = _patterns_arg(ctx.query, "query")
     rows = corpus_mod.uncertainty_rate(groups, query)
     columns = ("group", "matched", "total", "rate")
-    _emit(ctx, "rates", columns, [asdict(r) for r in rows], query=query)
+    _emit(ctx, "rates", columns, rows, query=query)
     for r in rows:
         print(f"{r.group}\t{r.matched}/{r.total}\t{100.0 * r.rate:.1f}%")
     return 0
@@ -472,11 +476,7 @@ def _cmd_rates(ctx) -> int:
 def _cmd_find(ctx) -> int:
     corpus = corpus_mod.load_corpus(ctx.corpus)
     matches = corpus_mod.find_sentences(corpus, _patterns_arg(ctx.cues, "cues"), ctx.limit)
-    rows = [
-        {"doc_id": m.doc_id, "index": m.index, "matched": m.matched, "sentence": m.text}
-        for m in matches
-    ]
-    _emit(ctx, "sentences", ("doc_id", "index", "matched", "sentence"), rows)
+    _emit(ctx, "sentences", ("doc_id", "index", "matched", "sentence"), matches)
     print(f"{len(matches)} sentences matched")
     return 0
 
@@ -583,9 +583,9 @@ DATASET_COLUMNS = ("word", "label", "oov_flags")
 def _cmd_dataset(ctx) -> int:
     """Hold one model at a time: each is freed once the rows of the dataset's words are copied.
 
-    A binary model is streamed for the seed forms and the dataset's words; a
-    text model is loaded.  Each is read through once, so that a non-finite
-    row is refused wherever it is.
+    A binary model is streamed and a text model is loaded
+    (``embeddings.open_model``).  Each is read through once, so that a
+    non-finite row is refused wherever it is.
     """
     specs = _model_specs(ctx)
     lexicon = _load_lexicon(ctx)
@@ -597,21 +597,18 @@ def _cmd_dataset(ctx) -> int:
     classify.check_disjoint(accepted=accepted, rejected=rejected, seeds=seeds)
     classify.check_labels(len(accepted) + len(seeds), len(rejected) + ctx.n_unrelated)
     words = [*accepted, *rejected, *seeds]
-    forms = [form for entry in lexicon for form in entry.model_forms]
-    models, unrelated = [], {}
+    models, unrelated = [], []
     for name, path, fmt in specs:
-        model = embeddings.open_model(path, fmt, [*forms, *words, *unrelated], name=name)
+        model = embeddings.open_model(path, fmt, name=name)
         model.check_rows()
         if not models:
             unrelated = classify.draw_unrelated(
                 model, lexicon, n=ctx.n_unrelated, max_sim=ctx.max_sim, rng_seed=ctx.rng_seed,
                 exclude=[a.word for a in annotations],
             )
-            models.append(classify.ModelRows(model, words, at_rows=unrelated))
-        else:
-            models.append(classify.ModelRows(model, [*words, *unrelated]))
+        models.append(classify.ModelRows(model, [*words, *unrelated]))
         del model  # before the next read
-    build = classify.build_dataset(accepted, rejected, list(unrelated), models, seeds=seeds)
+    build = classify.build_dataset(accepted, rejected, unrelated, models, seeds=seeds)
     features = np.vstack([ex.features for ex in build.examples]).astype(np.float32)
     np.save(ctx.out_dir / "dataset_features.npy", features)
     rows = (

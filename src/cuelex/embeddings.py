@@ -9,23 +9,24 @@ vocabulary rows screens every row, a proven rounding bound widens the cut, and
 only the rows that can still rank in the top k are rescored in float64
 (``top_k_batch``).
 
-That kernel, the lookups and the row methods (``vector``, ``cosine``,
-``unit_rows``) are written once, in ``_BlockSource``, over five primitives of
-a source of rows: its length, the rows of a lowercase key (``_key_rows``), the
-tokens (``tokens_of``) and stored float32 vectors (``_vectors``) of given rows,
-and all its rows in blocks (``_blocks``); lookups find rows by ``rows_of`` and
-tell a usable row by its unit row.  An ``EmbeddingModel`` (``load_model``)
-holds the whole matrix.  A ``StreamedModel`` (``stream_model``) reads a
-binary file again for each screen, a block of rows at a time, and other rows
-and tokens by offset; it keeps two file offsets per row, the rows of the keys
-it was opened for, and no token.  Commands open a model only by
-``open_model``, which streams a binary file and loads a text one.
+That kernel, the lookups, the key index and the row methods (``vector``,
+``cosine``, ``unit_rows``) are written once, in ``_BlockSource``, over four
+primitives of a source of rows: its length, the tokens (``tokens_of``) and
+stored float32 vectors (``_vectors``) of given rows, and all its rows in blocks
+(``_blocks``); lookups find rows by ``rows_of`` and tell a usable row by its
+unit row.  An ``EmbeddingModel`` (``load_model``) holds the whole matrix.  A
+``StreamedModel`` (``stream_model``) reads a binary file again for each
+screen, a block of rows at a time, and other rows and tokens by offset; it
+keeps two file offsets per row, the key index, and no token.  Commands open a
+model only by ``open_model``, which streams a binary file and loads a text
+one.  Either answers any token.
 
-A loaded model finds tokens through a fold index: the rows grouped by
-lowercase key in file order with int64 offsets, and one dict from lowercase
-form to key id, whose keys are the vocabulary's own strings where a token is
-already lowercase.  It is the only dict: an exact lookup scans its key's rows.
-Retrieval tells keys apart by the lowercase tokens.
+Both find tokens through one key index (``_index_keys``): the ``hash`` of each
+row's lowercase token (its key), sorted, and the rows in that order, 12 B a
+row.  ``_key_rows`` finds a key's run of hashes and keeps the rows whose token,
+lowered, is the key, so a hash collision changes no answer; an exact lookup
+picks among those rows by their tokens.  Retrieval tells keys apart by the
+lowercase tokens.
 
 Both readers drop a repeated token's later rows through sorted 64-bit hashes
 of the tokens (``_duplicate_rows``), with one warning.
@@ -119,7 +120,8 @@ def _read_once(read):
 
     def values(rows) -> list:
         missing = [i for i in rows if i not in kept]
-        kept.update(zip(missing, read(missing)))
+        if missing:
+            kept.update(zip(missing, read(missing)))
         return [kept[i] for i in rows]
 
     return values
@@ -158,10 +160,10 @@ class NeighborResult:
 class _BlockSource:
     """Token lookup, the row methods and the exact top-k kernel over a source of rows.
 
-    A source has a ``name`` and a ``dim`` and supplies five primitives:
+    A source has a ``name`` and a ``dim``, builds its key index once with
+    ``_index_keys``, and supplies four primitives:
 
     - ``__len__()``: the number of rows;
-    - ``_key_rows(key)``: the rows whose lowercase token is ``key``, in file order;
     - ``tokens_of(rows)``: the tokens of ``rows``, in order;
     - ``_vectors(rows)``: the float32 vectors of ``rows`` (indices or a slice), as stored;
     - ``_blocks()``: (first row, float32 vectors, float64 norms) per block of
@@ -186,16 +188,47 @@ class _BlockSource:
         return row
 
     def rows_of(self, tokens, fold_case: bool = True) -> list[int | None]:
-        """Each token's row as ``lookup`` finds it, or None; the keys' tokens are read once."""
-        key_rows = [self._key_rows(token.lower()) for token in tokens]
-        every = sorted({i for rows in key_rows for i in rows})
-        token_at = dict(zip(every, self.tokens_of(every)))
-        exact = [next((i for i in rows if token_at[i] == token), None)
-                 for token, rows in zip(tokens, key_rows)]
-        return [rows[0] if i is None and fold_case and rows else i for i, rows in zip(exact, key_rows)]
+        """Each token's row as ``lookup`` finds it, or None; each row's token is read once."""
+        return self._resolve(tokens, fold_case)[0]
+
+    def _resolve(self, tokens, fold_case: bool) -> tuple[list[int | None], list[list[int]]]:
+        """``rows_of(tokens, fold_case)``, and the rows of each token's lowercase key."""
+        read = _read_once(self.tokens_of)
+        read(sorted({i for token in tokens for i in self._hash_run(token.lower())}))  # one read
+        key_rows = [self._key_rows(token.lower(), read) for token in tokens]
+        rows = [next((i for i, t in zip(rows, read(rows)) if t == token),  # the exact token's row
+                     rows[0] if fold_case and rows else None)
+                for token, rows in zip(tokens, key_rows)]
+        return rows, key_rows
+
+    def _index_keys(self, keys: np.ndarray) -> None:
+        """Keep the key index of ``keys``, the int64 ``hash`` of each row's lowercase token.
+
+        ``keys`` is sorted in place; the rows in that order are kept as int32,
+        by a stable sort, so the rows of one hash stay in file order.
+        """
+        self._index_rows = np.argsort(keys, kind="stable").astype(np.int32)
+        keys.sort()
+        self._index_hashes = keys
+
+    def _hash_run(self, key: str) -> list[int]:
+        """The rows whose key has the hash of ``key``, in file order."""
+        return self._index_rows[np.searchsorted(self._index_hashes, hash(key)) :
+                                np.searchsorted(self._index_hashes, hash(key), "right")].tolist()
+
+    def _key_rows(self, key: str, tokens=None) -> list[int]:
+        """The rows whose lowercase token is ``key``, in file order: the rows of its hash run
+        whose token, read by ``tokens`` (rows -> tokens; ``tokens_of`` if None), lowered, is
+        ``key``, so a row of another key with the same hash changes no answer."""
+        run = self._hash_run(key)
+        return [i for i, token in zip(run, (tokens or self.tokens_of)(run)) if token.lower() == key]
 
     def _usable_units(self, tokens, rows) -> np.ndarray:
-        """``unit_rows(rows)``, refusing the first of ``tokens`` whose row is unusable."""
+        """``unit_rows(rows)``, refusing the first of ``tokens`` whose row is None (absent),
+        then the first whose row is unusable."""
+        for token, row in zip(tokens, rows):
+            if row is None:
+                raise InputError(f"token {token!r} not in vocabulary of model {self.name!r}")
         units = self.unit_rows(rows)
         for token, unit in zip(tokens, units):
             if not unit.any():
@@ -226,8 +259,7 @@ class _BlockSource:
 
     def cosine(self, w1: str, w2: str, fold_case: bool = True) -> float:
         """Exact cosine of the two stored vectors."""
-        rows = [self.lookup(w1, fold_case), self.lookup(w2, fold_case)]
-        a, b = self._usable_units([w1, w2], rows)
+        a, b = self._usable_units([w1, w2], self.rows_of([w1, w2], fold_case))
         return float(np.dot(a, b))
 
     def top_k(self, query: str, k: int, fold_case: bool = True) -> list[NeighborResult]:
@@ -252,13 +284,15 @@ class _BlockSource:
         prefix, so only the rows above that cut are rescored in float64 and
         ranked.  Otherwise m doubles, up to the number of usable rows, which
         the first screen counts.  When no query is screened (none, or k = 0),
-        every row is read once all the same (``check_rows``).  Each candidate's
-        token is read once per query, and none is kept after it.
+        every row is read once all the same (``check_rows``).  The queries'
+        tokens are read at once, and each candidate's token once per query; none
+        is kept after it.
         """
         if k < 0:
             raise InputError("k must be non-negative")
-        rows = [self.lookup(q, fold_case) for q in queries]
-        return self._top_k(queries, rows, self._usable_units(queries, rows), k, fold_case)
+        rows, key_rows = self._resolve(queries, fold_case)
+        return self._top_k(queries, key_rows if fold_case else [[i] for i in rows],
+                           self._usable_units(queries, rows), k, fold_case)
 
     def top_k_usable(
         self, queries: list[str], k: int, fold_case: bool = True
@@ -269,17 +303,19 @@ class _BlockSource:
         """
         if k < 0:
             raise InputError("k must be non-negative")
-        rows = self.rows_of(queries, fold_case)
+        rows, key_rows = self._resolve(queries, fold_case)
         found = [j for j, i in enumerate(rows) if i is not None]
         units = self.unit_rows([rows[j] for j in found])
         usable = units.any(axis=1)
         kept = [j for j, ok in zip(found, usable.tolist()) if ok]
-        ranked = dict(zip(kept, self._top_k([queries[j] for j in kept], [rows[j] for j in kept],
+        ranked = dict(zip(kept, self._top_k([queries[j] for j in kept],
+                                            [key_rows[j] if fold_case else [rows[j]] for j in kept],
                                             units[usable], k, fold_case)))
         return [ranked.get(j) for j in range(len(queries))]
 
-    def _top_k(self, queries, rows, units, k: int, fold_case: bool) -> list[list[NeighborResult]]:
-        """The ``top_k_batch`` kernel over the queries' rows and their float64 unit rows."""
+    def _top_k(self, queries, excluded, units, k: int, fold_case: bool) -> list[list[NeighborResult]]:
+        """The ``top_k_batch`` kernel over the queries, the rows each excludes (its own row, and
+        with ``fold_case`` every row of its key), and their float64 unit rows."""
         results: list[list[NeighborResult]] = [[] for _ in queries]
         slack2 = 2 * screen_slack(self.dim)
         m = min(max(4 * k, 64) if fold_case else k, len(self))
@@ -287,14 +323,13 @@ class _BlockSource:
         if not pending:
             self.check_rows()
         while pending:
-            excluded = [self._key_rows(queries[j].lower()) if fold_case else [rows[j]]
-                        for j in pending]  # a query's row has the query's key
             widen = []
-            survivors, n_usable = self._screen(units[pending], excluded, m, slack2)
-            for j, ex, (cand, score) in zip(pending, excluded, survivors):
+            survivors, n_usable = self._screen(units[pending], [excluded[j] for j in pending],
+                                               m, slack2)
+            for j, (cand, score) in zip(pending, survivors):
                 tokens = _read_once(self.tokens_of)
                 firsts = _first_of_keys(cand[:m].tolist(), k, tokens if fold_case else None)
-                if len(firsts) < k and m < n_usable - self.unit_rows(ex).any(axis=1).sum():
+                if len(firsts) < k and m < n_usable - self.unit_rows(excluded[j]).any(axis=1).sum():
                     widen.append(j)
                     continue
                 cut = score[firsts[-1]] - slack2 if len(firsts) == k else -np.inf
@@ -386,24 +421,17 @@ class EmbeddingModel(_BlockSource):
         # (differs from len(vocab) under vocab_filter or duplicate dropping)
         self.declared_vocab_size: int | None = None
 
-        keys: dict[str, int] = {}  # a lowercase token is its own key string
-        intern = keys.setdefault
-        ids = (intern(tok if (low := tok.lower()) == tok else low, len(keys)) for tok in vocab)
-        key, self._keys = np.fromiter(ids, np.int32, len(vocab)), keys
-        self._rows = np.argsort(key, kind="stable").astype(np.int32)
-        self._offsets = np.concatenate([[0], np.cumsum(np.bincount(key))])
-        seen: set[str] = set()  # equal tokens share a key, so check keys with variants
-        for i in np.flatnonzero((np.diff(self._offsets) > 1)[key]).tolist():
-            if vocab[i] in seen:
+        self._index_keys(np.fromiter(map(hash, map(str.lower, vocab)), np.int64, len(vocab)))
+        # equal tokens have equal key hashes, so only the rows of a shared hash can repeat
+        tie = self._index_hashes[1:] == self._index_hashes[:-1]
+        shared = self._index_rows[np.concatenate([[False], tie]) | np.concatenate([tie, [False]])]
+        first: dict[str, int] = {}
+        for i in np.sort(shared).tolist():
+            if first.setdefault(vocab[i], i) != i:
                 raise InputError(f"duplicate tokens in vocabulary: {vocab[i]!r}")
-            seen.add(vocab[i])
 
     def __len__(self) -> int:
         return len(self.vocab)
-
-    def _key_rows(self, key: str) -> list[int]:
-        kid = self._keys.get(key)
-        return [] if kid is None else self._rows[self._offsets[kid] : self._offsets[kid + 1]].tolist()
 
     def tokens_of(self, rows) -> list[str]:
         return [self.vocab[i] for i in rows]
@@ -417,55 +445,46 @@ class EmbeddingModel(_BlockSource):
 
 
 class StreamedModel(_BlockSource):
-    """A binary word2vec file that answers retrieval around ``tokens`` without loading it.
+    """A binary word2vec file that answers the queries of a loaded model without loading it.
 
     The constructor scans the file, checks it as ``load_model`` does and drops
-    repeated tokens with the same warning.  It keeps two int64 file offsets per
-    row, and a 64-bit token hash until the duplicates are found.  After the
-    scan the model keeps those offsets, the rows of each lowercase form of
-    ``tokens`` (the only tokens it can look up, with their case variants), the
-    file's (size, mtime) and the open file: no token and no row of the matrix.
-    Each screen reads the file again, ``NORM_BLOCK_ROWS`` rows at a time, and
-    checks every row it reads as ``load_model`` does; ``check_rows`` reads
-    every row once for that check.  Other rows and tokens are read by offset.
+    repeated tokens with the same warning.  It keeps two int64 file offsets and
+    a key hash per row, and a 64-bit token hash until the duplicates are found.
+    After the scan the model keeps those offsets, the key index, the file's
+    (size, mtime) and the open file: no token and no row of the matrix.  Each
+    screen reads the file again, ``NORM_BLOCK_ROWS`` rows at a time, and checks
+    every row it reads as ``load_model`` does; ``check_rows`` reads every row
+    once for that check.  Other rows and tokens are read by offset, and a read
+    of rows that meets a non-finite one refuses the file at its first
+    non-finite row, as ``load_model`` would.
 
     It holds the file open, read-only, for its life and reads only at offsets
     (``_read``), never at the file position: threads and forks may share it.
     """
 
-    def __init__(self, path: str | Path, tokens, name: str | None = None):
+    def __init__(self, path: str | Path, name: str | None = None):
         path = tables.find_file(path, "model")
-        found: dict[str, list[int]] = {t.lower(): [] for t in tokens}  # key -> rows
         st = path.stat()
         with _binary_file(path) as (mm, declared, dim, records):
-            starts, ats, hashes = (np.empty(declared, dtype=np.int64) for _ in range(3))
+            starts, ats, hashes, keys = (np.empty(declared, dtype=np.int64) for _ in range(4))
             n = 0
             for chunk, chunk_starts, chunk_ats in records:
-                if not found.keys().isdisjoint(map(str.lower, chunk)):
-                    for i, key in enumerate(map(str.lower, chunk), n):
-                        if key in found:
-                            found[key].append(i)
                 end = n + len(chunk)
                 starts[n:end], ats[n:end] = chunk_starts, chunk_ats
                 hashes[n:end] = np.fromiter(map(hash, chunk), np.int64, len(chunk))
+                keys[n:end] = np.fromiter(map(hash, map(str.lower, chunk)), np.int64, len(chunk))
                 n = end
             dropped = _duplicate_rows(
                 hashes, lambda i, j: mm[starts[i] : ats[i]] == mm[starts[j] : ats[j]], path
             )
         del hashes
         if len(dropped):
-            starts, ats = np.delete(starts, dropped), np.delete(ats, dropped)
-            for key, rows in found.items():
-                kept = np.setdiff1d(rows, dropped)
-                found[key] = (kept - np.searchsorted(dropped, kept)).tolist()
+            starts, ats, keys = (np.delete(a, dropped) for a in (starts, ats, keys))
+        self._index_keys(keys)
         self.name, self.path, self.dim = name or path.stem, path, dim
         self._starts, self._ats, self._stamp = starts, ats, (st.st_size, st.st_mtime_ns)
-        self._found = found
         self._file = open(path, "rb", buffering=0)
         weakref.finalize(self, self._file.close)
-        rows = [i for rows in found.values() for i in rows]
-        if not np.isfinite(_norms(self._vectors(rows))).all():
-            self.check_rows()  # refuses the file's first non-finite row
 
     def __len__(self) -> int:
         return len(self._ats)
@@ -486,11 +505,6 @@ class StreamedModel(_BlockSource):
                 raise InputError(f"model file changed while it was read: {self.path}")
             yield data
 
-    def _key_rows(self, key: str) -> list[int]:
-        if key not in self._found:
-            raise ValueError(f"{key!r} is not a token that model {self.name!r} was streamed for")
-        return self._found[key]
-
     def tokens_of(self, rows) -> list[str]:
         """The tokens of ``rows``, in order, each read from the file."""
         starts, ats = self._starts[rows].tolist(), self._ats[rows].tolist()
@@ -499,7 +513,10 @@ class StreamedModel(_BlockSource):
 
     def _vectors(self, rows) -> np.ndarray:
         data = b"".join(self._read((at, 4 * self.dim) for at in self._ats[rows].tolist()))
-        return np.frombuffer(data, dtype="<f4").reshape(-1, self.dim)
+        vectors = np.frombuffer(data, dtype="<f4").reshape(-1, self.dim)
+        if not np.isfinite(vectors).all():
+            self.check_rows()  # refuses the file's first non-finite row
+        return vectors
 
     def _blocks(self):
         payload, los = 4 * self.dim, range(0, len(self), NORM_BLOCK_ROWS)
@@ -592,11 +609,11 @@ stream_model = StreamedModel  # the name open_model calls, and tests replace
 
 
 def open_model(
-    path: str | Path, format: str, tokens, name: str | None = None
+    path: str | Path, format: str, name: str | None = None
 ) -> StreamedModel | EmbeddingModel:
-    """A command's model: a binary file streamed for ``tokens``, a text one loaded whole."""
+    """A command's model, which answers any token: a binary file streamed, a text one loaded whole."""
     if format == "binary":
-        return stream_model(path, tokens, name=name)
+        return stream_model(path, name=name)
     return load_model(path, format, name=name)
 
 

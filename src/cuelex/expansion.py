@@ -307,8 +307,8 @@ def score_candidates(
             raise InputError(f"candidate {cand.word!r}: {exc} in the seed lexicon") from None
     out = []
     for cand, entries in zip(cset.candidates, contributing):
-        word_pattern = as_pattern(cand.word)
-        try:
+        try:  # a token that is no pattern ("**") has no corpus evidence either
+            word_pattern = as_pattern(cand.word)
             tf = tfidf(corpus, word_pattern)
         except InputError:
             tf = None

@@ -42,16 +42,18 @@ class MatchPattern:
 
 
 def parse_pattern(text: str) -> MatchPattern:
+    """A wildcard ends in "*" after a one-token stem; whitespace of any kind makes a phrase."""
     text = text.strip()
     if not text:
         raise InputError("empty pattern")
+    one_token = len(text.split()) == 1
     if text.endswith("*"):
-        if len(text) == 1:
+        if not text.rstrip("*"):
             raise InputError("wildcard pattern needs a stem")
+        if not one_token:
+            raise InputError(f"wildcard pattern stem holds whitespace: {text!r}")
         return MatchPattern(text, "prefix_wildcard")
-    if " " in text:
-        return MatchPattern(text, "phrase")
-    return MatchPattern(text, "literal")
+    return MatchPattern(text, "literal" if one_token else "phrase")
 
 
 def as_pattern(p) -> MatchPattern:

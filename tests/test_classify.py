@@ -327,7 +327,7 @@ def test_an_exhausted_draw_keeps_no_token_of_a_streamed_model(tmp_path):
     write_binary(tmp_path / "m.bin", tokens,
                  np.random.default_rng(3).standard_normal((len(tokens), 8)).astype(np.float32))
     key = tokens[0].lower()
-    model = stream_model(tmp_path / "m.bin", [key])
+    model = stream_model(tmp_path / "m.bin")
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
@@ -352,7 +352,7 @@ def test_a_draw_reads_only_the_tokens_it_could_keep(tmp_path, monkeypatch):
     lexicon = parse_seed_lexicon([key])
     loaded = sample_unrelated(EmbeddingModel("m", tokens, vectors), lexicon, n=10, max_sim=2.0,
                               exclude=exclude)
-    model = stream_model(tmp_path / "m.bin", [key])
+    model = stream_model(tmp_path / "m.bin")
     calls = []
     tokens_of = StreamedModel.tokens_of
     monkeypatch.setattr(StreamedModel, "tokens_of",

@@ -844,6 +844,14 @@ def test_unknown_config_key_is_an_input_error(workspace, capsys):
     assert run(*find, "--config", str(config), "--out", str(workspace / "shared")) == 0
 
 
+@pytest.mark.parametrize("cue", ["**", "may be*"])
+def test_find_refuses_a_wildcard_without_a_one_token_stem(workspace, capsys, cue):
+    out = workspace / "wild"
+    assert run("find", "--corpus", str(workspace / "corpus.jsonl"), "--cues", cue, "--out", str(out)) == 1
+    assert "cuelex: error: wildcard pattern" in capsys.readouterr().err
+    assert not (out / "sentences.tsv").exists()
+
+
 def test_config_digest_hashes_effective_values(workspace):
     find = ("find", "--corpus", str(workspace / "corpus.jsonl"), "--cues", "inconclusive")
     config = workspace / "limit10.json"
@@ -1441,10 +1449,10 @@ def test_a_killed_model_worker_is_an_internal_failure(workspace, monkeypatch, ca
     set_cpus(monkeypatch, 2)
     parent, real = os.getpid(), cli.embeddings.stream_model
 
-    def stream(path, tokens, name):
+    def stream(path, name):
         if name == "m2" and os.getpid() != parent:
             os.kill(os.getpid(), signal.SIGKILL)
-        return real(path, tokens, name=name)
+        return real(path, name=name)
 
     monkeypatch.setattr(cli.embeddings, "stream_model", stream)
     assert run(*pipeline_args(workspace, workspace / "killed")) == 2
@@ -1563,7 +1571,7 @@ def dataset_run(argv, out, stream: bool):
         warnings.simplefilter("always")
         if not stream:
             load = cli.embeddings.load_model
-            mp.setattr(cli.embeddings, "stream_model", lambda path, tokens, name: load(path, name=name))
+            mp.setattr(cli.embeddings, "stream_model", lambda path, name: load(path, name=name))
         code = run(*argv)
     files = {p.name: p.read_bytes() for p in sorted(out.iterdir())} if out.exists() else {}
     return code, stdout.getvalue(), stderr.getvalue(), [str(w.message) for w in caught], files
@@ -1597,11 +1605,10 @@ def test_dataset_streams_a_binary_model_as_load_model_reads_it(
         f"{w},{j},{j}\n" for w, j in zip(words, ["pos", "neg", "pos", "pos", "neg", "neg", "pos"])))
 
     lexicon = load_seed_lexicon(seeds)
-    forms = [form for entry in lexicon for form in entry.model_forms]
     draws = []
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # the repeated token's warning, checked below
-        for model in (stream_model(paths[0], forms, name="a"), load_model(paths[0], name="a")):
+        for model in (stream_model(paths[0], name="a"), load_model(paths[0], name="a")):
             draws.append(outcome(lambda: sample_unrelated(
                 model, lexicon, n=n_unrelated, max_sim=max_sim, rng_seed=seed % 97, exclude=words)))
     assert draws[0] == draws[1]

@@ -1,6 +1,7 @@
 import json
 import math
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -94,6 +95,26 @@ def test_parse_pattern_kinds():
         parse_pattern("*")
     with pytest.raises(InputError):
         parse_pattern("  ")
+
+
+@pytest.mark.parametrize("text, message", [
+    ("**", "wildcard pattern needs a stem"),
+    ("***", "wildcard pattern needs a stem"),
+    ("may be*", "wildcard pattern stem holds whitespace: 'may be*'"),
+    ("may\tbe*", "wildcard pattern stem holds whitespace: 'may\\tbe*'"),
+    ("may *", "wildcard pattern stem holds whitespace: 'may *'"),
+])
+def test_a_wildcard_needs_a_one_token_stem(text, message):
+    # "**" matched every token and "may be*" none
+    with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+        parse_pattern(text)
+
+
+@pytest.mark.parametrize("text", ["may\tbe", "may\u00a0be", "may \n be"])
+def test_any_whitespace_makes_a_phrase(text):
+    pattern = parse_pattern(text)
+    assert (pattern.kind, pattern.phrase_tokens) == ("phrase", ("may", "be"))
+    assert match(pattern, ["it", "May", "be", "so"]) and not match(pattern, ["may", "not", "be"])
 
 
 def test_match_literal():

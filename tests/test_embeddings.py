@@ -54,9 +54,9 @@ def brute_force_ranking(model, query, fold_case):
 # --- loading ---------------------------------------------------------------
 
 
-def streamed(path, tokens=()):
-    """``stream_model(path, tokens)`` after it has read every row once, as a retrieval does."""
-    model = stream_model(path, tokens)
+def streamed(path):
+    """``stream_model(path)`` after it has read every row once, as a retrieval does."""
+    model = stream_model(path)
     model.top_k_batch([], 1)
     return model
 
@@ -67,13 +67,13 @@ def stream_rows(model):
     return model.tokens_of(range(len(model))), matrix
 
 
-def read_binary_both(path, tokens=()):
+def read_binary_both(path):
     """The loaded and the streamed model of a binary file, or the one message both refuse it with.
 
     The streamed model's rows are checked against the loaded model's.
     """
     got = []
-    for read in (lambda: load_model(path, "binary"), lambda: streamed(path, tokens)):
+    for read in (lambda: load_model(path, "binary"), lambda: streamed(path)):
         try:
             got.append(read())
         except InputError as exc:
@@ -537,6 +537,20 @@ def test_top_k_oov_error(toy_model):
         toy_model.top_k("definitely-not-a-token", 5)
 
 
+def test_a_batch_reads_its_queries_tokens_at_once_and_refuses_its_first_absent_query_first(
+        tmp_path, monkeypatch):
+    path = tmp_path / "m.bin"
+    write_binary(path, ["a", "zero", "Zero", "b", "B"], [[1, 0], [0, 0], [0, 0], [0, 1], [1, 1]])
+    for model in (load_model(path), stream_model(path)):
+        calls, read = [], model.tokens_of
+        monkeypatch.setattr(model, "tokens_of", lambda rows: calls.append(list(rows)) or read(rows))
+        with pytest.raises(InputError, match="^token 'ghost' not in vocabulary of model 'm'$"):
+            model.top_k_batch(["a", "zero", "ghost", "nope"], 1)
+        assert calls == [[0, 1, 2]]  # the rows of every query's key, in one read
+        with pytest.raises(InputError, match="^token 'Zero' has near-zero norm and is unusable$"):
+            model.top_k_batch(["b", "Zero", "zero"], 1)
+
+
 @pytest.mark.parametrize("fold_case", [False, True])
 def test_top_k_matches_brute_force(tmp_path, fold_case):
     model = make_model(tmp_path, seed=11, n=100, dim=8, duplicates=5)
@@ -848,7 +862,7 @@ def test_a_streamed_model_answers_as_the_loaded_one(tmp_path_factory, case, bloc
         warnings.simplefilter("ignore")  # the duplicate-token warning
         loaded = load_model(path, "binary")
         with mock.patch.object(embeddings, "NORM_BLOCK_ROWS", block_rows):
-            stream = stream_model(path, probes + seeds)
+            stream = stream_model(path)
     assert loaded.vocab == tokens
     lexicon = parse_seed_lexicon(seeds)
     for fold_case in (True, False):
@@ -867,23 +881,100 @@ def test_a_streamed_model_answers_as_the_loaded_one(tmp_path_factory, case, bloc
 
 def test_both_sources_supply_only_the_primitives_of_the_one_kernel():
     shared = {"vector", "vectors_of", "check_rows", "cosine", "unit_rows", "rows_of",
-              "top_k_batch", "_screen"}
+              "top_k_batch", "_screen", "_key_rows"}
     assert shared <= set(vars(embeddings._BlockSource))
-    primitives = {"__init__", "__len__", "_key_rows", "tokens_of", "_vectors", "_blocks"}
+    primitives = {"__init__", "__len__", "tokens_of", "_vectors", "_blocks"}
     streamed = primitives | {"_read"}
     for source, own in ((EmbeddingModel, primitives), (StreamedModel, streamed)):
         assert not shared & set(vars(source))
         assert {name for name, value in vars(source).items() if callable(value)} == own
 
 
-def test_a_streamed_model_looks_up_only_the_tokens_it_was_opened_for(tmp_path):
+def test_a_streamed_model_looks_up_any_token(tmp_path):
     path = tmp_path / "m.bin"
     write_binary(path, ["Alpha", "beta", "alpha"], np.eye(3, dtype=np.float32))
-    stream = stream_model(path, ["ALPHA"])
-    assert stream.lookup("alpha") == 2 and stream.lookup("aLpHa") == 0
-    assert "Alpha" in stream and not stream.usable("ALPHA")
-    with pytest.raises(ValueError, match="'beta' is not a token that model 'm' was streamed for"):
-        stream.lookup("beta")
+    stream = stream_model(path)
+    assert stream.lookup("alpha") == 2 and stream.lookup("aLpHa") == 0 and stream.lookup("BETA") == 1
+    assert "Alpha" in stream and "beta" in stream and not stream.usable("ALPHA")
+    with pytest.raises(InputError, match="^token 'gamma' not in vocabulary of model 'm'$"):
+        stream.lookup("gamma")
+
+
+# tokens of few letters, so that case variants and absent probes are frequent; "İ" lowers
+# to two characters, "K" (the Kelvin sign) to "k", and "ß" uppers to "SS"
+case_tokens = st.text(alphabet="aAbBİiKkß", min_size=1, max_size=3)
+
+
+def any_token_answers(model, probes, k):
+    """Every answer ``model`` gives about ``probes``: rows, lookups, usability, vectors,
+    cosines and top-k lists, a refusal as its message."""
+    answers = [model.rows_of(probes, True), model.rows_of(probes, False)]
+    for fold_case in (True, False):
+        answers += [model.usable(p, fold_case) for p in probes]
+        for p in probes:
+            for call in (lambda: model.lookup(p, fold_case),
+                         lambda: model.top_k(p, k, fold_case)):
+                try:
+                    answers.append(call())
+                except InputError as exc:
+                    answers.append(str(exc))
+        answers += row_answers(model, probes, fold_case)
+    return answers
+
+
+@settings(max_examples=60, deadline=None)
+@given(tokens=st.lists(case_tokens, min_size=1, max_size=20),
+       absent=st.lists(case_tokens, max_size=4), k=st.integers(0, 4), data=st.data())
+@pytest.mark.parametrize("hash_bits", [64, 4])
+def test_a_streamed_model_answers_any_token_as_the_loaded_one(tmp_path_factory, hash_bits, tokens,
+                                                              absent, k, data):
+    # with 4-bit hashes most keys share their run of the index with other keys; a loaded
+    # model under the 64-bit hash, where no two keys share one, is the reference
+    rows = data.draw(st.lists(st.lists(st.integers(-2, 2), min_size=3, max_size=3),
+                              min_size=len(tokens), max_size=len(tokens)))
+    path = tmp_path_factory.mktemp("any") / "m.bin"
+    write_binary(path, tokens, np.array(rows, dtype=np.float32))
+    probes = sorted({p for t in tokens + absent for p in (t, t.lower(), t.upper())})
+    bits = (lambda token: hash(token) & 15) if hash_bits == 4 else hash
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # the duplicate-token warning
+        want = any_token_answers(load_model(path), probes, k)
+        with mock.patch.object(embeddings, "hash", bits, create=True):
+            for model in (load_model(path), stream_model(path)):
+                assert any_token_answers(model, probes, k) == want
+
+
+def test_a_streamed_model_keeps_under_30_bytes_a_row_after_its_scan(tmp_path):
+    tokens = random_tokens(random.Random(31), 20_000)
+    path = tmp_path / "m.bin"
+    write_binary(path, tokens, np.random.default_rng(31).standard_normal((len(tokens), 4)))
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        model = stream_model(path)
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(model) == len(tokens)
+    assert held <= 30 * len(tokens)  # two offsets and the key index: 28 B a row
+
+
+@pytest.mark.parametrize("read", ["vector", "cosine", "usable", "top_k", "draw"])
+def test_a_streamed_read_of_a_non_finite_row_refuses_the_file_as_load_model_does(tmp_path, read):
+    path = tmp_path / "nan.bin"
+    write_binary(path, ["a", "b", "c", "d"], [[1.0, 0.0], [0.0, 1.0], [float("nan"), 1.0],
+                                              [1.0, float("inf")]])
+    with pytest.raises(InputError) as refused:
+        load_model(path)
+    stream = stream_model(path)
+    assert stream.lookup("d") == 3  # a lookup reads no vector
+    calls = {"vector": lambda: stream.vector("d"), "cosine": lambda: stream.cosine("a", "d"),
+             "usable": lambda: stream.usable("d"), "top_k": lambda: stream.top_k("a", 1),
+             "draw": lambda: classify.draw_unrelated(stream, parse_seed_lexicon(["a"]), n=1)}
+    with pytest.raises(InputError, match=f"^{re.escape(str(refused.value))}$"):
+        calls[read]()
 
 
 def sixty_seed_models(tmp_path, names):
@@ -894,7 +985,7 @@ def sixty_seed_models(tmp_path, names):
     models = []
     for name in names:
         write_binary(tmp_path / f"{name}.bin", tokens, vectors)
-        models.append(stream_model(tmp_path / f"{name}.bin", seeds))
+        models.append(stream_model(tmp_path / f"{name}.bin"))
     return parse_seed_lexicon(seeds), models
 
 
@@ -992,7 +1083,7 @@ def test_a_streamed_model_refuses_a_non_finite_row_whatever_it_retrieves(tmp_pat
     write_binary(path, ["a", "b", "c"], [[1.0, 0.0], [float("inf"), 1.0], [0.0, 1.0]])
     lexicon = parse_seed_lexicon(forms or ["absent"])
     with pytest.raises(InputError, match="^non-finite value in vector for token 'b'$"):
-        expand(stream_model(path, forms or ["absent"]), lexicon, k=1)
+        expand(stream_model(path), lexicon, k=1)
 
 
 def changed_while_read(path) -> str:
@@ -1003,7 +1094,7 @@ def changed_while_read(path) -> str:
 def test_a_streamed_model_refuses_a_file_changed_after_its_scan(tmp_path, change):
     path = tmp_path / "m.bin"
     write_binary(path, ["a", "b", "c", "d"], np.eye(4, dtype=np.float32) + 1)
-    stream = stream_model(path, ["a"])
+    stream = stream_model(path)
     st = path.stat()
     if change == "grow":
         with open(path, "ab") as fh:
@@ -1022,7 +1113,7 @@ def test_a_streamed_model_refuses_a_file_changed_after_its_scan(tmp_path, change
 def test_a_streamed_model_refuses_a_read_that_comes_up_short(tmp_path):
     path = tmp_path / "m.bin"
     write_binary(path, ["a", "b", "c", "d"], np.eye(4, dtype=np.float32) + 1)
-    stream = stream_model(path, ["a"])
+    stream = stream_model(path)
     os.truncate(path, path.stat().st_size - 4)
     st = path.stat()
     stream._stamp = (st.st_size, st.st_mtime_ns)  # as if cut after the check of the stamp

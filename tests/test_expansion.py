@@ -521,6 +521,14 @@ def test_score_retains_absent_candidate_with_marker():
     assert cand.no_evidence and cand.tfidf is None and cand.pmi is None
 
 
+def test_a_candidate_that_is_no_pattern_has_no_corpus_evidence():
+    # a model token such as "**" parses as no pattern, where it once matched every word
+    lex = lexicon_of("seedw")
+    cset = intersect({"**", "present"}, {"**", "present"}, lex)
+    scored = score_candidates(cset, corpus_of("seedw present words"), lex)
+    assert [(c.word, c.no_evidence) for c in scored.candidates] == [("**", True), ("present", False)]
+
+
 def test_score_single_seed_degenerate_aggregation():
     lex = lexicon_of("seedw")
     pairs = [pair("seedw", "cand", 0.8, "m1"), pair("seedw", "cand", 0.7, "m2")]

@@ -204,12 +204,12 @@ def test_the_reader_guard_flags_every_reference_but_open_model_and_type_names():
         "model = embeddings.load_model(path)\n"
         "from .embeddings import stream_model\n"
         "read = stream_model\n"
-        "model = StreamedModel(path, tokens)\n"
-        "model = embeddings.StreamedModel(path, tokens)\n"
+        "model = StreamedModel(path)\n"
+        "model = embeddings.StreamedModel(path, name=name)\n"
     )
     assert reader_references(flagged) == [1, 2, 3, 4, 5]
     allowed = (
-        "model = embeddings.open_model(path, fmt, tokens, name=name)\n"
+        "model = embeddings.open_model(path, fmt, name=name)\n"
         "def f(model: StreamedModel | EmbeddingModel) -> StreamedModel:\n    return model\n"
         "reader = 'load_model'\n"
         "load_models = []\n"
