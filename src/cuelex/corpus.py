@@ -12,9 +12,10 @@ lookup per whitespace token.
 ``patterns`` defines what a pattern matches.  The analytics answer their
 queries from a ``MatchIndex``, a positional inverted file over the folded
 token ids that a corpus or collection builds on its first query and keeps:
-it costs about 4 bytes per token, its build makes no other array over the
-whole corpus, and a query then costs in proportion to the pattern's
-postings (a phrase's, to its rarest token's) instead of to the corpus.  A
+it holds postings and offsets only, about 4 bytes per token, its build makes
+no other array over the whole corpus, and a query then costs in proportion
+to the pattern's postings (a phrase's, to its rarest token's) instead of to
+the corpus.  ``SentenceCorpus.doc_of`` maps sentence ids to documents.  A
 corpus with its sentence index keeps about 20 bytes per token, and its load
 plus that index peaks at about 30 (tracemalloc; README, *Corpus memory
 model*).
@@ -79,7 +80,8 @@ class SentenceCorpus:
 
     ``token_ids[sent_offsets[s]:sent_offsets[s + 1]]`` are sentence ``s``'s
     tokens as ids into ``vocab``, and ``doc_offsets[d]:doc_offsets[d + 1]``
-    are document ``d``'s sentence ids.  ``seg_index[s]`` is the sentence's
+    are document ``d``'s sentence ids (``doc_of`` maps the other way; other
+    modules read no column).  ``seg_index[s]`` is the sentence's
     position among its document's segments before token-less ones were
     dropped, and its text is ``doc_texts[d][spans[s, 0]:spans[s, 1]]``: each
     document's text is kept once.  The constructor packs (doc_id, [(segment
@@ -141,21 +143,21 @@ class SentenceCorpus:
         """
         for lo in range(0, len(ids), 1024):
             part = ids[lo : lo + 1024]
-            docs = self.doc_offsets.searchsorted(part, side="right") - 1
-            for d, i, (start, end) in zip(
-                docs.tolist(), self.seg_index[part].tolist(), self.spans[part].tolist()
-            ):
+            docs, segments = self.doc_of(part).tolist(), self.seg_index[part].tolist()
+            for d, i, (start, end) in zip(docs, segments, self.spans[part].tolist()):
                 yield self.doc_ids[d], i, self.doc_texts[d][start:end]
 
-    def match_index(self, offsets: np.ndarray, groups=None) -> MatchIndex:
-        words = [t.lower() for t in self.vocab]
-        return MatchIndex(self.token_ids, offsets, words, groups)
+    def doc_of(self, ids: np.ndarray) -> np.ndarray:
+        """The position of each sentence id's document: the one map from sentences to documents."""
+        return self.doc_offsets.searchsorted(ids, side="right") - 1
+
+    def match_index(self, offsets: np.ndarray) -> MatchIndex:
+        return MatchIndex(self.token_ids, offsets, [t.lower() for t in self.vocab])
 
     @cached_property
     def index(self) -> MatchIndex:
-        """Sentence-level index; a sentence's group is its document's position."""
-        groups = np.repeat(np.arange(self.n_documents, dtype=np.int32), np.diff(self.doc_offsets))
-        return self.match_index(self.sent_offsets, groups)
+        """Sentence-level index; ``doc_of`` maps its unit ids to documents."""
+        return self.match_index(self.sent_offsets)
 
 
 def _joined(sentences, vocab: dict[str, int]):
@@ -305,8 +307,8 @@ class MatchIndex:
     and ``offsets[t]:offsets[t + 1]`` is folded id ``t``'s slice; a
     position's unit is the last whose start is at or before it.  Positions
     and the unit ids a lookup returns are int32 while the corpus has fewer
-    than 2**31 of either, int64 above.  ``groups``, when given, maps each
-    unit to a group (its document, for sentences).
+    than 2**31 of either, int64 above.  The index holds postings and
+    offsets only: which document a sentence is in is ``SentenceCorpus.doc_of``.
 
     The postings are a counting sort of the positions by folded id, filled
     ``BLOCK`` tokens at a time: each block is sorted on its own and written
@@ -317,12 +319,12 @@ class MatchIndex:
 
     BLOCK = 4096
 
-    def __init__(self, tokens, starts, words, groups=None):
+    def __init__(self, tokens, starts, words):
         """``words[i]`` is the folded form of token id ``i``."""
         self.vocab = sorted(set(words))
         rank = {w: i for i, w in enumerate(self.vocab)}
         self.fold = np.array([rank[w] for w in words], dtype=np.int32)
-        self.tokens, self.starts, self.groups = tokens, starts, groups
+        self.tokens, self.starts = tokens, starts
         self.n_units, self.n_tokens = len(starts) - 1, len(tokens)
         # Count each token id a vocabulary's length at a time (bincount copies its input
         # to int64), then fold the counts.
@@ -591,14 +593,13 @@ def find_sentences(corpus: SentenceCorpus, cues, limit: int) -> list[SentenceMat
     patterns = [as_pattern(c) for c in cues]
     if not patterns:
         return []
-    index = corpus.index
     by_id = sorted(range(corpus.n_documents), key=corpus.doc_ids.__getitem__)
     doc_rank = np.argsort(np.array(by_id, dtype=np.int64))  # the inverse permutation
 
     def in_scan_order(ids):
-        return ids[np.lexsort((ids, doc_rank[index.groups[ids]]))]
+        return ids[np.lexsort((ids, doc_rank[corpus.doc_of(ids)]))]
 
-    hits = [index.lookup(p)[0] for p in patterns]
+    hits = [corpus.index.lookup(p)[0] for p in patterns]
     # Each kept row spends one unit of every cue surface it hits, so a surface
     # spends its budget on its first ``limit`` hits: rows can only come from those.
     by_surface: dict[str, list[np.ndarray]] = {}

@@ -8,7 +8,7 @@ Scores are ranking metadata only; they never remove a candidate.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from importlib import resources
 from itertools import groupby
 from operator import attrgetter
@@ -44,24 +44,30 @@ class SeedEntry:
         return self.pattern.surface
 
 
+class SeedEntryError(InputError):
+    """``SeedLexicon``'s refusal of one entry; ``args`` are the message and its position."""
+
+    def __str__(self) -> str:
+        return self.args[0]
+
+
 class SeedLexicon:
     """Hand-crafted cue-word seeds that the expansion grows."""
 
     def __init__(self, entries: list[SeedEntry]):
         if not entries:
             raise InputError("seed lexicon is empty")
-        self._by_surface = {}  # lowercased surface -> entry
-        for e in entries:
-            key = e.surface.lower()
-            if key in self._by_surface:
-                raise InputError(f"duplicate seed surface {e.surface!r}")
-            self._by_surface[key] = e
-            if e.pattern.kind == "prefix_wildcard" and not e.model_forms:
-                raise InputError(
-                    f"wildcard seed {e.surface!r} needs explicit model forms "
-                    "(wildcards are never sent to a model)"
-                )
         self.entries = list(entries)
+        self._positions = {}  # lowercased surface -> position in entries
+        for position, e in enumerate(self.entries):
+            if self._positions.setdefault(e.surface.lower(), position) != position:
+                raise SeedEntryError(f"duplicate seed surface {e.surface!r}", position)
+            if e.pattern.kind == "prefix_wildcard" and not e.model_forms:
+                raise SeedEntryError(
+                    f"wildcard seed {e.surface!r} needs explicit model forms "
+                    "(wildcards are never sent to a model)",
+                    position,
+                )
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -75,7 +81,7 @@ class SeedLexicon:
 
     def entry_for(self, surface: str) -> SeedEntry:
         try:
-            return self._by_surface[surface.lower()]
+            return self.entries[self._positions[surface.lower()]]
         except KeyError:
             raise InputError(f"no seed with surface {surface!r}") from None
 
@@ -93,33 +99,37 @@ def parse_seed_lexicon(lines, origin: str = "<memory>") -> SeedLexicon:
 
     '#' starts a ``COMMENT``; a trailing '*' marks a prefix wildcard; embedded
     spaces mark a phrase.  Wildcard entries must carry explicit model forms.
+    Every refusal of an entry names its place, ``origin:lineno``.
     """
-    entries = []
+    entries = {}  # line number -> entry
     for lineno, raw in enumerate(lines, 1):
         line = COMMENT.sub("", raw).rstrip()
         if not line.strip():
             continue
         fields = line.split("\t")
-        surface = fields[0].strip()
-        if not surface:
-            raise InputError(f"{origin}:{lineno}: entry without a surface")
-        tag = fields[1].strip() if len(fields) > 1 and fields[1].strip() else "custom"
-        if tag not in ("hedging", "scientific", "custom"):
-            raise InputError(f"{origin}:{lineno}: unknown source tag {tag!r}")
-        pattern = parse_pattern(surface)
+        try:
+            surface = fields[0].strip()
+            if not surface:
+                raise InputError("entry without a surface")
+            tag = fields[1].strip() if len(fields) > 1 and fields[1].strip() else "custom"
+            if tag not in ("hedging", "scientific", "custom"):
+                raise InputError(f"unknown source tag {tag!r}")
+            pattern = parse_pattern(surface)
+        except InputError as exc:
+            raise InputError(f"{origin}:{lineno}: {exc}") from None
         if len(fields) > 2 and fields[2].strip():
             forms = tuple(  # model tokens spell a phrase's spaces as "_"
                 f.strip().replace(" ", "_") for f in fields[2].split(",") if f.strip()
             )
         else:
             forms = _default_forms(pattern)
-        try:
-            entries.append(SeedEntry(pattern, forms, tag))
-        except InputError as exc:
-            raise InputError(f"{origin}:{lineno}: {exc}") from None
+        entries[lineno] = SeedEntry(pattern, forms, tag)
     if not entries:
         raise InputError(f"seed lexicon is empty: {origin}")
-    return SeedLexicon(entries)
+    try:
+        return SeedLexicon(list(entries.values()))
+    except SeedEntryError as exc:
+        raise InputError(f"{origin}:{list(entries)[exc.args[1]]}: {exc}") from None
 
 
 def load_seed_lexicon(path: str | Path) -> SeedLexicon:
@@ -262,27 +272,24 @@ def pmi(corpus: SentenceCorpus, x, y) -> float:
     if n == 0:
         raise InputError("pmi over an empty corpus")
     ids_x, ids_y = corpus.index.lookup(px)[0], corpus.index.lookup(py)[0]
-    n_x, n_y = len(ids_x), len(ids_y)
-    if n_x == 0:
-        raise InputError(f"insufficient evidence: pattern {px.surface!r} matches no sentence")
-    if n_y == 0:
-        raise InputError(f"insufficient evidence: pattern {py.surface!r} matches no sentence")
+    for p, ids in ((px, ids_x), (py, ids_y)):
+        if len(ids) == 0:
+            raise InputError(f"insufficient evidence: pattern {p.surface!r} matches no sentence")
     n_xy = len(np.intersect1d(ids_x, ids_y, assume_unique=True))
     if n_xy == 0:
         return NEG_INF
-    return math.log((n_xy / n_x) / (n_y / n))
+    return math.log((n_xy / len(ids_x)) / (len(ids_y) / n))
 
 
 def tfidf(corpus: SentenceCorpus, word) -> float:
     """(cf / T) * ln(N_docs / df) with token-level cf and document-level df."""
     p = as_pattern(word)
-    index = corpus.index
-    ids, counts = index.lookup(p)
+    ids, counts = corpus.index.lookup(p)
     if len(ids) == 0:
         raise InputError(f"word absent from corpus: {p.surface!r}")
     cf = int(counts.sum())
-    df = 1 + np.count_nonzero(np.diff(index.groups[ids]))  # groups ascend with ids
-    return (cf / index.n_tokens) * math.log(corpus.n_documents / df)
+    df = 1 + np.count_nonzero(np.diff(corpus.doc_of(ids)))  # ids ascend, so their documents do
+    return (cf / corpus.n_tokens) * math.log(corpus.n_documents / df)
 
 
 def score_candidates(
@@ -293,8 +300,9 @@ def score_candidates(
     PMI is aggregated as the maximum over the candidate's contributing seeds
     (all seeds when no provenance was recorded); a seed that matches no
     sentence adds nothing.  Every contributing seed must be in ``lexicon``,
-    checked for every candidate before any is scored.  Candidates without
-    corpus evidence keep their place and carry an explicit marker.
+    checked for every candidate before any is scored.  A candidate is looked
+    up as the literal model token it is (``present*`` is no wildcard), and
+    one without corpus evidence keeps its place and an explicit marker.
     """
     if corpus.n_sentences == 0:
         raise InputError("scoring corpus is empty")
@@ -305,32 +313,15 @@ def score_candidates(
             contributing.append([lexicon.entry_for(s) for s in surfaces] or lexicon.entries)
         except InputError as exc:
             raise InputError(f"candidate {cand.word!r}: {exc} in the seed lexicon") from None
-    out = []
+    index, out = corpus.index, []
     for cand, entries in zip(cset.candidates, contributing):
-        try:  # a token that is no pattern ("**") has no corpus evidence either
-            word_pattern = as_pattern(cand.word)
-            tf = tfidf(corpus, word_pattern)
-        except InputError:
-            tf = None
-        best_pmi: float | None = None
-        if tf is not None:  # candidate present in the corpus
-            for entry in entries:
-                try:
-                    value = pmi(corpus, entry.pattern, word_pattern)
-                except InputError:  # the seed matches no sentence
-                    continue
-                if best_pmi is None or value > best_pmi:
-                    best_pmi = value
-        out.append(
-            Candidate(
-                word=cand.word,
-                models=dict(cand.models),
-                pmi=best_pmi,
-                tfidf=tf,
-                status=cand.status,
-                no_evidence=tf is None,
-            )
-        )
+        word = MatchPattern(cand.word, "literal")
+        tf = best = None
+        if len(index.lookup(word)[0]):
+            tf = tfidf(corpus, word)
+            seeds = (e.pattern for e in entries if len(index.lookup(e.pattern)[0]))
+            best = max((pmi(corpus, seed, word) for seed in seeds), default=None)
+        out.append(replace(cand, pmi=best, tfidf=tf, no_evidence=tf is None))
     return CandidateSet(out)
 
 
@@ -403,14 +394,16 @@ def _read_candidate(obj) -> Candidate:
             raise InputError(f"model {name!r}: expected {shape}")
         similarity = _json_number(m.get("similarity"), f"model {name!r} similarity")
         provenance[name] = ModelProvenance(similarity, tuple(seeds))
-    pmi, tfidf = obj.get("pmi"), obj.get("tfidf")
+    pmi, tfidf, no_evidence = obj.get("pmi"), obj.get("tfidf"), obj.get("no_evidence", False)
+    if not isinstance(no_evidence, bool):
+        raise InputError(f'"no_evidence" must be true or false, got {no_evidence!r}')
     return Candidate(
         word=obj["word"],
         models=provenance,
         pmi=None if pmi is None else _json_number(pmi, '"pmi"'),
         tfidf=None if tfidf is None else _json_number(tfidf, '"tfidf"'),
         status=obj.get("status", "unrated"),
-        no_evidence=bool(obj.get("no_evidence", False)),
+        no_evidence=no_evidence,
     )
 
 

@@ -339,6 +339,7 @@ BAD_CANDIDATE_FILES = [
     {"candidates": [GOOD_CANDIDATE, {"word": "w", "pmi": "zz"}]},
     {"candidates": [GOOD_CANDIDATE, {"word": "w", "tfidf": [0.5]}]},
     {"candidates": [GOOD_CANDIDATE, {"word": "w", "status": "maybe"}]},
+    {"candidates": [GOOD_CANDIDATE, {"word": "w", "no_evidence": "false"}]},
 ]
 
 

@@ -6,7 +6,8 @@ collection built from raw texts must hold the same folded tokens per
 document as one built from a corpus, and as a plain ``tokenize`` of each
 document; the fused load must give the vocabulary, ids and texts that
 ``tokenize`` over ``segment`` gives.  ``MatchIndex.lookup`` must give the
-units and counts of ``count_matches`` over each unit's folded tokens.  A
+units and counts of ``count_matches`` over each unit's folded tokens, and
+``doc_of`` the document a walk of the document offsets gives each sentence.  A
 built corpus must stay small: its retained memory and the peaks of its load,
 its first index and a document-level phrase lookup are bounded per token.
 """
@@ -126,6 +127,19 @@ def test_the_fused_load_matches_tokenize_over_segment(docs):
     assert corpus.seg_index.tolist() == seg_index
     assert [(s.text, s.tokens) for s in corpus.sentences()] == list(zip(texts, tokens))
     assert [text for _, _, text in corpus.rows(np.arange(corpus.n_sentences))] == texts
+
+
+@settings(max_examples=200, deadline=None)
+@given(corpora(), st.data())
+def test_doc_of_matches_a_walk_of_the_document_offsets(corpus, data):
+    walk = []
+    bounds = corpus.doc_offsets.tolist()
+    for d in range(corpus.n_documents):
+        walk += [d] * (bounds[d + 1] - bounds[d])
+    assert corpus.doc_of(np.arange(corpus.n_sentences)).tolist() == walk
+    ids = data.draw(st.lists(st.integers(0, max(corpus.n_sentences - 1, 0)), max_size=8))
+    if corpus.n_sentences:
+        assert corpus.doc_of(np.array(ids, dtype=np.int64)).tolist() == [walk[s] for s in ids]
 
 
 def lookup_oracle(corpus, starts, pattern):

@@ -20,7 +20,10 @@ from cuelex.expansion import (
     NEG_INF,
     Candidate,
     CandidatePair,
+    CandidateSet,
     ModelProvenance,
+    SeedEntry,
+    SeedLexicon,
     default_seed_lexicon,
     distinct_candidates,
     expand,
@@ -35,6 +38,7 @@ from cuelex.expansion import (
     write_candidate_set,
     write_pairs,
 )
+from cuelex.patterns import MatchPattern
 from cuelex.workers import fork_map
 
 
@@ -78,6 +82,23 @@ def test_parse_lexicon_duplicate_surface_rejected():
 def test_parse_lexicon_bad_tag_rejected():
     with pytest.raises(InputError, match="source tag"):
         parse_seed_lexicon(["unknown\tbogus"])
+
+
+@pytest.mark.parametrize(
+    "second, message",
+    [
+        ("**", "wildcard pattern needs a stem"),
+        ("may be*", "wildcard pattern stem holds whitespace: 'may be\\*'"),
+        ("surpris*", "wildcard seed 'surpris\\*' needs explicit model forms"),
+        ("Maybe", "duplicate seed surface 'Maybe'"),
+    ],
+    ids=["empty-stem", "spaced-stem", "wildcard-without-forms", "repeated-surface"],
+)
+def test_every_refusal_of_a_lexicon_line_names_its_place(tmp_path, second, message):
+    path = tmp_path / "seeds.txt"
+    path.write_text(f"# seeds\nmaybe\n\n{second}\nunknown\n")
+    with pytest.raises(InputError, match=f"seeds\\.txt:4: {message}"):
+        load_seed_lexicon(path)
 
 
 def test_empty_lexicon_names_origin(tmp_path):
@@ -522,11 +543,57 @@ def test_score_retains_absent_candidate_with_marker():
 
 
 def test_a_candidate_that_is_no_pattern_has_no_corpus_evidence():
-    # a model token such as "**" parses as no pattern, where it once matched every word
+    # a candidate is the literal model token: "**" once matched every word, and
+    # "present*" every word that starts with "present"
     lex = lexicon_of("seedw")
-    cset = intersect({"**", "present"}, {"**", "present"}, lex)
-    scored = score_candidates(cset, corpus_of("seedw present words"), lex)
-    assert [(c.word, c.no_evidence) for c in scored.candidates] == [("**", True), ("present", False)]
+    words = {"**", "present", "present*", "may be"}
+    cset = intersect(words, words, lex)
+    corpus = build_corpus([("a", "seedw present presently presents"), ("b", "other")])
+    scored = {c.word: c for c in score_candidates(cset, corpus, lex).candidates}
+    assert [w for w, c in scored.items() if c.no_evidence] == ["**", "may be", "present*"]
+    assert all(c.pmi is None and c.tfidf is None for w, c in scored.items() if w != "present")
+    assert scored["present"].tfidf == pytest.approx(0.1386, abs=5e-5)
+    assert scored["present"].pmi == pytest.approx(0.6931, abs=5e-5)
+
+
+def rescan_scores(corpus, entries, word):
+    """(pmi, tfidf) of the literal token ``word`` by the plain scans: the best PMI
+    over the seeds that match some sentence, and None for both without evidence."""
+    literal = MatchPattern(word, "literal")
+    if corpus.n_sentences == 0:
+        raise InputError("scoring corpus is empty")
+    if outcome(rescan_tfidf, corpus, literal)[0] == "error":
+        return None, None
+    values = [outcome(rescan_pmi, corpus, e.pattern, literal) for e in entries]
+    return max((v for ok, v in values if ok == "ok"), default=None), rescan_tfidf(corpus, literal)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    corpora(),
+    st.lists(patterns, min_size=1, max_size=4, unique_by=lambda p: p.lower()),
+    st.lists(st.one_of(patterns, patterns.map(lambda p: p + "*")), min_size=1, max_size=6),
+    st.data(),
+)
+def test_score_candidates_matches_rescans_of_the_literal_token(corpus, seeds, words, data):
+    lex = SeedLexicon([SeedEntry(as_pattern(s), ("form",)) for s in seeds])
+    candidates = []
+    for word in words:
+        credited = data.draw(st.lists(st.sampled_from(seeds), unique=True, max_size=len(seeds)))
+        models = {"m": ModelProvenance(0.5, tuple(credited))} if credited else {}
+        candidates.append(Candidate(word, models))
+    scored = outcome(score_candidates, CandidateSet(candidates), corpus, lex)
+    expected = []
+    for cand in candidates:
+        surfaces = {s for prov in cand.models.values() for s in prov.seeds}
+        entries = [e for e in lex.entries if not surfaces or e.surface in surfaces]
+        expected.append(outcome(rescan_scores, corpus, entries, cand.word))
+    if scored[0] == "error":
+        assert {scored} == set(expected)
+        return
+    got = [("ok", (c.pmi, c.tfidf)) for c in scored[1].candidates]
+    assert got == expected
+    assert [c.no_evidence for c in scored[1].candidates] == [e[1][1] is None for e in expected]
 
 
 def test_score_single_seed_degenerate_aggregation():

@@ -10,6 +10,10 @@ modules relatively (``from .x import y``), so only those imports are read.
 No module reads another object's private state: an attribute whose name
 starts with ``_`` is read only on ``self`` or ``cls``.
 
+Only ``corpus`` reads a corpus's columns (``token_ids``, ``sent_offsets``,
+``doc_offsets``, ``seg_index``, ``spans``, ``doc_texts``), so the map from
+sentences to documents stays ``SentenceCorpus.doc_of``.
+
 No module imports ``hashlib``, ``hmac``, ``secrets`` or ``ssl``: each maps
 OpenSSL into the process (3.5 MiB of RSS) for every command that runs it.  The
 one allowed import is a fallback in an ``except ImportError`` handler, taken
@@ -120,6 +124,42 @@ def test_the_private_read_guard_flags_foreign_private_names_and_passes_own_ones(
         "ok = model.usable(word)\n"
     )
     assert private_reads(allowed) == []
+
+
+CORPUS_COLUMNS = {"token_ids", "sent_offsets", "doc_offsets", "seg_index", "spans", "doc_texts"}
+
+
+def column_reads(source: str) -> list[int]:
+    """Lines that name a corpus column attribute of any object."""
+    return sorted(
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Attribute) and node.attr in CORPUS_COLUMNS
+    )
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "corpus.py"],
+                         ids=lambda path: path.name)
+def test_only_corpus_reads_the_corpus_columns(path):
+    assert column_reads(path.read_text(encoding="utf-8")) == []
+
+
+def test_the_column_guard_flags_every_column_read_and_passes_the_corpus_api():
+    flagged = (
+        "docs = corpus.doc_offsets.searchsorted(ids)\n"
+        "ids = self.corpus.token_ids[a:b]\n"
+        "n = len(c.sent_offsets), c.seg_index\n"
+        "text = corpus.doc_texts[d][slice(*corpus.spans[s])]\n"
+    )
+    assert column_reads(flagged) == [1, 2, 3, 3, 4, 4]
+    allowed = (
+        "docs = corpus.doc_of(ids)\n"
+        "n = corpus.n_sentences + corpus.n_documents\n"
+        "spans = [(0, 1)]\n"
+        "def f(doc_offsets, token_ids=None):\n    return doc_offsets\n"
+        "name = 'doc_offsets'\n"
+    )
+    assert column_reads(allowed) == []
 
 
 OPENSSL_MODULES = {"hashlib", "hmac", "secrets", "ssl"}
