@@ -122,7 +122,7 @@ FLAGS = {
     "statuses": _Flag(str, None, "annotations CSV used to mark accepted/rejected"),
     "nodes": _Flag(str, None, "node TSV"),
     "edges": _Flag(str, None, "edge TSV"),
-    "resolution": _Flag(float, 1.0, "modularity resolution"),
+    "resolution": _Flag(float, 1.0, "modularity resolution", 0),
     "damping": _Flag(float, 0.85, "PageRank damping factor", 0, 1),
     "annotations": _Flag(str, None, "CSV with header word,judge1,judge2"),
     "include_seeds": _Flag(bool, False, "add the seed words as positive examples"),
@@ -645,6 +645,8 @@ def _load_dataset(ctx):
     if features.ndim != 2 or features.dtype.kind not in "biuf":
         raise InputError(f"{features_path}: expected a numeric 2-D matrix, got {features.dtype} "
                          f"of shape {features.shape}")
+    if not np.isfinite(features).all():
+        raise InputError(f"{features_path}: non-finite value in the feature matrix")
     _, rows = tables.read_tsv(path, DATASET_COLUMNS, "dataset")
     if len(rows) != len(features):
         raise InputError("dataset row count does not match the feature matrix")

@@ -84,18 +84,13 @@ class SentenceCorpus:
     modules read no column).  ``seg_index[s]`` is the sentence's
     position among its document's segments before token-less ones were
     dropped, and its text is ``doc_texts[d][spans[s, 0]:spans[s, 1]]``: each
-    document's text is kept once.  The constructor packs (doc_id, [(segment
-    index, text, tokens), ...]) pairs, joining a document's sentence texts
-    into its text.  Given ``vocab``, a dict from token to id that fills as
-    ``documents`` is read, it packs (doc_id, text, [(segment index, start,
-    end, token ids), ...]) triples instead, which ``build_corpus`` makes.  A
-    token's folded form is its ``str.lower()``.
+    document's text is kept once.  The constructor packs the (doc_id, text,
+    [(segment index, start, end, token ids), ...]) triples that
+    ``build_corpus`` makes; ``vocab`` is the dict from token to id that fills
+    as ``documents`` is read.  A token's folded form is its ``str.lower()``.
     """
 
-    def __init__(self, documents, vocab: dict[str, int] | None = None):
-        if vocab is None:
-            vocab = {}
-            documents = ((doc_id, *_joined(sentences, vocab)) for doc_id, sentences in documents)
+    def __init__(self, documents, vocab: dict[str, int]):
         ids, seg_index, spans = array("i"), array("i"), array("q")
         sent_sizes, doc_sizes, doc_ids, texts = array("q"), array("q"), [], []
         for doc_id, text, sentences in documents:
@@ -158,17 +153,6 @@ class SentenceCorpus:
     def index(self) -> MatchIndex:
         """Sentence-level index; ``doc_of`` maps its unit ids to documents."""
         return self.match_index(self.sent_offsets)
-
-
-def _joined(sentences, vocab: dict[str, int]):
-    """(segment index, text, tokens) triples as one text and (index, start, end, ids) each."""
-    texts, rows, start = [], [], 0
-    for index, text, tokens in sentences:
-        texts.append(text)
-        ids = [vocab.setdefault(t, len(vocab)) for t in tokens]
-        rows.append((index, start, start + len(text), ids))
-        start += len(text)
-    return "".join(texts), rows
 
 
 def _spans(text: str, abbreviations: tuple[str, ...] = DEFAULT_ABBREVIATIONS):

@@ -392,7 +392,9 @@ class _BlockSource:
 
 
 class EmbeddingModel(_BlockSource):
-    """Vocabulary plus vector matrix loaded from a word2vec file.
+    """Vocabulary plus vector matrix of every row of a word2vec file, held in memory.
+
+    ``load_model`` builds one with the file's repeated tokens dropped.
 
     Attributes:
         name: model identifier (defaults to the file stem).
@@ -417,9 +419,6 @@ class EmbeddingModel(_BlockSource):
         self.name = name
         self.vocab = vocab
         self.dim = int(vectors.shape[1])
-        # header-declared token count of the source file, when one was parsed
-        # (differs from len(vocab) under vocab_filter or duplicate dropping)
-        self.declared_vocab_size: int | None = None
 
         self._index_keys(np.fromiter(map(hash, map(str.lower, vocab)), np.int64, len(vocab)))
         # equal tokens have equal key hashes, so only the rows of a shared hash can repeat
@@ -557,35 +556,17 @@ def _duplicate_rows(hashes: np.ndarray, same, path) -> np.ndarray:
     return np.array(dropped, dtype=np.int64)
 
 
-def load_model(
-    path: str | Path,
-    format: str = "binary",
-    vocab_filter: set[str] | None = None,
-    name: str | None = None,
-) -> EmbeddingModel:
-    """Load a word2vec model file.
+def load_model(path: str | Path, format: str = "binary", name: str | None = None) -> EmbeddingModel:
+    """Load a whole word2vec model file into memory, in file order.
 
-    ``format`` is "binary" (the classic packed format) or "text".  With
-    ``vocab_filter``, only tokens whose exact or lowercased form appears in
-    the filter are kept; file order is preserved either way.
+    ``format`` is "binary" (the classic packed format) or "text".  A binary
+    file too large to hold is read by ``stream_model``, which keeps about 28
+    bytes a row and answers the same queries.
     """
     path = tables.find_file(path, "model")
     if format not in ("binary", "text"):
         raise InputError(f"unknown model format {format!r}")
-    keep = None  # every token
-    if vocab_filter is not None:
-        folded_filter = {t.lower() for t in vocab_filter}
-
-        def keep(token: str) -> bool:
-            return token in vocab_filter or token.lower() in folded_filter
-
-    if format == "binary":
-        vocab, matrix, declared = _read_binary(path, keep)
-    else:
-        vocab, matrix, declared = _read_text(path, keep)
-
-    if not vocab:
-        raise InputError(f"empty vocabulary after filtering: {path}")
+    vocab, matrix = (_read_binary if format == "binary" else _read_text)(path)
 
     # Duplicate tokens: keep the first occurrence, warn with a count.
     hashes = np.fromiter(map(hash, vocab), np.int64, len(vocab))
@@ -600,9 +581,7 @@ def load_model(
             block = kept[lo : lo + NORM_BLOCK_ROWS]
             matrix[lo : lo + len(block)] = matrix[block]
         matrix = matrix[: len(kept)]
-    model = EmbeddingModel(name or path.stem, vocab, matrix)
-    model.declared_vocab_size = declared
-    return model
+    return EmbeddingModel(name or path.stem, vocab, matrix)
 
 
 stream_model = StreamedModel  # the name open_model calls, and tests replace
@@ -687,29 +666,25 @@ def _records(mm, path: Path, vocab_size: int, dim: int, pos: int):
         raise InputError(f"data after the last declared record at byte {pos}: {path}")
 
 
-def _read_binary(path: Path, keep) -> tuple[list[str], np.ndarray, int]:
+def _read_binary(path: Path) -> tuple[list[str], np.ndarray]:
     with _binary_file(path) as (mm, vocab_size, dim, records):
         vocab: list[str] = []
         matrix = np.empty((vocab_size, dim), dtype="<f4")
         for tokens, _, ats in records:
-            if keep is not None:
-                kept = [i for i, token in enumerate(tokens) if keep(token)]
-                tokens, ats = [tokens[i] for i in kept], [ats[i] for i in kept]
             matrix[len(vocab) : len(vocab) + len(tokens)] = _payloads(mm, np.array(ats, np.int64), dim)
             vocab += tokens
-        return vocab, matrix[: len(vocab)], vocab_size
+        return vocab, matrix
 
 
-def _read_text(path: Path, keep) -> tuple[list[str], np.ndarray, int | None]:
-    """The kept tokens and float32 rows of a text model, and its declared record count.
+def _read_text(path: Path) -> tuple[list[str], np.ndarray]:
+    """The tokens and float32 rows of a text model.
 
     The rows fill a matrix of the declared count, or of at most as many
     records as the file's size can hold; without a header, or past the count,
-    its capacity doubles.  It ends shrunk to the rows kept.
+    its capacity doubles.  It ends shrunk to the rows read.
     """
     vocab: list[str] = []
     declared: int | None = None
-    records = 0
     # a value beyond float32's range casts to inf, which _text_row reports
     with tables.open_text(path, "text model") as fh, np.errstate(over="ignore"):
         first = fh.readline()
@@ -722,15 +697,13 @@ def _read_text(path: Path, keep) -> tuple[list[str], np.ndarray, int | None]:
             if declared < 1 or dim < 1:
                 raise InputError(f"malformed header {first!r}: {path}")
         else:
-            dim, records = len(parts) - 1, 1
+            dim = len(parts) - 1
         # a record is a token and dim values, each after a space: 2 dim + 1 bytes at least
         most = os.fstat(fh.fileno()).st_size // (2 * dim + 1)
         matrix = np.empty((min(declared or 1024, most), dim), dtype=np.float32)
 
         def add(parts: list[str]) -> None:
-            row = _text_row(parts, path, keep)
-            if row is None:
-                return
+            row = _text_row(parts, path)
             if len(vocab) == len(matrix):  # no header, or more records than it declares
                 matrix.resize((2 * len(matrix) + 1, dim), refcheck=False)  # no view of it exists
             matrix[len(vocab)] = row
@@ -745,22 +718,19 @@ def _read_text(path: Path, keep) -> tuple[list[str], np.ndarray, int | None]:
             if len(parts) != dim + 1:
                 raise InputError(f"truncated vector payload for token {parts[0]!r}: {path}")
             add(parts)
-            records += 1
-    if declared is not None and records != declared:
-        raise InputError(f"header declares {declared} records, the file holds {records}: {path}")
+    if declared is not None and len(vocab) != declared:
+        raise InputError(f"header declares {declared} records, the file holds {len(vocab)}: {path}")
     matrix.resize((len(vocab), dim), refcheck=False)
-    return vocab, matrix, declared
+    return vocab, matrix
 
 
-def _text_row(parts: list[str], path: Path, keep) -> np.ndarray | None:
-    """The float32 values of a record's ``parts``, or None for a token ``keep`` refuses."""
+def _text_row(parts: list[str], path: Path) -> np.ndarray:
+    """The float32 values of a record's ``parts``."""
     if len(parts) < 2:
         raise InputError(f"malformed line (token without values): {path}")
     token = parts[0]
     if not token:
         raise InputError(f"empty token in text model: {path}")
-    if keep is not None and not keep(token):
-        return None
     try:
         row = np.array(parts[1:], dtype=np.float64).astype(np.float32)
     except ValueError:

@@ -218,6 +218,8 @@ def louvain(graph: CueGraph, resolution: float = 1.0, rng_seed: int = 0) -> Part
     """
     if graph.n_edges == 0:
         raise InputError("louvain needs at least one edge")
+    if not resolution >= 0:
+        raise InputError(f"resolution must be non-negative, got {resolution}")
     rng = random.Random(rng_seed)
     two_m = 2.0 * graph.total_weight()
 
@@ -412,8 +414,8 @@ def load_graph_tsv(node_path, edge_path):
     Each word is one node row, whose ``seed`` is 0 or 1, and each pair of
     words is at most one edge row, in either order.  The ``community`` and
     ``pagerank`` columns are each filled on every row or empty on every row
-    (then None).  A row that breaks a rule is an input error at its file and
-    line.
+    (then None), and a ``pagerank`` is a number in [0, 1].  A row that breaks
+    a rule is an input error at its file and line.
     """
     graph = CueGraph()
     communities: dict[str, int] = {}
@@ -429,7 +431,10 @@ def load_graph_tsv(node_path, edge_path):
         if com:
             communities[word] = tables.number(int, com, "community", node_path, n)
         if pr:
-            ranks[word] = tables.number(float, pr, "pagerank", node_path, n)
+            rank = tables.number(float, pr, "pagerank", node_path, n)
+            if not 0 <= rank <= 1:
+                raise InputError(f"{node_path}:{n}: pagerank must be in [0, 1], got {pr!r}")
+            ranks[word] = rank
     for column, values in (("community", communities), ("pagerank", ranks)):
         if values and len(values) < len(nodes):
             n = next(n for n, fields in nodes if fields[0] not in values)

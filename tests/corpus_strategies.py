@@ -48,11 +48,22 @@ def corpora(draw, min_docs=0, max_docs=6):
 
 
 def make_corpus(docs) -> SentenceCorpus:
-    """Corpus from (doc_id, [[token, ...], ...]) pairs, one sentence per token list."""
-    return SentenceCorpus(
-        (doc_id, [(i, " ".join(toks), toks) for i, toks in enumerate(sents)])
-        for doc_id, sents in docs
-    )
+    """Corpus from (doc_id, [[token, ...], ...]) pairs, one sentence per token list.
+
+    A sentence's text is its tokens joined by spaces, and a document's text
+    is its sentences' texts, end to end.
+    """
+    vocab: dict[str, int] = {}
+
+    def packed(doc_id, sents):
+        texts, rows, start = [" ".join(toks) for toks in sents], [], 0
+        for i, (toks, text) in enumerate(zip(sents, texts)):
+            ids = [vocab.setdefault(t, len(vocab)) for t in toks]
+            rows.append((i, start, start + len(text), ids))
+            start += len(text)
+        return doc_id, "".join(texts), rows
+
+    return SentenceCorpus((packed(doc_id, sents) for doc_id, sents in docs), vocab)
 
 
 patterns = st.one_of(

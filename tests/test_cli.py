@@ -569,6 +569,16 @@ def test_train_needs_a_numeric_matrix_of_one_row_per_example(tmp_path, capsys, f
     assert "expected a numeric 2-D matrix" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+def test_train_refuses_a_non_finite_feature_matrix(tmp_path, capsys, value):
+    features = np.arange(12, dtype=np.float32).reshape(6, 2)
+    features[3, 1] = value
+    assert run(*write_dataset(tmp_path / "ds", features)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("cuelex: error: ") and err.count("\n") == 1, err
+    assert "dataset_features.npy: non-finite value in the feature matrix" in err
+
+
 @pytest.mark.parametrize("flags, code", [
     (("10", "01", "11", "00", "10", "01"), 0),
     (("10", "zz", "11", "00", "10", "01"), 1),
@@ -710,6 +720,8 @@ MISSING_MODELS = ("--model", "a=missing.bin", "--model", "b=missing.bin")
          "resolution: expected float, got 'nan'"),
         (("dataset", "--max-sim", "nan", *MISSING_MODELS, "--annotations", "missing.csv"),
          "max_sim: expected float, got 'nan'"),
+        (("cluster", "--resolution", "-2", "--nodes", "missing.tsv", "--edges", "missing.tsv"),
+         "resolution must be at least 0, got -2.0"),
     ],
 )
 def test_settings_are_checked_before_any_input_is_read(
@@ -1200,6 +1212,11 @@ INPUT_ERRORS = {
     "pagerank on some rows": ({"n.tsv": NODE_HEADER + "a\t1\taccepted\t\t\nb\t0\tunrated\t\t0.5\n",
                                "e.tsv": "u\tv\tweight\na\tb\t0.5\n"},
                               GRAPH, "n.tsv:2: pagerank is empty here and filled on other rows"),
+    **{f"pagerank {value}": (
+        {"n.tsv": NODE_HEADER + f"a\t1\taccepted\t\t0.5\nb\t0\tunrated\t\t{value}\n",
+         "e.tsv": "u\tv\tweight\na\tb\t0.5\n"},
+        GRAPH, f"n.tsv:3: pagerank must be in [0, 1], got '{value}'",
+    ) for value in ("nan", "-3", "1.5", "inf")},
     "edge to no node": ({"n.tsv": NODE_HEADER + "a\t1\taccepted\t\t\n",
                          "e.tsv": "u\tv\tweight\na\tzz\t0.5\n"},
                         GRAPH, "e.tsv:2: edge endpoint 'zz' is not a node"),

@@ -103,7 +103,6 @@ def test_minimal_binary_file(tmp_path):
     assert model.vocab == ["a"]
     assert model.dim == 2
     assert model.vectors.tolist() == [[1.0, 0.0]]
-    assert model.declared_vocab_size == 1
 
 
 def test_binary_round_trip_bit_exact(tmp_path):
@@ -166,21 +165,6 @@ def test_non_finite_value(tmp_path):
         fh.write(b"tok ")
         fh.write(struct.pack("<2f", float("nan"), 1.0))
     assert "non-finite" in refusal(path)
-
-
-def test_empty_after_filter(tmp_path):
-    path = tmp_path / "small.bin"
-    write_binary(path, ["a", "b"], np.ones((2, 2), dtype=np.float32))
-    with pytest.raises(InputError, match="empty vocabulary"):
-        load_model(path, "binary", vocab_filter={"zzz"})
-
-
-def test_vocab_filter_case_insensitive_and_order(tmp_path):
-    path = tmp_path / "filt.bin"
-    tokens = ["Alpha", "beta", "Gamma", "delta"]
-    write_binary(path, tokens, np.eye(4, dtype=np.float32))
-    model = load_model(path, "binary", vocab_filter={"alpha", "delta"})
-    assert model.vocab == ["Alpha", "delta"]
 
 
 def test_duplicate_tokens_kept_first_with_warning(tmp_path):
@@ -301,9 +285,6 @@ def test_text_header_declaring_more_records_than_the_file_holds(tmp_path):
     path.write_text("5 3\na 1 2 3\n\n")
     with pytest.raises(InputError, match="declares 5 records, the file holds 1: .*short.txt"):
         load_model(path, "text")
-    # lines parsed count, not rows kept by the vocabulary filter
-    path.write_text("2 3\na 1 2 3\nb 4 5 6\n")
-    assert load_model(path, "text", vocab_filter={"b"}).vocab == ["b"]
     # a superscript digit is a digit to str.isdigit but not to int()
     path.write_text("\u00b2 3\na 1 2 3\n")
     with pytest.raises(InputError, match="truncated vector payload for token 'a'"):
@@ -426,23 +407,21 @@ def test_text_rows_parse_like_float_by_float(tmp_path_factory, rows, header):
     assert load_model(path, "text").vectors.tobytes() == want.tobytes()
 
 
-@pytest.mark.parametrize("header, keep", [(True, None), (False, None), (True, 100)],
-                         ids=["declared", "headerless", "filtered"])
-def test_a_text_model_holds_its_rows_in_one_block_of_their_size(tmp_path, header, keep):
+@pytest.mark.parametrize("header", [True, False], ids=["declared", "headerless"])
+def test_a_text_model_holds_its_rows_in_one_block_of_their_size(tmp_path, header):
     tokens = random_tokens(random.Random(31), 500)
     vectors = np.random.default_rng(31).standard_normal((len(tokens), 300)).astype(np.float32)
     path = tmp_path / "m.txt"
     write_text(path, tokens, vectors)
     if not header:
         path.write_text(path.read_text().split("\n", 1)[1])
-    vocab_filter = set(tokens[:keep]) if keep else None
     tracemalloc.start()
     try:
-        model = load_model(path, "text", vocab_filter=vocab_filter)
+        model = load_model(path, "text")
         blocks = [trace.size for trace in tracemalloc.take_snapshot().traces]
     finally:
         tracemalloc.stop()
-    assert model.vectors.tobytes() == vectors[: keep or len(tokens)].tobytes()
+    assert model.vectors.tobytes() == vectors.tobytes()
     # the largest block is the matrix, with no spare capacity for rows
     assert max(blocks) == model.vectors.nbytes
 
@@ -1155,24 +1134,19 @@ def test_the_duplicate_check_builds_no_set_of_the_vocabulary():
     not os.environ.get("CUELEX_GOOGLENEWS_MODEL"), reason="set CUELEX_GOOGLENEWS_MODEL to run"
 )
 def test_google_news_model_shape():
-    model = load_model(
-        os.environ["CUELEX_GOOGLENEWS_MODEL"], "binary", name="google-news",
-        vocab_filter={"unknown", "knowledge"},
-    )
-    assert model.dim == 300
-    assert model.declared_vocab_size == 3_000_000
+    model = stream_model(os.environ["CUELEX_GOOGLENEWS_MODEL"], name="google-news")
+    assert (model.dim, len(model)) == (300, 3_000_000)
+    assert model.cosine("unknown", "unknown") == pytest.approx(1.0)
+    assert model.cosine("unknown", "knowledge") == model.cosine("knowledge", "unknown")
+    assert -1 <= model.cosine("unknown", "knowledge") <= 1
 
 
 @pytest.mark.skipif(
     not os.environ.get("CUELEX_PUBMED_MODEL"), reason="set CUELEX_PUBMED_MODEL to run"
 )
 def test_pubmed_inconsistent_neighbors():
-    words = {"inconsistent", "contradicting", "consistent", "discrepant"}
-    model = load_model(
-        os.environ["CUELEX_PUBMED_MODEL"], "binary", name="pubmed", vocab_filter=words
-    )
-    assert model.dim == 200
+    model = stream_model(os.environ["CUELEX_PUBMED_MODEL"], name="pubmed")
+    assert model.dim == 200 and len(model) > 1_000_000
     assert model.cosine("inconsistent", "contradicting") == pytest.approx(0.71122, abs=0.005)
-    neighbors = {r.neighbor.lower(): r.similarity for r in model.top_k("inconsistent", 10)}
-    assert neighbors["consistent"] == pytest.approx(0.664, abs=0.005)
-    assert neighbors["discrepant"] == pytest.approx(0.617, abs=0.005)
+    assert model.cosine("inconsistent", "consistent") == pytest.approx(0.664, abs=0.005)
+    assert model.cosine("inconsistent", "discrepant") == pytest.approx(0.617, abs=0.005)

@@ -251,6 +251,14 @@ def test_louvain_edgeless_error():
         louvain(g)
 
 
+@pytest.mark.parametrize("resolution", [-2.0, -1e-9, float("nan")])
+def test_louvain_refuses_a_negative_resolution(resolution):
+    g = graph_from_edges([("a", "b", 1.0), ("b", "c", 1.0)])
+    with pytest.raises(InputError, match="resolution must be non-negative"):
+        louvain(g, resolution=resolution)
+    assert louvain(g, resolution=0.0).n_communities() == 1
+
+
 # --- pagerank ----------------------------------------------------------------
 
 
