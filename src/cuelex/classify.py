@@ -61,6 +61,8 @@ def load_annotations(path: str | Path) -> list[Annotation]:
             if len(row) != 3:
                 raise InputError(f"{path}:{lineno}: expected 3 fields")
             word, j1, j2 = (c.strip() for c in row)
+            if not word:
+                raise InputError(f"{path}:{lineno}: empty word")
             if j1 not in ("pos", "neg") or j2 not in ("pos", "neg"):
                 raise InputError(f'{path}:{lineno}: judge values must be "pos" or "neg"')
             if word.lower() in seen:

@@ -328,16 +328,16 @@ def _write_json(ctx, name, payload: dict) -> None:
     tables.write_json(ctx.out_dir / name, {"meta": ctx.meta, **payload})
 
 
-def _emit(ctx, stem, columns, rows, decimals=6, **extra) -> None:
-    """``stem.tsv`` and its JSON twin ``stem.json`` from the same row objects.
+def _write_rows(ctx, name, columns, rows, decimals=6) -> None:
+    """TSV ``name`` of the row objects: each column is read from the row attribute of its name."""
+    get = [attrgetter(c) for c in columns]
+    _write_tsv(ctx, name, columns, ([tables.cell(g(row), decimals) for g in get] for row in rows))
 
-    Each pass reads a column from the row attribute of its name; ``sentence``
-    is read from ``text``.
-    """
-    get = [attrgetter("text" if c == "sentence" else c) for c in columns]
-    cells = ([tables.cell(g(row), decimals) for g in get] for row in rows)
-    _write_tsv(ctx, f"{stem}.tsv", columns, cells)
-    json_rows = ({c: tables.json_value(g(row)) for c, g in zip(columns, get)} for row in rows)
+
+def _emit(ctx, stem, columns, rows, decimals=6, **extra) -> None:
+    """``stem.tsv`` (``_write_rows``) and its JSON twin ``stem.json`` from the same row objects."""
+    _write_rows(ctx, f"{stem}.tsv", columns, rows, decimals)
+    json_rows = ({c: tables.json_value(getattr(row, c)) for c in columns} for row in rows)
     _write_json(ctx, f"{stem}.json", {"rows": json_rows, **extra})
 
 
@@ -500,13 +500,9 @@ def _cmd_cluster(ctx) -> int:
     graph_mod.export_node_tsv(
         ctx.out_dir / "nodes_clustered.tsv", g, partition, ranks, header_lines=ctx.header_lines
     )
-    comp = graph_mod.composition(g, partition)
-    _write_tsv(
-        ctx,
-        "composition.tsv",
-        ("community", "n_seed", "n_accepted", "n_rejected", "n_unrated"),
-        ((r.community, r.n_seed, r.n_accepted, r.n_rejected, r.n_unrated) for r in comp),
-    )
+    _write_rows(ctx, "composition.tsv",
+                ("community", "n_seed", "n_accepted", "n_rejected", "n_unrated"),
+                graph_mod.composition(g, partition))
     _write_json(
         ctx,
         "cluster_summary.json",
@@ -669,23 +665,8 @@ def _cmd_train(ctx) -> int:
     dataset = _load_dataset(ctx)
     folds = classify.kfold(dataset, k=ctx.folds, rng_seed=ctx.rng_seed)
     reports = [classify.train_eval(dataset, spec, folds, rng_seed=ctx.rng_seed) for spec in specs]
-    _write_tsv(
-        ctx,
-        "eval.tsv",
-        ("classifier", "accuracy", "precision", "recall", "f1", "tp", "fp", "fn", "tn", "fold_digest"),
-        (
-            (
-                r.classifier,
-                *(f"{v:.4f}" for v in (r.accuracy, r.precision, r.recall, r.f1)),
-                r.tp,
-                r.fp,
-                r.fn,
-                r.tn,
-                r.fold_digest,
-            )
-            for r in reports
-        ),
-    )
+    _write_rows(ctx, "eval.tsv", ("classifier", "accuracy", "precision", "recall", "f1",
+                                  "tp", "fp", "fn", "tn", "fold_digest"), reports, 4)
     _write_json(
         ctx,
         "eval.json",

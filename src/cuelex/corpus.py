@@ -49,6 +49,8 @@ from .patterns import (  # noqa: F401  (re-exported)
 )
 
 DEFAULT_ABBREVIATIONS = ("e.g.", "i.e.", "et al.", "Fig.", "vs.")
+_ABBREVIATIONS = tuple(a.lower() for a in DEFAULT_ABBREVIATIONS)  # matched case-insensitively
+_WINDOW = max(len(a) for a in _ABBREVIATIONS)
 
 _STRIP_CHARS = string.punctuation + "“”‘’…«»–—·"
 
@@ -155,15 +157,14 @@ class SentenceCorpus:
         return self.match_index(self.sent_offsets)
 
 
-def _spans(text: str, abbreviations: tuple[str, ...] = DEFAULT_ABBREVIATIONS):
+def _spans(text: str):
     """(start, end, text[start:end]) of each sentence that ``segment`` returns."""
-    abbrevs = tuple(a.lower() for a in abbreviations)
-    window = max((len(a) for a in abbrevs), default=0)
     start = 0
     for m in (*_BOUNDARY.finditer(text), None):  # None: the end of the text
         end, after = m.span(1) if m else (len(text), None)
         if m and (
-            not text[after].isupper() or text[max(0, end - window) : end].lower().endswith(abbrevs)
+            not text[after].isupper()
+            or text[max(0, end - _WINDOW) : end].lower().endswith(_ABBREVIATIONS)
         ):
             continue
         part = text[start:end]
@@ -174,13 +175,13 @@ def _spans(text: str, abbreviations: tuple[str, ...] = DEFAULT_ABBREVIATIONS):
         start = after
 
 
-def segment(text: str, abbreviations: tuple[str, ...] = DEFAULT_ABBREVIATIONS) -> list[str]:
+def segment(text: str) -> list[str]:
     """Split text into sentences at ./!/? followed by whitespace and an uppercase letter.
 
     Splits are suppressed when the text up to the boundary ends with one of
-    the (case-insensitive) abbreviations.  Each sentence is stripped.
+    ``DEFAULT_ABBREVIATIONS`` (case-insensitively).  Each sentence is stripped.
     """
-    return [sentence for _, _, sentence in _spans(text, abbreviations)]
+    return [sentence for _, _, sentence in _spans(text)]
 
 
 def tokenize(text: str) -> list[str]:
@@ -558,7 +559,7 @@ def uncertainty_rate(groups, query=DEFAULT_CONSENSUS_QUERY) -> list[RateRow]:
 class SentenceMatch:
     doc_id: str
     index: int
-    text: str
+    sentence: str
     matched: tuple[str, ...]
 
 

@@ -216,12 +216,12 @@ class _BlockSource:
         return self._index_rows[np.searchsorted(self._index_hashes, hash(key)) :
                                 np.searchsorted(self._index_hashes, hash(key), "right")].tolist()
 
-    def _key_rows(self, key: str, tokens=None) -> list[int]:
+    def _key_rows(self, key: str, tokens) -> list[int]:
         """The rows whose lowercase token is ``key``, in file order: the rows of its hash run
-        whose token, read by ``tokens`` (rows -> tokens; ``tokens_of`` if None), lowered, is
-        ``key``, so a row of another key with the same hash changes no answer."""
+        whose token, read by ``tokens`` (rows -> tokens), lowered, is ``key``, so a row of
+        another key with the same hash changes no answer."""
         run = self._hash_run(key)
-        return [i for i, token in zip(run, (tokens or self.tokens_of)(run)) if token.lower() == key]
+        return [i for i, token in zip(run, tokens(run)) if token.lower() == key]
 
     def _usable_units(self, tokens, rows) -> np.ndarray:
         """``unit_rows(rows)``, refusing the first of ``tokens`` whose row is None (absent),

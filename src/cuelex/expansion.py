@@ -29,6 +29,7 @@ if TYPE_CHECKING:
 PAIRS_HEADER = ("seed", "candidate", "similarity", "model")
 
 STATUSES = ("unrated", "accepted", "rejected")
+_COSINE_SLACK = 1e-9  # how far rounding may carry a similarity past [-1, 1]
 
 
 @dataclass(frozen=True)
@@ -155,7 +156,7 @@ class CandidatePair:
     def __post_init__(self):
         if not self.seed or not self.candidate:
             raise InputError("pair with empty token")
-        if not -1.0 - 1e-9 <= self.similarity <= 1.0 + 1e-9:
+        if not -1.0 - _COSINE_SLACK <= self.similarity <= 1.0 + _COSINE_SLACK:
             raise InputError(f"similarity out of range: {self.similarity}")
 
     def __reduce__(self):
@@ -393,6 +394,8 @@ def _read_candidate(obj) -> Candidate:
             shape = '{"similarity": number, "seeds": [string]}'
             raise InputError(f"model {name!r}: expected {shape}")
         similarity = _json_number(m.get("similarity"), f"model {name!r} similarity")
+        if not -1.0 - _COSINE_SLACK <= similarity <= 1.0 + _COSINE_SLACK:
+            raise InputError(f"model {name!r} similarity must be in [-1, 1], got {similarity}")
         provenance[name] = ModelProvenance(similarity, tuple(seeds))
     pmi, tfidf, no_evidence = obj.get("pmi"), obj.get("tfidf"), obj.get("no_evidence", False)
     if not isinstance(no_evidence, bool):
@@ -408,8 +411,8 @@ def _read_candidate(obj) -> Candidate:
 
 
 def _json_number(value, what: str) -> float:
-    """A JSON number, or ``inf``/``-inf`` as ``tables.json_value`` spells them."""
+    """A JSON number but NaN, or ``inf``/``-inf`` as ``tables.json_value`` spells them."""
     number = isinstance(value, (int, float)) and not isinstance(value, bool)
-    if number or value in ("inf", "-inf"):
+    if (number and value == value) or value in ("inf", "-inf"):  # NaN is unequal to itself
         return float(value)
     raise InputError(f"{what} must be a number, got {value!r}")

@@ -77,7 +77,7 @@ class CueGraph:
         return adj
 
 
-def build(pairs, seeds=None, statuses: dict[str, str] | None = None) -> CueGraph:
+def build(pairs, seeds, statuses: dict[str, str] | None = None) -> CueGraph:
     """Graph from retrieval pairs: seed surfaces plus candidate words.
 
     Edges keep the maximum weight per unordered pair.  Pairs whose seed
@@ -89,9 +89,8 @@ def build(pairs, seeds=None, statuses: dict[str, str] | None = None) -> CueGraph
         if status not in ("accepted", "rejected", "unrated"):
             raise InputError(f"unknown status {status!r} for word {word!r}")
     graph = CueGraph()
-    if seeds is not None:
-        for entry in seeds:
-            graph.add_node(entry.surface.lower(), is_seed=True, status="accepted")
+    for entry in seeds:
+        graph.add_node(entry.surface.lower(), is_seed=True, status="accepted")
     for p in pairs:
         if not p.seed or not p.candidate:
             raise InputError("pair referencing an empty token")
@@ -414,8 +413,8 @@ def load_graph_tsv(node_path, edge_path):
     Each word is one node row, whose ``seed`` is 0 or 1, and each pair of
     words is at most one edge row, in either order.  The ``community`` and
     ``pagerank`` columns are each filled on every row or empty on every row
-    (then None), and a ``pagerank`` is a number in [0, 1].  A row that breaks
-    a rule is an input error at its file and line.
+    (then None), k communities are 0 to k - 1 and a ``pagerank`` is in [0, 1].
+    A row that breaks a rule is an input error at its file and line.
     """
     graph = CueGraph()
     communities: dict[str, int] = {}
@@ -439,6 +438,10 @@ def load_graph_tsv(node_path, edge_path):
         if values and len(values) < len(nodes):
             n = next(n for n, fields in nodes if fields[0] not in values)
             raise InputError(f"{node_path}:{n}: {column} is empty here and filled on other rows")
+    k = len(set(communities.values()))  # a Partition's ids are dense from 0
+    for n, (word, _, _, com, _) in nodes:
+        if word in communities and not 0 <= communities[word] < k:
+            raise InputError(f"{node_path}:{n}: community must be in [0, {k}), got {com!r}")
     _, edges = tables.read_tsv(edge_path, EDGE_TSV_HEADER, "edge")
     lines: dict[tuple[str, str], int] = {}  # each pair's edge row
     for n, (u, v, w) in edges:

@@ -133,7 +133,7 @@ def test_landis_koch_cut_points():
 
 def test_load_annotations(tmp_path):
     path = tmp_path / "labels.csv"
-    path.write_text("word,judge1,judge2\nalpha,pos,neg\nbeta,neg,neg\n")
+    path.write_text("word,judge1,judge2\nalpha,pos,neg\n\n , ,\nbeta,neg,neg\n")  # blank rows
     annos = load_annotations(path)
     assert annos == [Annotation("alpha", "pos", "neg"), Annotation("beta", "neg", "neg")]
 
@@ -151,6 +151,10 @@ def test_load_annotations_errors(tmp_path):
     dupe.write_text("word,judge1,judge2\nx,pos,pos\nX,neg,neg\n")
     with pytest.raises(InputError, match="duplicate"):
         load_annotations(dupe)
+    empty_word = tmp_path / "e.csv"
+    empty_word.write_text("word,judge1,judge2\nx,pos,pos\n,pos,pos\n")
+    with pytest.raises(InputError, match="e.csv:3: empty word"):
+        load_annotations(empty_word)
 
 
 # --- sampling unrelated -------------------------------------------------------
@@ -172,6 +176,8 @@ def test_sample_unrelated_zero():
     model = EmbeddingModel("m", ["a", "b"], np.eye(2, dtype=np.float32))
     lex = parse_seed_lexicon(["a"])
     assert sample_unrelated(model, lex, n=0) == []
+    with pytest.raises(InputError, match="n must be non-negative"):
+        sample_unrelated(model, lex, n=-1)
 
 
 def test_sample_unrelated_deterministic(tmp_path):
@@ -433,6 +439,8 @@ def test_build_dataset_degenerate():
     m1, m2 = two_toy_models()
     with pytest.raises(InputError, match="degenerate"):
         build_dataset(["word"], [], [], [m1, m2])
+    with pytest.raises(InputError, match="degenerate dataset: every word is out of vocabulary"):
+        build_dataset(["ghost"], ["nowhere"], [], [m1, m2])
 
 
 def test_build_dataset_reports_oov():

@@ -340,6 +340,10 @@ BAD_CANDIDATE_FILES = [
     {"candidates": [GOOD_CANDIDATE, {"word": "w", "tfidf": [0.5]}]},
     {"candidates": [GOOD_CANDIDATE, {"word": "w", "status": "maybe"}]},
     {"candidates": [GOOD_CANDIDATE, {"word": "w", "no_evidence": "false"}]},
+    _bad_model(similarity=float("nan"), seeds=[]),  # json.dumps writes NaN, not JSON
+    _bad_model(similarity=7, seeds=[]),
+    _bad_model(similarity=-1.001, seeds=[]),
+    {"candidates": [GOOD_CANDIDATE, {"word": "w", "pmi": float("nan")}]},
 ]
 
 
@@ -759,11 +763,11 @@ def test_config_values_are_cast_strictly_before_any_input_is_read(
 
 
 def test_config_takes_an_integral_float_for_an_int_and_a_boolean_for_a_switch(workspace):
-    config = workspace / "typed.json"
-    config.write_text(json.dumps({"limit": 2.0, "balance": False}))
-    find = ("find", "--corpus", str(workspace / "corpus.jsonl"), "--cues", "knowledge")
+    config = workspace / "typed.json"  # and one string for a repeatable flag
+    config.write_text(json.dumps({"limit": 2.0, "balance": False, "cues": "knowledge"}))
+    find = ("find", "--corpus", str(workspace / "corpus.jsonl"))
     outputs = []
-    for extra in (("--config", str(config)), ("--limit", "2")):
+    for extra in (("--config", str(config)), ("--limit", "2", "--cues", "knowledge")):
         out = workspace / f"typed{len(outputs)}"
         assert run(*find, *extra, "--out", str(out), "--reproducible") == 0
         outputs.append((out / "sentences.tsv").read_bytes())
@@ -1222,6 +1226,12 @@ INPUT_ERRORS = {
                         GRAPH, "e.tsv:2: edge endpoint 'zz' is not a node"),
     "seed not 0 or 1": ({"n.tsv": NODE_HEADER + "a\t1\taccepted\t\t\nb\tyes\tunrated\t\t\n",
                          "e.tsv": "u\tv\tweight\n"}, GRAPH, "n.tsv:3: seed must be 0 or 1, got 'yes'"),
+    # a Partition's k ids are 0 to k - 1
+    **{f"communities {a} and {b}": (
+        {"n.tsv": NODE_HEADER + f"a\t1\taccepted\t{a}\t\nb\t0\tunrated\t{b}\t\n",
+         "e.tsv": "u\tv\tweight\na\tb\t0.5\n"},
+        GRAPH, f"n.tsv:{n}: community must be in [0, 2), got '{bad}'",
+    ) for a, b, n, bad in (("-5", "7", 2, "-5"), ("0", "2", 3, "2"))},
     "repeated edge": ({"n.tsv": NODE_HEADER + "a\t1\taccepted\t\t\nb\t0\tunrated\t\t\n",
                        "e.tsv": "u\tv\tweight\na\tb\t0.5\nb\ta\t0.7\n"},
                       GRAPH, "e.tsv:3: the edge 'b'-'a' repeats line 2"),

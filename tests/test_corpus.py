@@ -11,6 +11,7 @@ from corpus_strategies import corpora, make_corpus, outcome, patterns
 
 from cuelex.corpus import (
     DEFAULT_CONSENSUS_QUERY,
+    MatchPattern,
     RatioRow,
     RateRow,
     SentenceMatch,
@@ -95,6 +96,8 @@ def test_parse_pattern_kinds():
         parse_pattern("*")
     with pytest.raises(InputError):
         parse_pattern("  ")
+    with pytest.raises(InputError, match="unknown pattern kind 'regex'"):
+        MatchPattern("x", "regex")
 
 
 @pytest.mark.parametrize("text, message", [
@@ -161,6 +164,7 @@ def test_load_jsonl_and_directory(tmp_path):
     jl = tmp_path / "docs.jsonl"
     with open(jl, "w") as fh:
         fh.write(json.dumps({"id": "p1", "text": "The result is unknown."}) + "\n")
+        fh.write("  \n")  # a blank line is skipped
         fh.write(json.dumps({"id": "p2", "text": "All clear."}) + "\n")
     corpus = load_jsonl(jl)
     assert [d.doc_id for d in corpus.documents] == ["p1", "p2"]

@@ -180,6 +180,17 @@ def test_duplicate_tokens_kept_first_with_warning(tmp_path):
     assert stream_rows(stream) == (model.vocab, model.vectors.tobytes())
 
 
+@pytest.mark.parametrize("vocab, vectors, message", [
+    (["a", "b"], np.eye(3, 2), "vector matrix shape does not match vocabulary"),
+    (["a"], np.ones(1), "vector matrix shape does not match vocabulary"),
+    ([], np.zeros((0, 2)), "empty vocabulary"),
+    (["a"], np.zeros((1, 0)), "vector dimension must be positive"),
+])
+def test_a_model_refuses_a_matrix_that_does_not_fit_its_vocabulary(vocab, vectors, message):
+    with pytest.raises(InputError, match=f"^{message}$"):
+        EmbeddingModel("m", vocab, vectors.astype(np.float32))
+
+
 def test_duplicate_tokens_are_refused_naming_the_first_repeat():
     tokens = ["x", "Y", "y", "z", "z", "y"]  # "z" repeats first, at row 4
     with pytest.raises(InputError, match="duplicate tokens in vocabulary: 'z'"):
@@ -248,6 +259,8 @@ def test_invalid_utf8_tokens_are_an_error_at_their_offset(tmp_path):
     path = tmp_path / "bad.bin"
     write_binary(path, ["ok", b"\xff", b"\xfe"], np.eye(3, 2, dtype=np.float32))
     assert refusal(path).startswith("invalid UTF-8 in token at byte 16: ")
+    write_binary(path, ["ok", b""], np.eye(2, dtype=np.float32))
+    assert refusal(path) == f"empty token at byte 16: {path}"
 
 
 def test_empty_binary_model_is_an_input_error(tmp_path):
@@ -436,6 +449,9 @@ def test_text_value_errors(tmp_path):
         path.write_text(f"2 2\na 1 2\nb 3 {value}\n")
         with pytest.raises(InputError, match=message):
             load_model(path, "text")
+    path.write_text("2 2\na 1 2\n 3 4\n")
+    with pytest.raises(InputError, match="empty token in text model"):
+        load_model(path, "text")
 
 
 def test_load_idempotent(tmp_path):
@@ -514,6 +530,17 @@ def test_top_k_zero_is_empty(toy_model):
 def test_top_k_oov_error(toy_model):
     with pytest.raises(InputError, match="not in vocabulary"):
         toy_model.top_k("definitely-not-a-token", 5)
+
+
+def test_a_negative_k_and_an_unknown_format_are_input_errors(tmp_path):
+    path = tmp_path / "m.bin"
+    write_binary(path, ["a", "b"], np.eye(2, dtype=np.float32))
+    for model in (load_model(path), stream_model(path)):
+        for top_k in (model.top_k_batch, model.top_k_usable):
+            with pytest.raises(InputError, match="^k must be non-negative$"):
+                top_k(["a"], -1)
+    with pytest.raises(InputError, match="^unknown model format 'csv'$"):
+        load_model(path, "csv")
 
 
 def test_a_batch_reads_its_queries_tokens_at_once_and_refuses_its_first_absent_query_first(
@@ -1013,7 +1040,7 @@ def spy_reads(monkeypatch, model, screens) -> dict:
 
 def key_and_form_rows(model, forms) -> tuple[list[int], list[int]]:
     """The rows of the forms' lowercase keys, and the forms' own rows, each sorted."""
-    key_rows = sorted(i for form in forms for i in model._key_rows(form.lower()))
+    key_rows = sorted(i for form in forms for i in model._key_rows(form.lower(), model.tokens_of))
     return key_rows, sorted(model.lookup(form) for form in forms)
 
 

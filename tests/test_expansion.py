@@ -108,6 +108,8 @@ def test_empty_lexicon_names_origin(tmp_path):
         load_seed_lexicon(path)
     with pytest.raises(InputError, match="missing.txt"):
         load_seed_lexicon(tmp_path / "missing.txt")
+    with pytest.raises(InputError, match="seed lexicon is empty"):
+        SeedLexicon([])
 
 
 def test_default_lexicon_loads():
@@ -246,6 +248,17 @@ def test_expand_k_must_be_positive(toy_model):
 
 def pair(seed, cand, sim=0.5, model="m"):
     return CandidatePair(seed, cand, sim, model)
+
+
+@pytest.mark.parametrize("seed, cand, sim, message", [
+    ("", "x", 0.5, "pair with empty token"),
+    ("s", "", 0.5, "pair with empty token"),
+    ("s", "x", 1.5, "similarity out of range: 1.5"),
+    ("s", "x", -1.5, "similarity out of range: -1.5"),
+])
+def test_a_pair_refuses_an_empty_token_and_a_similarity_that_is_no_cosine(seed, cand, sim, message):
+    with pytest.raises(InputError, match=message):
+        pair(seed, cand, sim)
 
 
 def test_distinct_candidates_dedupes():

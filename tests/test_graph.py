@@ -126,6 +126,21 @@ def test_add_edge_validation():
         g.add_edge("a", "b", 1.5)
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: CueGraph().add_node(""), "empty node word"),
+    (lambda: CueGraph().add_node("a", status="maybe"), "unknown status 'maybe'"),
+    (lambda: build([], parse_seed_lexicon(["s"]), statuses={"a": "maybe"}),
+     "unknown status 'maybe' for word 'a'"),
+    (lambda: modularity(two_triangles(), Partition({"a": 0, "b": 0})), "partition misses nodes"),
+    (lambda: pagerank(CueGraph()), "pagerank of an empty graph"),
+    (lambda: pagerank(graph_from_edges([("a", "b")]), damping=1.0), "damping must be in"),
+], ids=["empty word", "node status", "build status", "partial partition", "empty pagerank",
+        "damping 1"])
+def test_a_graph_operation_refuses_a_bad_argument(call, message):
+    with pytest.raises(InputError, match=message):
+        call()
+
+
 def test_add_node_refuses_a_word_already_present():
     g = CueGraph()
     g.add_node("a", is_seed=True, status="accepted")

@@ -35,6 +35,10 @@ def test_score_matrix_validation():
         ScoreMatrix(["a"], ["x"], np.array([[np.nan]]))
     with pytest.raises(InputError, match="negative"):
         ScoreMatrix(["a"], ["x"], np.array([[-1.0]]))
+    with pytest.raises(InputError, match="two-dimensional"):
+        ScoreMatrix(["a"], ["x"], np.ones(1))
+    with pytest.raises(InputError, match="duplicate column"):
+        ScoreMatrix(["a"], ["x", "x"], np.ones((1, 2)))
 
 
 def test_score_matrix_tsv_round_trip(tmp_path):
@@ -157,6 +161,9 @@ def test_pca_errors():
     flat = matrix_of([[1.0, 1.0], [1.0, 1.0], [1.0, 1.0]])
     with pytest.raises(CuelexError, match="variance"):
         pca(flat, n_components=1, standardize=False)
+    with pytest.warns(UserWarning, match="dropping zero-variance columns"):
+        with pytest.raises(InputError, match="no columns left"):
+            pca(flat, n_components=1, standardize=True)
 
 
 def test_pca_top_words():
@@ -273,6 +280,8 @@ def test_mds_errors():
     same = np.ones((3, 4))
     with pytest.raises(InputError, match="zero"):
         mds(matrix_of(same))
+    with pytest.raises(InputError, match="dims must be positive"):
+        mds(matrix_of(np.eye(3)), dims=0)
 
 
 # --- scipy as an independent oracle (test-only; skipped when it is absent) ------------
