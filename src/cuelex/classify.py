@@ -1,4 +1,4 @@
-"""Two-judge agreement statistics and cross-validated cue-word classifiers.
+"""Cross-validated cue-word classifiers and the datasets they train on.
 
 Datasets carry concatenated embedding vectors as features.  All classifiers
 are trained from scratch here; every source of randomness flows from an
@@ -8,7 +8,6 @@ evaluation report, whatever the number of processes that fit the folds.
 
 from __future__ import annotations
 
-import csv
 import random
 import warnings
 from array import array
@@ -19,6 +18,10 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from . import tables, workers
+from .agreement import (  # noqa: F401  (re-exported: the annotation names stay importable here)
+    AgreementReport, Annotation, agreement, agreement_from_counts, landis_koch_band,
+    load_annotations,
+)
 from .errors import CuelexError, InputError
 
 if TYPE_CHECKING:
@@ -27,101 +30,6 @@ if TYPE_CHECKING:
 
 VARIANCE_FLOOR = 1e-9
 DATASET_SHUFFLE_SEED = 13  # fixed pre-fold shuffle, part of the dataset contract
-
-
-@dataclass(frozen=True)
-class Annotation:
-    word: str
-    judge1: str  # pos | neg
-    judge2: str
-
-    @property
-    def status(self) -> str:
-        """accepted when both judges said pos, rejected when both said neg, else unrated."""
-        agreed = {("pos", "pos"): "accepted", ("neg", "neg"): "rejected"}
-        return agreed.get((self.judge1, self.judge2), "unrated")
-
-
-def load_annotations(path: str | Path) -> list[Annotation]:
-    """Annotations CSV with header word,judge1,judge2 and pos/neg values."""
-    path = Path(path)
-    with tables.open_text(path, "annotations", newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise InputError(f"empty annotations file: {path}") from None
-        if [h.strip() for h in header] != ["word", "judge1", "judge2"]:
-            raise InputError(f'{path}: expected header "word,judge1,judge2"')
-        out = []
-        seen = set()
-        for lineno, row in enumerate(reader, 2):
-            if not row or all(not c.strip() for c in row):
-                continue
-            if len(row) != 3:
-                raise InputError(f"{path}:{lineno}: expected 3 fields")
-            word, j1, j2 = (c.strip() for c in row)
-            if not word:
-                raise InputError(f"{path}:{lineno}: empty word")
-            if j1 not in ("pos", "neg") or j2 not in ("pos", "neg"):
-                raise InputError(f'{path}:{lineno}: judge values must be "pos" or "neg"')
-            if word.lower() in seen:
-                raise InputError(f"{path}:{lineno}: duplicate word {word!r}")
-            seen.add(word.lower())
-            out.append(Annotation(word, j1, j2))
-    return out
-
-
-@dataclass(frozen=True)
-class AgreementReport:
-    n_pp: int
-    n_pn: int
-    n_np: int
-    n_nn: int
-    percent_agreement: float
-    kappa: float
-    band: str
-
-    @property
-    def total(self) -> int:
-        return self.n_pp + self.n_pn + self.n_np + self.n_nn
-
-
-def landis_koch_band(kappa: float) -> str:
-    if kappa <= 0.0:
-        return "poor"
-    if kappa <= 0.2:
-        return "slight"
-    if kappa <= 0.4:
-        return "fair"
-    if kappa <= 0.6:
-        return "moderate"
-    if kappa <= 0.8:
-        return "substantial"
-    return "almost perfect"
-
-
-def agreement_from_counts(n_pp: int, n_pn: int, n_np: int, n_nn: int) -> AgreementReport:
-    """Percent agreement and Cohen's kappa from the 2x2 judgment counts."""
-    total = n_pp + n_pn + n_np + n_nn
-    if total < 2:
-        raise InputError("agreement needs at least 2 annotations")
-    p_o = (n_pp + n_nn) / total
-    j1_pos = (n_pp + n_pn) / total
-    j2_pos = (n_pp + n_np) / total
-    p_e = j1_pos * j2_pos + (1 - j1_pos) * (1 - j2_pos)
-    if p_e == 1.0:
-        raise CuelexError("kappa undefined: degenerate marginals (p_e = 1)")
-    kappa = (p_o - p_e) / (1 - p_e)
-    return AgreementReport(n_pp, n_pn, n_np, n_nn, p_o, kappa, landis_koch_band(kappa))
-
-
-def agreement(annotations) -> AgreementReport:
-    counts = {"pp": 0, "pn": 0, "np": 0, "nn": 0}
-    for a in annotations:
-        key = ("p" if a.judge1 == "pos" else "n") + ("p" if a.judge2 == "pos" else "n")
-        counts[key] += 1
-    return agreement_from_counts(counts["pp"], counts["pn"], counts["np"], counts["nn"])
 
 
 def draw_unrelated(
@@ -154,7 +62,7 @@ def draw_unrelated(
     blocked = {w.lower() for w in exclude} | lexicon.folded_words()
     # 4 B per row, where a list takes about 40 B; the shuffle order is the same
     indices = array("i", range(len(model)))
-    random.Random(rng_seed).shuffle(indices)
+    _shuffle(indices, random.Random(rng_seed))
 
     out: list[str] = []
     chunk = 2048
@@ -295,8 +203,32 @@ def build_dataset(accepted, rejected, unrelated, models, seeds=()) -> DatasetBui
         examples.append(LabeledExample(word, feats, label, flags))
     if not examples:
         raise InputError("degenerate dataset: every word is out of vocabulary")
-    random.Random(DATASET_SHUFFLE_SEED).shuffle(examples)
+    _shuffle(examples, random.Random(DATASET_SHUFFLE_SEED))
     return DatasetBuild(examples, excluded)
+
+
+def save_features(path: Path, examples) -> np.ndarray:
+    """The examples' features as one float32 matrix, written to ``path`` as ``.npy``."""
+    features = np.vstack([ex.features for ex in examples]).astype(np.float32)
+    np.save(path, features)
+    return features
+
+
+def load_features(path: Path) -> np.ndarray:
+    """The matrix of a ``save_features`` file; one not finite, numeric and 2-D is an input error."""
+    if not path.is_file():
+        raise InputError(f"missing feature matrix next to dataset: {path}")
+    with open(path, "rb") as fh:
+        try:  # an .npy array only: never a pickle
+            features = np.lib.format.read_array(fh)
+        except ValueError as exc:
+            raise InputError(f"{path}: not a feature matrix ({exc})") from None
+    if features.ndim != 2 or features.dtype.kind not in "biuf":
+        raise InputError(f"{path}: expected a numeric 2-D matrix, got {features.dtype} "
+                         f"of shape {features.shape}")
+    if not np.isfinite(features).all():
+        raise InputError(f"{path}: non-finite value in the feature matrix")
+    return features
 
 
 def kfold(dataset, k: int = 10, rng_seed: int = 0) -> np.ndarray:
@@ -316,7 +248,7 @@ def kfold(dataset, k: int = 10, rng_seed: int = 0) -> np.ndarray:
     labels = sorted({ex.label for ex in dataset})
     for label in labels:
         idx = [i for i, ex in enumerate(dataset) if ex.label == label]
-        rng.shuffle(idx)
+        _shuffle(idx, rng)
         base, extra = divmod(len(idx), k)
         # folds with the least examples so far absorb this label's remainder
         order = sorted(range(k), key=lambda f: (fill[f], f))
@@ -462,14 +394,33 @@ class GaussianNbClassifier:
         return np.argmax(scores, axis=1)
 
 
+def _shuffle(seq, rng: random.Random) -> None:
+    """Shuffle ``seq`` in place into the order ``rng.shuffle(seq)`` gives it.
+
+    The same draws as ``random.Random.shuffle``: for each i from len - 1 down
+    to 1, ``getrandbits`` of the bit length of i + 1, drawn again until it is
+    at most i, picks the item that trades places with item i.  Inlined, the
+    draw costs no call of ``_randbelow`` per item; a list or an ``array``
+    shuffles alike.
+    """
+    getrandbits = rng.getrandbits
+    for i in range(len(seq) - 1, 0, -1):
+        k = (i + 1).bit_length()
+        j = getrandbits(k)
+        while j > i:
+            j = getrandbits(k)
+        seq[i], seq[j] = seq[j], seq[i]
+
+
 def _minibatches(X: np.ndarray, y: np.ndarray, epochs: int, batch: int, rng_seed: int):
     """Every epoch's minibatches (rows, labels), each epoch in a new seeded shuffle order."""
     rng = random.Random(rng_seed)
     idx = list(range(len(X)))
     for _ in range(epochs):
-        rng.shuffle(idx)
-        for start in range(0, len(idx), batch):
-            sel = idx[start : start + batch]
+        _shuffle(idx, rng)
+        order = np.array(idx, dtype=np.intp)
+        for start in range(0, len(order), batch):
+            sel = order[start : start + batch]
             yield X[sel], y[sel]
 
 
@@ -489,7 +440,7 @@ class LogisticSgdClassifier:
         for Xb, yb in _minibatches(X, y, self.epochs, self.batch, self.rng_seed):
             err = _sigmoid(Xb @ self._w + self._b) - yb
             self._w -= self.lr * (Xb.T @ err) / len(Xb)
-            self._b -= self.lr * err.mean()
+            self._b -= self.lr * (err.sum() / len(err))
         return self
 
     def predict(self, X: np.ndarray) -> np.ndarray:
@@ -519,10 +470,10 @@ class MlpClassifier:
             hidden = np.tanh(Xb @ self._W1 + self._b1)
             err = _sigmoid(hidden @ self._w2 + self._b2) - yb
             grad_w2 = hidden.T @ err / len(Xb)
-            grad_b2 = err.mean()
-            back = np.outer(err, self._w2) * (1.0 - hidden**2)
+            grad_b2 = err.sum() / len(err)
+            back = err[:, None] * self._w2 * (1.0 - hidden**2)
             grad_W1 = Xb.T @ back / len(Xb)
-            grad_b1 = back.mean(axis=0)
+            grad_b1 = back.sum(axis=0) / len(Xb)
             self._w2 -= self.lr * grad_w2
             self._b2 -= self.lr * grad_b2
             self._W1 -= self.lr * grad_W1
@@ -649,9 +600,10 @@ def _unit_rows(X: np.ndarray) -> np.ndarray:
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    """The logistic function: 1 / (1 + e^-z) where z >= 0, e^z / (1 + e^z) elsewhere.
+
+    So no exp overflows.  ``np.minimum(z, -z)`` is -|z|, but it returns a NaN
+    with its own bits, as the exp of the branch for z < 0 does.
+    """
+    e = np.exp(np.minimum(z, -z))
+    return np.where(z >= 0, 1.0, e) / (1.0 + e)

@@ -24,12 +24,11 @@ from typing import Callable, NamedTuple
 # Every command is one short process, so OpenBLAS runs in one thread unless the
 # user sets OPENBLAS_NUM_THREADS: a second thread adds tens of milliseconds to
 # the numpy import, and a GEMM split across two threads stalls for as long as
-# the second core is busy elsewhere.
+# the second core is busy elsewhere.  Set before any module imports numpy; this
+# one does not, so the commands that compute no array never load it.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
-import numpy as np  # noqa: E402  (after the BLAS default above)
-
-from . import __version__, tables
+from . import __version__, tables  # noqa: E402  (after the BLAS default above)
 from .errors import CuelexError, InputError
 from .patterns import DEFAULT_CONSENSUS_QUERY
 
@@ -55,7 +54,7 @@ def _lazy(name: str):
 
 corpus_mod, embeddings, expansion = _lazy("corpus"), _lazy("embeddings"), _lazy("expansion")
 classify, graph_mod, reduce_mod = _lazy("classify"), _lazy("graph"), _lazy("reduce")
-workers = _lazy("workers")
+agreement, workers = _lazy("agreement"), _lazy("workers")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -484,7 +483,7 @@ def _cmd_find(ctx) -> int:
 def _cmd_graph(ctx) -> int:
     pairs = [p for path in ctx.pairs for p in expansion.read_pairs(path)]
     lexicon = _load_lexicon(ctx)
-    annotations = classify.load_annotations(ctx.statuses) if ctx.statuses else ()
+    annotations = agreement.load_annotations(ctx.statuses) if ctx.statuses else ()
     statuses = {a.word.lower(): a.status for a in annotations}
     g = graph_mod.build(pairs, lexicon, statuses)
     graph_mod.export_node_tsv(ctx.out_dir / "nodes.tsv", g, header_lines=ctx.header_lines)
@@ -537,7 +536,7 @@ def _cmd_export(ctx) -> int:
 
 
 def _cmd_agree(ctx) -> int:
-    report = classify.agreement(classify.load_annotations(ctx.annotations))
+    report = agreement.agreement(agreement.load_annotations(ctx.annotations))
     print(f"n\t{report.total}")
     print(f"counts\tpp={report.n_pp} pn={report.n_pn} np={report.n_np} nn={report.n_nn}")
     print(f"percent_agreement\t{report.percent_agreement:.4f}")
@@ -585,7 +584,7 @@ def _cmd_dataset(ctx) -> int:
     """
     specs = _model_specs(ctx)
     lexicon = _load_lexicon(ctx)
-    annotations = classify.load_annotations(ctx.annotations)
+    annotations = agreement.load_annotations(ctx.annotations)
     accepted = [a.word for a in annotations if a.status == "accepted"]
     rejected = [a.word for a in annotations if a.status == "rejected"]
     seeds = sorted(lexicon.folded_words()) if ctx.include_seeds else []
@@ -605,8 +604,7 @@ def _cmd_dataset(ctx) -> int:
         models.append(classify.ModelRows(model, [*words, *unrelated]))
         del model  # before the next read
     build = classify.build_dataset(accepted, rejected, unrelated, models, seeds=seeds)
-    features = np.vstack([ex.features for ex in build.examples]).astype(np.float32)
-    np.save(ctx.out_dir / "dataset_features.npy", features)
+    features = classify.save_features(ctx.out_dir / "dataset_features.npy", build.examples)
     rows = (
         (ex.word, ex.label, "".join("1" if f else "0" for f in ex.oov_flags))
         for ex in build.examples
@@ -630,19 +628,7 @@ def _cmd_dataset(ctx) -> int:
 
 def _load_dataset(ctx):
     path = Path(ctx.dataset)
-    features_path = path.parent / "dataset_features.npy"
-    if not features_path.is_file():
-        raise InputError(f"missing feature matrix next to dataset: {features_path}")
-    with open(features_path, "rb") as fh:
-        try:  # an .npy array only: never a pickle
-            features = np.lib.format.read_array(fh)
-        except ValueError as exc:
-            raise InputError(f"{features_path}: not a feature matrix ({exc})") from None
-    if features.ndim != 2 or features.dtype.kind not in "biuf":
-        raise InputError(f"{features_path}: expected a numeric 2-D matrix, got {features.dtype} "
-                         f"of shape {features.shape}")
-    if not np.isfinite(features).all():
-        raise InputError(f"{features_path}: non-finite value in the feature matrix")
+    features = classify.load_features(path.parent / "dataset_features.npy")
     _, rows = tables.read_tsv(path, DATASET_COLUMNS, "dataset")
     if len(rows) != len(features):
         raise InputError("dataset row count does not match the feature matrix")

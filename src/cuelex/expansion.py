@@ -15,8 +15,6 @@ from operator import attrgetter
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-import numpy as np
-
 from . import tables
 from .errors import InputError
 from .patterns import MatchPattern, as_pattern, parse_pattern
@@ -276,6 +274,8 @@ def pmi(corpus: SentenceCorpus, x, y) -> float:
     for p, ids in ((px, ids_x), (py, ids_y)):
         if len(ids) == 0:
             raise InputError(f"insufficient evidence: pattern {p.surface!r} matches no sentence")
+    import numpy as np  # here, so that intersect and graph, which score nothing, never load it
+
     n_xy = len(np.intersect1d(ids_x, ids_y, assume_unique=True))
     if n_xy == 0:
         return NEG_INF
@@ -288,6 +288,8 @@ def tfidf(corpus: SentenceCorpus, word) -> float:
     ids, counts = corpus.index.lookup(p)
     if len(ids) == 0:
         raise InputError(f"word absent from corpus: {p.surface!r}")
+    import numpy as np  # as in pmi
+
     cf = int(counts.sum())
     df = 1 + np.count_nonzero(np.diff(corpus.doc_of(ids)))  # ids ascend, so their documents do
     return (cf / corpus.n_tokens) * math.log(corpus.n_documents / df)
@@ -411,8 +413,14 @@ def _read_candidate(obj) -> Candidate:
 
 
 def _json_number(value, what: str) -> float:
-    """A JSON number but NaN, or ``inf``/``-inf`` as ``tables.json_value`` spells them."""
+    """A JSON number but NaN, or ``inf``/``-inf`` as ``tables.json_value`` spells them.
+
+    An integer too large for a float is refused by name, without its digits.
+    """
     number = isinstance(value, (int, float)) and not isinstance(value, bool)
     if (number and value == value) or value in ("inf", "-inf"):  # NaN is unequal to itself
-        return float(value)
+        try:
+            return float(value)
+        except OverflowError:
+            raise InputError(f"{what} is an integer too large for a float") from None
     raise InputError(f"{what} must be a number, got {value!r}")

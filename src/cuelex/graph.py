@@ -3,7 +3,8 @@
 Nodes are seed and candidate words; edges are retrieval pairs weighted by
 cosine similarity.  Louvain clustering and PageRank are implemented here
 directly so that node visit order, tie handling, and convergence are fully
-deterministic given a seed.
+deterministic given a seed.  Only PageRank computes arrays, so only it
+imports numpy.
 """
 
 from __future__ import annotations
@@ -11,8 +12,6 @@ from __future__ import annotations
 import random
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass, field
-
-import numpy as np
 
 from . import tables
 from .errors import CuelexError, InputError
@@ -314,6 +313,8 @@ def pagerank(
         raise InputError("pagerank of an empty graph")
     if not 0.0 <= damping < 1.0:
         raise InputError("damping must be in [0, 1)")
+    import numpy as np  # here: of the graph commands, only rank needs numpy
+
     nodes = list(graph.nodes)
     idx = {w: i for i, w in enumerate(nodes)}
     n = len(nodes)

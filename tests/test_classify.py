@@ -37,6 +37,7 @@ from cuelex.classify import (
     sample_unrelated,
     train_eval,
 )
+from cuelex.classify import _shuffle, _sigmoid
 from cuelex.embeddings import EmbeddingModel, StreamedModel, stream_model
 from cuelex.errors import CuelexError, InputError
 from cuelex.expansion import parse_seed_lexicon
@@ -209,7 +210,7 @@ def test_sample_unrelated_exhaustion_error():
 def test_an_int32_array_shuffles_into_the_order_of_a_list(n, seed):
     # sample_unrelated shuffles an array("i"); its sampled words are those of a list shuffle
     rows, order = array("i", range(n)), list(range(n))
-    random.Random(seed).shuffle(rows)
+    _shuffle(rows, random.Random(seed))
     random.Random(seed).shuffle(order)
     assert rows.tolist() == order
 
@@ -767,6 +768,127 @@ def test_the_mlp_sgd_step_follows_the_log_loss_gradient():
     step = [(np.asarray(getattr(start, n)) - getattr(fits[1], n)) / 0.5 for n in names]
     for got, want in zip(step, numeric):
         np.testing.assert_allclose(np.reshape(got, np.shape(want)), want, rtol=1e-6, atol=1e-9)
+
+
+# --- the SGD step against a copy of the loop as it was written before --------------
+# The two fits below and the two-branch sigmoid are that loop; the fits must
+# equal them byte for byte.
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(0, 600), seed=st.integers(0, 2**64), kind=st.sampled_from(["list", "array"]))
+def test_the_shuffle_makes_the_draws_of_random_shuffle(n, seed, kind):
+    items = list(range(n)) if kind == "list" else array("i", range(n))
+    want = list(range(n))
+    rng, oracle = random.Random(seed), random.Random(seed)
+    _shuffle(items, rng)
+    oracle.shuffle(want)
+    assert list(items) == want
+    assert rng.getstate() == oracle.getstate()  # no draw more or fewer
+
+
+def sigmoid_two_branch(z):
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+def _bits(x):
+    return np.asarray(x, dtype=np.float64).view(np.uint64).tolist()
+
+
+SPECIAL_FLOATS = [
+    0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 1e308, -1e308, 5e-324, -5e-324, 2.2e-308,
+    -2.2e-308, 709.0, -709.0, 746.0, -746.0, 36.7, -36.7, 1e-17, -1e-17,
+    *np.array([0x7FF8000000000123, 0xFFF0000000000001, 0x7FF0000000000001], dtype=np.uint64)
+    .view(np.float64).tolist(),  # NaNs with other payloads and signs
+]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.one_of(st.sampled_from(SPECIAL_FLOATS), st.floats(width=64)), max_size=37))
+def test_the_sigmoid_equals_the_two_branch_form_bit_for_bit(values):
+    z = np.array(values, dtype=np.float64)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = _sigmoid(z)
+    assert _bits(got) == _bits(sigmoid_two_branch(z))
+
+
+def logistic_fit_as_it_was(X, y, lr, epochs, batch, rng_seed):
+    X = np.asarray(X, dtype=np.float64)
+    w, b = np.zeros(X.shape[1]), 0.0
+    rng, idx = random.Random(rng_seed), list(range(len(X)))
+    for _ in range(epochs):
+        rng.shuffle(idx)
+        for start in range(0, len(idx), batch):
+            Xb, yb = X[idx[start : start + batch]], y[idx[start : start + batch]]
+            err = sigmoid_two_branch(Xb @ w + b) - yb
+            w -= lr * (Xb.T @ err) / len(Xb)
+            b -= lr * err.mean()
+    return w, b
+
+
+def mlp_fit_as_it_was(X, y, hidden_width, lr, epochs, batch, rng_seed):
+    X = np.asarray(X, dtype=np.float64)
+    d, h = X.shape[1], hidden_width
+    nprng = np.random.default_rng(rng_seed)
+    W1 = nprng.normal(0.0, 1.0 / np.sqrt(d), size=(d, h))
+    b1 = np.zeros(h)
+    w2 = nprng.normal(0.0, 1.0 / np.sqrt(h), size=h)
+    b2 = 0.0
+    rng, idx = random.Random(rng_seed), list(range(len(X)))
+    for _ in range(epochs):
+        rng.shuffle(idx)
+        for start in range(0, len(idx), batch):
+            Xb, yb = X[idx[start : start + batch]], y[idx[start : start + batch]]
+            hidden = np.tanh(Xb @ W1 + b1)
+            err = sigmoid_two_branch(hidden @ w2 + b2) - yb
+            grad_w2 = hidden.T @ err / len(Xb)
+            grad_b2 = err.mean()
+            back = np.outer(err, w2) * (1.0 - hidden**2)
+            grad_W1 = Xb.T @ back / len(Xb)
+            grad_b1 = back.mean(axis=0)
+            w2 -= lr * grad_w2
+            b2 -= lr * grad_b2
+            W1 -= lr * grad_W1
+            b1 -= lr * grad_b1
+    return W1, b1, w2, b2
+
+
+@st.composite
+def sgd_runs(draw):
+    """A small random dataset and SGD settings: batch from 1 to n, 1-4 epochs, any seed."""
+    n, d = draw(st.integers(1, 40)), draw(st.integers(1, 6))
+    data = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    X = (data.normal(size=(n, d)) * draw(st.sampled_from([0.1, 1.0, 30.0]))).astype(np.float32)
+    y = data.integers(0, 2, n).astype(np.int64)
+    settings_ = {"lr": draw(st.sampled_from([0.0005, 0.1, 2.0])), "epochs": draw(st.integers(1, 4)),
+                 "batch": draw(st.integers(1, n)), "rng_seed": draw(st.integers(0, 2**32))}
+    return X, y, settings_
+
+
+@settings(max_examples=60, deadline=None)
+@given(sgd_runs())
+def test_the_logistic_fit_equals_the_loop_as_it_was_byte_for_byte(run):
+    X, y, kw = run
+    clf = LogisticSgdClassifier(**kw).fit(X, y)
+    w, b = logistic_fit_as_it_was(X, y, **kw)
+    assert clf._w.tobytes() == w.tobytes()
+    assert np.float64(clf._b).tobytes() == np.float64(b).tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(sgd_runs(), st.integers(1, 7))
+def test_the_mlp_fit_equals_the_loop_as_it_was_byte_for_byte(run, hidden_width):
+    X, y, kw = run
+    clf = MlpClassifier(hidden_width=hidden_width, **kw).fit(X, y)
+    want = mlp_fit_as_it_was(X, y, hidden_width, **kw)
+    got = (clf._W1, clf._b1, clf._w2, clf._b2)
+    assert [np.float64(g).tobytes() for g in got] == [np.float64(w).tobytes() for w in want]
 
 
 def test_metrics_hand_case():

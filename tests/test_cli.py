@@ -344,6 +344,7 @@ BAD_CANDIDATE_FILES = [
     _bad_model(similarity=7, seeds=[]),
     _bad_model(similarity=-1.001, seeds=[]),
     {"candidates": [GOOD_CANDIDATE, {"word": "w", "pmi": float("nan")}]},
+    {"candidates": [GOOD_CANDIDATE, {"word": "w", "pmi": 10**400}]},  # no float holds it
 ]
 
 
@@ -1750,7 +1751,8 @@ def test_a_binary_model_is_never_loaded_and_a_text_model_always_is(workspace, mo
 
 # Each lazily registered module, with a function whose first use executes it.
 LAZY = {"corpus": "load_corpus", "embeddings": "load_model", "expansion": "expand",
-        "classify": "train_eval", "graph": "louvain", "reduce": "pca", "workers": "fork_map"}
+        "classify": "train_eval", "agreement": "agreement", "graph": "louvain", "reduce": "pca",
+        "workers": "fork_map"}
 MODULE_PROBE = f"""
 import sys, types
 from cuelex import cli
@@ -1773,13 +1775,13 @@ EXECUTES = {
     "relscore": "corpus",
     "rates": "corpus",
     "find": "corpus",
-    "graph": "classify expansion graph",  # with --statuses
+    "graph": "agreement expansion graph",  # with --statuses
     "cluster": "graph",
     "rank": "graph",
     "export": "graph",
-    "agree": "classify",
-    "dataset": "classify embeddings expansion",
-    "train": "classify workers",
+    "agree": "agreement",
+    "dataset": "agreement classify embeddings expansion",
+    "train": "agreement classify workers",  # classify re-exports the agreement names
     "pca": "reduce",
     "mds": "reduce",
     "pipeline": "corpus embeddings expansion workers",  # with --corpus
@@ -1873,6 +1875,19 @@ def test_no_command_maps_openssl_but_train_with_mlp(golden_workspace, argv, maps
                           cwd=golden_workspace, env=child_env(), capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split()[-2:] == ["0", str(maps_openssl)]
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="pins a child to one CPU")
+@pytest.mark.parametrize("argv", [
+    *(pytest.param(GOLDEN[name], id=name) for name in ("agree", "graph", "cluster", "export", "intersect")),
+    pytest.param(_without(GOLDEN["graph"], "--statuses"), id="graph-no-statuses"),
+])
+def test_no_command_that_computes_no_array_imports_numpy(golden_workspace, argv):
+    # importing numpy takes about a third of these commands' wall time and 12 MiB of their peak
+    proc = subprocess.run([sys.executable, "-c", IMPORT_PROBE, "numpy", *argv, "--out", "numpy-probe"],
+                          cwd=golden_workspace, env=child_env(), capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split()[-2:] == ["0", "False"]
 
 
 @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="pins a child to one CPU")

@@ -18,6 +18,10 @@ No module imports ``hashlib``, ``hmac``, ``secrets`` or ``ssl``: each maps
 OpenSSL into the process (3.5 MiB of RSS) for every command that runs it.  The
 one allowed import is a fallback in an ``except ImportError`` handler, taken
 only where CPython's own SHA-256 module is missing.
+
+The modules that the commands computing no array execute import numpy only
+inside the functions that compute one, so ``agree``, ``graph``, ``cluster``,
+``export`` and ``intersect`` never load it.
 """
 
 import ast
@@ -255,3 +259,53 @@ def test_the_reader_guard_flags_every_reference_but_open_model_and_type_names():
         "load_models = []\n"
     )
     assert reader_references(allowed) == []
+
+
+NUMPY_FREE = ("cli", "errors", "patterns", "tables", "workers", "agreement", "graph", "expansion")
+
+
+def module_level_numpy_imports(source: str) -> list[int]:
+    """Lines that import numpy, or a module of it, outside every function body."""
+    tree = ast.parse(source)
+    in_function = {
+        id(node)
+        for fn in ast.walk(tree)
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for node in ast.walk(fn)
+    }
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            names = [node.module]
+        else:
+            continue
+        if any(name.split(".")[0] == "numpy" for name in names) and id(node) not in in_function:
+            lines.append(node.lineno)
+    return lines
+
+
+@pytest.mark.parametrize("name", NUMPY_FREE)
+def test_no_module_of_the_array_free_commands_imports_numpy_at_module_level(name):
+    source = (PACKAGE / f"{name}.py").read_text(encoding="utf-8")
+    assert module_level_numpy_imports(source) == []
+
+
+def test_the_numpy_guard_flags_every_import_outside_a_function():
+    flagged = (
+        "import numpy as np\n"
+        "import os, numpy\n"
+        "from numpy.lib import format\n"
+        "try:\n    import numpy.random\nexcept ImportError:\n    pass\n"
+        "class C:\n    import numpy\n"
+    )
+    assert module_level_numpy_imports(flagged) == [1, 2, 3, 5, 9]
+    allowed = (
+        "def f():\n    import numpy as np\n    return np\n"
+        "async def g():\n    from numpy import zeros\n"
+        "class C:\n    def m(self):\n        import numpy\n"
+        "import numpyx\n"
+        "from .numpy import x\n"
+    )
+    assert module_level_numpy_imports(allowed) == []
