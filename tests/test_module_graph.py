@@ -19,9 +19,9 @@ OpenSSL into the process (3.5 MiB of RSS) for every command that runs it.  The
 one allowed import is a fallback in an ``except ImportError`` handler, taken
 only where CPython's own SHA-256 module is missing.
 
-The modules that the commands computing no array execute import numpy only
-inside the functions that compute one, so ``agree``, ``graph``, ``cluster``,
-``export`` and ``intersect`` never load it.
+The modules that ``agree``, ``graph``, ``cluster``, ``export`` and
+``intersect`` execute import numpy only inside the functions that compute
+arrays, so those commands never load it.
 """
 
 import ast
